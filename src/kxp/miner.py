@@ -1,11 +1,15 @@
 """Mining background rules that are 100% consistent with training data.
 
-The main engine is a breadth-first search of the antecedent lattice per
-target feature-value, pruning unsupported antecedents and supersets of
-already-consistent ones, so every emitted rule has a subset-minimal
-antecedent. Rules are blocked in clausal form so that no clause is ever
-emitted twice across targets. An Eclat-style vertical miner (equality
-literals only, confidence 1.0) serves as the baseline.
+One level-wise pass over the antecedent lattice serves every target. The
+subset-minimal antecedents of exact rules are the free itemsets (generators:
+literal sets whose rows differ from every immediate subset's) whose rows all
+carry the target value while no immediate subset's rows do (Bastide et al.,
+CL 2000; Zaki, KDD 2000). So the pass keeps only free, supported nodes, built
+from column bitsets computed once, and tests each node against the values of
+one covered row. The rules are then replayed per target feature-value in
+size-then-lexicographic order and blocked in clausal form, so that no clause
+is ever emitted twice across targets. An Eclat-style vertical miner
+(equality literals only, confidence 1.0) serves as the baseline.
 """
 
 from __future__ import annotations
@@ -43,13 +47,30 @@ class ExtractionLimit:
             raise MinerError("min support must be >= 1")
 
 
-def _candidate_literals(space: FeatureSpace, target: Literal) -> list[Literal]:
+# The level loop reads the clock once per this many candidate nodes, so a
+# time budget overshoots by at most one batch of node work.
+BUDGET_CHECK_NODES = 512
+
+
+def _out_of_time(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
+def _columns(space: FeatureSpace, insts: list[Instance]) -> list[list[int]]:
+    """Row bitsets per feature value: bit i of cols[f][v] is set iff row i has f = v."""
+    cols = []
+    for f in range(space.m):
+        column = [inst.values[f] for inst in reversed(insts)]
+        cols.append([int("".join("1" if x == v else "0" for x in column) or "0", 2)
+                     for v in range(len(space.domain(f)))])
+    return cols
+
+
+def _antecedent_literals(space: FeatureSpace) -> list[Literal]:
     # = literals for every value; != only where the domain has 3+ values
     # (binary != normalizes to the complementary =)
     lits = []
     for f in range(space.m):
-        if f == target.feature:
-            continue
         dsz = len(space.domain(f))
         for v in range(dsz):
             lits.append(space.literal(f, v))
@@ -60,91 +81,137 @@ def _candidate_literals(space: FeatureSpace, target: Literal) -> list[Literal]:
     return lits
 
 
-def _row_mask(insts: list[Instance], lit: Literal) -> int:
-    mask = 0
-    for i, inst in enumerate(insts):
-        if lit.holds(inst):
-            mask |= 1 << i
-    return mask
+Found = dict[tuple[int, int], list[tuple[frozenset[Literal], int]]]
 
 
-def _mine_target(space: FeatureSpace, insts: list[Instance], target: Literal,
-                 blocked: set[Clause], limit: ExtractionLimit,
-                 deadline: Optional[float], budget: Optional[int],
-                 next_id: int) -> tuple[list[Rule], bool]:
+def _mine(space: FeatureSpace, insts: list[Instance], limit: ExtractionLimit,
+          deadline: Optional[float],
+          target: Optional[Literal] = None) -> tuple[Found, bool]:
+    """Minimal antecedents of every exact rule, from one pass over free itemsets.
+
+    Nodes are literal sets in index order, level by level. A node is kept only
+    if it is free (its rows differ from every immediate subset's rows) and
+    covers at least `min_support` rows. A node's antecedent is minimal for
+    target f = v iff its rows all have f = v and no immediate subset's rows
+    do; only the values of one covered row can qualify. Returns
+    {(f, v): [(antecedent, support)]} in size-then-lexicographic order, and
+    whether the time budget cut the pass. With `target`, only that target is
+    tested and its feature's literals are left out.
+    """
     n = len(insts)
-    all_rows = (1 << n) - 1
-    t_true = _row_mask(insts, target)
-    t_false = all_rows & ~t_true
-    emitted: list[Rule] = []
-    local_clauses: set[Clause] = set()
+    full = (1 << n) - 1
+    found: Found = {}
+    if _out_of_time(deadline):
+        return found, True
+    if n < limit.min_support:
+        return found, False
+    cols = _columns(space, insts)
+    # rows where f != v: a node's rows lie in column f = v iff they miss these
+    outside = [[full & ~c for c in fcols] for fcols in cols]
+    vals = [inst.values for inst in insts]
+    lits = [l for l in _antecedent_literals(space)
+            if target is None or l.feature != target.feature]
+    lit_rows = [outside[l.feature][l.value] if l.negated else cols[l.feature][l.value]
+                for l in lits]
+    feat = [l.feature for l in lits]
+    neg = [l.negated for l in lits]
+    features = range(space.m) if target is None else (target.feature,)
 
-    def out_of_budget() -> bool:
-        if budget is not None and len(emitted) >= budget:
-            return True
-        return deadline is not None and time.monotonic() > deadline
+    def record(key: tuple[int, ...], rows: int, subsets: list[int], fmask: int) -> None:
+        row = vals[(rows & -rows).bit_length() - 1]
+        for f in features:
+            if fmask >> f & 1:
+                continue
+            v = row[f]
+            if target is not None and v != target.value:
+                continue
+            out = outside[f][v]
+            if rows & out or not all(s & out for s in subsets):
+                continue
+            found.setdefault((f, v), []).append(
+                (frozenset(lits[j] for j in key), rows.bit_count()))
 
-    def try_emit(antecedent: frozenset[Literal], support: int) -> None:
-        nonlocal next_id
-        rule = Rule(antecedent, target, id=next_id, support=support, consistency=1.0)
-        clause = rule_to_clause(space, rule)
-        if clause in blocked or clause in local_clauses:
-            return
-        local_clauses.add(clause)
-        emitted.append(rule)
-        next_id += 1
-
-    if t_false == 0 and t_true.bit_count() >= limit.min_support:
-        # the target holds on every row: the empty-antecedent rule subsumes all
-        try_emit(frozenset(), t_true.bit_count())
-        return emitted, out_of_budget()
-
-    lits = _candidate_literals(space, target)
-    lit_rows = [_row_mask(insts, lit) for lit in lits]
-    lit_feat = [lit.feature for lit in lits]
-    lit_neg = [lit.negated for lit in lits]
-    dom_size = [len(space.domain(f)) for f in range(space.m)]
-
-    closed: list[int] = []  # minimal consistent antecedents, as literal bitmasks
-    # frontier entries: (literal mask, row mask, last literal id, =-feature mask,
-    # {feature: != count})
-    frontier = [(0, all_rows, -1, 0, {})]
-    truncated = False
-    for _size in range(1, limit.max_size + 1):
-        new_frontier = []
-        for litmask, rowmask, last, eqm, neq in frontier:
-            for j in range(last + 1, len(lits)):
-                f = lit_feat[j]
-                if eqm >> f & 1 or (not lit_neg[j] and f in neq):
-                    continue  # a second literal on an =-pinned feature is redundant
-                if lit_neg[j] and neq.get(f, 0) + 1 >= dom_size[f]:
-                    continue  # != literals may not exclude the whole domain
-                rows = rowmask & lit_rows[j]
-                support = (rows & t_true).bit_count()
-                if support < limit.min_support:
-                    continue
-                newmask = litmask | (1 << j)
-                if rows & t_false:
-                    if lit_neg[j]:
-                        nneq = dict(neq)
-                        nneq[f] = nneq.get(f, 0) + 1
-                        new_frontier.append((newmask, rows, j, eqm, nneq))
+    record((), full, [], 0)
+    # a level: groups of (prefix, [(last literal, rows)]) in lexicographic
+    # order, and every node's rows by key for the immediate-subset lookups
+    level: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = [((), [])]
+    index: dict[tuple[int, ...], int] = {}
+    work = 0
+    for j, rows in enumerate(lit_rows):
+        if rows == full or rows.bit_count() < limit.min_support:
+            continue
+        record((j,), rows, [full], 1 << feat[j])
+        if limit.max_size > 1:
+            level[0][1].append((j, rows))
+            index[(j,)] = rows
+    for size in range(2, limit.max_size + 1):
+        last_level = size == limit.max_size  # its nodes are never extended
+        next_level = []
+        next_index: dict[tuple[int, ...], int] = {}
+        for prefix, members in level:
+            pmask = 0
+            for j in prefix:
+                pmask |= 1 << feat[j]
+            for ia, (a, ra) in enumerate(members):
+                node = prefix + (a,)
+                fmask = pmask | 1 << feat[a]
+                children = []
+                for b, rb in members[ia + 1:]:
+                    work += 1
+                    if work == BUDGET_CHECK_NODES:
+                        work = 0
+                        if _out_of_time(deadline):
+                            return found, True
+                    # a second literal on an =-pinned feature covers no row or
+                    # the same rows; other structurally redundant sets (every
+                    # value of a feature excluded) cover no row
+                    if feat[b] == feat[a] and not neg[a]:
+                        continue
+                    rows = ra & rb
+                    if rows == ra or rows == rb or rows.bit_count() < limit.min_support:
+                        continue
+                    subsets = [ra, rb]
+                    for x in range(len(prefix)):
+                        sub = index.get(prefix[:x] + prefix[x + 1:] + (a, b))
+                        if sub is None or sub == rows:
+                            break
+                        subsets.append(sub)
                     else:
-                        new_frontier.append((newmask, rows, j, eqm | (1 << f), neq))
-                    continue
-                # consistent: minimal iff no already-closed antecedent is a subset
-                if any(c & newmask == c for c in closed):
-                    continue
-                closed.append(newmask)
-                antecedent = frozenset(lits[b] for b in range(len(lits))
-                                       if newmask >> b & 1)
-                try_emit(antecedent, support)
-                if out_of_budget():
-                    return emitted, True
-        frontier = new_frontier
-        if not frontier:
+                        key = node + (b,)
+                        record(key, rows, subsets, fmask | 1 << feat[b])
+                        if not last_level:
+                            children.append((b, rows))
+                            next_index[key] = rows
+                if children:
+                    next_level.append((node, children))
+        level, index = next_level, next_index
+        if not level:
             break
-    return emitted, truncated
+    return found, False
+
+
+def _emit_target(space: FeatureSpace, target: Literal,
+                 found: list[tuple[frozenset[Literal], int]], blocked: set[Clause],
+                 budget: Optional[int], next_id: int) -> tuple[list[Rule], bool]:
+    """One target's rules in mining order, skipping (then adding) blocked clauses.
+
+    The flag is set when the rule budget ran out.
+    """
+    emitted: list[Rule] = []
+    for antecedent, support in found:
+        rule = Rule(antecedent, target, id=next_id + len(emitted), support=support,
+                    consistency=1.0)
+        clause = rule_to_clause(space, rule)
+        if clause not in blocked:
+            blocked.add(clause)
+            emitted.append(rule)
+        if budget is not None and len(emitted) >= budget:
+            return emitted, True
+    return emitted, False
+
+
+def _deadline(limit: ExtractionLimit) -> Optional[float]:
+    return None if limit.time_budget is None else time.monotonic() + limit.time_budget
 
 
 def enumerate_min_rules(train: Dataset, target: Literal,
@@ -158,34 +225,30 @@ def enumerate_min_rules(train: Dataset, target: Literal,
     space = train.space
     if target.negated:
         raise MinerError("targets must be = literals")
-    deadline = None if limit.time_budget is None \
-        else time.monotonic() + limit.time_budget
+    deadline = _deadline(limit)
     budget = limit.max_rules
     if limit.per_target_rules is not None:
         budget = min(budget, limit.per_target_rules) if budget else limit.per_target_rules
-    rules, _ = _mine_target(space, train.instances(), target, set(blocked),
-                            limit, deadline, budget, next_id=0)
+    found, _ = _mine(space, train.instances(), limit, deadline, target)
+    rules, _ = _emit_target(space, target, found.get((target.feature, target.value), []),
+                            set(blocked), budget, next_id=0)
     return rules
 
 
 def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> KnowledgeBase:
     """Mine every feature-value target, blocking emitted clauses between targets.
 
-    The class column never participates (it is held outside the feature
-    space). Exhausting the count or time budget returns the partial knowledge
-    base with its truncation flag set.
+    Targets are replayed in (feature, value) order, so which reading of a
+    clause is kept depends on that order. The class column never
+    participates (it is held outside the feature space). Exhausting the count
+    or time budget returns the partial knowledge base with its truncation
+    flag set.
     """
     space = train.space
-    insts = train.instances()
-    deadline = None if limit.time_budget is None \
-        else time.monotonic() + limit.time_budget
+    found, truncated = _mine(space, train.instances(), limit, _deadline(limit))
     blocked: set[Clause] = set()
     rules: list[Rule] = []
-    truncated = False
-    stop = False
     for f in range(space.m):
-        if stop:
-            break
         for v in range(len(space.domain(f))):
             budget = None
             if limit.max_rules is not None:
@@ -193,58 +256,10 @@ def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> K
             if limit.per_target_rules is not None:
                 budget = limit.per_target_rules if budget is None \
                     else min(budget, limit.per_target_rules)
-            target = space.literal(f, v)
-            got, trunc = _mine_target(space, insts, target, blocked, limit,
-                                      deadline, budget, next_id=len(rules))
+            got, trunc = _emit_target(space, space.literal(f, v), found.get((f, v), []),
+                                      blocked, budget, next_id=len(rules))
             rules.extend(got)
-            for rule in got:
-                blocked.add(rule_to_clause(space, rule))
             truncated = truncated or trunc
-            if limit.max_rules is not None and len(rules) >= limit.max_rules:
-                truncated, stop = True, True
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                truncated, stop = True, True
-                break
-    return KnowledgeBase.from_rules(space, rules, truncated=truncated)
-
-
-def extract_all_parallel(train: Dataset,
-                         limit: ExtractionLimit = ExtractionLimit(),
-                         jobs: int = 2) -> KnowledgeBase:
-    """Opt-in parallel extraction: targets mined independently, deduplicated after.
-
-    Each (feature, value) target runs against an empty blocked snapshot, so
-    which clause reading is kept diverges from the sequential order-dependent
-    blocking; the resulting clause set is deduplicated (first reading in
-    target order wins) and, without count/time budgets, equals the sequential
-    one. Rule ids are reassigned in target order.
-    """
-    space = train.space
-    insts = train.instances()
-    targets = [space.literal(f, v) for f in range(space.m)
-               for v in range(len(space.domain(f)))]
-    deadline = None if limit.time_budget is None \
-        else time.monotonic() + limit.time_budget
-    budget = limit.per_target_rules
-
-    def mine(target):
-        return _mine_target(space, insts, target, set(), limit, deadline,
-                            budget, next_id=0)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(mine, targets))
-    else:
-        results = [mine(t) for t in targets]
-    rules: list[Rule] = []
-    truncated = False
-    for got, trunc in results:
-        truncated = truncated or trunc
-        for rule in got:
-            rules.append(Rule(rule.antecedent, rule.consequent, id=len(rules),
-                              support=rule.support, consistency=rule.consistency))
             if limit.max_rules is not None and len(rules) >= limit.max_rules:
                 return KnowledgeBase.from_rules(space, rules, truncated=True)
     return KnowledgeBase.from_rules(space, rules, truncated=truncated)
@@ -276,7 +291,8 @@ def eclat_mine(train: Dataset, min_support: int = 1,
     items = [space.literal(f, v) for f in range(space.m)
              for v in range(len(space.domain(f)))]
     items.sort()
-    tids = [_row_mask(insts, lit) for lit in items]
+    cols = _columns(space, insts)
+    tids = [cols[lit.feature][lit.value] for lit in items]
     order = [i for i in range(len(items)) if tids[i].bit_count() >= min_support]
 
     supports: dict[frozenset[Literal], int] = {frozenset(): n}

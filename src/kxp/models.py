@@ -466,7 +466,8 @@ def _fit_tree(insts, rows, residual, lits, depth, min_leaf=4) -> tuple[Tree, boo
         yes = [i for i in rows if lit.holds(insts[i])]
         if len(yes) < min_leaf or len(rows) - len(yes) < min_leaf:
             continue
-        no = [i for i in rows if i not in set(yes)]
+        yes_set = set(yes)
+        no = [i for i in rows if i not in yes_set]
         ymean = sum(residual[i] for i in yes) / len(yes)
         nmean = sum(residual[i] for i in no) / len(no)
         gain = sse - (sum((residual[i] - ymean) ** 2 for i in yes)

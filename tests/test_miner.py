@@ -5,10 +5,12 @@ import pytest
 from kxp import (Dataset, ExtractionLimit, FeatureSpace, MinerError, Rule,
                  eclat_mine, enumerate_min_rules, extract_all, rule_accuracy,
                  rule_to_clause)
-from kxp.miner import (extract_all_parallel, filter_rules_by_accuracy,
-                       load_knowledge, load_rules, save_rules)
+from kxp import miner
+from kxp.miner import (filter_rules_by_accuracy, load_knowledge, load_rules,
+                       save_rules)
 
-from util import brute_force_min_rules, random_space
+from util import (brute_force_extract_all, brute_force_min_rules, planted_dataset,
+                  planted_rules, random_space)
 
 RNG_DATASETS = 25
 
@@ -131,21 +133,75 @@ def test_binary_dataset_matches_bruteforce():
 
 
 def test_extract_all_matches_bruteforce_pipeline():
-    rng = random.Random(9090)
-    for _ in range(6):
-        sp = random_space(rng, min_features=3, max_features=4, max_domain=3)
-        ds = tiny_dataset(rng, sp, rng.randint(3, 8))
-        fast = extract_all(ds, ExtractionLimit(max_size=2))
-        blocked = set()
-        slow = []
-        for f in range(sp.m):
-            for v in range(len(sp.domain(f))):
-                got = brute_force_min_rules(ds, sp.literal(f, v),
-                                            blocked=blocked, max_size=2)
-                slow.extend(got)
-                blocked.update(rule_to_clause(sp, r) for r in got)
-        assert [(r.antecedent, r.consequent) for r in fast.rules] \
-            == [(r.antecedent, r.consequent) for r in slow]
+    """Order, ids, supports and the truncation flag, with and without cuts."""
+    rng = random.Random(20240611)
+    for trial in range(300):
+        sp = random_space(rng, min_features=2, max_features=4, max_domain=4)
+        ds = tiny_dataset(rng, sp, rng.randint(0, 40))
+        # the brute force scans every antecedent: size 4 only on 2-3 features
+        max_size = rng.randint(1, 4 if sp.m <= 3 else 3)
+        min_support = rng.randint(1, 3)
+        max_rules = per_target = None
+        cut = rng.random()
+        if cut < 0.2:
+            max_rules = rng.randint(1, 12)
+        elif cut < 0.4:
+            per_target = rng.randint(1, 3)
+        elif cut < 0.5:
+            max_rules, per_target = rng.randint(1, 12), rng.randint(1, 3)
+        kb = extract_all(ds, ExtractionLimit(max_size=max_size, min_support=min_support,
+                                             max_rules=max_rules,
+                                             per_target_rules=per_target))
+        slow, truncated = brute_force_extract_all(ds, max_size, min_support,
+                                                  max_rules, per_target)
+        assert [(r.id, r.antecedent, r.consequent, r.support) for r in kb.rules] \
+            == [(r.id, r.antecedent, r.consequent, r.support) for r in slow], \
+            "trial %d" % trial
+        assert kb.truncated == truncated, "trial %d" % trial
+
+
+def test_planted_dependencies_come_back_as_exact_rules():
+    ds = planted_dataset(random.Random(7), 400)
+    sp = ds.space
+    kb = extract_all(ds, ExtractionLimit(max_size=2))
+    insts = ds.instances()
+    assert all(not any(r.violated_by(v) for v in insts) for r in kb.rules)
+    clauses = set(kb.clauses)
+    for rule in planted_rules(sp):
+        assert rule_to_clause(sp, rule) in clauses, rule.render(sp)
+
+
+def test_time_budget_stops_within_one_node_batch(monkeypatch):
+    """With a clock that ticks once per read, the pass reads it once per
+    batch of nodes and stops at the first read at or past the deadline."""
+    ds = planted_dataset(random.Random(3), 120)
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return float(len(reads))
+
+    monkeypatch.setattr(miner.time, "monotonic", clock)
+    batch = miner.BUDGET_CHECK_NODES
+    monkeypatch.setattr(miner, "BUDGET_CHECK_NODES", 1)
+    never = ExtractionLimit(max_size=3, time_budget=1e9)
+    full = extract_all(ds, never)
+    nodes = len(reads) - 2  # the deadline, the check before the pass
+    assert not full.truncated and nodes > 3 * batch
+
+    monkeypatch.setattr(miner, "BUDGET_CHECK_NODES", batch)
+    reads.clear()
+    assert extract_all(ds, never) == full
+    assert len(reads) == 2 + nodes // batch
+
+    insts = ds.instances()
+    for k in range(4):
+        reads.clear()
+        # the deadline is read 1 + k + 0.5: the (k + 2)-th read passes it
+        kb = extract_all(ds, ExtractionLimit(max_size=3, time_budget=k + 0.5))
+        assert kb.truncated and len(reads) == k + 2
+        assert set(kb.clauses) <= set(full.clauses)
+        assert all(not any(r.violated_by(v) for v in insts) for r in kb.rules)
 
 
 def test_target_must_be_equality(toy_ds):
@@ -175,14 +231,6 @@ def test_limit_validation():
         ExtractionLimit(max_size=0)
     with pytest.raises(MinerError):
         ExtractionLimit(min_support=0)
-
-
-def test_parallel_mode_same_clause_set(toy_ds):
-    limit = ExtractionLimit(max_size=2)
-    sequential = extract_all(toy_ds, limit)
-    parallel = extract_all_parallel(toy_ds, limit, jobs=3)
-    assert set(parallel.clauses) == set(sequential.clauses)
-    assert not parallel.truncated
 
 
 def test_accuracy_filter(toy_ds):

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from kxp import (Instance, load_model, model_constraints, save_model,
+from kxp import (Dataset, Instance, load_model, model_constraints, save_model,
                  train_boosted, train_decision_list)
 from kxp.models import (BoostedEnsemble, DecisionList, Leaf, ModelError,
                         model_from_obj, model_to_obj, _walk)
 
-from util import random_bt, random_dl, random_instance, random_space
+from util import (random_bt, random_dl, random_instance, random_space,
+                  reference_boosted)
 
 
 def cls_of(model, inst):
@@ -178,3 +179,19 @@ def test_fixed_point_matches_float_summation(toy_bt):
         float_score = sum(_walk(t, inst).weight / 10 ** d for t in toy_bt.trees[0])
         assert abs(int_score / 10 ** d - float_score) <= n_trees * 10 ** -d
         assert (int_score > 0) == (float_score > 1e-12)
+
+
+def test_train_boosted_matches_reference_fit():
+    """Leaf for leaf against exhaustive best-gain splits, binary and multiclass."""
+    rng = random.Random(515)
+    for trial in range(8):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=4)
+        n_classes = 2 if trial % 2 == 0 else 3
+        rows = tuple(random_instance(rng, sp).values for _ in range(rng.randint(20, 60)))
+        labels = tuple(rng.randrange(n_classes) if rng.random() < 0.3
+                       else (r[0] + r[1]) % n_classes for r in rows)
+        ds = Dataset(sp.names, tuple(d for _, d in sp.features), rows, "y",
+                     tuple("c%d" % c for c in range(n_classes)), labels)
+        rounds, depth = rng.randint(1, 6), rng.randint(1, 3)
+        got = train_boosted(ds, rounds=rounds, depth=depth)
+        assert got == reference_boosted(ds, rounds, depth), "trial %d" % trial

@@ -39,16 +39,15 @@ def brute_force_min_rules(train: Dataset, target, blocked=(), max_size=3,
     space = train.space
     insts = train.instances()
     lits = candidate_literals(space, target)
-
-    def rows_of(antecedent):
-        return [i for i, inst in enumerate(insts)
-                if all(l.holds(inst) for l in antecedent)]
+    every_row = frozenset(range(len(insts)))
+    lit_rows = {l: frozenset(i for i, inst in enumerate(insts) if l.holds(inst))
+                for l in lits}
+    target_rows = frozenset(i for i, inst in enumerate(insts) if target.holds(inst))
 
     def ok(antecedent):
-        rows = rows_of(antecedent)
-        support = sum(1 for i in rows if target.holds(insts[i]))
-        consistent = all(target.holds(insts[i]) for i in rows)
-        return consistent and support >= min_support, support
+        rows = every_row.intersection(*(lit_rows[l] for l in antecedent))
+        support = len(rows & target_rows)
+        return rows <= target_rows and support >= min_support, support
 
     emitted = []
     clauses = set(blocked)
@@ -74,6 +73,146 @@ def brute_force_min_rules(train: Dataset, target, blocked=(), max_size=3,
             clauses.add(clause)
             emitted.append(rule)
     return emitted
+
+
+def brute_force_extract_all(train: Dataset, max_size=3, min_support=1,
+                            max_rules=None, per_target_rules=None):
+    """The per-target mining pipeline: brute-force rules per (feature, value)
+    target in order, blocking clauses across targets, with rule-count cuts.
+
+    Returns (rules with ids, truncated). Cuts must be >= 1.
+    """
+    space = train.space
+    rules, blocked, truncated = [], set(), False
+    for f in range(space.m):
+        for v in range(len(space.domain(f))):
+            budget = None if max_rules is None else max_rules - len(rules)
+            if per_target_rules is not None:
+                budget = per_target_rules if budget is None \
+                    else min(budget, per_target_rules)
+            got = brute_force_min_rules(train, space.literal(f, v), blocked,
+                                        max_size, min_support)
+            if budget is not None and len(got) >= budget:
+                got, truncated = got[:budget], True
+            for rule in got:
+                rules.append(Rule(rule.antecedent, rule.consequent, id=len(rules),
+                                  support=rule.support, consistency=1.0))
+                blocked.add(rule_to_clause(space, rule))
+            if max_rules is not None and len(rules) >= max_rules:
+                return rules, True
+    return rules, truncated
+
+
+def planted_dataset(rng: random.Random, rows: int) -> Dataset:
+    """A table of 8 uniform categorical features with three planted dependencies:
+
+    - f0=v0 -> f1=v0
+    - f2=v1 AND f3=v1 -> f4=v0
+    - f5 = (f6 + f7) mod |D5|
+    """
+    sizes = (2, 3, 4, 3, 2, 5, 4, 3)
+    out = []
+    for _ in range(rows):
+        x = [rng.randrange(k) for k in sizes]
+        if x[0] == 0:
+            x[1] = 0
+        if x[2] == 1 and x[3] == 1:
+            x[4] = 0
+        x[5] = (x[6] + x[7]) % sizes[5]
+        out.append(tuple(x))
+    return Dataset(tuple("f%d" % f for f in range(len(sizes))),
+                   tuple(tuple("v%d" % v for v in range(k)) for k in sizes),
+                   tuple(out))
+
+
+def planted_rules(space: FeatureSpace) -> list[Rule]:
+    """The dependencies of `planted_dataset` as exact rules, one per (f6, f7) pair for f5."""
+    lit = space.literal
+    out = [Rule(frozenset({lit(0, "v0")}), lit(1, "v0")),
+           Rule(frozenset({lit(2, "v1"), lit(3, "v1")}), lit(4, "v0"))]
+    d5, d6, d7 = (len(space.domain(f)) for f in (5, 6, 7))
+    for a in range(d6):
+        for b in range(d7):
+            out.append(Rule(frozenset({lit(6, a), lit(7, b)}), lit(5, (a + b) % d5)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference boosted-tree trainer: exhaustive best-gain split at every node
+
+def reference_boosted(train: Dataset, rounds: int, depth: int, lr: float = 0.5,
+                      scale: int = 4, min_leaf: int = 4) -> BoostedEnsemble:
+    """Least-squares boosting of `= literal` regression trees, fitted plainly.
+
+    Each node tries every feature-value test in (feature, value) order and
+    keeps the first with the largest gain (a later test must win by 1e-12);
+    leaves hold the residual mean scaled by lr to fixed point. One score per
+    class (one-vs-rest), or one positive-class score for binary labels.
+    """
+    space = train.space
+    insts = train.instances()
+    labels = train.class_labels
+    tests = [space.literal(f, v) for f in range(space.m)
+             for v in range(len(space.domain(f)))]
+
+    def mean(values):
+        return sum(values) / len(values) if values else 0.0
+
+    def sse(values, centre):
+        return sum((x - centre) ** 2 for x in values)
+
+    def fit(rows, residual, levels):
+        here = mean([residual[i] for i in rows])
+        if levels == 0 or len(rows) < 2 * min_leaf:
+            return Leaf(here), False
+        total = sse([residual[i] for i in rows], here)
+        best = None
+        for test in tests:
+            yes = [i for i in rows if test.holds(insts[i])]
+            no = [i for i in rows if not test.holds(insts[i])]
+            if len(yes) < min_leaf or len(no) < min_leaf:
+                continue
+            ry = [residual[i] for i in yes]
+            rn = [residual[i] for i in no]
+            gain = total - (sse(ry, mean(ry)) + sse(rn, mean(rn)))
+            if best is None or gain > best[0] + 1e-12:
+                best = (gain, test, yes, no)
+        if best is None or best[0] <= 1e-9:
+            return Leaf(here), False
+        _, test, yes, no = best
+        return Node(test, fit(yes, residual, levels - 1)[0],
+                    fit(no, residual, levels - 1)[0]), True
+
+    def to_fixed(tree):
+        if isinstance(tree, Leaf):
+            return Leaf(int(round(tree.weight * lr * 10 ** scale)))
+        return Node(tree.test, to_fixed(tree.yes), to_fixed(tree.no))
+
+    def leaf_of(tree, inst):
+        while isinstance(tree, Node):
+            tree = tree.yes if tree.test.holds(inst) else tree.no
+        return tree.weight
+
+    def boost(positive):
+        target = [1.0 if y == positive else -1.0 for y in labels]
+        score = [0.0] * len(insts)
+        group = []
+        for _ in range(rounds):
+            residual = [t - s for t, s in zip(target, score)]
+            tree, split = fit(list(range(len(insts))), residual, depth)
+            tree = to_fixed(tree)
+            group.append(tree)
+            score = [s + leaf_of(tree, inst) / 10 ** scale
+                     for s, inst in zip(score, insts)]
+            if not split:
+                break
+        return tuple(group)
+
+    classes = train.class_domain
+    if len(classes) == 2:
+        return BoostedEnsemble(space, classes, scale, (boost(1),), positive=1)
+    return BoostedEnsemble(space, classes, scale,
+                           tuple(boost(c) for c in range(len(classes))))
 
 
 # ---------------------------------------------------------------------------
