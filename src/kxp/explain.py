@@ -129,7 +129,6 @@ class DualState:
 
     found_axps: list[frozenset[int]] = field(default_factory=list)
     found_cxps: list[frozenset[int]] = field(default_factory=list)
-    blocked: list[frozenset[int]] = field(default_factory=list)
 
 
 @dataclass
@@ -221,9 +220,13 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     state = DualState()
     out: list[Explanation] = []
     exhausted = False
+    # emitted sets are blocked: no later candidate may contain one
+    if kind is Kind.AXP:
+        duals, emitted = state.found_cxps, state.found_axps
+    else:
+        duals, emitted = state.found_axps, state.found_cxps
     while len(out) < n:
-        duals = state.found_cxps if kind is Kind.AXP else state.found_axps
-        cand = minimum_hitting_set(duals, state.blocked, m)
+        cand = minimum_hitting_set(duals, emitted, m)
         if cand is None:
             exhausted = True
             break
@@ -232,7 +235,6 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
             if res.entails:
                 out.append(Explanation(Kind.AXP, cand, bool(kb), instance, c))
                 state.found_axps.append(cand)
-                state.blocked.append(cand)
             else:
                 diff = frozenset(f for f in range(m)
                                  if res.witness.values[f] != instance.values[f])
@@ -242,7 +244,6 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
             if not res.entails:
                 out.append(Explanation(Kind.CXP, cand, bool(kb), instance, c))
                 state.found_cxps.append(cand)
-                state.blocked.append(cand)
             else:
                 state.found_axps.append(_shrink_axp(oracle, instance, c, allf - cand))
     return EnumerationResult(out, exhausted, oracle.calls - calls0, state)
@@ -262,16 +263,15 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     at clause granularity; provenance keeps all originating rule ids.
     """
     fset = frozenset(axp_features)
-    _, c, _ = _setup(model, instance, contested, knowledge, None)
-    if not EntailmentOracle(model, knowledge).query(fset, instance, c).entails:
+    oracle, c, _ = _setup(model, instance, contested, knowledge, None)
+    if not oracle.query(fset, instance, c).entails:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))
-    if EntailmentOracle(model, None).query(fset, instance, c).entails:
+    if oracle.query(fset, instance, c, KnowledgeBase()).entails:
         return knowledge.subset([])
     kept = list(knowledge.clauses)
     for clause in knowledge.clauses:
         trial = [cl for cl in kept if cl != clause]
-        trial_kb = KnowledgeBase(tuple(trial))
-        if EntailmentOracle(model, trial_kb).query(fset, instance, c).entails:
+        if oracle.query(fset, instance, c, KnowledgeBase(tuple(trial))).entails:
             kept = trial
     return knowledge.subset(kept)

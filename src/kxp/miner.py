@@ -45,6 +45,10 @@ class ExtractionLimit:
             raise MinerError("max antecedent size must be >= 1")
         if self.min_support < 1:
             raise MinerError("min support must be >= 1")
+        if self.max_rules is not None and self.max_rules < 1:
+            raise MinerError("max rules must be >= 1")
+        if self.per_target_rules is not None and self.per_target_rules < 1:
+            raise MinerError("per-target rules must be >= 1")
 
 
 # The level loop reads the clock once per this many candidate nodes, so a
@@ -228,7 +232,8 @@ def enumerate_min_rules(train: Dataset, target: Literal,
     deadline = _deadline(limit)
     budget = limit.max_rules
     if limit.per_target_rules is not None:
-        budget = min(budget, limit.per_target_rules) if budget else limit.per_target_rules
+        budget = min(budget, limit.per_target_rules) if budget is not None \
+            else limit.per_target_rules
     found, _ = _mine(space, train.instances(), limit, deadline, target)
     rules, _ = _emit_target(space, target, found.get((target.feature, target.value), []),
                             set(blocked), budget, next_id=0)

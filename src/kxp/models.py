@@ -442,16 +442,10 @@ def train_decision_list(ds: Dataset, max_antecedent: int = 3,
         rules.append(DLRule(frozenset(chosen), target))
         covered_set = set(covered)
         remaining = [i for i in remaining if i not in covered_set]
-    if remaining:
-        counts = [0] * len(classes)
-        for i in remaining:
-            counts[labels[i]] += 1
-        default = max(range(len(classes)), key=lambda c: (counts[c], -c))
-    else:
-        counts = [0] * len(classes)
-        for c in labels:
-            counts[c] += 1
-        default = max(range(len(classes)), key=lambda c: (counts[c], -c))
+    counts = [0] * len(classes)
+    for i in remaining or range(len(insts)):
+        counts[labels[i]] += 1
+    default = max(range(len(classes)), key=lambda c: (counts[c], -c))
     return DecisionList(space, classes, tuple(rules), default)
 
 

@@ -5,6 +5,11 @@ point that seeds contrastive explanations. The search is a complete
 backtracking procedure with watched-literal unit propagation over one-hot
 feature domains; ensembles add sound per-class score-interval pruning and an
 exact check on full assignments.
+
+An oracle enters every clause once: the model encoding, the knowledge and,
+for decision lists, each class's challenge. A query switches off the other
+classes' challenges and the knowledge clauses outside its subset (by default
+none); switched-off clauses stay watched and are skipped when they wake.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Optional
 
-from .core import FeatureSpace, Instance, KnowledgeBase
+from .core import Clause, FeatureSpace, Instance, KnowledgeBase
 from .models import (BTEncoding, DLEncoding, Model, SLit, model_constraints)
 
 DEFAULT_BRUTE_BOUND = 10_000_000
@@ -91,7 +96,7 @@ def _tree_features(tree, out: set) -> None:
 
 
 class EntailmentOracle:
-    """Reusable oracle over one (model, knowledge) pair; queries vary Z and c.
+    """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
 
     Owns mutable search state: confine an instance to one task at a time.
     """
@@ -104,10 +109,9 @@ class EntailmentOracle:
         self.calls = 0
 
         m = self.space.m
-        self.sizes = [len(self.space.domain(f)) for f in range(m)]
-        self.sizes += [2] * self.encoding.aux_count
-        self.n_vars = len(self.sizes)
-        self.dom: list[set[int]] = [set(range(s)) for s in self.sizes]
+        sizes = [len(self.space.domain(f)) for f in range(m)]
+        sizes += [2] * self.encoding.aux_count
+        self.dom: list[set[int]] = [set(range(s)) for s in sizes]
         self.trail: list[tuple[int, int]] = []
 
         # ensembles: decide score-relevant features first and re-check score
@@ -126,45 +130,50 @@ class EntailmentOracle:
         self.clauses: list[list[SLit]] = []
         self.cwatch: list[list[int]] = []
         self.watch: dict[tuple, list[int]] = {}
-        self.base_units: list[SLit] = []
+        self.units: list[tuple[int, SLit]] = []
+        self._off: set[int] = set()  # clause ids switched off for this query
         for clause in self.encoding.clauses:
             self._add_clause(clause)
-        for clause in self.knowledge.clauses:
-            self._add_clause([(l.feature, l.value, l.negated) for l in clause.literals])
-        self._n_base = len(self.clauses)
+        self._kb_ids: dict[Clause, int] = {
+            clause: self._add_clause([(l.feature, l.value, l.negated)
+                                      for l in clause.literals])
+            for clause in self.knowledge.clauses}
+        # class -> id of its challenge clause; an empty challenge means the
+        # class is always entailed, a vacuous one adds nothing
+        self._challenge: dict[int, int] = {}
+        self._entailed: set[int] = set()
+        if isinstance(self.encoding, DLEncoding):
+            for c in range(model.class_count()):
+                ch = self.encoding.challenge_clause(c)
+                if ch == []:
+                    self._entailed.add(c)
+                elif ch is not None:
+                    self._challenge[c] = self._add_clause(ch)
 
     # -- clause database -----------------------------------------------------
 
-    def _add_clause(self, slits: list[SLit]) -> None:
-        if len(slits) == 1:
-            self.base_units.append(slits[0])
-            return
+    def _add_clause(self, slits: list[SLit]) -> int:
         ci = len(self.clauses)
         self.clauses.append(slits)
         self.cwatch.append([0, 1])
-        for pos in (0, 1):
-            self.watch.setdefault(_event(slits[pos]), []).append(ci)
-
-    def _push_temp_clause(self, slits: list[SLit]) -> Optional[int]:
         if len(slits) == 1:
-            return None  # caller forces it instead
-        ci = len(self.clauses)
-        self.clauses.append(slits)
-        self.cwatch.append([0, 1])
-        for pos in (0, 1):
-            self.watch.setdefault(_event(slits[pos]), []).append(ci)
+            self.units.append((ci, slits[0]))
+        else:
+            for pos in (0, 1):
+                self.watch.setdefault(_event(slits[pos]), []).append(ci)
         return ci
 
-    def _pop_temp_clause(self, ci: int) -> None:
-        assert ci == len(self.clauses) - 1  # one temp clause, pushed last
-        slits = self.clauses[ci]
-        for pos in self.cwatch[ci]:
-            key = _event(slits[pos])
-            lst = self.watch.get(key, [])
-            if ci in lst:
-                lst.remove(ci)
-        del self.clauses[ci]
-        del self.cwatch[ci]
+    def _switched_off(self, contested: int,
+                      knowledge: Optional[KnowledgeBase]) -> set[int]:
+        off = {ci for c, ci in self._challenge.items() if c != contested}
+        if knowledge is not None:
+            active = set(knowledge.clauses)
+            if any(clause not in self._kb_ids for clause in active):
+                raise OracleError("the knowledge subset has a clause outside "
+                                  "the oracle's knowledge base")
+            off.update(ci for clause, ci in self._kb_ids.items()
+                       if clause not in active)
+        return off
 
     # -- literal state -------------------------------------------------------
 
@@ -205,6 +214,7 @@ class EntailmentOracle:
         return True
 
     def _propagate(self, queue: deque) -> bool:
+        off = self._off
         while queue:
             ev = queue.popleft()
             lst = self.watch.get(ev)
@@ -215,6 +225,9 @@ class EntailmentOracle:
             while i < len(lst):
                 ci = lst[i]
                 i += 1
+                if ci in off:
+                    keep.append(ci)
+                    continue
                 slits = self.clauses[ci]
                 w = self.cwatch[ci]
                 if _event(slits[w[0]]) == ev and self._false(slits[w[0]]):
@@ -292,49 +305,32 @@ class EntailmentOracle:
             return False
         return any(var in self._score_feats for var, _ in self.trail[mark:])
 
-    def query(self, fixed: Iterable[int], instance: Instance,
-              contested: int) -> OracleResult:
-        """Decide the query; Z-fixing and the class challenge are per-call."""
+    def query(self, fixed: Iterable[int], instance: Instance, contested: int,
+              knowledge: Optional[KnowledgeBase] = None) -> OracleResult:
+        """Decide the query; Z, the class challenge and the knowledge subset
+        (default: the oracle's whole knowledge base) are per-call."""
+        self._off = self._switched_off(contested, knowledge)
         self.calls += 1
-        temp_ci = None
-        challenge_unit: Optional[SLit] = None
-        if isinstance(self.encoding, DLEncoding):
-            ch = self.encoding.challenge_clause(contested)
-            if ch is not None and not ch:
-                return OracleResult(Status.ENTAILS)
-            if ch is not None:
-                if len(ch) == 1:
-                    challenge_unit = ch[0]
-                else:
-                    temp_ci = self._push_temp_clause(ch)
+        if contested in self._entailed:
+            return OracleResult(Status.ENTAILS)
         try:
             queue: deque = deque()
-            ok = True
-            for slit in self.base_units:
-                ok = ok and self._force(slit, queue)
-            if challenge_unit is not None:
-                ok = ok and self._force(challenge_unit, queue)
-            for f in sorted(set(fixed)):
-                ok = ok and self._force((f, instance.values[f], False), queue)
-            ok = ok and self._propagate(queue)
+            units = [slit for ci, slit in self.units if ci not in self._off]
+            units += [(f, instance.values[f], False) for f in sorted(set(fixed))]
+            ok = all(self._force(slit, queue) for slit in units) and self._propagate(queue)
             witness = None
             if ok and self._bt_prune(contested):
                 witness = self._search(contested)
         finally:
             self._undo_to(0)
-            if temp_ci is not None:
-                self._pop_temp_clause(temp_ci)
         if witness is None:
             return OracleResult(Status.ENTAILS)
-        self._verify_witness(fixed, instance, contested, witness)
-        return OracleResult(Status.COUNTEREXAMPLE, witness)
-
-    def _verify_witness(self, fixed, instance, contested, witness) -> None:
-        ok = all(witness.values[f] == instance.values[f] for f in fixed) \
-            and self.knowledge.satisfied_by(witness) \
-            and self.model.classify(witness) != contested
-        if not ok:
+        active = knowledge if knowledge is not None else self.knowledge
+        if not (all(witness.values[f] == instance.values[f] for f in fixed)
+                and active.satisfied_by(witness)
+                and self.model.classify(witness) != contested):
             raise AssertionError("internal error: witness fails direct evaluation")
+        return OracleResult(Status.COUNTEREXAMPLE, witness)
 
 
 def entails(query: EntailmentQuery) -> OracleResult:

@@ -19,7 +19,7 @@ def read_jsonl(path):
 def strip_volatile(obj):
     if isinstance(obj, dict):
         return {k: strip_volatile(v) for k, v in obj.items()
-                if k not in ("created", "timings", "time")}
+                if k not in ("created", "timings")}
     if isinstance(obj, list):
         return [strip_volatile(v) for v in obj]
     return obj
@@ -106,6 +106,13 @@ def test_mine_empty_dataset(tmp_path):
     assert main(["mine", str(csv), "--out", out]) == 0
     lines = read_jsonl(out)
     assert len(lines) == 1 and lines[0]["truncated"] is False
+
+
+def test_mine_rejects_nonpositive_max_rules(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert main(["mine", TOY, "--max-rules", "0", "--out", str(out)]) == 2
+    assert main(["mine", TOY, "--max-rules", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_mine_rejects_unquantized(tmp_path):
@@ -219,6 +226,19 @@ def test_explain_jobs_parallel_matches_serial(tmp_path):
     assert main(["explain", DL, TOY, "--kind", "axp", "--instances", "all",
                  "--enum", "2", "--jobs", "2", "--out", out2]) == 0
     assert strip_volatile(read_jsonl(out1)[1:]) == strip_volatile(read_jsonl(out2)[1:])
+
+
+def test_explain_records_are_byte_stable(tmp_path):
+    rules = str(tmp_path / "rules.jsonl")
+    assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0
+    outs = [str(tmp_path / ("run%d.jsonl" % i)) for i in range(2)]
+    for out in outs:
+        assert main(["explain", DL, TOY, "--kind", "cxp", "--instances", "all",
+                     "--enum", "3", "--knowledge", rules, "--compare",
+                     "--out", out]) == 0
+    a, b = (Path(out).read_text().splitlines()[1:] for out in outs)
+    assert len(a) == 12 and a == b
+    assert all("time" not in json.loads(line) for line in a)
 
 
 def test_explain_test_selection(tmp_path):

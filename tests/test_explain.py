@@ -9,7 +9,8 @@ from kxp.explain import (ExplainError, attribute_rules, check_explanation,
 from kxp.oracle import EntailmentOracle
 
 from util import (all_minimal_explanations, all_minimal_hitting_sets,
-                  random_instance, random_knowledge, random_model, random_space)
+                  random_bt, random_dl, random_instance, random_knowledge,
+                  random_model, random_space, reference_attribution)
 
 
 def F(space, *names):
@@ -314,3 +315,36 @@ def test_attribute_minimality_random():
             weaker = EntailmentOracle(model, rest)
             assert not weaker.query(axp.features, v, model.classify(v)).entails
         checked += 1
+
+
+def test_attribution_matches_reference_with_one_oracle(monkeypatch):
+    builds = []
+    init = EntailmentOracle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    rng = random.Random(808)
+    cases = needed_knowledge = 0
+    while cases < 60:
+        sp = random_space(rng, min_features=3, max_features=5)
+        make = random_dl if cases % 2 else random_bt
+        model = make(rng, sp, n_classes=rng.choice((2, 3)))
+        v = random_instance(rng, sp)
+        kb = random_knowledge(rng, sp, v, max_clauses=6)
+        if not kb:
+            continue
+        c = model.classify(v)
+        axp = find_axp(model, v, knowledge=kb).features
+        expected = reference_attribution(model, v, kb, axp, c)
+        monkeypatch.setattr(EntailmentOracle, "__init__", counting_init)
+        builds.clear()
+        got = attribute_rules(model, v, kb, axp)
+        monkeypatch.setattr(EntailmentOracle, "__init__", init)
+        assert len(builds) == 1
+        assert got.clauses == expected.clauses
+        assert got.provenance == expected.provenance
+        cases += 1
+        needed_knowledge += bool(got)
+    assert needed_knowledge >= 10

@@ -231,6 +231,22 @@ def test_limit_validation():
         ExtractionLimit(max_size=0)
     with pytest.raises(MinerError):
         ExtractionLimit(min_support=0)
+    for bad in (0, -1):
+        with pytest.raises(MinerError, match="max rules"):
+            ExtractionLimit(max_rules=bad)
+        with pytest.raises(MinerError, match="per-target rules"):
+            ExtractionLimit(per_target_rules=bad)
+
+
+def test_one_target_rule_cuts_combine(toy_ds):
+    target = toy_ds.space.literal("Status", "Married")
+    everything = enumerate_min_rules(toy_ds, target, limit=ExtractionLimit(max_size=2))
+    assert len(everything) >= 3
+    for max_rules, per_target, expected in ((None, 2, 2), (2, 1, 1), (1, 3, 1),
+                                            (3, None, 3)):
+        got = enumerate_min_rules(toy_ds, target, limit=ExtractionLimit(
+            max_size=2, max_rules=max_rules, per_target_rules=per_target))
+        assert got == everything[:expected]
 
 
 def test_accuracy_filter(toy_ds):

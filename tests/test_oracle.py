@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from kxp import FeatureSpace, Instance, KnowledgeBase
-from kxp.models import DecisionList
+from kxp import Clause, FeatureSpace, Instance, KnowledgeBase
+from kxp.models import DecisionList, DLRule
 from kxp.oracle import (EntailmentOracle, EntailmentQuery, OracleError, Status,
                         entails, entails_bruteforce, query_to_dimacs)
 
-from util import (dimacs_satisfiable, random_dl, random_instance,
+from util import (dimacs_satisfiable, random_bt, random_dl, random_instance,
                   random_knowledge, random_model, random_space)
 
 
@@ -187,3 +187,70 @@ def test_dimacs_bt_dump_structure(toy_bt, row1):
     assert "score comparison is not encoded" in text
     # one leaf variable per leaf of the three trees
     assert text.count("c var") >= 12
+
+
+# ---------------------------------------------------------------------------
+# one oracle, many knowledge subsets and contested classes
+
+def _challenge_models(rng, sp):
+    """Decision lists whose class challenges are [], None, one literal or
+    several literals, and single-score and multiclass boosted trees."""
+    three = ("c0", "c1", "c2")
+    f = rng.randrange(sp.m)
+    single = DLRule(frozenset({sp.literal(f, rng.randrange(len(sp.domain(f))))}), 1)
+    return [random_dl(rng, sp, n_classes=2), random_dl(rng, sp, n_classes=3),
+            DecisionList(sp, three, (), default=rng.randrange(3)),
+            DecisionList(sp, ("c0", "c1"), (single,), default=0),
+            random_bt(rng, sp, n_classes=2), random_bt(rng, sp, n_classes=3)]
+
+
+def _mixed_knowledge(rng, sp, v, n_clauses):
+    """Clauses of one to three literals, each holding on v."""
+    clauses = []
+    while len(clauses) < n_clauses:
+        feats = rng.sample(range(sp.m), rng.choice((1, 1, 2, 3)))
+        lits = [sp.literal(f, rng.randrange(len(sp.domain(f)))) for f in feats]
+        if not any(l.holds(v) for l in lits):
+            lits[0] = sp.literal(lits[0].feature, v.values[lits[0].feature])
+        clause = Clause.of(lits)
+        if clause not in clauses:
+            clauses.append(clause)
+    return KnowledgeBase(tuple(clauses))
+
+
+def test_knowledge_subsets_match_fresh_oracles():
+    rng = random.Random(4242)
+    queries = 0
+    for _ in range(25):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+        for model in _challenge_models(rng, sp):
+            v = random_instance(rng, sp)
+            kb = _mixed_knowledge(rng, sp, v, rng.randint(1, 6))
+            shared = EntailmentOracle(model, kb)
+            for _ in range(6):
+                fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
+                c = rng.randrange(model.class_count())
+                if rng.random() < 0.2:
+                    subset, got = kb, shared.query(fixed, v, c)
+                else:
+                    subset = kb.subset(rng.sample(kb.clauses,
+                                                  rng.randint(0, len(kb))))
+                    got = shared.query(fixed, v, c, subset)
+                fresh = EntailmentOracle(model, subset).query(fixed, v, c)
+                assert (got.status, got.witness) == (fresh.status, fresh.witness)
+                brute = entails_bruteforce(EntailmentQuery(fixed, v, model, c, subset))
+                assert got.status is brute.status
+                queries += 1
+    assert queries == 25 * 6 * 6
+
+
+def test_knowledge_subset_outside_the_oracle_rejected(small_dl, separated_male,
+                                                      marital_constraint):
+    oracle = EntailmentOracle(small_dl, marital_constraint)
+    sp = small_dl.space
+    foreign = Clause.of([sp.literal("Sex", "Male")])
+    assert foreign not in marital_constraint.clauses
+    with pytest.raises(OracleError, match="outside"):
+        oracle.query(set(), separated_male, 0, KnowledgeBase((foreign,)))
+    with pytest.raises(OracleError, match="outside"):
+        EntailmentOracle(small_dl).query(set(), separated_male, 0, marital_constraint)

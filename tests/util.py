@@ -3,7 +3,8 @@
 Everything here is deliberately brute force: exhaustive lattice scans,
 full-subset enumeration against the exhaustive oracle, and powerset hitting
 set computation. None of it shares code paths with the implementations under
-test beyond the core vocabulary types.
+test beyond the core vocabulary types, except `reference_attribution`, which
+builds a fresh oracle per knowledge subset to check the one-oracle version.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 from kxp import (Clause, Dataset, FeatureSpace, Instance, Kind, KnowledgeBase,
                  Rule, rule_to_clause)
 from kxp.models import BoostedEnsemble, DecisionList, DLRule, Leaf, Node
-from kxp.oracle import EntailmentQuery, entails_bruteforce
+from kxp.oracle import EntailmentOracle, EntailmentQuery, entails_bruteforce
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,28 @@ def reference_boosted(train: Dataset, rounds: int, depth: int, lr: float = 0.5,
         return BoostedEnsemble(space, classes, scale, (boost(1),), positive=1)
     return BoostedEnsemble(space, classes, scale,
                            tuple(boost(c) for c in range(len(classes))))
+
+
+# ---------------------------------------------------------------------------
+# reference attribution: deletion over knowledge clauses, one fresh oracle per
+# trial (the algorithm before oracles took a knowledge subset per query)
+
+def reference_attribution(model, v, kb: KnowledgeBase, axp, c) -> KnowledgeBase:
+    fset = frozenset(axp)
+
+    def holds(clauses) -> bool:
+        return EntailmentOracle(model, KnowledgeBase(tuple(clauses))).query(
+            fset, v, c).entails
+
+    assert holds(kb.clauses)
+    if holds(()):
+        return kb.subset([])
+    kept = list(kb.clauses)
+    for clause in kb.clauses:
+        trial = [cl for cl in kept if cl != clause]
+        if holds(trial):
+            kept = trial
+    return kb.subset(kept)
 
 
 # ---------------------------------------------------------------------------
