@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .core import Kind, SpaceError
+from .core import Instance, Kind, SpaceError
 from .explain import (ExplainError, attribute_rules, check_explanation,
                       enumerate_smallest, find_axp, reduce_explanation)
 from .ingest import (Dataset, IngestError, fit_quantization, fold_indices,
@@ -82,6 +81,15 @@ def _load_categorical(path, args) -> Dataset:
         raise IngestError("%s: numeric columns %s present; run `kxp quantize` first"
                           % (path, list(ds.numeric_columns)))
     return ds
+
+
+def _row_instance(model, ds: Dataset, index, source: str) -> Instance:
+    """Row `index` of the dataset in the model's space; `source` names where
+    the index came from (a flag or a file) for the error message."""
+    if type(index) is not int or not 0 <= index < ds.n_rows:
+        raise IngestError("%s: row index %r is not in [0, %d)"
+                          % (source, index, ds.n_rows))
+    return model.space.instance_from_labels(ds.row_labels(index))
 
 
 def _limit_from_args(args) -> ExtractionLimit:
@@ -221,7 +229,6 @@ def _init_worker(model_obj, kb_obj, kind, n):
 
 def _run_one(task):
     index, values, use_kb = task
-    from .core import Instance
     model, kb = _WORKER["model"], _WORKER["kb"]
     inst = Instance(tuple(values))
     res = enumerate_smallest(_WORKER["kind"], model, inst,
@@ -247,16 +254,19 @@ def cmd_explain(args) -> int:
     elif args.instances == "test":
         indices = split_indices(ds.n_rows, args.split_fraction, args.split_seed)[1]
     else:
-        indices = [int(t) for t in args.instances.split(",") if t.strip()]
-        bad = [i for i in indices if not 0 <= i < ds.n_rows]
-        if bad:
-            raise IngestError("instance indices out of range: %s" % bad)
+        indices = []
+        for token in [t.strip() for t in args.instances.split(",") if t.strip()]:
+            try:
+                indices.append(int(token))
+            except ValueError:
+                raise IngestError("--instances: %r is not a row index"
+                                  % token) from None
 
     skipped = []
     tasks = []
     for i in indices:
         try:
-            inst = model.space.instance_from_labels(ds.row_labels(i))
+            inst = _row_instance(model, ds, i, "--instances")
         except SpaceError as exc:
             skipped.append({"type": "skipped", "index": i, "reason": str(exc)})
             continue
@@ -340,7 +350,7 @@ def cmd_attribute(args) -> int:
     model = load_model(args.model)
     ds = _load_categorical(args.dataset, args)
     kb = load_knowledge(args.knowledge, model.space)
-    inst = model.space.instance_from_labels(ds.row_labels(args.instance))
+    inst = _row_instance(model, ds, args.instance, "--instance")
     if args.axp == "auto":
         features = sorted(find_axp(model, inst, knowledge=kb).features)
     else:
@@ -391,7 +401,7 @@ def cmd_assess(args) -> int:
     for rec in payload["records"]:
         index = rec["index"]
         features = sorted(model.space.feature_index(n) for n in rec["features"])
-        inst = model.space.instance_from_labels(ds.row_labels(index))
+        inst = _row_instance(model, ds, index, args.explanations)
         if kb is not None and not kb.satisfied_by(inst):
             skipped += 1
             rows.append({"index": index, "skipped": True})
@@ -477,8 +487,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--compare", action="store_true",
                    help="run both with and without knowledge")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("KXP_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--class-column", default="last")
     p.add_argument("--out", required=True)
     p.add_argument("--summary", default=None)

@@ -4,18 +4,20 @@ An abductive explanation (AXp) is a subset-minimal set of features whose
 fixed values entail the prediction over the whole space, optionally modulo a
 knowledge base; a contrastive explanation (CXp) is a subset-minimal set of
 features whose freeing admits a differently-classified, knowledge-consistent
-point. The two families are minimal-hitting-set duals, which drives the
+point. A set is a CXp exactly when fixing the other features does not
+entail the prediction, so one predicate and one deletion loop serve both
+kinds. The two families are minimal-hitting-set duals, which drives the
 smallest-first enumerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .core import Explanation, Instance, Kind, KnowledgeBase
 from .models import Model
-from .oracle import EntailmentOracle, check_compatible
+from .oracle import EntailmentOracle, OracleResult, check_compatible
 
 
 class ExplainError(ValueError):
@@ -39,29 +41,43 @@ def _setup(model: Model, instance: Instance, contested: Optional[int],
     return oracle, predicted, kb
 
 
-def _shrink_axp(oracle: EntailmentOracle, v: Instance, c: int,
-                seed: frozenset[int]) -> frozenset[int]:
-    """Deletion-based linear search, ascending feature order; seed must entail."""
-    kept = sorted(seed)
-    current = set(kept)
-    for f in kept:
-        current.discard(f)
-        if not oracle.query(current, v, c).entails:
-            current.add(f)
-    return frozenset(current)
+def _holds(oracle: EntailmentOracle, kind: Kind, features: AbstractSet[int],
+           v: Instance, c: int) -> tuple[bool, OracleResult]:
+    """Does the set meet the kind's defining condition? One oracle call.
+
+    An AXp fixes its features and entails c; a CXp frees its features, so
+    fixing the rest does not entail c.
+    """
+    axp = kind is Kind.AXP
+    fixed = features if axp else frozenset(range(oracle.space.m)) - features
+    res = oracle.query(fixed, v, c)
+    return res.entails == axp, res
 
 
-def _shrink_cxp(oracle: EntailmentOracle, v: Instance, c: int,
-                seed: frozenset[int]) -> frozenset[int]:
-    """Re-fix freed features one by one, keeping each freed only when needed."""
-    m = oracle.space.m
-    allf = set(range(m))
+def _shrink(oracle: EntailmentOracle, kind: Kind, v: Instance, c: int,
+            seed: frozenset[int]) -> frozenset[int]:
+    """Deletion-based linear search, ascending feature order; the seed must hold."""
     current = set(seed)
     for f in sorted(seed):
         current.discard(f)
-        if oracle.query(allf - current, v, c).entails:
+        if not _holds(oracle, kind, current, v, c)[0]:
             current.add(f)
     return frozenset(current)
+
+
+_SEED_FAILS = {Kind.AXP: "seed %s does not entail the prediction",
+               Kind.CXP: "freeing seed %s admits no counterexample"}
+
+
+def _find(kind: Kind, model: Model, instance: Instance, contested: Optional[int],
+          knowledge: Optional[KnowledgeBase], seed: Optional[Iterable[int]],
+          oracle: Optional[EntailmentOracle]) -> Explanation:
+    oracle, c, kb = _setup(model, instance, contested, knowledge, oracle)
+    seed_set = frozenset(seed) if seed is not None else frozenset(range(model.space.m))
+    if not _holds(oracle, kind, seed_set, instance, c)[0]:
+        raise ExplainError(_SEED_FAILS[kind] % sorted(seed_set))
+    features = _shrink(oracle, kind, instance, c, seed_set)
+    return Explanation(kind, features, bool(kb), instance, c)
 
 
 def find_axp(model: Model, instance: Instance, contested: Optional[int] = None,
@@ -72,26 +88,15 @@ def find_axp(model: Model, instance: Instance, contested: Optional[int] = None,
 
     One oracle call per seed feature, plus one validating the seed.
     """
-    oracle, c, kb = _setup(model, instance, contested, knowledge, oracle)
-    seed_set = frozenset(seed) if seed is not None else frozenset(range(model.space.m))
-    if not oracle.query(seed_set, instance, c).entails:
-        raise ExplainError("seed %s does not entail the prediction" % sorted(seed_set))
-    features = _shrink_axp(oracle, instance, c, seed_set)
-    return Explanation(Kind.AXP, features, bool(kb), instance, c)
+    return _find(Kind.AXP, model, instance, contested, knowledge, seed, oracle)
 
 
 def find_cxp(model: Model, instance: Instance, contested: Optional[int] = None,
              knowledge: Optional[KnowledgeBase] = None,
              seed: Optional[Iterable[int]] = None,
              oracle: Optional[EntailmentOracle] = None) -> Explanation:
-    """Subset-minimal CXp inside `seed` (default: all features)."""
-    oracle, c, kb = _setup(model, instance, contested, knowledge, oracle)
-    m = model.space.m
-    seed_set = frozenset(seed) if seed is not None else frozenset(range(m))
-    if oracle.query(frozenset(range(m)) - seed_set, instance, c).entails:
-        raise ExplainError("freeing seed %s admits no counterexample" % sorted(seed_set))
-    features = _shrink_cxp(oracle, instance, c, seed_set)
-    return Explanation(Kind.CXP, features, bool(kb), instance, c)
+    """Subset-minimal CXp inside `seed` (default: all features); calls as find_axp."""
+    return _find(Kind.CXP, model, instance, contested, knowledge, seed, oracle)
 
 
 def check_explanation(features: Iterable[int], kind: Kind, model: Model,
@@ -103,10 +108,7 @@ def check_explanation(features: Iterable[int], kind: Kind, model: Model,
     fset = frozenset(features)
     if any(not 0 <= f < model.space.m for f in fset):
         raise ExplainError("feature index out of range in %s" % sorted(fset))
-    kind = Kind(kind)
-    if kind is Kind.AXP:
-        return oracle.query(fset, instance, c).entails
-    return not oracle.query(frozenset(range(model.space.m)) - fset, instance, c).entails
+    return _holds(oracle, Kind(kind), fset, instance, c)[0]
 
 
 def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
@@ -114,10 +116,7 @@ def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
                        knowledge: Optional[KnowledgeBase] = None,
                        oracle: Optional[EntailmentOracle] = None) -> Explanation:
     """Shrink a correct (possibly oversized) explanation to a subset-minimal one."""
-    kind = Kind(kind)
-    if kind is Kind.AXP:
-        return find_axp(model, instance, contested, knowledge, features, oracle)
-    return find_cxp(model, instance, contested, knowledge, features, oracle)
+    return _find(Kind(kind), model, instance, contested, knowledge, features, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -213,39 +212,33 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     from which a new dual is extracted and recorded.
     """
     kind = Kind(kind)
+    dual = Kind.CXP if kind is Kind.AXP else Kind.AXP
     oracle, c, kb = _setup(model, instance, contested, knowledge, oracle)
     calls0 = oracle.calls
     m = model.space.m
-    allf = frozenset(range(m))
     state = DualState()
+    found = {Kind.AXP: state.found_axps, Kind.CXP: state.found_cxps}
     out: list[Explanation] = []
     exhausted = False
-    # emitted sets are blocked: no later candidate may contain one
-    if kind is Kind.AXP:
-        duals, emitted = state.found_cxps, state.found_axps
-    else:
-        duals, emitted = state.found_axps, state.found_cxps
     while len(out) < n:
-        cand = minimum_hitting_set(duals, emitted, m)
+        # emitted sets are blocked: no later candidate may contain one
+        cand = minimum_hitting_set(found[dual], found[kind], m)
         if cand is None:
             exhausted = True
             break
+        ok, res = _holds(oracle, kind, cand, instance, c)
+        if ok:
+            out.append(Explanation(kind, cand, bool(kb), instance, c))
+            found[kind].append(cand)
+            continue
+        # a failed AXp candidate's witness frees a CXp; a failed CXp
+        # candidate's complement fixes an AXp
         if kind is Kind.AXP:
-            res = oracle.query(cand, instance, c)
-            if res.entails:
-                out.append(Explanation(Kind.AXP, cand, bool(kb), instance, c))
-                state.found_axps.append(cand)
-            else:
-                diff = frozenset(f for f in range(m)
-                                 if res.witness.values[f] != instance.values[f])
-                state.found_cxps.append(_shrink_cxp(oracle, instance, c, diff))
+            seed = frozenset(f for f in range(m)
+                             if res.witness.values[f] != instance.values[f])
         else:
-            res = oracle.query(allf - cand, instance, c)
-            if not res.entails:
-                out.append(Explanation(Kind.CXP, cand, bool(kb), instance, c))
-                state.found_cxps.append(cand)
-            else:
-                state.found_axps.append(_shrink_axp(oracle, instance, c, allf - cand))
+            seed = frozenset(range(m)) - cand
+        found[dual].append(_shrink(oracle, dual, instance, c, seed))
     return EnumerationResult(out, exhausted, oracle.calls - calls0, state)
 
 

@@ -89,8 +89,7 @@ Found = dict[tuple[int, int], list[tuple[frozenset[Literal], int]]]
 
 
 def _mine(space: FeatureSpace, insts: list[Instance], limit: ExtractionLimit,
-          deadline: Optional[float],
-          target: Optional[Literal] = None) -> tuple[Found, bool]:
+          deadline: Optional[float]) -> tuple[Found, bool]:
     """Minimal antecedents of every exact rule, from one pass over free itemsets.
 
     Nodes are literal sets in index order, level by level. A node is kept only
@@ -99,8 +98,7 @@ def _mine(space: FeatureSpace, insts: list[Instance], limit: ExtractionLimit,
     target f = v iff its rows all have f = v and no immediate subset's rows
     do; only the values of one covered row can qualify. Returns
     {(f, v): [(antecedent, support)]} in size-then-lexicographic order, and
-    whether the time budget cut the pass. With `target`, only that target is
-    tested and its feature's literals are left out.
+    whether the time budget cut the pass.
     """
     n = len(insts)
     full = (1 << n) - 1
@@ -113,22 +111,18 @@ def _mine(space: FeatureSpace, insts: list[Instance], limit: ExtractionLimit,
     # rows where f != v: a node's rows lie in column f = v iff they miss these
     outside = [[full & ~c for c in fcols] for fcols in cols]
     vals = [inst.values for inst in insts]
-    lits = [l for l in _antecedent_literals(space)
-            if target is None or l.feature != target.feature]
+    lits = _antecedent_literals(space)
     lit_rows = [outside[l.feature][l.value] if l.negated else cols[l.feature][l.value]
                 for l in lits]
     feat = [l.feature for l in lits]
     neg = [l.negated for l in lits]
-    features = range(space.m) if target is None else (target.feature,)
 
     def record(key: tuple[int, ...], rows: int, subsets: list[int], fmask: int) -> None:
         row = vals[(rows & -rows).bit_length() - 1]
-        for f in features:
+        for f in range(space.m):
             if fmask >> f & 1:
                 continue
             v = row[f]
-            if target is not None and v != target.value:
-                continue
             out = outside[f][v]
             if rows & out or not all(s & out for s in subsets):
                 continue
@@ -234,7 +228,7 @@ def enumerate_min_rules(train: Dataset, target: Literal,
     if limit.per_target_rules is not None:
         budget = min(budget, limit.per_target_rules) if budget is not None \
             else limit.per_target_rules
-    found, _ = _mine(space, train.instances(), limit, deadline, target)
+    found, _ = _mine(space, train.instances(), limit, deadline)
     rules, _ = _emit_target(space, target, found.get((target.feature, target.value), []),
                             set(blocked), budget, next_id=0)
     return rules

@@ -175,7 +175,7 @@ class DLEncoding:
     fire: list[int]           # var id of fire_j
     default_var: Optional[int]  # var id of "no rule matched", None when no rules
 
-    kind = "dl"
+    score_features = frozenset()  # no score bounds: the clauses decide the class
 
     def challenge_clause(self, contested: int) -> Optional[list[SLit]]:
         """Clause forcing the model output to differ from `contested`.
@@ -191,6 +191,11 @@ class DLEncoding:
                 return None
             lits.append((self.default_var, 1, False))
         return lits
+
+    def challenge_possible(self, contested: int,
+                           allowed: Sequence[set[int]]) -> bool:
+        """Always True: the challenge clause carries the whole class test."""
+        return True
 
 
 def _encode_dl(model: DecisionList) -> DLEncoding:
@@ -233,17 +238,25 @@ def _encode_dl(model: DecisionList) -> DLEncoding:
 class BTEncoding:
     """Score-side handle for ensembles: reachable-leaf bounds per class group.
 
-    The class test is not clausal; the oracle prunes with interval bounds and
-    decides exactly on full assignments. Leaf activation clauses are still
-    derivable for the CNF dump (leaf active iff its whole path holds, one
-    leaf per tree).
+    The class test is not clausal, so there is no challenge clause; the oracle
+    prunes with interval bounds, which are exact once every feature in
+    `score_features` is fixed. Leaf activation clauses are still derivable
+    for the CNF dump (leaf active iff its whole path holds, one leaf per tree).
     """
 
     model: BoostedEnsemble
 
-    kind = "bt"
     aux_count = 0
     clauses: list[list[SLit]] = field(default_factory=list)
+
+    @property
+    def score_features(self) -> frozenset[int]:
+        """The features some tree tests: the only ones the bounds read."""
+        return frozenset(var for leaves in self.leaf_paths()
+                         for path, _ in leaves for var, _, _ in path)
+
+    def challenge_clause(self, contested: int) -> None:
+        return None
 
     def group_bounds(self, group: int,
                      allowed: Sequence[set[int]]) -> tuple[int, int]:

@@ -3,8 +3,10 @@
 UNSAT answers certify abductive explanations; SAT answers return a witness
 point that seeds contrastive explanations. The search is a complete
 backtracking procedure with watched-literal unit propagation over one-hot
-feature domains; ensembles add sound per-class score-interval pruning and an
-exact check on full assignments.
+feature domains. Ensembles add sound per-class score-interval pruning: the
+bounds are re-checked at the root and after every change to a tree-tested
+feature's domain, by decision or by propagation, so on a full assignment the
+last check saw singleton domains and was exact.
 
 An oracle enters every clause once: the model encoding, the knowledge and,
 for decision lists, each class's challenge. A query switches off the other
@@ -88,13 +90,6 @@ def _event(slit: SLit) -> tuple:
     return ("fix", var, value) if negated else ("rm", var, value)
 
 
-def _tree_features(tree, out: set) -> None:
-    if hasattr(tree, "test"):
-        out.add(tree.test.feature)
-        _tree_features(tree.yes, out)
-        _tree_features(tree.no, out)
-
-
 class EntailmentOracle:
     """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
 
@@ -114,18 +109,11 @@ class EntailmentOracle:
         self.dom: list[set[int]] = [set(range(s)) for s in sizes]
         self.trail: list[tuple[int, int]] = []
 
-        # ensembles: decide score-relevant features first and re-check score
-        # bounds only when one of them was pruned
-        if self.encoding.kind == "bt":
-            tested: set[int] = set()
-            for group in model.trees:
-                for tree in group:
-                    _tree_features(tree, tested)
-            self._score_feats = tested
-            self._order = sorted(tested) + sorted(set(range(m)) - tested)
-        else:
-            self._score_feats = set()
-            self._order = list(range(m))
+        # decide score-relevant features first and re-check score bounds only
+        # when one of them was pruned
+        self._score_feats = self.encoding.score_features
+        self._order = (sorted(self._score_feats)
+                       + sorted(set(range(m)) - self._score_feats))
 
         self.clauses: list[list[SLit]] = []
         self.cwatch: list[list[int]] = []
@@ -142,13 +130,12 @@ class EntailmentOracle:
         # class is always entailed, a vacuous one adds nothing
         self._challenge: dict[int, int] = {}
         self._entailed: set[int] = set()
-        if isinstance(self.encoding, DLEncoding):
-            for c in range(model.class_count()):
-                ch = self.encoding.challenge_clause(c)
-                if ch == []:
-                    self._entailed.add(c)
-                elif ch is not None:
-                    self._challenge[c] = self._add_clause(ch)
+        for c in range(model.class_count()):
+            ch = self.encoding.challenge_clause(c)
+            if ch == []:
+                self._entailed.add(c)
+            elif ch is not None:
+                self._challenge[c] = self._add_clause(ch)
 
     # -- clause database -----------------------------------------------------
 
@@ -270,30 +257,19 @@ class EntailmentOracle:
 
     # -- search --------------------------------------------------------------
 
-    def _bt_prune(self, contested: int) -> bool:
-        enc = self.encoding
-        if enc.kind != "bt":
-            return True
-        return enc.challenge_possible(contested, self.dom)
-
-    def _full_check(self, contested: int) -> bool:
-        if self.encoding.kind != "bt":
-            return True
-        witness = self._witness()
-        return self.model.classify(witness) != contested
-
     def _witness(self) -> Instance:
         return Instance(tuple(next(iter(self.dom[f])) for f in range(self.space.m)))
 
     def _search(self, contested: int) -> Optional[Instance]:
         var = next((f for f in self._order if len(self.dom[f]) > 1), None)
         if var is None:
-            return self._witness() if self._full_check(contested) else None
+            return self._witness()
         for value in sorted(self.dom[var]):
             mark = len(self.trail)
             queue: deque = deque()
             ok = self._force((var, value, False), queue) and self._propagate(queue)
-            if ok and (not self._score_touched(mark) or self._bt_prune(contested)):
+            if ok and (not self._score_touched(mark)
+                       or self.encoding.challenge_possible(contested, self.dom)):
                 found = self._search(contested)
                 if found is not None:
                     return found
@@ -319,7 +295,7 @@ class EntailmentOracle:
             units += [(f, instance.values[f], False) for f in sorted(set(fixed))]
             ok = all(self._force(slit, queue) for slit in units) and self._propagate(queue)
             witness = None
-            if ok and self._bt_prune(contested):
+            if ok and self.encoding.challenge_possible(contested, self.dom):
                 witness = self._search(contested)
         finally:
             self._undo_to(0)

@@ -60,6 +60,13 @@ def test_internal_invariant_exits_3(monkeypatch, tmp_path):
     assert main(["mine", TOY, "--out", str(tmp_path / "r.jsonl")]) == 3
 
 
+def test_mine_ignores_jobs_environment(monkeypatch, tmp_path):
+    # --jobs has no environment default, so no variable can break parsing
+    monkeypatch.setenv("KXP_JOBS", "x")
+    assert main(["mine", TOY, "--max-size", "1", "--out",
+                 str(tmp_path / "r.jsonl")]) == 0
+
+
 def test_quantize_roundtrip(tmp_path):
     csv = numeric_csv(tmp_path)
     prefix = str(tmp_path / "quant")
@@ -325,3 +332,30 @@ def test_assess_knowledge_can_only_help(tmp_path):
         >= report["percent_correct_plain"]
     assert report["records"][0]["correct_plain"] is False
     assert report["records"][0]["correct_with_knowledge"] is True
+
+
+def test_row_indices_outside_the_dataset_exit_2(tmp_path, capsys):
+    rules = str(tmp_path / "rules.jsonl")
+    assert main(["mine", TOY, "--max-size", "1", "--out", rules]) == 0
+    for index in (-1, 6, 99):
+        out = tmp_path / ("out%d.json" % index)
+        assert main(["explain", DL, TOY, "--instances", "0,%d" % index,
+                     "--out", str(out)]) == 2
+        assert "--instances: row index %d" % index in capsys.readouterr().err
+        assert main(["attribute", DL, TOY, "--instance", str(index),
+                     "--knowledge", rules, "--out", str(out)]) == 2
+        assert "--instance: row index %d" % index in capsys.readouterr().err
+        subsets = tmp_path / "subsets.json"
+        subsets.write_text(json.dumps({"format": "kxp.subsets/1", "records": [
+            {"index": 0, "features": ["Education"]},
+            {"index": index, "features": ["Education"]}]}))
+        assert main(["assess", DL, TOY, str(subsets), "--out", str(out)]) == 2
+        assert "%s: row index %d" % (subsets, index) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_explain_non_integer_instances_exit_2(tmp_path, capsys):
+    out = tmp_path / "expl.jsonl"
+    assert main(["explain", DL, TOY, "--instances", "0,abc", "--out", str(out)]) == 2
+    assert "'abc' is not a row index" in capsys.readouterr().err
+    assert not out.exists()

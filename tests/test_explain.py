@@ -143,20 +143,26 @@ def test_reduce_full_set_reaches_minimal(toy_dl, row1):
 
 def test_reduce_strict_shrink_of_oversized():
     rng = random.Random(404)
-    shrunk = 0
+    shrunk = {Kind.AXP: 0, Kind.CXP: 0}
     for _ in range(30):
         sp = random_space(rng, min_features=3, max_features=4)
         model = random_model(rng, sp)
         v = random_instance(rng, sp)
         full = frozenset(range(sp.m))
-        minimal = all_minimal_explanations(model, v, model.classify(v),
-                                           KnowledgeBase(), Kind.AXP)
-        reduced = reduce_explanation(full, Kind.AXP, model, v)
-        assert reduced.features in minimal
-        if full not in minimal:
-            assert reduced.features < full
-            shrunk += 1
-    assert shrunk > 0
+        for kind in Kind:
+            minimal = all_minimal_explanations(model, v, model.classify(v),
+                                               KnowledgeBase(), kind)
+            if not minimal:  # no point of another class: no CXp at all
+                assert kind is Kind.CXP
+                with pytest.raises(ExplainError, match="admits no counterexample"):
+                    reduce_explanation(full, kind, model, v)
+                continue
+            reduced = reduce_explanation(full, kind, model, v)
+            assert reduced.kind is kind and reduced.features in minimal
+            if full not in minimal:
+                assert reduced.features < full
+                shrunk[kind] += 1
+    assert all(shrunk.values())
 
 
 def test_seed_preconditions_raise(toy_dl, row1):
@@ -169,10 +175,11 @@ def test_seed_preconditions_raise(toy_dl, row1):
 
 
 def test_axp_call_budget(toy_dl, row1):
-    oracle = EntailmentOracle(toy_dl)
-    find_axp(toy_dl, row1, oracle=oracle)
-    # one validation call plus one deletion test per feature
-    assert oracle.calls == toy_dl.space.m + 1
+    for find in (find_axp, find_cxp):
+        oracle = EntailmentOracle(toy_dl)
+        find(toy_dl, row1, oracle=oracle)
+        # one validation call plus one deletion test per feature
+        assert oracle.calls == toy_dl.space.m + 1
 
 
 def test_mismatched_oracle_rejected(small_dl, separated_male,

@@ -5,8 +5,8 @@ import pytest
 
 from kxp import (Dataset, Instance, load_model, model_constraints, save_model,
                  train_boosted, train_decision_list)
-from kxp.models import (BoostedEnsemble, DecisionList, Leaf, ModelError,
-                        model_from_obj, model_to_obj, _walk)
+from kxp.models import (BoostedEnsemble, DecisionList, DLEncoding, Leaf,
+                        ModelError, model_from_obj, model_to_obj, _walk)
 
 from util import (random_bt, random_dl, random_instance, random_space,
                   reference_boosted)
@@ -117,12 +117,28 @@ def test_random_model_round_trips():
 
 def test_dl_encoding_shape(toy_dl):
     enc = model_constraints(toy_dl)
-    assert enc.kind == "dl"
+    assert isinstance(enc, DLEncoding)
     assert len(enc.fire) == len(toy_dl.rules)
     assert enc.aux_count == 3 * len(toy_dl.rules)
     challenge = enc.challenge_clause(0)
     # challenging the positive class: some below-50k path must fire
     assert challenge is not None and len(challenge) == 3
+
+
+def test_encodings_share_one_interface(toy_dl, toy_bt):
+    dl, bt = model_constraints(toy_dl), model_constraints(toy_bt)
+    assert dl.score_features == frozenset()
+    assert all(dl.challenge_possible(c, []) for c in range(2))
+    assert bt.clauses == [] and bt.aux_count == 0
+    assert all(bt.challenge_clause(c) is None for c in range(2))
+
+    def tested(tree):
+        if isinstance(tree, Leaf):
+            return set()
+        return {tree.test.feature} | tested(tree.yes) | tested(tree.no)
+
+    assert bt.score_features == set().union(
+        *(tested(t) for group in toy_bt.trees for t in group))
 
 
 def test_bt_exactly_one_leaf_per_tree(toy_bt):

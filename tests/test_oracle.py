@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kxp import Clause, FeatureSpace, Instance, KnowledgeBase
-from kxp.models import DecisionList, DLRule
+from kxp.models import DecisionList, DLRule, model_constraints
 from kxp.oracle import (EntailmentOracle, EntailmentQuery, OracleError, Status,
                         entails, entails_bruteforce, query_to_dimacs)
 
@@ -254,3 +254,47 @@ def test_knowledge_subset_outside_the_oracle_rejected(small_dl, separated_male,
         oracle.query(set(), separated_male, 0, KnowledgeBase((foreign,)))
     with pytest.raises(OracleError, match="outside"):
         EntailmentOracle(small_dl).query(set(), separated_male, 0, marital_constraint)
+
+
+# ---------------------------------------------------------------------------
+# ensemble bounds when knowledge propagation fixes tree-tested features
+
+def _tested_feature_knowledge(rng, sp, v, tested):
+    """Unit and binary clauses over tree-tested features, each holding on v.
+
+    A binary clause reads "a = x -> b = v[b]", so deciding or fixing a = x
+    fixes b by propagation; a unit clause excludes one value other than v's.
+    """
+    clauses = []
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.sample(tested, 2)
+        x = rng.randrange(len(sp.domain(a)))
+        clauses.append(Clause.of([sp.literal(a, x, negated=True),
+                                  sp.literal(b, v.values[b])]))
+    for _ in range(rng.randint(0, 2)):
+        f = rng.choice(tested)
+        others = [x for x in range(len(sp.domain(f))) if x != v.values[f]]
+        clauses.append(Clause.of([sp.literal(f, rng.choice(others), negated=True)]))
+    return KnowledgeBase(tuple(dict.fromkeys(clauses)))
+
+
+def test_bt_bounds_after_knowledge_propagation():
+    rng = random.Random(5150)
+    queries = 0
+    while queries < 600:
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+        model = random_bt(rng, sp, n_classes=rng.choice((2, 2, 3)), depth=3)
+        tested = sorted(model_constraints(model).score_features)
+        if len(tested) < 2:
+            continue
+        v = random_instance(rng, sp)
+        kb = _tested_feature_knowledge(rng, sp, v, tested)
+        oracle = EntailmentOracle(model, kb)
+        for _ in range(6):
+            fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m - 1)))
+            c = model.classify(v) if rng.random() < 0.7 \
+                else rng.randrange(model.class_count())
+            got = oracle.query(fixed, v, c)  # asserts its own witness
+            brute = entails_bruteforce(EntailmentQuery(fixed, v, model, c, kb))
+            assert got.status is brute.status
+            queries += 1
