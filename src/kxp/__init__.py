@@ -3,8 +3,8 @@ enumerate and audit formal why/why-not explanations of decision-list and
 boosted-tree classifiers through a propositional entailment oracle."""
 
 from .core import (Clause, Explanation, FeatureSpace, Instance, Kind,
-                   KnowledgeBase, Literal, Rule, SpaceError, clause_to_rules,
-                   literal_satisfied, rule_to_clause, validate_rule)
+                   KnowledgeBase, Literal, Rule, SpaceError, rule_to_clause,
+                   validate_rule)
 from .ingest import (ColumnBins, Dataset, IngestError, QuantizationSpec,
                      fit_quantization, folds, load_csv, quantize, split)
 from .miner import (ExtractionLimit, MinerError, eclat_mine,

@@ -5,7 +5,8 @@ versions); payload records are deterministic given the same inputs, so
 re-running a manifest reproduces them byte for byte (the manifest's own
 `created`/`timings` fields are the only volatile bytes).
 
-Exit codes: 0 success, 1 usage, 2 input error, 3 internal invariant violation.
+Exit codes: 0 success, 1 usage, 2 input error (a malformed or unreadable
+input file, or a bad flag value), 3 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import Instance, Kind, SpaceError
+from .core import (FeatureSpace, Instance, Kind, SpaceError, json_field,
+                   read_json, write_json)
 from .explain import (ExplainError, attribute_rules, check_explanation,
                       enumerate_smallest, find_axp, reduce_explanation)
 from .ingest import (Dataset, IngestError, fit_quantization, fold_indices,
@@ -34,8 +38,7 @@ EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 SUBSETS_FORMAT = "kxp.subsets/1"
 
 _INPUT_ERRORS = (IngestError, MinerError, ModelError, OracleError, ExplainError,
-                 SpaceError, FileNotFoundError, IsADirectoryError,
-                 json.JSONDecodeError, KeyError)
+                 SpaceError, OSError, UnicodeDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,39 +48,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _manifest(command: str, args: argparse.Namespace, inputs: list,
               seeds: Optional[dict] = None, limits: Optional[dict] = None) -> dict:
     return {"format": "kxp.manifest/1",
             "version": __version__,
             "command": command,
             "argv": list(getattr(args, "_argv", [])),
-            "inputs": {str(p): _sha256(p) for p in inputs},
+            "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                       for p in inputs},
             "seeds": seeds or {},
             "limits": limits or {},
             "created": datetime.now(timezone.utc).isoformat(),
             "timings": {}}
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_categorical(path, args) -> Dataset:
-    class_col = getattr(args, "class_column", "last")
-    if class_col == "none":
-        class_col = None
-    ds = load_csv(path, class_column=class_col)
-    if ds.numeric_columns:
+def _load_csv(path, args, categorical: bool = True) -> Dataset:
+    """Load a CSV with the `--class-column` setting (`none`: no class);
+    `categorical` rejects numeric columns, which need `kxp quantize`."""
+    ds = load_csv(path, class_column=None if args.class_column == "none" else args.class_column)
+    if categorical and ds.numeric_columns:
         raise IngestError("%s: numeric columns %s present; run `kxp quantize` first"
                           % (path, list(ds.numeric_columns)))
     return ds
@@ -92,19 +81,27 @@ def _row_instance(model, ds: Dataset, index, source: str) -> Instance:
     return model.space.instance_from_labels(ds.row_labels(index))
 
 
-def _limit_from_args(args) -> ExtractionLimit:
-    return ExtractionLimit(max_size=args.max_size,
-                           max_rules=args.max_rules,
-                           time_budget=args.time_budget,
-                           min_support=args.min_support)
+def _load_inputs(args):
+    """The model, the dataset, the knowledge base rebound onto the model's
+    space (None without `--knowledge`), and their paths for the manifest."""
+    model = load_model(args.model)
+    ds = _load_csv(args.dataset, args)
+    kb = load_knowledge(args.knowledge, model.space) if args.knowledge else None
+    return model, ds, kb, [p for p in (args.model, args.dataset, args.knowledge) if p]
+
+
+def _mining_limits(args) -> tuple[ExtractionLimit, dict]:
+    """The extraction limit the mining flags set, and its manifest record."""
+    record = {"max_size": args.max_size, "max_rules": args.max_rules,
+              "time_budget": args.time_budget, "min_support": args.min_support}
+    return ExtractionLimit(**record), record
 
 
 # ---------------------------------------------------------------------------
 # quantize
 
 def cmd_quantize(args) -> int:
-    class_col = None if args.class_column == "none" else args.class_column
-    ds = load_csv(args.csv, class_column=class_col)
+    ds = _load_csv(args.csv, args, categorical=False)
     spec = fit_quantization(ds, args.q, force=args.force)
     out_csv = args.out_prefix + ".csv"
     out_spec = args.out_prefix + ".qspec.json"
@@ -116,7 +113,7 @@ def cmd_quantize(args) -> int:
     manifest["timings"]["wall"] = time.perf_counter() - t0
     obj = spec.to_obj()
     obj["manifest"] = manifest
-    _write_json(out_spec, obj)
+    write_json(out_spec, obj)
     print("quantized %d rows, %d numeric columns -> %s (+ %s)"
           % (ds.n_rows, len(spec.columns), out_csv, out_spec))
     return EXIT_OK
@@ -126,16 +123,12 @@ def cmd_quantize(args) -> int:
 # mine
 
 def cmd_mine(args) -> int:
-    ds = _load_categorical(args.dataset, args)
-    limit = _limit_from_args(args)
+    ds = _load_csv(args.dataset, args)
+    limit, record = _mining_limits(args)
     manifest = _manifest("mine", args, [args.dataset],
-                         limits={"engine": args.engine, "max_size": limit.max_size,
-                                 "max_rules": limit.max_rules,
-                                 "time_budget": limit.time_budget,
-                                 "min_support": limit.min_support})
+                         limits={"engine": args.engine, **record})
     t0 = time.perf_counter()
     if ds.n_rows == 0:
-        from .core import FeatureSpace
         manifest["timings"]["wall"] = time.perf_counter() - t0
         save_rules(args.out, FeatureSpace(()), [], truncated=False,
                    engine=args.engine, manifest=manifest)
@@ -145,7 +138,7 @@ def cmd_mine(args) -> int:
         kb = extract_all(ds, limit)
         rules, truncated = kb.rules, kb.truncated
     else:
-        rules = eclat_mine(ds, min_support=limit.min_support, limit=limit)
+        rules = eclat_mine(ds, limit)
         truncated = limit.max_rules is not None and len(rules) >= limit.max_rules
     manifest["timings"]["wall"] = time.perf_counter() - t0
     manifest["truncated"] = truncated
@@ -160,16 +153,11 @@ def cmd_mine(args) -> int:
 # xval-rules
 
 def cmd_xval_rules(args) -> int:
-    class_col = None if args.class_column == "none" else args.class_column
-    ds = load_csv(args.csv, class_column=class_col)
-    limit = _limit_from_args(args)
+    ds = _load_csv(args.csv, args, categorical=False)
+    limit, record = _mining_limits(args)
     manifest = _manifest("xval-rules", args, [args.csv],
                          seeds={"fold_seed": args.seed},
-                         limits={"k": args.k, "q": args.q,
-                                 "max_size": limit.max_size,
-                                 "max_rules": limit.max_rules,
-                                 "time_budget": limit.time_budget,
-                                 "min_support": limit.min_support})
+                         limits={"k": args.k, "q": args.q, **record})
     t0 = time.perf_counter()
     per_fold = []
     for train_idx, test_idx in fold_indices(ds.n_rows, args.k, args.seed):
@@ -185,35 +173,27 @@ def cmd_xval_rules(args) -> int:
                          "n_rules": len(kb.rules)})
     wall = time.perf_counter() - t0
 
-    def fold_mean(fold, size=None):
-        pool = [a for s, accs in fold["sizes"].items() for a in accs
-                if size is None or s == size]
-        return (sum(pool) / len(pool), len(pool)) if pool else (None, 0)
+    def pooled(size=None):
+        # the mean of the folds' mean accuracies, and the rules over all folds
+        pools = [[a for s, accs in f["sizes"].items() for a in accs if size in (None, s)]
+                 for f in per_fold]
+        means = [sum(pool) / len(pool) for pool in pools if pool]
+        return {"mean_accuracy": sum(means) / len(means) if means else None,
+                "rules": sum(map(len, pools))}
 
-    report_sizes = {}
-    for s in range(1, limit.max_size + 1):
-        means = [m for m, _ in (fold_mean(f, s) for f in per_fold) if m is not None]
-        count = sum(n for _, n in (fold_mean(f, s) for f in per_fold))
-        report_sizes[str(s)] = {"mean_accuracy": sum(means) / len(means) if means else None,
-                                "rules": count}
-    all_means = [m for m, _ in (fold_mean(f) for f in per_fold) if m is not None]
-    overall = {"mean_accuracy": sum(all_means) / len(all_means) if all_means else None,
-               "rules": sum(n for _, n in (fold_mean(f) for f in per_fold))}
+    report_sizes = {str(s): pooled(s) for s in range(1, limit.max_size + 1)}
+    overall = pooled()
     manifest["timings"]["wall"] = wall
     report = {"format": "kxp.xval/1", "manifest": manifest, "folds": args.k,
               "per_size": report_sizes, "all": overall,
               "truncated_folds": sum(1 for f in per_fold if f["truncated"])}
-    _write_json(args.out, report)
+    write_json(args.out, report)
 
-    headers = ["rule%d" % s for s in range(1, limit.max_size + 1)] + ["rule_all"]
-    cells = []
-    for s in range(1, limit.max_size + 1):
-        m = report_sizes[str(s)]["mean_accuracy"]
-        cells.append("-" if m is None else "%.4f" % m)
-    cells.append("-" if overall["mean_accuracy"] is None else "%.4f" % overall["mean_accuracy"])
-    width = max(len(h) for h in headers) + 2
-    print("".join(h.rjust(width) for h in headers))
-    print("".join(c.rjust(width) for c in cells))
+    columns = [("rule" + s, r) for s, r in report_sizes.items()] + [("rule_all", overall)]
+    width = max(len(h) for h, _ in columns) + 2
+    print("".join(h.rjust(width) for h, _ in columns))
+    print("".join(("-" if r["mean_accuracy"] is None else "%.4f" % r["mean_accuracy"])
+                  .rjust(width) for _, r in columns))
     return EXIT_OK
 
 
@@ -242,9 +222,10 @@ def _run_one(task):
 
 
 def cmd_explain(args) -> int:
-    model = load_model(args.model)
-    ds = _load_categorical(args.dataset, args)
-    kb = load_knowledge(args.knowledge, model.space) if args.knowledge else None
+    for flag, value in (("--enum", args.enum), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ExplainError("%s must be at least 1, got %d" % (flag, value))
+    model, ds, kb, inputs = _load_inputs(args)
     if args.compare and kb is None:
         raise ExplainError("--compare needs --knowledge")
     kind = Kind(args.kind)
@@ -274,16 +255,11 @@ def cmd_explain(args) -> int:
             skipped.append({"type": "skipped", "index": i,
                             "reason": "instance violates the knowledge base"})
             continue
-        settings = [True] if not args.compare else [False, True]
-        if kb is None:
-            settings = [False]
+        settings = [False] if kb is None else [False, True] if args.compare else [True]
         for use_kb in settings:
             tasks.append((i, tuple(inst.values), use_kb))
 
-    manifest = _manifest("explain", args,
-                         [args.model, args.dataset] +
-                         ([args.knowledge] if args.knowledge else []),
-                         seeds={"split_seed": args.split_seed},
+    manifest = _manifest("explain", args, inputs, seeds={"split_seed": args.split_seed},
                          limits={"kind": kind.value, "enum": args.enum,
                                  "instances": args.instances,
                                  "compare": args.compare, "jobs": args.jobs})
@@ -306,7 +282,7 @@ def cmd_explain(args) -> int:
     summary = _summarize_explanations(records, skipped, kind, args.compare)
     summary["format"] = "kxp.explain-summary/1"
     summary["manifest"] = manifest
-    _write_json(args.summary or args.out + ".summary.json", summary)
+    write_json(args.summary or args.out + ".summary.json", summary)
     if skipped:
         print("skipped %d knowledge-incompatible or untranslatable instances"
               % len(skipped), file=sys.stderr)
@@ -347,17 +323,14 @@ def _summarize_explanations(records, skipped, kind, compare) -> dict:
 # attribute
 
 def cmd_attribute(args) -> int:
-    model = load_model(args.model)
-    ds = _load_categorical(args.dataset, args)
-    kb = load_knowledge(args.knowledge, model.space)
+    model, ds, kb, inputs = _load_inputs(args)
     inst = _row_instance(model, ds, args.instance, "--instance")
     if args.axp == "auto":
         features = sorted(find_axp(model, inst, knowledge=kb).features)
     else:
         names = [t.strip() for t in args.axp.split(",") if t.strip()]
         features = sorted(model.space.feature_index(n) for n in names)
-    manifest = _manifest("attribute", args,
-                         [args.model, args.dataset, args.knowledge],
+    manifest = _manifest("attribute", args, inputs,
                          limits={"instance": args.instance, "axp": args.axp})
     t0 = time.perf_counter()
     used = attribute_rules(model, inst, kb, features)
@@ -370,7 +343,7 @@ def cmd_attribute(args) -> int:
               "instance": args.instance,
               "axp": [model.space.names[f] for f in features],
               "rules": rules_out}
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print("AXp {%s} uses %d knowledge rule(s)"
           % (", ".join(report["axp"]), len(rules_out)))
     for r in rules_out:
@@ -381,24 +354,36 @@ def cmd_attribute(args) -> int:
 # ---------------------------------------------------------------------------
 # assess
 
+def _load_subsets(path) -> list[dict]:
+    """The records of a subsets file, each with an `index` and a list of
+    feature names; any other structure raises ExplainError naming the file."""
+    doc = read_json(path, ExplainError)
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != SUBSETS_FORMAT:
+        raise ExplainError("%s: unrecognized subsets format %r" % (path, fmt))
+    try:
+        records = json_field(doc, "records", list)
+        for i, rec in enumerate(records):
+            where = "records[%d]" % i
+            json_field(rec, "index", int, where)
+            names = json_field(rec, "features", list, where)
+            if not all(isinstance(n, str) for n in names):
+                raise SpaceError("%s: field 'features': expected a list of strings" % where)
+    except SpaceError as exc:
+        raise ExplainError("%s: %s" % (path, exc)) from None
+    return records
+
+
 def cmd_assess(args) -> int:
-    model = load_model(args.model)
-    ds = _load_categorical(args.dataset, args)
-    kb = load_knowledge(args.knowledge, model.space) if args.knowledge else None
+    model, ds, kb, inputs = _load_inputs(args)
     kind = Kind(args.kind)
-    with open(args.explanations, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != SUBSETS_FORMAT:
-        raise ExplainError("%s: unrecognized subsets format %r"
-                           % (args.explanations, payload.get("format")))
-    manifest = _manifest("assess", args,
-                         [args.model, args.dataset, args.explanations] +
-                         ([args.knowledge] if args.knowledge else []),
+    records = _load_subsets(args.explanations)
+    manifest = _manifest("assess", args, inputs + [args.explanations],
                          limits={"kind": kind.value})
     t0 = time.perf_counter()
     rows = []
     skipped = 0
-    for rec in payload["records"]:
+    for rec in records:
         index = rec["index"]
         features = sorted(model.space.feature_index(n) for n in rec["features"])
         inst = _row_instance(model, ds, index, args.explanations)
@@ -406,17 +391,14 @@ def cmd_assess(args) -> int:
             skipped += 1
             rows.append({"index": index, "skipped": True})
             continue
-        plain = check_explanation(features, kind, model, inst)
+        verdict = check_explanation(features, kind, model, inst)
         row = {"index": index, "features": rec["features"], "size": len(features),
-               "correct_plain": plain}
-        assisted = None
+               "correct_plain": verdict}
         if kb is not None:
-            assisted = check_explanation(features, kind, model, inst, knowledge=kb)
-            row["correct_with_knowledge"] = assisted
-        verdict = assisted if kb is not None else plain
+            verdict = row["correct_with_knowledge"] = check_explanation(
+                features, kind, model, inst, knowledge=kb)
         if verdict:
-            reduced = reduce_explanation(features, kind, model, inst,
-                                         knowledge=kb if kb is not None else None)
+            reduced = reduce_explanation(features, kind, model, inst, knowledge=kb)
             row["reduced_size"] = reduced.size
         rows.append(row)
     manifest["timings"]["wall"] = time.perf_counter() - t0
@@ -429,7 +411,7 @@ def cmd_assess(args) -> int:
               "records": rows, "skipped": skipped,
               "percent_correct_plain": pct("correct_plain"),
               "percent_correct_with_knowledge": pct("correct_with_knowledge")}
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print("assessed %d records: %.1f%% correct without knowledge%s"
           % (len(judged), report["percent_correct_plain"] or 0.0,
              "" if kb is None else ", %.1f%% with knowledge"
@@ -443,43 +425,47 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kxp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("quantize", help="bin numeric CSV columns into intervals")
+    # flags that several subcommands share, declared once
+    class_column = argparse.ArgumentParser(add_help=False)
+    class_column.add_argument("--class-column", default="last")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    mining = argparse.ArgumentParser(add_help=False)
+    mining.add_argument("--max-size", type=int, default=5)
+    mining.add_argument("--min-support", type=int, default=1)
+    mining.add_argument("--max-rules", type=int, default=None)
+    mining.add_argument("--time-budget", type=float, default=None)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("model")
+    inputs.add_argument("dataset")
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("--kind", choices=("axp", "cxp"), default="axp")
+
+    p = sub.add_parser("quantize", parents=[class_column],
+                       help="bin numeric CSV columns into intervals")
     p.add_argument("csv")
     p.add_argument("--q", type=int, default=5, help="intervals per column (4, 5 or 6)")
     p.add_argument("--force", action="store_true", help="allow other interval counts")
-    p.add_argument("--class-column", default="last")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("mine", help="extract 100%%-consistent rules from a dataset")
+    p = sub.add_parser("mine", parents=[mining, class_column, out],
+                       help="extract 100%%-consistent rules from a dataset")
     p.add_argument("dataset")
     p.add_argument("--engine", choices=("lattice", "eclat"), default="lattice")
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--min-support", type=int, default=1)
-    p.add_argument("--max-rules", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--class-column", default="last")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("xval-rules", help="k-fold rule accuracy protocol")
+    p = sub.add_parser("xval-rules", parents=[mining, class_column, out],
+                       help="k-fold rule accuracy protocol")
     p.add_argument("csv")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q", type=int, default=5)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--min-support", type=int, default=1)
-    p.add_argument("--max-rules", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--class-column", default="last")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_xval_rules)
 
-    p = sub.add_parser("explain", help="enumerate smallest explanations per instance")
-    p.add_argument("model")
-    p.add_argument("dataset")
-    p.add_argument("--kind", choices=("axp", "cxp"), default="axp")
+    p = sub.add_parser("explain", parents=[inputs, kind, class_column, out],
+                       help="enumerate smallest explanations per instance")
     p.add_argument("--knowledge", default=None, help="rules file to apply")
     p.add_argument("--enum", type=int, default=20, help="explanations per instance")
     p.add_argument("--instances", default="all", help="'all', 'test' or index list")
@@ -488,30 +474,21 @@ def build_parser() -> _Parser:
     p.add_argument("--compare", action="store_true",
                    help="run both with and without knowledge")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--class-column", default="last")
-    p.add_argument("--out", required=True)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("attribute", help="which knowledge rules an AXp relies on")
-    p.add_argument("model")
-    p.add_argument("dataset")
+    p = sub.add_parser("attribute", parents=[inputs, class_column, out],
+                       help="which knowledge rules an AXp relies on")
     p.add_argument("--instance", type=int, required=True)
     p.add_argument("--knowledge", required=True)
     p.add_argument("--axp", default="auto",
                    help="comma-separated feature names, or 'auto'")
-    p.add_argument("--class-column", default="last")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attribute)
 
-    p = sub.add_parser("assess", help="check and reduce external explanation files")
-    p.add_argument("model")
-    p.add_argument("dataset")
+    p = sub.add_parser("assess", parents=[inputs, kind, class_column, out],
+                       help="check and reduce external explanation files")
     p.add_argument("explanations", help="feature-subset file (kxp.subsets/1)")
-    p.add_argument("--kind", choices=("axp", "cxp"), default="axp")
     p.add_argument("--knowledge", default=None)
-    p.add_argument("--class-column", default="last")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_assess)
 
     return parser
@@ -530,8 +507,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
+    except Exception as exc:  # a bug in kxp, not bad input
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -81,6 +83,13 @@ class FeatureSpace:
             return Literal(feature=f, negated=False, value=1 - v)
         return Literal(feature=f, negated=negated, value=v)
 
+    def has(self, lit: "Literal") -> bool:
+        return 0 <= lit.feature < self.m and 0 <= lit.value < len(self.domain(lit.feature))
+
+    def equalities(self) -> list["Literal"]:
+        """Every `feature = value` literal, in feature-then-value order."""
+        return [Literal(f, False, v) for f in range(self.m) for v in range(len(self.domain(f)))]
+
     def negate(self, lit: "Literal") -> "Literal":
         return self.literal(lit.feature, lit.value, not lit.negated)
 
@@ -156,18 +165,12 @@ class Literal:
                 "value": dom[self.value]}
 
     @staticmethod
-    def from_obj(space: FeatureSpace, obj: Mapping) -> "Literal":
-        if obj["op"] not in ("==", "!="):
-            raise SpaceError("bad literal op %r" % obj["op"])
-        return space.literal(obj["feature"], obj["value"], negated=obj["op"] == "!=")
-
-
-def literal_satisfied(lit: Literal, inst: Instance) -> bool:
-    """True iff the instance's value for the literal's feature matches its polarity."""
-    if lit.feature >= len(inst.values):
-        raise SpaceError("literal feature %d out of range for instance of length %d"
-                         % (lit.feature, len(inst.values)))
-    return lit.holds(inst)
+    def from_obj(space: FeatureSpace, obj, where: str = "literal") -> "Literal":
+        op = json_field(obj, "op", str, where)
+        if op not in ("==", "!="):
+            raise SpaceError("%s: bad literal op %r" % (where, op))
+        return space.literal(json_field(obj, "feature", where=where),
+                             json_field(obj, "value", where=where), negated=op == "!=")
 
 
 @dataclass(frozen=True)
@@ -196,9 +199,6 @@ class Clause:
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
-
-    def sorted_literals(self) -> list[Literal]:
-        return sorted(self.literals)
 
     def satisfied_by(self, inst: Instance) -> bool:
         return any(lit.holds(inst) for lit in self.literals)
@@ -243,7 +243,7 @@ def validate_rule(space: FeatureSpace, rule: Rule) -> None:
     per_feature_eq: dict[int, int] = {}
     per_feature_neq: dict[int, set[int]] = {}
     for lit in rule.antecedent:
-        if not 0 <= lit.feature < space.m or not 0 <= lit.value < len(space.domain(lit.feature)):
+        if not space.has(lit):
             raise SpaceError("antecedent literal out of range: %r" % (lit,))
         if lit.negated:
             per_feature_neq.setdefault(lit.feature, set()).add(lit.value)
@@ -263,19 +263,6 @@ def rule_to_clause(space: FeatureSpace, rule: Rule) -> Clause:
     lits = {space.negate(l) for l in rule.antecedent}
     lits.add(rule.consequent)
     return Clause(frozenset(lits))
-
-
-def clause_to_rules(space: FeatureSpace, clause: Clause) -> list[Rule]:
-    """All |clause| rule readings of a clause, one per consequent choice.
-
-    Used for duplicate detection and reporting only; the readings carry no stats.
-    """
-    out = []
-    for consequent in clause.sorted_literals():
-        antecedent = frozenset(space.negate(l) for l in clause.literals
-                               if l != consequent)
-        out.append(Rule(antecedent, consequent))
-    return out
 
 
 @dataclass(frozen=True)
@@ -339,8 +326,15 @@ def space_to_obj(space: FeatureSpace) -> list:
     return [{"name": name, "domain": list(domain)} for name, domain in space.features]
 
 
-def space_from_obj(obj) -> FeatureSpace:
-    return FeatureSpace.make((f["name"], f["domain"]) for f in obj)
+def space_from_obj(obj: list) -> FeatureSpace:
+    features = []
+    for i, f in enumerate(obj):
+        where = "features[%d]" % i
+        domain = json_field(f, "domain", list, where)
+        if not all(isinstance(label, str) for label in domain):
+            raise SpaceError("%s: field 'domain': expected a list of strings" % where)
+        features.append((json_field(f, "name", str, where), domain))
+    return FeatureSpace.make(features)
 
 
 def rebind_literal(lit: Literal, old: FeatureSpace, new: FeatureSpace) -> Literal:
@@ -361,9 +355,50 @@ def rebind_knowledge(kb: "KnowledgeBase", old: FeatureSpace,
 
     Every feature name and value label must exist in the target space; target
     domains may be larger (models sometimes know values the data never took).
+    Clauses keep their provenance; one with a rule reading is rebuilt from the
+    rebound rule, so a binary antecedent `=` whose domain grows negates to `!=`.
     """
-    return KnowledgeBase.from_rules(
-        new, [rebind_rule(r, old, new) for r in kb.rules], truncated=kb.truncated)
+    rules = tuple(rebind_rule(r, old, new) for r in kb.rules)
+    if len(rules) == len(kb.clauses):
+        clauses = [rule_to_clause(new, r) for r in rules]
+    else:
+        clauses = [Clause.of(rebind_literal(l, old, new) for l in c) for c in kb.clauses]
+    return KnowledgeBase(tuple(clauses), {c: kb.provenance.get(old_c, ())
+                                          for old_c, c in zip(kb.clauses, clauses)},
+                         rules, kb.truncated)
+
+
+_JSON_TYPES = {list: "a list", str: "a string", int: "an integer"}
+
+
+def json_field(obj, key: str, kind: type = object, where: str = ""):
+    """`obj[key]`, checked to be a `kind`; a fault raises SpaceError naming
+    the field and `where` (its parent's path), for file loaders' messages."""
+    at = where + ": " if where else ""
+    if not isinstance(obj, dict):
+        raise SpaceError("%sexpected an object, got %s" % (at, reprlib.repr(obj)))
+    if key not in obj:
+        raise SpaceError("%smissing field %r" % (at, key))
+    if not isinstance(obj[key], kind):
+        raise SpaceError("%sfield %r: expected %s, got %s"
+                         % (at, key, _JSON_TYPES[kind], reprlib.repr(obj[key])))
+    return obj[key]
+
+
+def read_json(path, error: type[Exception]):
+    """Parse a JSON file; bad syntax or encoding raises `error` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error("%s: invalid JSON: %s" % (path, exc)) from None
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class Kind(str, Enum):
@@ -380,8 +415,6 @@ class Explanation:
     kind: Kind
     features: frozenset[int]
     knowledge_assisted: bool
-    instance: Instance
-    predicted_class: int
 
     @property
     def size(self) -> int:

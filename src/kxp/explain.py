@@ -77,7 +77,7 @@ def _find(kind: Kind, model: Model, instance: Instance, contested: Optional[int]
     if not _holds(oracle, kind, seed_set, instance, c)[0]:
         raise ExplainError(_SEED_FAILS[kind] % sorted(seed_set))
     features = _shrink(oracle, kind, instance, c, seed_set)
-    return Explanation(kind, features, bool(kb), instance, c)
+    return Explanation(kind, features, bool(kb))
 
 
 def find_axp(model: Model, instance: Instance, contested: Optional[int] = None,
@@ -228,7 +228,7 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
             break
         ok, res = _holds(oracle, kind, cand, instance, c)
         if ok:
-            out.append(Explanation(kind, cand, bool(kb), instance, c))
+            out.append(Explanation(kind, cand, bool(kb)))
             found[kind].append(cand)
             continue
         # a failed AXp candidate's witness frees a CXp; a failed CXp

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .core import FeatureSpace, Instance
+from .core import FeatureSpace, Instance, read_json, write_json
 
 ALLOWED_INTERVALS = (4, 5, 6)
 
@@ -88,27 +87,16 @@ class Dataset:
 
     def write_csv(self, path) -> None:
         """Write back as CSV with value labels, class column in its original position."""
+        lines = [list(self.names)] + [[("%g" % cell) if dom is None else dom[cell]
+                                       for dom, cell in zip(self.domains, row)]
+                                      for row in self.rows]
+        if self.class_name is not None:
+            pos = len(self.names) if self.class_position is None else self.class_position
+            labels = [self.class_name] + [self.class_domain[c] for c in self.class_labels]
+            for cells, label in zip(lines, labels):
+                cells.insert(pos, label)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self._header())
-            for r in range(self.n_rows):
-                writer.writerow(self._render_row(r))
-
-    def _header(self) -> list[str]:
-        header = list(self.names)
-        if self.class_name is not None:
-            pos = self.class_position if self.class_position is not None else len(header)
-            header.insert(pos, self.class_name)
-        return header
-
-    def _render_row(self, r: int) -> list[str]:
-        cells = []
-        for name, dom, cell in zip(self.names, self.domains, self.rows[r]):
-            cells.append(("%g" % cell) if dom is None else dom[cell])
-        if self.class_name is not None:
-            pos = self.class_position if self.class_position is not None else len(cells)
-            cells.insert(pos, self.class_domain[self.class_labels[r]])
-        return cells
+            csv.writer(fh).writerows(lines)
 
 
 def _try_float(cell: str) -> Optional[float]:
@@ -249,14 +237,11 @@ class QuantizationSpec:
                     for name, spec in obj["columns"].items()})
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_obj())
 
     @classmethod
     def load(cls, path) -> "QuantizationSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_obj(json.load(fh))
+        return cls.from_obj(read_json(path, IngestError))
 
 
 def fit_quantization(ds: Dataset, q: int | Mapping[str, int] = 5,

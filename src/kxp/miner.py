@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (Clause, FeatureSpace, Instance, KnowledgeBase, Literal,
-                   Rule, rule_to_clause, space_from_obj, space_to_obj)
+                   Rule, SpaceError, json_field, rebind_knowledge, rule_to_clause,
+                   space_from_obj, space_to_obj, validate_rule)
 from .ingest import Dataset
 
 RULES_FORMAT = "kxp.rules/1"
@@ -73,16 +74,9 @@ def _columns(space: FeatureSpace, insts: list[Instance]) -> list[list[int]]:
 def _antecedent_literals(space: FeatureSpace) -> list[Literal]:
     # = literals for every value; != only where the domain has 3+ values
     # (binary != normalizes to the complementary =)
-    lits = []
-    for f in range(space.m):
-        dsz = len(space.domain(f))
-        for v in range(dsz):
-            lits.append(space.literal(f, v))
-        if dsz >= 3:
-            for v in range(dsz):
-                lits.append(space.literal(f, v, negated=True))
-    lits.sort()
-    return lits
+    lits = space.equalities()
+    lits += [space.negate(l) for l in lits if len(space.domain(l.feature)) >= 3]
+    return sorted(lits)
 
 
 Found = dict[tuple[int, int], list[tuple[frozenset[Literal], int]]]
@@ -212,6 +206,15 @@ def _deadline(limit: ExtractionLimit) -> Optional[float]:
     return None if limit.time_budget is None else time.monotonic() + limit.time_budget
 
 
+def _rule_budget(limit: ExtractionLimit, emitted: int) -> Optional[int]:
+    """How many rules the next target may emit, `emitted` rules into the run."""
+    budget = limit.per_target_rules
+    if limit.max_rules is not None:
+        left = limit.max_rules - emitted
+        budget = left if budget is None else min(budget, left)
+    return budget
+
+
 def enumerate_min_rules(train: Dataset, target: Literal,
                         blocked: Iterable[Clause] = (),
                         limit: ExtractionLimit = ExtractionLimit()) -> list[Rule]:
@@ -223,14 +226,9 @@ def enumerate_min_rules(train: Dataset, target: Literal,
     space = train.space
     if target.negated:
         raise MinerError("targets must be = literals")
-    deadline = _deadline(limit)
-    budget = limit.max_rules
-    if limit.per_target_rules is not None:
-        budget = min(budget, limit.per_target_rules) if budget is not None \
-            else limit.per_target_rules
-    found, _ = _mine(space, train.instances(), limit, deadline)
+    found, _ = _mine(space, train.instances(), limit, _deadline(limit))
     rules, _ = _emit_target(space, target, found.get((target.feature, target.value), []),
-                            set(blocked), budget, next_id=0)
+                            set(blocked), _rule_budget(limit, 0), next_id=0)
     return rules
 
 
@@ -249,14 +247,9 @@ def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> K
     rules: list[Rule] = []
     for f in range(space.m):
         for v in range(len(space.domain(f))):
-            budget = None
-            if limit.max_rules is not None:
-                budget = limit.max_rules - len(rules)
-            if limit.per_target_rules is not None:
-                budget = limit.per_target_rules if budget is None \
-                    else min(budget, limit.per_target_rules)
             got, trunc = _emit_target(space, space.literal(f, v), found.get((f, v), []),
-                                      blocked, budget, next_id=len(rules))
+                                      blocked, _rule_budget(limit, len(rules)),
+                                      next_id=len(rules))
             rules.extend(got)
             truncated = truncated or trunc
             if limit.max_rules is not None and len(rules) >= limit.max_rules:
@@ -273,23 +266,20 @@ def filter_rules_by_accuracy(rules: Iterable[Rule], test: Dataset,
 # ---------------------------------------------------------------------------
 # Eclat baseline: vertical tid-list mining of confidence-1.0 equality rules
 
-def eclat_mine(train: Dataset, min_support: int = 1,
-               limit: ExtractionLimit = ExtractionLimit()) -> list[Rule]:
+def eclat_mine(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> list[Rule]:
     """Frequent-itemset rules with = literals only and confidence 1.0.
 
     A rule per (itemset, consequent item) pair whose antecedent support equals
     the itemset support. Negated feature-value literals are out of this
     miner's language, so e.g. one != rule of the lattice miner corresponds to
-    several = rules here.
+    several = rules here. Of the limit, `max_size`, `min_support` and
+    `max_rules` apply.
     """
-    if min_support < 1:
-        raise MinerError("min support must be >= 1")
+    min_support = limit.min_support
     space = train.space
     insts = train.instances()
     n = len(insts)
-    items = [space.literal(f, v) for f in range(space.m)
-             for v in range(len(space.domain(f)))]
-    items.sort()
+    items = space.equalities()
     cols = _columns(space, insts)
     tids = [cols[lit.feature][lit.value] for lit in items]
     order = [i for i in range(len(items)) if tids[i].bit_count() >= min_support]
@@ -362,30 +352,39 @@ def save_rules(path, space: FeatureSpace, rules: Iterable[Rule],
 
 
 def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
-    """Returns (declared space, rules, header metadata)."""
+    """Returns (declared space, rules, header metadata); a malformed line, or
+    a rule `validate_rule` rejects, raises MinerError naming file and line."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise MinerError("%s: empty rules file" % path)
-    header = json.loads(lines[0])
-    if header.get("format") != RULES_FORMAT:
-        raise MinerError("%s: unrecognized rules format %r" % (path, header.get("format")))
-    space = space_from_obj(header["features"])
-    rules = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        rules.append(Rule(
-            frozenset(Literal.from_obj(space, l) for l in obj["if"]),
-            Literal.from_obj(space, obj["then"]),
-            obj.get("id"), obj.get("support"), obj.get("consistency")))
+    n = lines[0][0]  # the line being parsed, for the error message
+    try:
+        header = json.loads(lines[0][1])
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != RULES_FORMAT:
+            raise MinerError("unrecognized rules format %r" % fmt)
+        space = space_from_obj(json_field(header, "features", list))
+        rules = []
+        for n, ln in lines[1:]:
+            obj = json.loads(ln)
+            ante = json_field(obj, "if", list)
+            rule = Rule(frozenset(Literal.from_obj(space, l, "if[%d]" % i)
+                                  for i, l in enumerate(ante)),
+                        Literal.from_obj(space, json_field(obj, "then"), "then"),
+                        obj.get("id"), obj.get("support"), obj.get("consistency"))
+            validate_rule(space, rule)
+            rules.append(rule)
+    except ValueError as exc:  # JSON syntax, SpaceError, MinerError
+        raise MinerError("%s:%d: %s" % (path, n, exc)) from None
     return space, rules, header
 
 
 def load_knowledge(path, target_space: Optional[FeatureSpace] = None) -> KnowledgeBase:
     """Load a rules file as a knowledge base, optionally rebound onto a model's space."""
-    from .core import rebind_rule
     space, rules, header = load_rules(path)
-    if target_space is not None:
-        rules = [rebind_rule(r, space, target_space) for r in rules]
-        space = target_space
-    return KnowledgeBase.from_rules(space, rules, truncated=bool(header.get("truncated")))
+    kb = KnowledgeBase.from_rules(space, rules, truncated=bool(header.get("truncated")))
+    try:
+        return kb if target_space is None else rebind_knowledge(kb, space, target_space)
+    except SpaceError as exc:  # a name or label the target space lacks
+        raise MinerError("%s: %s" % (path, exc)) from None

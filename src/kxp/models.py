@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import (FeatureSpace, Instance, Literal, space_from_obj,
-                   space_to_obj)
+from .core import (FeatureSpace, Instance, Literal, SpaceError, json_field,
+                   read_json, space_from_obj, space_to_obj, write_json)
 from .ingest import Dataset
 
 MODEL_FORMAT = "kxp.model/1"
@@ -47,10 +47,8 @@ class DecisionList:
         for r, rule in enumerate(self.rules):
             if not 0 <= rule.cls < len(self.classes):
                 raise ModelError("rule %d: class index %d out of range" % (r, rule.cls))
-            for lit in rule.antecedent:
-                if not (0 <= lit.feature < self.space.m
-                        and 0 <= lit.value < len(self.space.domain(lit.feature))):
-                    raise ModelError("rule %d references an invalid feature-value" % r)
+            if not all(map(self.space.has, rule.antecedent)):
+                raise ModelError("rule %d references an invalid feature-value" % r)
 
     def classify(self, inst: Instance) -> int:
         for rule in self.rules:
@@ -133,9 +131,8 @@ def _check_tree(space: FeatureSpace, tree: Tree) -> None:
         if not isinstance(tree.weight, int):
             raise ModelError("leaf weight %r is not an integer" % (tree.weight,))
         return
-    lit = tree.test
-    if not (0 <= lit.feature < space.m and 0 <= lit.value < len(space.domain(lit.feature))):
-        raise ModelError("tree node references an invalid feature-value: %r" % (lit,))
+    if not space.has(tree.test):
+        raise ModelError("tree node references an invalid feature-value: %r" % (tree.test,))
     _check_tree(space, tree.yes)
     _check_tree(space, tree.no)
 
@@ -350,12 +347,12 @@ def _tree_obj(space: FeatureSpace, tree: Tree):
             "no": _tree_obj(space, tree.no)}
 
 
-def _tree_from_obj(space: FeatureSpace, obj) -> Tree:
-    if "leaf" in obj:
-        return Leaf(int(obj["leaf"]))
-    return Node(Literal.from_obj(space, obj["test"]),
-                _tree_from_obj(space, obj["yes"]),
-                _tree_from_obj(space, obj["no"]))
+def _tree_from_obj(space: FeatureSpace, obj, where: str) -> Tree:
+    if isinstance(obj, dict) and "leaf" in obj:
+        return Leaf(json_field(obj, "leaf", int, where))
+    return Node(Literal.from_obj(space, json_field(obj, "test", where=where), where),
+                _tree_from_obj(space, json_field(obj, "yes", where=where), where + ".yes"),
+                _tree_from_obj(space, json_field(obj, "no", where=where), where + ".no"))
 
 
 def model_to_obj(model: Model) -> dict:
@@ -376,34 +373,52 @@ def model_to_obj(model: Model) -> dict:
 
 
 def model_from_obj(obj: Mapping) -> Model:
-    if obj.get("format") != MODEL_FORMAT:
-        raise ModelError("unrecognized model format %r" % obj.get("format"))
-    space = space_from_obj(obj["features"])
-    classes = tuple(obj["classes"])
-    if obj["kind"] == "dl":
+    """A model from its JSON object; a malformed one raises ModelError or
+    SpaceError naming the field (e.g. `rules[1]`) and the offending value."""
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ModelError("unrecognized model format %r" % fmt)
+    space = space_from_obj(json_field(obj, "features", list))
+    classes = tuple(json_field(obj, "classes", list))
+
+    def class_index(label, where: str) -> int:
+        if label not in classes:
+            raise ModelError("%s: unknown class %r" % (where, label))
+        return classes.index(label)
+
+    kind = json_field(obj, "kind", str)
+    if kind == "dl":
         rules = []
-        for r in obj["rules"]:
-            ante = frozenset(Literal.from_obj(space, l) for l in r["if"])
-            rules.append(DLRule(ante, classes.index(r["then"])))
-        return DecisionList(space, classes, tuple(rules), classes.index(obj["default"]))
-    if obj["kind"] == "bt":
-        trees = tuple(tuple(_tree_from_obj(space, t) for t in group)
-                      for group in obj["trees"])
-        positive = None if obj.get("positive") is None \
-            else classes.index(obj["positive"])
-        return BoostedEnsemble(space, classes, int(obj["scale"]), trees, positive)
-    raise ModelError("unknown model kind %r" % obj.get("kind"))
+        for r, rule in enumerate(json_field(obj, "rules", list)):
+            where = "rules[%d]" % r
+            ante = frozenset(Literal.from_obj(space, l, where)
+                             for l in json_field(rule, "if", list, where))
+            rules.append(DLRule(ante, class_index(json_field(rule, "then", where=where), where)))
+        return DecisionList(space, classes, tuple(rules),
+                            class_index(json_field(obj, "default"), "default"))
+    if kind == "bt":
+        groups = json_field(obj, "trees", list)
+        if not all(isinstance(group, list) for group in groups):
+            raise ModelError("trees: expected a list of tree lists")
+        trees = tuple(tuple(_tree_from_obj(space, t, "trees[%d][%d]" % (g, i))
+                            for i, t in enumerate(group)) for g, group in enumerate(groups))
+        positive = obj.get("positive")
+        return BoostedEnsemble(space, classes, json_field(obj, "scale", int), trees,
+                               None if positive is None else class_index(positive, "positive"))
+    raise ModelError("unknown model kind %r" % kind)
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_obj(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_obj(model))
 
 
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_obj(json.load(fh))
+    """Read a model file; any fault in it raises ModelError naming the file."""
+    obj = read_json(path, ModelError)
+    try:
+        return model_from_obj(obj)
+    except (ModelError, SpaceError) as exc:
+        raise ModelError("%s: %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +435,11 @@ def train_decision_list(ds: Dataset, max_antecedent: int = 3,
     """Greedy sequential covering; deterministic, first-appearance tie-breaks."""
     space, insts, labels = _class_instances(ds)
     classes = ds.class_domain
-    all_lits = [space.literal(f, v) for f in range(space.m)
-                for v in range(len(space.domain(f)))]
+    all_lits = space.equalities()
     remaining = list(range(len(insts)))
     rules: list[DLRule] = []
     while remaining and len(rules) < max_rules:
-        counts = [0] * len(classes)
-        for i in remaining:
-            counts[labels[i]] += 1
+        counts = Counter(labels[i] for i in remaining)
         target = max(range(len(classes)), key=lambda c: (counts[c], -c))
         covered = list(remaining)
         chosen: list[Literal] = []
@@ -455,9 +467,7 @@ def train_decision_list(ds: Dataset, max_antecedent: int = 3,
         rules.append(DLRule(frozenset(chosen), target))
         covered_set = set(covered)
         remaining = [i for i in remaining if i not in covered_set]
-    counts = [0] * len(classes)
-    for i in remaining or range(len(insts)):
-        counts[labels[i]] += 1
+    counts = Counter(labels[i] for i in remaining or range(len(insts)))
     default = max(range(len(classes)), key=lambda c: (counts[c], -c))
     return DecisionList(space, classes, tuple(rules), default)
 
@@ -501,8 +511,7 @@ def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2,
     """Least-squares stump boosting at fixed-point scale; one-vs-rest when multiclass."""
     space, insts, labels = _class_instances(ds)
     classes = ds.class_domain
-    lits = [space.literal(f, v) for f in range(space.m)
-            for v in range(len(space.domain(f)))]
+    lits = space.equalities()
     rows = list(range(len(insts)))
 
     def boost(target_cls: int) -> tuple[Tree, ...]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .core import Clause, FeatureSpace, Instance, KnowledgeBase
@@ -239,10 +239,7 @@ class EntailmentOracle:
                 if moved:
                     continue
                 keep.append(ci)
-                if self._false(other):
-                    keep.extend(lst[i:])
-                    self.watch[ev] = keep
-                    return False
+                # forcing a false literal fails without touching the domains
                 if not self._force(other, queue):
                     keep.extend(lst[i:])
                     self.watch[ev] = keep
@@ -305,7 +302,7 @@ class EntailmentOracle:
         if not (all(witness.values[f] == instance.values[f] for f in fixed)
                 and active.satisfied_by(witness)
                 and self.model.classify(witness) != contested):
-            raise AssertionError("internal error: witness fails direct evaluation")
+            raise AssertionError("witness fails direct evaluation")
         return OracleResult(Status.COUNTEREXAMPLE, witness)
 
 
@@ -378,15 +375,14 @@ def query_to_dimacs(query: EntailmentQuery) -> str:
         name, domain = space.features[f]
         for d, label in enumerate(domain):
             comments.append("c var %d = [%s = %s]" % (ind(f, d), name, label))
-        clauses.append([ind(f, d) for d in range(len(domain))])
-        for a in range(len(domain)):
-            for b in range(a + 1, len(domain)):
-                clauses.append([-ind(f, a), -ind(f, b)])
+        ids = [ind(f, d) for d in range(len(domain))]
+        clauses.append(ids)
+        clauses.extend([-a, -b] for a, b in combinations(ids, 2))
     for f in sorted(query.fixed):
         clauses.append([ind(f, query.instance.values[f])])
     for clause in query.knowledge.clauses:
         clauses.append([slit_dimacs((l.feature, l.value, l.negated))
-                        for l in clause.sorted_literals()])
+                        for l in sorted(clause.literals)])
 
     n_vars = total
     if isinstance(enc, DLEncoding):
@@ -411,9 +407,7 @@ def query_to_dimacs(query: EntailmentQuery) -> str:
                     clauses.append([-leaf_id, slit_dimacs(sl)])
                 clauses.append([leaf_id] + [-slit_dimacs(sl) for sl in path])
             clauses.append(list(tree_vars))
-            for a in range(len(tree_vars)):
-                for b in range(a + 1, len(tree_vars)):
-                    clauses.append([-tree_vars[a], -tree_vars[b]])
+            clauses.extend([-a, -b] for a, b in combinations(tree_vars, 2))
         n_vars = leaf_id
         comments.append("c note: the class-score comparison is not encoded; "
                         "this dump covers the propositional part only")

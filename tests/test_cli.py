@@ -359,3 +359,114 @@ def test_explain_non_integer_instances_exit_2(tmp_path, capsys):
     assert main(["explain", DL, TOY, "--instances", "0,abc", "--out", str(out)]) == 2
     assert "'abc' is not a row index" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_explain_rejects_enum_and_jobs_below_one(tmp_path, capsys):
+    out = tmp_path / "expl.jsonl"
+    for flag, value in (("--enum", "0"), ("--enum", "-1"), ("--jobs", "0"),
+                        ("--jobs", "-3")):
+        assert main(["explain", DL, TOY, "--instances", "0", flag, value,
+                     "--out", str(out)]) == 2
+        assert "%s must be at least 1, got %s" % (flag, value) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_assess_rejects_malformed_subsets_files(tmp_path, capsys):
+    cases = [
+        ({"format": "kxp.subsets/1",
+          "records": [{"index": 0, "features": "Education"}]},
+         "records[0]: field 'features': expected a list, got 'Education'"),
+        ({"format": "kxp.subsets/1", "records": [{"index": 0}]},
+         "records[0]: missing field 'features'"),
+        ({"format": "kxp.subsets/1", "records": [{"features": []}]},
+         "records[0]: missing field 'index'"),
+        ({"format": "kxp.subsets/1", "records": [{"index": 0, "features": [3]}]},
+         "records[0]: field 'features': expected a list of strings"),
+        ({"format": "kxp.subsets/1", "records": [5]},
+         "records[0]: expected an object, got 5"),
+        ({"format": "kxp.subsets/1", "records": {}},
+         "field 'records': expected a list, got {}"),
+        ([{"index": 0, "features": []}], "unrecognized subsets format None"),
+    ]
+    out = tmp_path / "assess.json"
+    for doc, message in cases:
+        subsets = tmp_path / "subsets.json"
+        subsets.write_text(json.dumps(doc))
+        assert main(["assess", DL, TOY, str(subsets), "--out", str(out)]) == 2
+        assert "error: %s: %s" % (subsets, message) in capsys.readouterr().err
+    subsets.write_text("{not json")
+    assert main(["assess", DL, TOY, str(subsets), "--out", str(out)]) == 2
+    assert "%s: invalid JSON" % subsets in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_model_names_file_and_field(tmp_path, capsys):
+    dl = json.loads(Path(DL).read_text())
+    bt = json.loads(Path(BT).read_text())
+    no_kind = {k: v for k, v in dl.items() if k != "kind"}
+    bad_class = json.loads(json.dumps(dl))
+    bad_class["rules"][1]["then"] = "rich"
+    bad_op = json.loads(json.dumps(dl))
+    bad_op["rules"][0]["if"][0]["op"] = "<"
+    float_leaf = json.loads(json.dumps(bt))
+    float_leaf["trees"][0][1] = {"leaf": 1.5}
+    no_domain = json.loads(json.dumps(dl))
+    del no_domain["features"][2]["domain"]
+    cases = [
+        (no_kind, "missing field 'kind'"),
+        (bad_class, "rules[1]: unknown class 'rich'"),
+        ({**dl, "rules": 5}, "field 'rules': expected a list, got 5"),
+        (bad_op, "rules[0]: bad literal op '<'"),
+        (float_leaf, "trees[0][1]: field 'leaf': expected an integer, got 1.5"),
+        ({**bt, "trees": [7]}, "trees: expected a list of tree lists"),
+        (no_domain, "features[2]: missing field 'domain'"),
+        ([dl], "unrecognized model format None"),
+    ]
+    model = tmp_path / "model.json"
+    for obj, message in cases:
+        model.write_text(json.dumps(obj))
+        assert main(["explain", str(model), TOY, "--out",
+                     str(tmp_path / "o.jsonl")]) == 2
+        assert "error: %s: %s" % (model, message) in capsys.readouterr().err
+
+
+def test_malformed_rules_file_names_line(tmp_path, capsys):
+    rules = tmp_path / "rules.jsonl"
+    assert main(["mine", TOY, "--max-size", "1", "--out", str(rules)]) == 0
+    header, first, *rest = rules.read_text().splitlines()
+    status = lambda op, v: {"feature": "Status", "op": op, "value": v}
+    sex = {"feature": "Sex", "op": "==", "value": "Male"}
+    cases = [
+        ([header, first, "{oops"], ":3: Expecting property name"),
+        ([header, first, json.dumps({"if": [], "id": 9})], ":3: missing field 'then'"),
+        # != literals that exclude Status's whole domain: validate_rule
+        ([header, json.dumps({"if": [status("!=", v) for v in
+                                     ("Married", "Separated", "Never-Married")],
+                              "then": sex})],
+         ":2: != literals exclude the whole domain"),
+        ([header, "", json.dumps({"if": [status("==", "Single")], "then": sex})],
+         ":3: unknown value 'Single'"),
+        (['{"format": "kxp.rules/1"}'], ":1: missing field 'features'"),
+    ]
+    bad = tmp_path / "bad.jsonl"
+    for lines, message in cases:
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["explain", DL, TOY, "--knowledge", str(bad), "--out",
+                     str(tmp_path / "o.jsonl")]) == 2
+        assert "error: %s%s" % (bad, message) in capsys.readouterr().err
+
+
+def test_internal_key_error_exits_3(monkeypatch, tmp_path, capsys):
+    # a KeyError is a bug in kxp, not an input error
+    import kxp.cli as cli
+
+    def boom(args):
+        raise KeyError("features")
+
+    parser = cli.build_parser()
+    args = parser.parse_args(["mine", TOY, "--out", str(tmp_path / "r.jsonl")])
+    args.func = boom
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(parser, "parse_args", lambda argv: args)
+    assert main(["mine", TOY, "--out", str(tmp_path / "r.jsonl")]) == 3
+    assert "internal error: KeyError: 'features'" in capsys.readouterr().err

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from kxp import (Clause, FeatureSpace, Instance, KnowledgeBase, Rule,
-                 SpaceError, clause_to_rules, literal_satisfied,
-                 rule_to_clause, validate_rule)
+from kxp import (Clause, FeatureSpace, KnowledgeBase, Literal, Rule,
+                 SpaceError, rule_to_clause, validate_rule)
 from kxp.core import rebind_knowledge, rebind_literal
 
 from util import random_instance, random_knowledge, random_space
@@ -43,9 +42,9 @@ def test_binary_negation_normalizes():
 def test_literal_satisfied_on_table_rows(toy_ds):
     sp = toy_ds.space
     rows = toy_ds.instances()
-    assert literal_satisfied(sp.literal("Relationship", "Husband"), rows[0])
-    assert not literal_satisfied(sp.literal("Sex", "Male", negated=True), rows[0])
-    assert not literal_satisfied(sp.literal("Education", "Masters"), rows[4])
+    assert sp.literal("Relationship", "Husband").holds(rows[0])
+    assert not sp.literal("Sex", "Male", negated=True).holds(rows[0])
+    assert not sp.literal("Education", "Masters").holds(rows[4])
 
 
 def test_literal_out_of_range():
@@ -54,10 +53,13 @@ def test_literal_out_of_range():
         sp.literal("x", 5)
     with pytest.raises(SpaceError):
         sp.literal(3, 0)
-    lit = sp.literal("x", "b")
+    # a literal built outside the space is rejected where a rule is checked
+    y = FeatureSpace.make([("x", ["a", "b"]), ("y", ["0", "1"])])
+    assert not y.has(Literal(feature=4, negated=False, value=0))
+    assert not y.has(Literal(feature=0, negated=False, value=2)) and y.has(sp.literal("x", "b"))
     with pytest.raises(SpaceError):
-        literal_satisfied(type(lit)(feature=4, negated=False, value=0),
-                          Instance((0,)))
+        validate_rule(y, Rule(frozenset({Literal(feature=4, negated=False, value=0)}),
+                              y.literal("y", "1")))
 
 
 def test_clause_rejects_tautology():
@@ -107,22 +109,6 @@ def test_rule_to_clause_trivial_cases():
     assert flipped.literals == frozenset({sp.literal("a", "0"), sp.literal("b", "1")})
 
 
-def test_clause_to_rules_readings(toy_ds):
-    sp = toy_ds.space
-    clause = Clause.of([sp.literal("Status", "Married", negated=True),
-                        sp.literal("Sex", "Female"),
-                        sp.literal("Relationship", "Husband")])
-    rules = clause_to_rules(sp, clause)
-    assert len(rules) == 3
-    readings = {(r.antecedent, r.consequent) for r in rules}
-    assert (frozenset({sp.literal("Status", "Married"),
-                       sp.literal("Relationship", "Husband", negated=True)}),
-            sp.literal("Sex", "Female")) in readings
-    assert (frozenset({sp.literal("Sex", "Male"),
-                       sp.literal("Relationship", "Husband", negated=True)}),
-            sp.literal("Status", "Married", negated=True)) in readings
-
-
 def test_clause_rule_round_trip_random():
     rng = random.Random(42)
     for _ in range(200):
@@ -135,21 +121,11 @@ def test_clause_rule_round_trip_random():
         rule = Rule(ante, sp.literal(consequent_f,
                                      rng.randrange(len(sp.domain(consequent_f)))))
         clause = rule_to_clause(sp, rule)
-        readings = clause_to_rules(sp, clause)
-        assert len(readings) == rule.size + 1
-        assert any(r.antecedent == rule.antecedent
-                   and r.consequent == rule.consequent for r in readings)
+        assert len(clause) == rule.size + 1
         # a falsifying point matches the antecedent and dodges the consequent
         for _ in range(10):
             inst = random_instance(rng, sp)
             assert (not clause.satisfied_by(inst)) == rule.violated_by(inst)
-
-
-def test_unit_clause_single_reading():
-    sp = FeatureSpace.make([("x", ["a", "b"])])
-    clause = Clause.of([sp.literal("x", "a")])
-    rules = clause_to_rules(sp, clause)
-    assert len(rules) == 1 and rules[0].antecedent == frozenset()
 
 
 def test_knowledge_base_conjunction_semantics():
@@ -194,6 +170,31 @@ def test_rebind_onto_larger_space(toy_ds, toy_dl):
     with pytest.raises(SpaceError):
         rebind_knowledge(kb, sp_csv,
                          FeatureSpace.make([("Other", ["x", "y"])]))
+
+
+def test_rebind_keeps_provenance_and_clauses():
+    sp = FeatureSpace.make([("a", ["0", "1"]), ("b", ["0", "1"])])
+    # the target space orders the features differently and grows a's domain
+    big = FeatureSpace.make([("b", ["1", "0"]), ("a", ["0", "1", "2"])])
+    r1 = Rule(frozenset({sp.literal("a", "1")}), sp.literal("b", "1"), id=0)
+    r2 = Rule(frozenset({sp.literal("b", "0")}), sp.literal("a", "0"), id=1)
+    moved = rebind_knowledge(KnowledgeBase.from_rules(sp, [r1, r2], truncated=True),
+                             sp, big)
+    # both readings' ids survive; the clause is rebuilt from the kept reading,
+    # so `a = 1` negates to `a != 1` in the ternary domain
+    assert moved.clauses == (Clause.of([big.literal("a", "1", negated=True),
+                                        big.literal("b", "1")]),)
+    assert moved.provenance[moved.clauses[0]] == (0, 1)
+    assert moved.rules[0].render(big) == "IF a = 1 THEN b = 1"
+    assert moved.truncated
+    assert moved.satisfied_by(big.instance(["0", "2"]))
+    # a knowledge base built from clauses keeps them, literal by literal
+    clauses = (Clause.of([sp.literal("a", "0"), sp.literal("b", "1")]),
+               Clause.of([sp.literal("b", "0")]))
+    moved = rebind_knowledge(KnowledgeBase(clauses), sp, big)
+    assert moved.clauses == (Clause.of([big.literal("a", "0"), big.literal("b", "1")]),
+                             Clause.of([big.literal("b", "0")]))
+    assert moved.rules == ()
 
 
 def test_instance_builders():

@@ -278,14 +278,13 @@ def test_eclat_cannot_express_negations():
 
 def test_eclat_includes_husband_rule(toy_ds):
     sp = toy_ds.space
-    rules = eclat_mine(toy_ds, min_support=1, limit=ExtractionLimit(max_size=2))
+    rules = eclat_mine(toy_ds, ExtractionLimit(max_size=2))
     assert "IF Relationship = Husband THEN Status = Married" in texts(sp, rules)
 
 
 def test_eclat_confidence_contract(toy_ds):
     insts = toy_ds.instances()
-    for rule in eclat_mine(toy_ds, min_support=1,
-                           limit=ExtractionLimit(max_size=2)):
+    for rule in eclat_mine(toy_ds, ExtractionLimit(max_size=2)):
         assert not any(rule.violated_by(i) for i in insts)
         assert rule.support >= 1
         assert all(not l.negated for l in rule.antecedent)
@@ -293,9 +292,11 @@ def test_eclat_confidence_contract(toy_ds):
 
 
 def test_eclat_respects_min_support(toy_ds):
-    for rule in eclat_mine(toy_ds, min_support=3,
-                           limit=ExtractionLimit(max_size=2)):
-        assert rule.support >= 3
+    # the limit's min_support is the only support setting
+    assert min(r.support for r in eclat_mine(toy_ds)) == 1
+    rules = eclat_mine(toy_ds, ExtractionLimit(min_support=3))
+    assert rules and all(rule.support >= 3 for rule in rules)
+    assert len(rules) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +340,25 @@ def test_load_knowledge_rebinds(tmp_path, toy_ds, toy_dl):
             {n: toy_ds.space.domain(i)[inst.values[i]]
              for i, n in enumerate(toy_ds.names)})
         assert moved.satisfied_by(translated)
+
+
+def test_load_knowledge_equals_rebinding_each_rule(tmp_path):
+    # loading builds the knowledge base in the file's space and rebinds it;
+    # that must equal rebinding every rule first and building it in the
+    # target space, also when binary domains grow and features reorder
+    from kxp.core import KnowledgeBase, rebind_rule
+    rng = random.Random(23)
+    path = tmp_path / "rules.jsonl"
+    for _ in range(40):
+        sp = random_space(rng, max_domain=3)
+        ds = tiny_dataset(rng, sp, rng.randint(3, 20))
+        kb = extract_all(ds, ExtractionLimit(max_size=2))
+        save_rules(path, sp, kb.rules, truncated=kb.truncated)
+        features = [(name, list(dom) + ["extra"] * (rng.random() < 0.5))
+                    for name, dom in sp.features]
+        rng.shuffle(features)
+        target = FeatureSpace.make(features)
+        got = load_knowledge(path, target)
+        want = KnowledgeBase.from_rules(target, [rebind_rule(r, sp, target)
+                                                 for r in kb.rules], kb.truncated)
+        assert got == want
