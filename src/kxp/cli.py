@@ -62,11 +62,15 @@ def _manifest(command: str, args: argparse.Namespace, inputs: list,
             "timings": {}}
 
 
-def _load_csv(path, args, categorical: bool = True) -> Dataset:
-    """Load a CSV with the `--class-column` setting (`none`: no class);
-    `categorical` rejects numeric columns, which need `kxp quantize`."""
-    ds = load_csv(path, class_column=None if args.class_column == "none" else args.class_column)
-    if categorical and ds.numeric_columns:
+def _load_csv(path, args) -> Dataset:
+    """Load a CSV with the `--class-column` setting (`none`: no class)."""
+    return load_csv(path, class_column=None if args.class_column == "none" else args.class_column)
+
+
+def _load_categorical(path, args) -> Dataset:
+    """`_load_csv`, rejecting numeric columns (they need `kxp quantize`)."""
+    ds = _load_csv(path, args)
+    if ds.numeric_columns:
         raise IngestError("%s: numeric columns %s present; run `kxp quantize` first"
                           % (path, list(ds.numeric_columns)))
     return ds
@@ -85,7 +89,7 @@ def _load_inputs(args):
     """The model, the dataset, the knowledge base rebound onto the model's
     space (None without `--knowledge`), and their paths for the manifest."""
     model = load_model(args.model)
-    ds = _load_csv(args.dataset, args)
+    ds = _load_categorical(args.dataset, args)
     kb = load_knowledge(args.knowledge, model.space) if args.knowledge else None
     return model, ds, kb, [p for p in (args.model, args.dataset, args.knowledge) if p]
 
@@ -101,7 +105,7 @@ def _mining_limits(args) -> tuple[ExtractionLimit, dict]:
 # quantize
 
 def cmd_quantize(args) -> int:
-    ds = _load_csv(args.csv, args, categorical=False)
+    ds = _load_csv(args.csv, args)
     spec = fit_quantization(ds, args.q, force=args.force)
     out_csv = args.out_prefix + ".csv"
     out_spec = args.out_prefix + ".qspec.json"
@@ -123,7 +127,7 @@ def cmd_quantize(args) -> int:
 # mine
 
 def cmd_mine(args) -> int:
-    ds = _load_csv(args.dataset, args)
+    ds = _load_categorical(args.dataset, args)
     limit, record = _mining_limits(args)
     manifest = _manifest("mine", args, [args.dataset],
                          limits={"engine": args.engine, **record})
@@ -153,7 +157,7 @@ def cmd_mine(args) -> int:
 # xval-rules
 
 def cmd_xval_rules(args) -> int:
-    ds = _load_csv(args.csv, args, categorical=False)
+    ds = _load_csv(args.csv, args)
     limit, record = _mining_limits(args)
     manifest = _manifest("xval-rules", args, [args.csv],
                          seeds={"fold_seed": args.seed},
@@ -256,8 +260,7 @@ def cmd_explain(args) -> int:
                             "reason": "instance violates the knowledge base"})
             continue
         settings = [False] if kb is None else [False, True] if args.compare else [True]
-        for use_kb in settings:
-            tasks.append((i, tuple(inst.values), use_kb))
+        tasks += [(i, tuple(inst.values), use_kb) for use_kb in settings]
 
     manifest = _manifest("explain", args, inputs, seeds={"split_seed": args.split_seed},
                          limits={"kind": kind.value, "enum": args.enum,
@@ -301,21 +304,18 @@ def _summarize_explanations(records, skipped, kind, compare) -> dict:
 
     summary = {"kind": kind.value, "instances": len({r["index"] for r in records}),
                "skipped": len(skipped)}
-    text = []
     if compare:
         before, after = avg(smallest_sizes(False)), avg(smallest_sizes(True))
         summary["avg_smallest_size"] = {"without_knowledge": before,
                                         "with_knowledge": after}
-        text.append("average smallest %s size: %.3f without knowledge, %.3f with"
-                    % (kind.value, before or float("nan"), after or float("nan")))
+        summary["text"] = ["average smallest %s size: %.3f without knowledge, %.3f with"
+                           % (kind.value, before or float("nan"), after or float("nan"))]
     else:
-        use_kb = any(r["knowledge"] for r in records)
-        sizes = smallest_sizes(use_kb)
+        sizes = smallest_sizes(any(r["knowledge"] for r in records))
         summary["avg_smallest_size"] = avg(sizes)
-        text.append("average smallest %s size over %d instances: %s"
-                    % (kind.value, len(sizes),
-                       "n/a" if not sizes else "%.3f" % avg(sizes)))
-    summary["text"] = text
+        summary["text"] = ["average smallest %s size over %d instances: %s"
+                           % (kind.value, len(sizes),
+                              "n/a" if not sizes else "%.3f" % avg(sizes))]
     return summary
 
 
@@ -335,10 +335,8 @@ def cmd_attribute(args) -> int:
     t0 = time.perf_counter()
     used = attribute_rules(model, inst, kb, features)
     manifest["timings"]["wall"] = time.perf_counter() - t0
-    rules_out = []
-    for clause, rule in zip(used.clauses, used.rules):
-        rules_out.append({"ids": list(used.provenance.get(clause, ())),
-                          "rule": rule.render(model.space)})
+    rules_out = [{"ids": list(used.provenance.get(clause, ())), "rule": rule.render(model.space)}
+                 for clause, rule in zip(used.clauses, used.rules)]
     report = {"format": "kxp.attribution/1", "manifest": manifest,
               "instance": args.instance,
               "axp": [model.space.names[f] for f in features],
@@ -382,13 +380,11 @@ def cmd_assess(args) -> int:
                          limits={"kind": kind.value})
     t0 = time.perf_counter()
     rows = []
-    skipped = 0
     for rec in records:
         index = rec["index"]
         features = sorted(model.space.feature_index(n) for n in rec["features"])
         inst = _row_instance(model, ds, index, args.explanations)
         if kb is not None and not kb.satisfied_by(inst):
-            skipped += 1
             rows.append({"index": index, "skipped": True})
             continue
         verdict = check_explanation(features, kind, model, inst)
@@ -408,7 +404,7 @@ def cmd_assess(args) -> int:
         vals = [r[key] for r in judged if key in r]
         return 100.0 * sum(vals) / len(vals) if vals else None
     report = {"format": "kxp.assess/1", "manifest": manifest, "kind": kind.value,
-              "records": rows, "skipped": skipped,
+              "records": rows, "skipped": len(rows) - len(judged),
               "percent_correct_plain": pct("correct_plain"),
               "percent_correct_with_knowledge": pct("correct_with_knowledge")}
     write_json(args.out, report)
@@ -425,11 +421,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kxp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags that several subcommands share, declared once
-    class_column = argparse.ArgumentParser(add_help=False)
-    class_column.add_argument("--class-column", default="last")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", required=True)
+    # flag groups that several subcommands share, declared once
     mining = argparse.ArgumentParser(add_help=False)
     mining.add_argument("--max-size", type=int, default=5)
     mining.add_argument("--min-support", type=int, default=1)
@@ -438,24 +430,21 @@ def build_parser() -> _Parser:
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("model")
     inputs.add_argument("dataset")
-    kind = argparse.ArgumentParser(add_help=False)
-    kind.add_argument("--kind", choices=("axp", "cxp"), default="axp")
 
-    p = sub.add_parser("quantize", parents=[class_column],
-                       help="bin numeric CSV columns into intervals")
+    p = sub.add_parser("quantize", help="bin numeric CSV columns into intervals")
     p.add_argument("csv")
     p.add_argument("--q", type=int, default=5, help="intervals per column (4, 5 or 6)")
     p.add_argument("--force", action="store_true", help="allow other interval counts")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("mine", parents=[mining, class_column, out],
+    p = sub.add_parser("mine", parents=[mining],
                        help="extract 100%%-consistent rules from a dataset")
     p.add_argument("dataset")
     p.add_argument("--engine", choices=("lattice", "eclat"), default="lattice")
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("xval-rules", parents=[mining, class_column, out],
+    p = sub.add_parser("xval-rules", parents=[mining],
                        help="k-fold rule accuracy protocol")
     p.add_argument("csv")
     p.add_argument("--k", type=int, default=5)
@@ -464,8 +453,9 @@ def build_parser() -> _Parser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_xval_rules)
 
-    p = sub.add_parser("explain", parents=[inputs, kind, class_column, out],
+    p = sub.add_parser("explain", parents=[inputs],
                        help="enumerate smallest explanations per instance")
+    p.add_argument("--kind", choices=("axp", "cxp"), default="axp")
     p.add_argument("--knowledge", default=None, help="rules file to apply")
     p.add_argument("--enum", type=int, default=20, help="explanations per instance")
     p.add_argument("--instances", default="all", help="'all', 'test' or index list")
@@ -477,7 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("attribute", parents=[inputs, class_column, out],
+    p = sub.add_parser("attribute", parents=[inputs],
                        help="which knowledge rules an AXp relies on")
     p.add_argument("--instance", type=int, required=True)
     p.add_argument("--knowledge", required=True)
@@ -485,12 +475,17 @@ def build_parser() -> _Parser:
                    help="comma-separated feature names, or 'auto'")
     p.set_defaults(func=cmd_attribute)
 
-    p = sub.add_parser("assess", parents=[inputs, kind, class_column, out],
+    p = sub.add_parser("assess", parents=[inputs],
                        help="check and reduce external explanation files")
     p.add_argument("explanations", help="feature-subset file (kxp.subsets/1)")
+    p.add_argument("--kind", choices=("axp", "cxp"), default="axp")
     p.add_argument("--knowledge", default=None)
     p.set_defaults(func=cmd_assess)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--class-column", default="last")
+        if name != "quantize":  # which writes to --out-prefix
+            p.add_argument("--out", required=True)
     return parser
 
 

@@ -355,11 +355,12 @@ def rebind_knowledge(kb: "KnowledgeBase", old: FeatureSpace,
 
     Every feature name and value label must exist in the target space; target
     domains may be larger (models sometimes know values the data never took).
-    Clauses keep their provenance; one with a rule reading is rebuilt from the
-    rebound rule, so a binary antecedent `=` whose domain grows negates to `!=`.
+    Clauses keep their provenance. One built from rules is rebuilt from the
+    rebound rules (a binary antecedent `=` whose domain grows negates to `!=`);
+    one built from clauses alone (no `rules`) is rebound literal by literal.
     """
     rules = tuple(rebind_rule(r, old, new) for r in kb.rules)
-    if len(rules) == len(kb.clauses):
+    if rules:
         clauses = [rule_to_clause(new, r) for r in rules]
     else:
         clauses = [Clause.of(rebind_literal(l, old, new) for l in c) for c in kb.clauses]

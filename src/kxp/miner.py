@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (Clause, FeatureSpace, Instance, KnowledgeBase, Literal,
-                   Rule, SpaceError, json_field, rebind_knowledge, rule_to_clause,
+                   Rule, SpaceError, json_field, rebind_rule, rule_to_clause,
                    space_from_obj, space_to_obj, validate_rule)
 from .ingest import Dataset
 
@@ -381,10 +381,14 @@ def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
 
 
 def load_knowledge(path, target_space: Optional[FeatureSpace] = None) -> KnowledgeBase:
-    """Load a rules file as a knowledge base, optionally rebound onto a model's space."""
+    """Load a rules file as a knowledge base, optionally rebound onto a model's
+    space. Rules are rebound before duplicates go: two readings of one binary
+    clause (`a = 1 -> b = 1`, `b = 0 -> a = 0`) differ once a's domain grows."""
     space, rules, header = load_rules(path)
-    kb = KnowledgeBase.from_rules(space, rules, truncated=bool(header.get("truncated")))
-    try:
-        return kb if target_space is None else rebind_knowledge(kb, space, target_space)
-    except SpaceError as exc:  # a name or label the target space lacks
-        raise MinerError("%s: %s" % (path, exc)) from None
+    if target_space is not None:
+        try:
+            rules = [rebind_rule(r, space, target_space) for r in rules]
+        except SpaceError as exc:  # a name or label the target space lacks
+            raise MinerError("%s: %s" % (path, exc)) from None
+        space = target_space
+    return KnowledgeBase.from_rules(space, rules, truncated=bool(header.get("truncated")))

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from kxp import (Dataset, ExtractionLimit, FeatureSpace, MinerError, Rule,
+from kxp import (Dataset, ExtractionLimit, FeatureSpace, Instance, MinerError, Rule,
                  eclat_mine, enumerate_min_rules, extract_all, rule_accuracy,
                  rule_to_clause)
 from kxp import miner
+from kxp.core import rebind_rule
 from kxp.miner import (filter_rules_by_accuracy, load_knowledge, load_rules,
                        save_rules)
 
@@ -342,23 +344,49 @@ def test_load_knowledge_rebinds(tmp_path, toy_ds, toy_dl):
         assert moved.satisfied_by(translated)
 
 
-def test_load_knowledge_equals_rebinding_each_rule(tmp_path):
-    # loading builds the knowledge base in the file's space and rebinds it;
-    # that must equal rebinding every rule first and building it in the
-    # target space, also when binary domains grow and features reorder
-    from kxp.core import KnowledgeBase, rebind_rule
+def test_load_knowledge_keeps_both_readings_when_a_domain_grows(tmp_path):
+    # a = 1 always implies b = 1, so eclat writes both readings of one binary
+    # clause; in a space where a is ternary they are two different clauses
+    sp = FeatureSpace.make([("a", ["0", "1"]), ("b", ["0", "1"])])
+    ds = Dataset(sp.names, tuple(d for _, d in sp.features), ((0, 0), (0, 1), (1, 1)))
+    rules = eclat_mine(ds, ExtractionLimit(max_size=1))
+    assert texts(sp, rules) == {"IF a = 1 THEN b = 1", "IF b = 0 THEN a = 0"}
+    path = tmp_path / "rules.jsonl"
+    save_rules(path, sp, rules, engine="eclat")
+    kb = load_knowledge(path)
+    assert len(kb) == 1 and kb.provenance[kb.clauses[0]] == (0, 1)
+    big = FeatureSpace.make([("b", ["1", "0"]), ("a", ["0", "1", "2"])])
+    moved = load_knowledge(path, big)
+    want = {rule_to_clause(big, rebind_rule(r, sp, big)): (r.id,) for r in rules}
+    assert len(want) == 2
+    assert dict(moved.provenance) == want and set(moved.clauses) == set(want)
+    # b = 0 -> a = 0 is enforced: a = 2 with b = 0 violates it
+    assert not moved.satisfied_by(big.instance(["0", "2"]))
+
+
+def test_load_knowledge_enforces_every_rule_of_the_file(tmp_path):
+    # loaded onto a space whose domains grow and whose features reorder, the
+    # knowledge base holds on exactly the points where every rule of the file
+    # holds, and cites every rule id
     rng = random.Random(23)
     path = tmp_path / "rules.jsonl"
-    for _ in range(40):
-        sp = random_space(rng, max_domain=3)
+    for trial in range(40):
+        sp = random_space(rng, max_features=4, max_domain=3)
         ds = tiny_dataset(rng, sp, rng.randint(3, 20))
-        kb = extract_all(ds, ExtractionLimit(max_size=2))
-        save_rules(path, sp, kb.rules, truncated=kb.truncated)
+        engine = ("lattice", "eclat")[trial % 2]
+        rules = extract_all(ds, ExtractionLimit(max_size=2)).rules \
+            if engine == "lattice" else eclat_mine(ds, ExtractionLimit(max_size=2))
+        save_rules(path, sp, rules, engine=engine)
         features = [(name, list(dom) + ["extra"] * (rng.random() < 0.5))
                     for name, dom in sp.features]
         rng.shuffle(features)
         target = FeatureSpace.make(features)
-        got = load_knowledge(path, target)
-        want = KnowledgeBase.from_rules(target, [rebind_rule(r, sp, target)
-                                                 for r in kb.rules], kb.truncated)
-        assert got == want
+        kb = load_knowledge(path, target)
+        moved = [rebind_rule(r, sp, target) for r in rules]
+        for values in itertools.product(*(range(len(d)) for _, d in features)):
+            inst = Instance(values)
+            assert kb.satisfied_by(inst) == all(
+                r.consequent.holds(inst) or not all(l.holds(inst) for l in r.antecedent)
+                for r in moved)
+        assert sorted(i for ids in kb.provenance.values() for i in ids) \
+            == sorted(r.id for r in rules)
