@@ -12,8 +12,7 @@ from .miner import (ExtractionLimit, MinerError, eclat_mine,
 from .models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
                      Node, load_model, model_constraints, save_model,
                      train_boosted, train_decision_list)
-from .oracle import (EntailmentOracle, EntailmentQuery, OracleError,
-                     OracleResult, Status, entails, entails_bruteforce,
+from .oracle import (EntailmentOracle, OracleError, OracleResult, Status,
                      query_to_dimacs)
 from .explain import (DualState, EnumerationResult, ExplainError,
                       attribute_rules, check_explanation, enumerate_smallest,

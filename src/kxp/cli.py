@@ -38,7 +38,7 @@ EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 SUBSETS_FORMAT = "kxp.subsets/1"
 
 _INPUT_ERRORS = (IngestError, MinerError, ModelError, OracleError, ExplainError,
-                 SpaceError, OSError, UnicodeDecodeError)
+                 SpaceError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,8 +308,10 @@ def _summarize_explanations(records, skipped, kind, compare) -> dict:
         before, after = avg(smallest_sizes(False)), avg(smallest_sizes(True))
         summary["avg_smallest_size"] = {"without_knowledge": before,
                                         "with_knowledge": after}
+        nan = float("nan")
         summary["text"] = ["average smallest %s size: %.3f without knowledge, %.3f with"
-                           % (kind.value, before or float("nan"), after or float("nan"))]
+                           % (kind.value, nan if before is None else before,
+                              nan if after is None else after)]
     else:
         sizes = smallest_sizes(any(r["knowledge"] for r in records))
         summary["avg_smallest_size"] = avg(sizes)

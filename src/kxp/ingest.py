@@ -118,17 +118,17 @@ def load_csv(path, class_column: Optional[str | int] = "last",
     None for a class-free table.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("%s: empty file, expected a header row" % path) from None
-        table = []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise IngestError("%s: row %d has %d cells, expected %d"
-                                  % (path, r + 1, len(row), len(header)))
-            table.append(row)
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise IngestError("%s: %s" % (path, exc)) from None
+    if not rows:
+        raise IngestError("%s: empty file, expected a header row" % path)
+    header, table = rows[0], rows[1:]
+    for r, row in enumerate(table):
+        if len(row) != len(header):
+            raise IngestError("%s: row %d has %d cells, expected %d"
+                              % (path, r + 1, len(row), len(header)))
     if not header:
         raise IngestError("%s: header row is empty" % path)
 

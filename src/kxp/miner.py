@@ -273,8 +273,12 @@ def eclat_mine(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> li
     the itemset support. Negated feature-value literals are out of this
     miner's language, so e.g. one != rule of the lattice miner corresponds to
     several = rules here. Of the limit, `max_size`, `min_support` and
-    `max_rules` apply.
+    `max_rules` apply; a set `time_budget` or `per_target_rules` raises
+    MinerError, as this miner cannot honour it.
     """
+    for name in ("time_budget", "per_target_rules"):
+        if getattr(limit, name) is not None:
+            raise MinerError("the eclat engine does not support %s" % name)
     min_support = limit.min_support
     space = train.space
     insts = train.instances()
@@ -354,20 +358,21 @@ def save_rules(path, space: FeatureSpace, rules: Iterable[Rule],
 def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
     """Returns (declared space, rules, header metadata); a malformed line, or
     a rule `validate_rule` rejects, raises MinerError naming file and line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines:
-        raise MinerError("%s: empty rules file" % path)
-    n = lines[0][0]  # the line being parsed, for the error message
+    n = 0  # the line being parsed, for the error message
     try:
-        header = json.loads(lines[0][1])
+        with open(path, "rb") as fh:  # decoded by line, so a bad byte's line is known
+            lines = [(n, ln) for n, ln in enumerate(fh, 1) if ln.strip()]
+        if not lines:
+            raise MinerError("empty rules file")
+        n = lines[0][0]
+        header = json.loads(lines[0][1].decode("utf-8"))
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt != RULES_FORMAT:
             raise MinerError("unrecognized rules format %r" % fmt)
         space = space_from_obj(json_field(header, "features", list))
         rules = []
         for n, ln in lines[1:]:
-            obj = json.loads(ln)
+            obj = json.loads(ln.decode("utf-8"))
             ante = json_field(obj, "if", list)
             rule = Rule(frozenset(Literal.from_obj(space, l, "if[%d]" % i)
                                   for i, l in enumerate(ante)),
@@ -375,7 +380,7 @@ def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
                         obj.get("id"), obj.get("support"), obj.get("consistency"))
             validate_rule(space, rule)
             rules.append(rule)
-    except ValueError as exc:  # JSON syntax, SpaceError, MinerError
+    except ValueError as exc:  # encoding, JSON syntax, SpaceError, MinerError
         raise MinerError("%s:%d: %s" % (path, n, exc)) from None
     return space, rules, header
 

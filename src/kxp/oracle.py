@@ -17,15 +17,13 @@ none); switched-off clauses stay watched and are skipped when they wake.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .core import Clause, FeatureSpace, Instance, KnowledgeBase
-from .models import (BTEncoding, DLEncoding, Model, SLit, model_constraints)
-
-DEFAULT_BRUTE_BOUND = 10_000_000
+from .models import DLEncoding, Model, SLit, model_constraints
 
 
 class OracleError(ValueError):
@@ -49,31 +47,6 @@ class OracleResult:
     @property
     def entails(self) -> bool:
         return self.status is Status.ENTAILS
-
-
-@dataclass(frozen=True)
-class EntailmentQuery:
-    """One satisfiability question: fixed features Z, knowledge, contested class."""
-
-    fixed: frozenset[int]
-    instance: Instance
-    model: Model
-    contested: int
-    knowledge: KnowledgeBase = field(default_factory=KnowledgeBase)
-
-    def __post_init__(self):
-        space = self.model.space
-        if len(self.instance.values) != space.m:
-            raise OracleError("instance has %d values, space has %d features"
-                              % (len(self.instance.values), space.m))
-        for f, v in enumerate(self.instance.values):
-            if not 0 <= v < len(space.domain(f)):
-                raise OracleError("instance value %d out of range for feature %d" % (v, f))
-        if any(not 0 <= f < space.m for f in self.fixed):
-            raise OracleError("fixed feature index out of range")
-        if not 0 <= self.contested < self.model.class_count():
-            raise OracleError("contested class %d out of range" % self.contested)
-        check_compatible(self.instance, self.knowledge)
 
 
 def check_compatible(instance: Instance, knowledge: KnowledgeBase) -> None:
@@ -104,8 +77,8 @@ class EntailmentOracle:
         self.calls = 0
 
         m = self.space.m
-        sizes = [len(self.space.domain(f)) for f in range(m)]
-        sizes += [2] * self.encoding.aux_count
+        self._sizes = [len(self.space.domain(f)) for f in range(m)]
+        sizes = self._sizes + [2] * self.encoding.aux_count
         self.dom: list[set[int]] = [set(range(s)) for s in sizes]
         self.trail: list[tuple[int, int]] = []
 
@@ -278,10 +251,31 @@ class EntailmentOracle:
             return False
         return any(var in self._score_feats for var, _ in self.trail[mark:])
 
+    def _checked(self, fixed: Iterable[int], instance: Instance,
+                 contested: int) -> set[int]:
+        """The fixed features as a set, once the query's indices and values
+        are known to lie in the model's space and classes."""
+        m = len(self._sizes)
+        values = instance.values
+        if len(values) != m:
+            raise OracleError("instance has %d values, space has %d features"
+                              % (len(values), m))
+        for f, (v, size) in enumerate(zip(values, self._sizes)):
+            if not 0 <= v < size:
+                raise OracleError("instance value %d out of range for feature %d" % (v, f))
+        fixed = set(fixed)
+        for f in fixed:
+            if not 0 <= f < m:
+                raise OracleError("fixed feature index %d out of range" % f)
+        if not 0 <= contested < self.model.class_count():
+            raise OracleError("contested class %d out of range" % contested)
+        return fixed
+
     def query(self, fixed: Iterable[int], instance: Instance, contested: int,
               knowledge: Optional[KnowledgeBase] = None) -> OracleResult:
         """Decide the query; Z, the class challenge and the knowledge subset
         (default: the oracle's whole knowledge base) are per-call."""
+        fixed = self._checked(fixed, instance, contested)
         self._off = self._switched_off(contested, knowledge)
         self.calls += 1
         if contested in self._entailed:
@@ -289,7 +283,7 @@ class EntailmentOracle:
         try:
             queue: deque = deque()
             units = [slit for ci, slit in self.units if ci not in self._off]
-            units += [(f, instance.values[f], False) for f in sorted(set(fixed))]
+            units += [(f, instance.values[f], False) for f in sorted(fixed)]
             ok = all(self._force(slit, queue) for slit in units) and self._propagate(queue)
             witness = None
             if ok and self.encoding.challenge_possible(contested, self.dom):
@@ -306,46 +300,26 @@ class EntailmentOracle:
         return OracleResult(Status.COUNTEREXAMPLE, witness)
 
 
-def entails(query: EntailmentQuery) -> OracleResult:
-    """One-shot oracle call; reuse an EntailmentOracle for query batches."""
-    return EntailmentOracle(query.model, query.knowledge).query(
-        query.fixed, query.instance, query.contested)
-
-
-def entails_bruteforce(query: EntailmentQuery,
-                       bound: int = DEFAULT_BRUTE_BOUND) -> OracleResult:
-    """Exhaustive reference oracle; first witness in lexicographic instance order."""
-    space = query.model.space
-    size = space.size()
-    if size > bound:
-        raise OracleError("feature space has %d points, above the brute-force "
-                          "bound %d" % (size, bound))
-    ranges = [
-        [query.instance.values[f]] if f in query.fixed
-        else range(len(space.domain(f)))
-        for f in range(space.m)
-    ]
-    for combo in product(*ranges):
-        point = Instance(tuple(combo))
-        if not query.knowledge.satisfied_by(point):
-            continue
-        if query.model.classify(point) != query.contested:
-            return OracleResult(Status.COUNTEREXAMPLE, point)
-    return OracleResult(Status.ENTAILS)
-
-
 # ---------------------------------------------------------------------------
 # DIMACS dump for cross-checking with external solvers
 
-def query_to_dimacs(query: EntailmentQuery) -> str:
-    """CNF image of the query over one-hot indicators.
+def query_to_dimacs(model: Model, knowledge: Optional[KnowledgeBase],
+                    fixed: Iterable[int], instance: Instance, contested: int) -> str:
+    """CNF image of one query over one-hot indicators.
 
+    The clauses are those of an `EntailmentOracle` over (model, knowledge) as
+    the query switches them (an empty clause when `contested` is always
+    entailed), the fixed features' units and the one-hot domain clauses.
     Indicator id = 1 + offset(feature) + value index, where offset is the sum
     of the domain sizes of earlier features. For decision lists the dump is
     equisatisfiable with the query; for ensembles the score comparison is not
     clausal and is omitted (a comment line says so).
     """
-    space = query.model.space
+    oracle = EntailmentOracle(model, knowledge)
+    fixed = oracle._checked(fixed, instance, contested)
+    check_compatible(instance, oracle.knowledge)
+    space = oracle.space
+    enc = oracle.encoding
     offsets = []
     total = 0
     for f in range(space.m):
@@ -356,7 +330,6 @@ def query_to_dimacs(query: EntailmentQuery) -> str:
         return 1 + offsets[f] + d
 
     aux_base = total  # aux Boolean b -> id aux_base + (b - m) + 1
-    enc = model_constraints(query.model)
 
     def slit_dimacs(slit: SLit) -> int:
         var, value, negated = slit
@@ -370,7 +343,7 @@ def query_to_dimacs(query: EntailmentQuery) -> str:
     lines = []
     clauses: list[list[int]] = []
     comments = ["c entailment query: fixed=%s contested=%d"
-                % (sorted(query.fixed), query.contested)]
+                % (sorted(fixed), contested)]
     for f in range(space.m):
         name, domain = space.features[f]
         for d, label in enumerate(domain):
@@ -378,24 +351,19 @@ def query_to_dimacs(query: EntailmentQuery) -> str:
         ids = [ind(f, d) for d in range(len(domain))]
         clauses.append(ids)
         clauses.extend([-a, -b] for a, b in combinations(ids, 2))
-    for f in sorted(query.fixed):
-        clauses.append([ind(f, query.instance.values[f])])
-    for clause in query.knowledge.clauses:
-        clauses.append([slit_dimacs((l.feature, l.value, l.negated))
-                        for l in sorted(clause.literals)])
+    for f in sorted(fixed):
+        clauses.append([ind(f, instance.values[f])])
+    off = oracle._switched_off(contested, None)
+    clauses.extend([slit_dimacs(sl) for sl in slits]
+                   for ci, slits in enumerate(oracle.clauses) if ci not in off)
+    if contested in oracle._entailed:
+        clauses.append([])
 
-    n_vars = total
+    n_vars = total + enc.aux_count
     if isinstance(enc, DLEncoding):
-        n_vars += enc.aux_count
         comments.append("c aux vars %d..%d: rule match/fire/prefix chain"
                         % (aux_base + 1, n_vars))
-        for slits in enc.clauses:
-            clauses.append([slit_dimacs(sl) for sl in slits])
-        ch = enc.challenge_clause(query.contested)
-        if ch is not None:
-            clauses.append([slit_dimacs(sl) for sl in ch])
-    else:
-        assert isinstance(enc, BTEncoding)
+    else:  # the oracle bounds ensemble scores and holds no leaf clauses
         leaf_id = n_vars
         for leaves in enc.leaf_paths():
             tree_vars = []

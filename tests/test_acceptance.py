@@ -16,11 +16,11 @@ from kxp import (ExtractionLimit, Instance, Kind, KnowledgeBase, Rule,
                  rule_to_clause, split, train_boosted, train_decision_list)
 from kxp.explain import (attribute_rules, check_explanation, enumerate_smallest,
                          reduce_explanation)
-from kxp.oracle import EntailmentOracle, EntailmentQuery, entails_bruteforce
+from kxp.oracle import EntailmentOracle
 
 from util import (all_minimal_hitting_sets, brute_force_min_rules,
-                  explanation_sets_bruteforce, random_instance,
-                  random_knowledge, random_model, random_space)
+                  entails_bruteforce, explanation_sets_bruteforce,
+                  random_instance, random_knowledge, random_model, random_space)
 
 
 def report(tag, message, elapsed=None):
@@ -174,17 +174,17 @@ def test_c2_oracle_equals_bruteforce_1000_queries():
             inst = random_instance(rng, sp)
             kb = random_knowledge(rng, sp, inst)
             fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
-            q = EntailmentQuery(fixed, inst, model, model.classify(inst), kb)
-            fast = EntailmentOracle(model, kb).query(fixed, inst, q.contested) \
-                if kb else oracle.query(fixed, inst, q.contested)
-            slow = entails_bruteforce(q)
+            c = model.classify(inst)
+            fast = EntailmentOracle(model, kb).query(fixed, inst, c) \
+                if kb else oracle.query(fixed, inst, c)
+            slow = entails_bruteforce(model, kb, fixed, inst, c)
             if fast.status != slow.status:
                 disagreements += 1
             if fast.witness is not None:
                 w = fast.witness
                 assert all(w.values[f] == inst.values[f] for f in fixed)
                 assert kb.satisfied_by(w)
-                assert model.classify(w) != q.contested
+                assert model.classify(w) != c
             n_queries += 1
     elapsed = time.monotonic() - t0
     assert disagreements == 0

@@ -106,6 +106,22 @@ def test_mine_lattice_and_eclat(tmp_path):
         assert line["then"]["op"] == "=="
 
 
+def test_mine_eclat_rejects_time_budget(tmp_path, capsys):
+    out = tmp_path / "eclat.jsonl"
+    assert main(["mine", TOY, "--engine", "eclat", "--time-budget", "0.05",
+                 "--out", str(out)]) == 2
+    assert "does not support time_budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_csv_names_the_file(tmp_path, capsys):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"a,b,Y\nx,\xff,y\n")
+    assert main(["mine", str(csv), "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert "error: %s: 'utf-8' codec can't decode byte 0xff" % csv \
+        in capsys.readouterr().err
+
+
 def test_mine_empty_dataset(tmp_path):
     csv = tmp_path / "empty.csv"
     csv.write_text("a,b,Y\n")
@@ -223,6 +239,27 @@ def test_explain_compare_sizes_two_vs_three(tmp_path):
     recs = {r["knowledge"]: r for r in read_jsonl(out) if r.get("type") == "result"}
     assert recs[False]["explanations"][0]["size"] == 3
     assert recs[True]["explanations"][0]["size"] == 2
+
+
+def test_explain_compare_summary_prints_zero_sizes(tmp_path, capsys):
+    # a constant model's smallest why-answer is empty: size 0.0, not missing
+    from kxp import load_csv
+    from kxp.miner import save_rules
+    from kxp.models import DecisionList, save_model
+    sp = load_csv(TOY).space
+    model = str(tmp_path / "const.json")
+    save_model(DecisionList(sp, (">=50k", "<50k"), (), default=0), model)
+    rules = str(tmp_path / "none.jsonl")
+    save_rules(rules, sp, [])
+    out = str(tmp_path / "expl.jsonl")
+    assert main(["explain", model, TOY, "--kind", "axp", "--instances", "all",
+                 "--knowledge", rules, "--compare", "--enum", "1",
+                 "--out", out]) == 0
+    summary = json.loads(Path(out + ".summary.json").read_text())
+    assert summary["avg_smallest_size"] == {"without_knowledge": 0.0,
+                                            "with_knowledge": 0.0}
+    assert "average smallest axp size: 0.000 without knowledge, 0.000 with" \
+        in capsys.readouterr().out
 
 
 def test_explain_jobs_parallel_matches_serial(tmp_path):
@@ -454,6 +491,18 @@ def test_malformed_rules_file_names_line(tmp_path, capsys):
         assert main(["explain", DL, TOY, "--knowledge", str(bad), "--out",
                      str(tmp_path / "o.jsonl")]) == 2
         assert "error: %s%s" % (bad, message) in capsys.readouterr().err
+
+
+def test_non_utf8_rules_file_names_the_line(tmp_path, capsys):
+    rules = tmp_path / "rules.jsonl"
+    assert main(["mine", TOY, "--max-size", "1", "--out", str(rules)]) == 0
+    lines = rules.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"then", b"th\xffen")
+    rules.write_bytes(b"".join(lines))
+    assert main(["explain", DL, TOY, "--knowledge", str(rules), "--out",
+                 str(tmp_path / "o.jsonl")]) == 2
+    assert "error: %s:3: 'utf-8' codec can't decode byte 0xff" % rules \
+        in capsys.readouterr().err
 
 
 def test_internal_key_error_exits_3(monkeypatch, tmp_path, capsys):

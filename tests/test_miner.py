@@ -301,6 +301,13 @@ def test_eclat_respects_min_support(toy_ds):
     assert len(rules) == 7
 
 
+def test_eclat_rejects_limits_it_cannot_honour(toy_ds):
+    for field, limit in (("time_budget", ExtractionLimit(time_budget=0.05)),
+                         ("per_target_rules", ExtractionLimit(per_target_rules=1))):
+        with pytest.raises(MinerError, match=field):
+            eclat_mine(toy_ds, limit)
+
+
 # ---------------------------------------------------------------------------
 # accuracy and file round trips
 

@@ -2,19 +2,23 @@ import random
 
 import pytest
 
-from kxp import Clause, FeatureSpace, Instance, KnowledgeBase
+from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
 from kxp.models import DecisionList, DLRule, model_constraints
-from kxp.oracle import (EntailmentOracle, EntailmentQuery, OracleError, Status,
-                        entails, entails_bruteforce, query_to_dimacs)
+from kxp.oracle import EntailmentOracle, OracleError, Status, query_to_dimacs
 
-from util import (dimacs_satisfiable, random_bt, random_dl, random_instance,
-                  random_knowledge, random_model, random_space)
+from util import (dimacs_satisfiable, entails_bruteforce, random_bt, random_dl,
+                  random_instance, random_knowledge, random_model, random_space)
 
 
 def Q(model, inst, fixed, contested=None, kb=None):
+    """A query's arguments, in the order `query_to_dimacs` and
+    `entails_bruteforce` take them."""
     c = model.classify(inst) if contested is None else contested
-    return EntailmentQuery(frozenset(fixed), inst, model, c,
-                           kb if kb is not None else KnowledgeBase())
+    return model, kb if kb is not None else KnowledgeBase(), frozenset(fixed), inst, c
+
+
+def entails(model, kb, fixed, inst, c):
+    return EntailmentOracle(model, kb).query(fixed, inst, c)
 
 
 def feature_ids(space, names):
@@ -26,19 +30,19 @@ def test_fixed_four_features_entail(toy_dl, toy_bt, row1):
         fixed = feature_ids(model.space,
                             ["Education", "Status", "Occupation", "Relationship"])
         q = Q(model, row1, fixed)
-        assert entails(q).status is Status.ENTAILS
-        assert entails_bruteforce(q).status is Status.ENTAILS
+        assert entails(*q).status is Status.ENTAILS
+        assert entails_bruteforce(*q).status is Status.ENTAILS
 
 
 def test_dropping_occupation_gives_counterexample(toy_dl, toy_bt, row1):
     for model in (toy_dl, toy_bt):
         sp = model.space
         fixed = feature_ids(sp, ["Education", "Status", "Relationship"])
-        res = entails(Q(model, row1, fixed))
+        res = entails(*Q(model, row1, fixed))
         assert res.status is Status.COUNTEREXAMPLE
         # any witness must have flipped the class; the brute-force one flips
         # Occupation to Service, the only flipping value
-        brute = entails_bruteforce(Q(model, row1, fixed))
+        brute = entails_bruteforce(*Q(model, row1, fixed))
         occ = sp.feature_index("Occupation")
         assert sp.domain(occ)[brute.witness.values[occ]] == "Service"
 
@@ -47,10 +51,10 @@ def test_knowledge_enables_entailment(small_dl, separated_male, marital_constrai
     sp = small_dl.space
     fixed = feature_ids(sp, ["Relationship", "Sex"])
     no_kb = Q(small_dl, separated_male, fixed)
-    assert entails(no_kb).status is Status.COUNTEREXAMPLE
+    assert entails(*no_kb).status is Status.COUNTEREXAMPLE
     with_kb = Q(small_dl, separated_male, fixed, kb=marital_constraint)
-    assert entails(with_kb).status is Status.ENTAILS
-    assert entails_bruteforce(with_kb).status is Status.ENTAILS
+    assert entails(*with_kb).status is Status.ENTAILS
+    assert entails_bruteforce(*with_kb).status is Status.ENTAILS
 
 
 def test_incompatible_instance_rejected(small_dl, marital_constraint):
@@ -60,12 +64,35 @@ def test_incompatible_instance_rejected(small_dl, marital_constraint):
         "Relationship": "Not-in-family", "Sex": "Male", "Hours/w": "<=40"})
     assert not marital_constraint.satisfied_by(bad)
     with pytest.raises(OracleError, match="incompatible"):
-        Q(small_dl, bad, set(), kb=marital_constraint)
+        query_to_dimacs(*Q(small_dl, bad, set(), kb=marital_constraint))
+    with pytest.raises(OracleError, match="incompatible"):
+        find_axp(small_dl, bad, knowledge=marital_constraint)
+
+
+def test_malformed_queries_rejected(small_dl, separated_male, marital_constraint):
+    sp = small_dl.space
+    last = sp.m - 1
+    values = separated_male.values
+    cases = [
+        ({sp.m}, separated_male, 0, "fixed feature index %d out of range" % sp.m),
+        ({-1}, separated_male, 0, "fixed feature index -1 out of range"),
+        (set(), separated_male, 2, "contested class 2 out of range"),
+        (set(), Instance(values[:-1]), 0,
+         "instance has %d values, space has %d features" % (last, sp.m)),
+        (set(), Instance(values[:-1] + (len(sp.domain(last)),)), 0,
+         "value %d out of range for feature %d" % (len(sp.domain(last)), last)),
+    ]
+    oracle = EntailmentOracle(small_dl, marital_constraint)
+    for fixed, inst, c, message in cases:
+        with pytest.raises(OracleError, match=message):
+            oracle.query(fixed, inst, c)
+        with pytest.raises(OracleError, match=message):
+            query_to_dimacs(small_dl, marital_constraint, fixed, inst, c)
 
 
 def test_all_fixed_entails(toy_dl, row1):
     q = Q(toy_dl, row1, range(toy_dl.space.m))
-    assert entails(q).entails and entails_bruteforce(q).entails
+    assert entails(*q).entails and entails_bruteforce(*q).entails
 
 
 def test_constant_model_entails_everywhere():
@@ -73,7 +100,7 @@ def test_constant_model_entails_everywhere():
     const = DecisionList(sp, ("p", "q"), (), default=0)
     inst = sp.instance(["a", "0"])
     q = Q(const, inst, set())
-    assert entails(q).entails and entails_bruteforce(q).entails
+    assert entails(*q).entails and entails_bruteforce(*q).entails
 
 
 def test_bruteforce_bound_refused():
@@ -81,11 +108,11 @@ def test_bruteforce_bound_refused():
     model = DecisionList(sp, ("p", "q"), (), default=0)
     inst = Instance((0,) * 15)
     with pytest.raises(OracleError, match=str(sp.size())):
-        entails_bruteforce(Q(model, inst, set()))
+        entails_bruteforce(*Q(model, inst, set()))
 
 
 def test_bruteforce_witness_is_lexicographic_first(toy_dl, row1):
-    res = entails_bruteforce(Q(toy_dl, row1, set()))
+    res = entails_bruteforce(*Q(toy_dl, row1, set()))
     # the first point in value-index order that the DL classifies below 50k
     # and that is it: Education=HighSchool...Occupation=Service path
     assert res.status is Status.COUNTEREXAMPLE
@@ -114,15 +141,15 @@ def test_oracle_matches_bruteforce_randomized():
         inst = random_instance(rng, sp)
         kb = random_knowledge(rng, sp, inst)
         fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
-        q = EntailmentQuery(fixed, inst, model, model.classify(inst), kb)
-        fast, slow = EntailmentOracle(model, kb).query(fixed, inst, q.contested), \
-            entails_bruteforce(q)
+        c = model.classify(inst)
+        fast, slow = EntailmentOracle(model, kb).query(fixed, inst, c), \
+            entails_bruteforce(model, kb, fixed, inst, c)
         assert fast.status == slow.status, "trial %d disagrees" % trial
         if fast.witness is not None:
             w = fast.witness
             assert all(w.values[f] == inst.values[f] for f in fixed)
             assert kb.satisfied_by(w)
-            assert model.classify(w) != q.contested
+            assert model.classify(w) != c
 
 
 def test_monotone_in_fixed_set():
@@ -169,20 +196,38 @@ def test_dimacs_dump_cross_checked_small():
     rng = random.Random(31)
     sp = FeatureSpace.make([("a", ["0", "1"]), ("b", ["0", "1"]),
                             ("c", ["0", "1"])])
+    queries = []
     for _ in range(25):
         model = random_dl(rng, sp, max_rules=2)
         inst = random_instance(rng, sp)
         kb = random_knowledge(rng, sp, inst, max_clauses=2)
         fixed = frozenset(rng.sample(range(3), rng.randint(0, 3)))
-        q = EntailmentQuery(fixed, inst, model, model.classify(inst), kb)
-        text = query_to_dimacs(q)
-        assert dimacs_satisfiable(text) == (entails(q).status
-                                            is Status.COUNTEREXAMPLE)
+        queries.append((model, kb, fixed, inst, model.classify(inst)))
+    # binary and ternary domains; two- and three-class DLs whose challenge for
+    # the contested class is [], None, one literal or several; unit clauses
+    ternary = FeatureSpace.make([("a", ["0", "1"]), ("b", ["0", "1", "2"]),
+                                 ("c", ["0", "1", "2"])])
+    for space in (sp, ternary):
+        for _ in range(12):
+            for model in _challenge_models(rng, space, max_rules=2)[:4]:
+                inst = random_instance(rng, space)
+                kb = _mixed_knowledge(rng, space, inst, rng.randint(0, 3))
+                fixed = frozenset(rng.sample(range(3), rng.randint(0, 3)))
+                queries.append((model, kb, fixed, inst,
+                                rng.randrange(model.class_count())))
+    challenges, units = set(), 0
+    for model, kb, fixed, inst, c in queries:
+        ch = model_constraints(model).challenge_clause(c)
+        challenges.add(ch if ch is None else min(len(ch), 2))
+        units += sum(len(clause.literals) == 1 for clause in kb.clauses)
+        text = query_to_dimacs(model, kb, fixed, inst, c)
+        counterexample = not entails(model, kb, fixed, inst, c).entails
+        assert dimacs_satisfiable(text) == counterexample
+    assert challenges == {None, 0, 1, 2} and units > 0
 
 
 def test_dimacs_bt_dump_structure(toy_bt, row1):
-    q = Q(toy_bt, row1, {0, 1})
-    text = query_to_dimacs(q)
+    text = query_to_dimacs(*Q(toy_bt, row1, {0, 1}))
     assert "p cnf" in text
     assert "score comparison is not encoded" in text
     # one leaf variable per leaf of the three trees
@@ -192,13 +237,14 @@ def test_dimacs_bt_dump_structure(toy_bt, row1):
 # ---------------------------------------------------------------------------
 # one oracle, many knowledge subsets and contested classes
 
-def _challenge_models(rng, sp):
+def _challenge_models(rng, sp, max_rules=8):
     """Decision lists whose class challenges are [], None, one literal or
     several literals, and single-score and multiclass boosted trees."""
     three = ("c0", "c1", "c2")
     f = rng.randrange(sp.m)
     single = DLRule(frozenset({sp.literal(f, rng.randrange(len(sp.domain(f))))}), 1)
-    return [random_dl(rng, sp, n_classes=2), random_dl(rng, sp, n_classes=3),
+    return [random_dl(rng, sp, n_classes=2, max_rules=max_rules),
+            random_dl(rng, sp, n_classes=3, max_rules=max_rules),
             DecisionList(sp, three, (), default=rng.randrange(3)),
             DecisionList(sp, ("c0", "c1"), (single,), default=0),
             random_bt(rng, sp, n_classes=2), random_bt(rng, sp, n_classes=3)]
@@ -238,7 +284,7 @@ def test_knowledge_subsets_match_fresh_oracles():
                     got = shared.query(fixed, v, c, subset)
                 fresh = EntailmentOracle(model, subset).query(fixed, v, c)
                 assert (got.status, got.witness) == (fresh.status, fresh.witness)
-                brute = entails_bruteforce(EntailmentQuery(fixed, v, model, c, subset))
+                brute = entails_bruteforce(model, subset, fixed, v, c)
                 assert got.status is brute.status
                 queries += 1
     assert queries == 25 * 6 * 6
@@ -295,6 +341,6 @@ def test_bt_bounds_after_knowledge_propagation():
             c = model.classify(v) if rng.random() < 0.7 \
                 else rng.randrange(model.class_count())
             got = oracle.query(fixed, v, c)  # asserts its own witness
-            brute = entails_bruteforce(EntailmentQuery(fixed, v, model, c, kb))
+            brute = entails_bruteforce(model, kb, fixed, v, c)
             assert got.status is brute.status
             queries += 1

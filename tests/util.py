@@ -10,12 +10,12 @@ builds a fresh oracle per knowledge subset to check the one-oracle version.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from kxp import (Clause, Dataset, FeatureSpace, Instance, Kind, KnowledgeBase,
                  Rule, rule_to_clause)
 from kxp.models import BoostedEnsemble, DecisionList, DLRule, Leaf, Node
-from kxp.oracle import EntailmentOracle, EntailmentQuery, entails_bruteforce
+from kxp.oracle import EntailmentOracle, OracleError, OracleResult, Status
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +239,40 @@ def reference_attribution(model, v, kb: KnowledgeBase, axp, c) -> KnowledgeBase:
 
 
 # ---------------------------------------------------------------------------
+# reference oracle: a scan of every point that agrees with the fixed features
+
+DEFAULT_BRUTE_BOUND = 10_000_000
+
+
+def entails_bruteforce(model, knowledge, fixed, instance, contested,
+                       bound=DEFAULT_BRUTE_BOUND) -> OracleResult:
+    """Exhaustive reference oracle; first witness in lexicographic instance order."""
+    space = model.space
+    fixed = set(fixed)
+    size = space.size()
+    if size > bound:
+        raise OracleError("feature space has %d points, above the brute-force "
+                          "bound %d" % (size, bound))
+    ranges = [[instance.values[f]] if f in fixed else range(len(space.domain(f)))
+              for f in range(space.m)]
+    for combo in product(*ranges):
+        point = Instance(tuple(combo))
+        if not knowledge.satisfied_by(point):
+            continue
+        if model.classify(point) != contested:
+            return OracleResult(Status.COUNTEREXAMPLE, point)
+    return OracleResult(Status.ENTAILS)
+
+
+# ---------------------------------------------------------------------------
 # reference explanation sets via the exhaustive oracle
 
 def weak_explanation(model, v, c, kb, kind, features) -> bool:
     m = model.space.m
     fset = frozenset(features)
     if Kind(kind) is Kind.AXP:
-        q = EntailmentQuery(fset, v, model, c, kb)
-        return entails_bruteforce(q).entails
-    q = EntailmentQuery(frozenset(range(m)) - fset, v, model, c, kb)
-    return not entails_bruteforce(q).entails
+        return entails_bruteforce(model, kb, fset, v, c).entails
+    return not entails_bruteforce(model, kb, frozenset(range(m)) - fset, v, c).entails
 
 
 def all_minimal_explanations(model, v, c, kb, kind):
