@@ -65,6 +65,13 @@ def _shrink(oracle: EntailmentOracle, kind: Kind, v: Instance, c: int,
     return frozenset(current)
 
 
+def _feature_set(features: Iterable[int], m: int) -> frozenset[int]:
+    fset = frozenset(features)
+    if any(not 0 <= f < m for f in fset):
+        raise ExplainError("feature index out of range in %s" % sorted(fset))
+    return fset
+
+
 _SEED_FAILS = {Kind.AXP: "seed %s does not entail the prediction",
                Kind.CXP: "freeing seed %s admits no counterexample"}
 
@@ -73,7 +80,8 @@ def _find(kind: Kind, model: Model, instance: Instance, contested: Optional[int]
           knowledge: Optional[KnowledgeBase], seed: Optional[Iterable[int]],
           oracle: Optional[EntailmentOracle]) -> Explanation:
     oracle, c, kb = _setup(model, instance, contested, knowledge, oracle)
-    seed_set = frozenset(seed) if seed is not None else frozenset(range(model.space.m))
+    m = model.space.m
+    seed_set = _feature_set(seed, m) if seed is not None else frozenset(range(m))
     if not _holds(oracle, kind, seed_set, instance, c)[0]:
         raise ExplainError(_SEED_FAILS[kind] % sorted(seed_set))
     features = _shrink(oracle, kind, instance, c, seed_set)
@@ -105,9 +113,7 @@ def check_explanation(features: Iterable[int], kind: Kind, model: Model,
                       oracle: Optional[EntailmentOracle] = None) -> bool:
     """Does the feature set satisfy the kind's defining condition? One oracle call."""
     oracle, c, _ = _setup(model, instance, contested, knowledge, oracle)
-    fset = frozenset(features)
-    if any(not 0 <= f < model.space.m for f in fset):
-        raise ExplainError("feature index out of range in %s" % sorted(fset))
+    fset = _feature_set(features, model.space.m)
     return _holds(oracle, Kind(kind), fset, instance, c)[0]
 
 
@@ -255,8 +261,8 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     order, keeping each only if entailment breaks without it. Attribution is
     at clause granularity; provenance keeps all originating rule ids.
     """
-    fset = frozenset(axp_features)
     oracle, c, _ = _setup(model, instance, contested, knowledge, None)
+    fset = _feature_set(axp_features, model.space.m)
     if not oracle.query(fset, instance, c).entails:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))

@@ -8,7 +8,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .core import FeatureSpace, Instance, read_json, write_json
+from .core import FeatureSpace, Instance, read_json
 
 ALLOWED_INTERVALS = (4, 5, 6)
 
@@ -106,18 +106,15 @@ def _try_float(cell: str) -> Optional[float]:
         return None
 
 
-def load_csv(path, class_column: Optional[str | int] = "last",
-             numeric_columns: Optional[Sequence[str]] = None,
-             categorical_columns: Sequence[str] = ()) -> Dataset:
-    """Load a headered CSV.
+def load_csv(path, class_column: Optional[str] = "last") -> Dataset:
+    """Load a headered CSV; a UTF-8 byte-order mark before the header is dropped.
 
     Categorical domains are built in first-appearance order. Columns whose
-    cells all parse as floats are marked numeric (awaiting quantization)
-    unless forced categorical; `numeric_columns` forces the opposite. The
-    last column is the class unless `class_column` names another one or is
-    None for a class-free table.
+    cells all parse as floats are numeric (awaiting quantization). The last
+    column is the class unless `class_column` names another one or is None
+    for a class-free table. Column names must be distinct.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
@@ -131,13 +128,14 @@ def load_csv(path, class_column: Optional[str | int] = "last",
                               % (path, r + 1, len(row), len(header)))
     if not header:
         raise IngestError("%s: header row is empty" % path)
+    for c, name in enumerate(header):
+        if name in header[:c]:
+            raise IngestError("%s: column %r appears twice in the header" % (path, name))
 
     if class_column == "last":
         class_pos = len(header) - 1
     elif class_column is None:
         class_pos = None
-    elif isinstance(class_column, int):
-        class_pos = class_column
     else:
         if class_column not in header:
             raise IngestError("%s: class column %r not in header" % (path, class_column))
@@ -154,16 +152,9 @@ def load_csv(path, class_column: Optional[str | int] = "last",
             class_name = name
             class_domain, class_labels = _index_labels(path, name, cells, minimum=2)
             continue
-        forced_num = numeric_columns is not None and name in numeric_columns
-        forced_cat = name in categorical_columns
         floats = [_try_float(cell) for cell in cells]
-        numeric = forced_num or (not forced_cat and cells and all(f is not None for f in floats))
         names.append(name)
-        if numeric:
-            for r, f in enumerate(floats):
-                if f is None:
-                    raise IngestError("%s: row %d, column %r: unparseable numeric %r"
-                                      % (path, r + 1, name, cells[r]))
+        if cells and None not in floats:
             domains.append(None)
             columns.append(floats)
         else:
@@ -236,38 +227,33 @@ class QuantizationSpec:
         return cls({name: ColumnBins(tuple(spec["cuts"]), tuple(spec["labels"]))
                     for name, spec in obj["columns"].items()})
 
-    def save(self, path) -> None:
-        write_json(path, self.to_obj())
-
     @classmethod
     def load(cls, path) -> "QuantizationSpec":
         return cls.from_obj(read_json(path, IngestError))
 
 
-def fit_quantization(ds: Dataset, q: int | Mapping[str, int] = 5,
-                     force: bool = False) -> QuantizationSpec:
-    """Fit equal-width bins on the dataset's numeric columns (train data only).
+def fit_quantization(ds: Dataset, q: int = 5, force: bool = False) -> QuantizationSpec:
+    """Fit `q` equal-width bins on each numeric column (train data only).
 
-    `q` is an interval count in {4, 5, 6} (or a per-column mapping); pass
-    force=True to allow other counts >= 2.
+    `q` is an interval count in {4, 5, 6}; pass force=True to allow other
+    counts >= 2.
     """
     columns = {}
     for c, name in enumerate(ds.names):
         if ds.domains[c] is not None:
             continue
-        qc = q[name] if isinstance(q, Mapping) else q
-        if qc not in ALLOWED_INTERVALS and not force:
+        if q not in ALLOWED_INTERVALS and not force:
             raise IngestError("interval count %d for column %r not in %s "
-                              "(use force to override)" % (qc, name, list(ALLOWED_INTERVALS)))
-        if qc < 2:
-            raise IngestError("interval count %d for column %r is below 2" % (qc, name))
+                              "(use force to override)" % (q, name, list(ALLOWED_INTERVALS)))
+        if q < 2:
+            raise IngestError("interval count %d for column %r is below 2" % (q, name))
         values = [row[c] for row in ds.rows]
         if not values:
             raise IngestError("column %r has no rows to fit on" % name)
         lo, hi = min(values), max(values)
         if lo == hi:
             raise IngestError("column %r is constant (%g); cannot quantize" % (name, lo))
-        cuts = [lo + (hi - lo) * i / qc for i in range(1, qc)]
+        cuts = [lo + (hi - lo) * i / q for i in range(1, q)]
         columns[name] = ColumnBins.from_cuts(cuts)
     return QuantizationSpec(columns)
 

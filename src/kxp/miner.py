@@ -39,7 +39,6 @@ class ExtractionLimit:
     max_rules: Optional[int] = None
     time_budget: Optional[float] = None  # seconds over the whole extraction
     min_support: int = 1
-    per_target_rules: Optional[int] = None
 
     def __post_init__(self):
         if self.max_size < 1:
@@ -48,8 +47,6 @@ class ExtractionLimit:
             raise MinerError("min support must be >= 1")
         if self.max_rules is not None and self.max_rules < 1:
             raise MinerError("max rules must be >= 1")
-        if self.per_target_rules is not None and self.per_target_rules < 1:
-            raise MinerError("per-target rules must be >= 1")
 
 
 # The level loop reads the clock once per this many candidate nodes, so a
@@ -208,11 +205,7 @@ def _deadline(limit: ExtractionLimit) -> Optional[float]:
 
 def _rule_budget(limit: ExtractionLimit, emitted: int) -> Optional[int]:
     """How many rules the next target may emit, `emitted` rules into the run."""
-    budget = limit.per_target_rules
-    if limit.max_rules is not None:
-        left = limit.max_rules - emitted
-        budget = left if budget is None else min(budget, left)
-    return budget
+    return None if limit.max_rules is None else limit.max_rules - emitted
 
 
 def enumerate_min_rules(train: Dataset, target: Literal,
@@ -257,12 +250,6 @@ def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> K
     return KnowledgeBase.from_rules(space, rules, truncated=truncated)
 
 
-def filter_rules_by_accuracy(rules: Iterable[Rule], test: Dataset,
-                             threshold: float) -> list[Rule]:
-    """Optional post-pass dropping rules below a held-out accuracy threshold."""
-    return [r for r in rules if rule_accuracy(r, test) >= threshold]
-
-
 # ---------------------------------------------------------------------------
 # Eclat baseline: vertical tid-list mining of confidence-1.0 equality rules
 
@@ -273,12 +260,11 @@ def eclat_mine(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> li
     the itemset support. Negated feature-value literals are out of this
     miner's language, so e.g. one != rule of the lattice miner corresponds to
     several = rules here. Of the limit, `max_size`, `min_support` and
-    `max_rules` apply; a set `time_budget` or `per_target_rules` raises
-    MinerError, as this miner cannot honour it.
+    `max_rules` apply; a set `time_budget` raises MinerError, as this miner
+    cannot honour it.
     """
-    for name in ("time_budget", "per_target_rules"):
-        if getattr(limit, name) is not None:
-            raise MinerError("the eclat engine does not support %s" % name)
+    if limit.time_budget is not None:
+        raise MinerError("the eclat engine does not support time_budget")
     min_support = limit.min_support
     space = train.space
     insts = train.instances()

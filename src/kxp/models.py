@@ -275,8 +275,6 @@ class BTEncoding:
             lo, hi = self.group_bounds(0, allowed)
             return lo <= 0 if contested == model.positive else hi > 0
         bounds = [self.group_bounds(g, allowed) for g in range(len(model.trees))]
-        if not 0 <= contested < len(bounds):
-            return True
         c_lo = bounds[contested][0]
         for other in range(len(bounds)):
             if other == contested:
@@ -430,20 +428,23 @@ def _class_instances(ds: Dataset) -> tuple[FeatureSpace, list[Instance], list[in
     return ds.space, ds.instances(), list(ds.class_labels)
 
 
-def train_decision_list(ds: Dataset, max_antecedent: int = 3,
-                        max_rules: int = 32) -> DecisionList:
+_DL_MAX_ANTECEDENT = 3
+_DL_MAX_RULES = 32
+
+
+def train_decision_list(ds: Dataset) -> DecisionList:
     """Greedy sequential covering; deterministic, first-appearance tie-breaks."""
     space, insts, labels = _class_instances(ds)
     classes = ds.class_domain
     all_lits = space.equalities()
     remaining = list(range(len(insts)))
     rules: list[DLRule] = []
-    while remaining and len(rules) < max_rules:
+    while remaining and len(rules) < _DL_MAX_RULES:
         counts = Counter(labels[i] for i in remaining)
         target = max(range(len(classes)), key=lambda c: (counts[c], -c))
         covered = list(remaining)
         chosen: list[Literal] = []
-        while len(chosen) < max_antecedent:
+        while len(chosen) < _DL_MAX_ANTECEDENT:
             pure = all(labels[i] == target for i in covered)
             if pure:
                 break
@@ -499,15 +500,17 @@ def _fit_tree(insts, rows, residual, lits, depth, min_leaf=4) -> tuple[Tree, boo
     return Node(lit, ytree, ntree), True
 
 
-def _scale_tree(tree: Tree, lr: float, scale: int) -> Tree:
+_BT_LEARNING_RATE = 0.5
+_BT_SCALE = 4
+
+
+def _scale_tree(tree: Tree) -> Tree:
     if isinstance(tree, Leaf):
-        return Leaf(int(round(tree.weight * lr * 10 ** scale)))
-    return Node(tree.test, _scale_tree(tree.yes, lr, scale),
-                _scale_tree(tree.no, lr, scale))
+        return Leaf(int(round(tree.weight * _BT_LEARNING_RATE * 10 ** _BT_SCALE)))
+    return Node(tree.test, _scale_tree(tree.yes), _scale_tree(tree.no))
 
 
-def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2,
-                  lr: float = 0.5, scale: int = 4) -> BoostedEnsemble:
+def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2) -> BoostedEnsemble:
     """Least-squares stump boosting at fixed-point scale; one-vs-rest when multiclass."""
     space, insts, labels = _class_instances(ds)
     classes = ds.class_domain
@@ -521,15 +524,15 @@ def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2,
         for _ in range(rounds):
             residual = [target[i] - score[i] for i in rows]
             tree, split = _fit_tree(insts, rows, residual, lits, depth)
-            fixed = _scale_tree(tree, lr, scale)
+            fixed = _scale_tree(tree)
             group.append(fixed)
             for i in rows:
-                score[i] += _walk(fixed, insts[i]).weight / 10 ** scale
+                score[i] += _walk(fixed, insts[i]).weight / 10 ** _BT_SCALE
             if not split:
                 break
         return tuple(group)
 
     if len(classes) == 2:
-        return BoostedEnsemble(space, classes, scale, (boost(1),), positive=1)
-    return BoostedEnsemble(space, classes, scale,
+        return BoostedEnsemble(space, classes, _BT_SCALE, (boost(1),), positive=1)
+    return BoostedEnsemble(space, classes, _BT_SCALE,
                            tuple(boost(c) for c in range(len(classes))))

@@ -19,7 +19,7 @@ from kxp.explain import (attribute_rules, check_explanation, enumerate_smallest,
 from kxp.oracle import EntailmentOracle
 
 from util import (all_minimal_hitting_sets, brute_force_min_rules,
-                  entails_bruteforce, explanation_sets_bruteforce,
+                  entails_bruteforce, explanation_sets_bruteforce, planted_dataset,
                   random_instance, random_knowledge, random_model, random_space)
 
 
@@ -431,4 +431,30 @@ def test_c8_knowledge_shrinks_axps_grows_cxps(cancer_csv):
                   len(insts), len(kb.rules)))
     report("C8", "mined knowledge strictly shrinks average smallest AXps and "
                  "never shrinks CXps on both model families",
+           time.monotonic() - t0)
+
+
+def test_c8_planted_knowledge_never_grows_smallest_axps():
+    """C8's AXp half on the planted-dependency table, without scikit-learn:
+    the class (f1=v0 AND f4=v0) OR f5=v0 leans on planted dependencies, so
+    mined rules can stand in for fixed features."""
+    t0 = time.monotonic()
+    ds = planted_dataset(random.Random(11), 300)
+    kb = extract_all(ds, ExtractionLimit(max_size=2))
+    insts = ds.instances()[:40]  # training rows: every mined rule holds on them
+    shrunk = {}
+    for name, model in (("dl", train_decision_list(ds)), ("bt", train_boosted(ds))):
+        plain_oracle, kb_oracle = EntailmentOracle(model), EntailmentOracle(model, kb)
+        shrunk[name] = 0
+        for inst in insts:
+            without = enumerate_smallest(Kind.AXP, model, inst, n=1, oracle=plain_oracle)
+            with_kb = enumerate_smallest(Kind.AXP, model, inst, knowledge=kb, n=1,
+                                         oracle=kb_oracle)
+            size, size_kb = without.explanations[0].size, with_kb.explanations[0].size
+            assert size_kb <= size, name
+            shrunk[name] += size_kb < size
+    assert shrunk["dl"] > 0
+    report("C8-planted", "%d mined rules never grew a smallest AXp over %d rows; "
+                         "they shrank it on %d DL and %d BT rows"
+           % (len(kb.rules), len(insts), shrunk["dl"], shrunk["bt"]),
            time.monotonic() - t0)

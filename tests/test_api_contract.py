@@ -1,9 +1,11 @@
 """The library's public names pinned: what `kxp` exports and what `kxp.oracle`
-defines. Adding or removing a name changes one of these lists, so it must be
+defines, and the parameter names of each public function and class. Adding
+or removing a name or an option changes one of these lists, so it must be
 deliberate.
 """
 
 import ast
+import enum
 import inspect
 
 import kxp
@@ -32,6 +34,61 @@ PUBLIC = {
 }
 
 
+# Enums and exceptions are left out: their parameters are the standard
+# library's and vary across Python versions.
+PARAMETERS = {
+    "BoostedEnsemble": ["space", "classes", "scale", "trees", "positive"],
+    "Clause": ["literals"],
+    "ColumnBins": ["cuts", "labels"],
+    "DLRule": ["antecedent", "cls"],
+    "Dataset": ["names", "domains", "rows", "class_name", "class_domain",
+                "class_labels", "class_position"],
+    "DecisionList": ["space", "classes", "rules", "default"],
+    "DualState": ["found_axps", "found_cxps"],
+    "EntailmentOracle": ["model", "knowledge"],
+    "EnumerationResult": ["explanations", "exhausted", "oracle_calls", "state"],
+    "Explanation": ["kind", "features", "knowledge_assisted"],
+    "ExtractionLimit": ["max_size", "max_rules", "time_budget", "min_support"],
+    "FeatureSpace": ["features"],
+    "Instance": ["values"],
+    "KnowledgeBase": ["clauses", "provenance", "rules", "truncated"],
+    "Leaf": ["weight"],
+    "Literal": ["feature", "negated", "value"],
+    "Node": ["test", "yes", "no"],
+    "OracleResult": ["status", "witness"],
+    "QuantizationSpec": ["columns"],
+    "Rule": ["antecedent", "consequent", "id", "support", "consistency"],
+    "attribute_rules": ["model", "instance", "knowledge", "axp_features", "contested"],
+    "check_compatible": ["instance", "knowledge"],
+    "check_explanation": ["features", "kind", "model", "instance", "contested",
+                          "knowledge", "oracle"],
+    "eclat_mine": ["train", "limit"],
+    "enumerate_min_rules": ["train", "target", "blocked", "limit"],
+    "enumerate_smallest": ["kind", "model", "instance", "contested", "knowledge",
+                           "n", "oracle"],
+    "extract_all": ["train", "limit"],
+    "find_axp": ["model", "instance", "contested", "knowledge", "seed", "oracle"],
+    "find_cxp": ["model", "instance", "contested", "knowledge", "seed", "oracle"],
+    "fit_quantization": ["ds", "q", "force"],
+    "folds": ["ds", "k", "seed"],
+    "load_csv": ["path", "class_column"],
+    "load_model": ["path"],
+    "minimum_hitting_set": ["sets", "blocked", "universe"],
+    "model_constraints": ["model"],
+    "quantize": ["ds", "spec"],
+    "query_to_dimacs": ["model", "knowledge", "fixed", "instance", "contested"],
+    "reduce_explanation": ["features", "kind", "model", "instance", "contested",
+                           "knowledge", "oracle"],
+    "rule_accuracy": ["rule", "test"],
+    "rule_to_clause": ["space", "rule"],
+    "save_model": ["model", "path"],
+    "split": ["ds", "fraction", "seed"],
+    "train_boosted": ["ds", "rounds", "depth"],
+    "train_decision_list": ["ds"],
+    "validate_rule": ["space", "rule"],
+}
+
+
 def public_names(module) -> list[str]:
     """The names a module binds at top level without a leading underscore.
 
@@ -57,3 +114,14 @@ def test_public_names_are_pinned():
         names = public_names(module)
         assert names == PUBLIC[module.__name__], module.__name__
         assert all(hasattr(module, n) for n in names)
+
+
+def test_public_parameters_are_pinned():
+    got = {}
+    for module in (kxp, kxp.oracle):
+        for name in PUBLIC[module.__name__]:
+            obj = getattr(module, name)
+            if isinstance(obj, type) and issubclass(obj, (enum.Enum, BaseException)):
+                continue
+            got[name] = list(inspect.signature(obj).parameters)
+    assert got == PARAMETERS

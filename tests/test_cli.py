@@ -122,6 +122,22 @@ def test_non_utf8_csv_names_the_file(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_mine_csv_headers_with_bom_or_repeated_name(tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbfa,b,Y\nx,p,yes\ny,q,no\n")
+    out = tmp_path / "r.jsonl"
+    assert main(["mine", str(bom), "--class-column", "a", "--out", str(out)]) == 0
+    assert [f["name"] for f in read_jsonl(out)[0]["features"]] == ["b", "Y"]
+    for header, class_column in (("a,b,a", "a"), ("a,a,Y", "last")):
+        twice = tmp_path / "twice.csv"
+        twice.write_text(header + "\nx,p,yes\ny,q,no\n")
+        out = tmp_path / ("r-%s.jsonl" % header)
+        assert main(["mine", str(twice), "--class-column", class_column,
+                     "--out", str(out)]) == 2
+        assert "error: %s: column 'a' appears twice" % twice in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_mine_empty_dataset(tmp_path):
     csv = tmp_path / "empty.csv"
     csv.write_text("a,b,Y\n")

@@ -172,6 +172,16 @@ def test_seed_preconditions_raise(toy_dl, row1):
         find_cxp(toy_dl, row1, seed=[4])     # freeing Sex flips nothing
     with pytest.raises(ExplainError):
         find_axp(toy_dl, row1, contested=1 - toy_dl.classify(row1))
+    # a feature outside the space is rejected the same way for both kinds
+    seed = list(range(toy_dl.space.m)) + [99]
+    for kind, find in ((Kind.AXP, find_axp), (Kind.CXP, find_cxp)):
+        for call in (lambda: find(toy_dl, row1, seed=seed),
+                     lambda: reduce_explanation(seed, kind, toy_dl, row1),
+                     lambda: check_explanation(seed, kind, toy_dl, row1)):
+            with pytest.raises(ExplainError, match="feature index out of range"):
+                call()
+    with pytest.raises(ExplainError, match="feature index out of range"):
+        attribute_rules(toy_dl, row1, KnowledgeBase(), seed)
 
 
 def test_axp_call_budget(toy_dl, row1):

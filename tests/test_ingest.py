@@ -2,6 +2,7 @@ import pytest
 
 from kxp import (IngestError, QuantizationSpec, fit_quantization, folds,
                  load_csv, quantize, split)
+from kxp.core import write_json
 from kxp.ingest import ColumnBins
 
 
@@ -44,12 +45,6 @@ def test_empty_cell_rejected(tmp_path):
         load_csv(path)
 
 
-def test_forced_numeric_with_bad_cell(tmp_path):
-    path = write(tmp_path, "a,b\n1.5,x\noops,y\n")
-    with pytest.raises(IngestError, match="unparseable numeric"):
-        load_csv(path, numeric_columns=["a"])
-
-
 def test_class_column_hints(tmp_path):
     path = write(tmp_path, "a,t,b\nx,yes,p\ny,no,q\nx,no,p\n")
     ds = load_csv(path, class_column="t")
@@ -58,15 +53,24 @@ def test_class_column_hints(tmp_path):
     assert ds2.class_name is None and ds2.names == ("a", "t", "b")
     with pytest.raises(IngestError):
         load_csv(path, class_column="missing")
+    with pytest.raises(IngestError, match="class column 1 not in header"):
+        load_csv(path, class_column=1)  # a column is chosen by name only
 
 
-def test_categorical_override_keeps_codes_as_labels(tmp_path):
-    path = write(tmp_path, "code,Y\n1,a\n2,b\n1,a\n3,b\n")
-    auto = load_csv(path)
-    assert auto.numeric_columns == ("code",)
-    forced = load_csv(path, categorical_columns=["code"])
-    assert forced.numeric_columns == ()
-    assert forced.space.domain(0) == ("1", "2", "3")
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b,Y\nx,p,yes\ny,q,no\n")
+    assert load_csv(path).names == ("a", "b")
+    ds = load_csv(path, class_column="a")
+    assert ds.class_name == "a" and ds.names == ("b", "Y")
+
+
+@pytest.mark.parametrize("header, class_column", [("a,b,a", "a"), ("a,a,Y", "last")])
+def test_repeated_column_name_rejected(tmp_path, header, class_column):
+    path = write(tmp_path, header + "\nx,p,yes\ny,q,no\n")
+    with pytest.raises(IngestError) as err:
+        load_csv(path, class_column=class_column)
+    assert str(err.value) == "%s: column 'a' appears twice in the header" % path
 
 
 def test_numeric_detection_and_quantize(tmp_path):
@@ -134,7 +138,7 @@ def test_quantize_spec_coverage_errors(tmp_path):
 def test_qspec_round_trip(tmp_path):
     spec = QuantizationSpec({"x": ColumnBins.from_cuts([1.0, 2.0, 3.0])})
     path = tmp_path / "spec.json"
-    spec.save(path)
+    write_json(path, spec.to_obj())
     assert QuantizationSpec.load(path) == spec
 
 

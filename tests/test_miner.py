@@ -8,8 +8,7 @@ from kxp import (Dataset, ExtractionLimit, FeatureSpace, Instance, MinerError, R
                  rule_to_clause)
 from kxp import miner
 from kxp.core import rebind_rule
-from kxp.miner import (filter_rules_by_accuracy, load_knowledge, load_rules,
-                       save_rules)
+from kxp.miner import load_knowledge, load_rules, save_rules
 
 from util import (brute_force_extract_all, brute_force_min_rules, planted_dataset,
                   planted_rules, random_space)
@@ -143,19 +142,10 @@ def test_extract_all_matches_bruteforce_pipeline():
         # the brute force scans every antecedent: size 4 only on 2-3 features
         max_size = rng.randint(1, 4 if sp.m <= 3 else 3)
         min_support = rng.randint(1, 3)
-        max_rules = per_target = None
-        cut = rng.random()
-        if cut < 0.2:
-            max_rules = rng.randint(1, 12)
-        elif cut < 0.4:
-            per_target = rng.randint(1, 3)
-        elif cut < 0.5:
-            max_rules, per_target = rng.randint(1, 12), rng.randint(1, 3)
+        max_rules = rng.randint(1, 12) if rng.random() < 0.3 else None
         kb = extract_all(ds, ExtractionLimit(max_size=max_size, min_support=min_support,
-                                             max_rules=max_rules,
-                                             per_target_rules=per_target))
-        slow, truncated = brute_force_extract_all(ds, max_size, min_support,
-                                                  max_rules, per_target)
+                                             max_rules=max_rules))
+        slow, truncated = brute_force_extract_all(ds, max_size, min_support, max_rules)
         assert [(r.id, r.antecedent, r.consequent, r.support) for r in kb.rules] \
             == [(r.id, r.antecedent, r.consequent, r.support) for r in slow], \
             "trial %d" % trial
@@ -236,29 +226,16 @@ def test_limit_validation():
     for bad in (0, -1):
         with pytest.raises(MinerError, match="max rules"):
             ExtractionLimit(max_rules=bad)
-        with pytest.raises(MinerError, match="per-target rules"):
-            ExtractionLimit(per_target_rules=bad)
 
 
-def test_one_target_rule_cuts_combine(toy_ds):
+def test_one_target_rule_budget(toy_ds):
     target = toy_ds.space.literal("Status", "Married")
     everything = enumerate_min_rules(toy_ds, target, limit=ExtractionLimit(max_size=2))
     assert len(everything) >= 3
-    for max_rules, per_target, expected in ((None, 2, 2), (2, 1, 1), (1, 3, 1),
-                                            (3, None, 3)):
+    for max_rules in (1, 2, 3):
         got = enumerate_min_rules(toy_ds, target, limit=ExtractionLimit(
-            max_size=2, max_rules=max_rules, per_target_rules=per_target))
-        assert got == everything[:expected]
-
-
-def test_accuracy_filter(toy_ds):
-    sp = toy_ds.space
-    good = Rule(frozenset({sp.literal("Relationship", "Husband")}),
-                sp.literal("Status", "Married"))
-    bad = Rule(frozenset({sp.literal("Education", "Dropout")}),
-               sp.literal("Sex", "Female"))
-    kept = filter_rules_by_accuracy([good, bad], toy_ds, threshold=0.9)
-    assert kept == [good]
+            max_size=2, max_rules=max_rules))
+        assert got == everything[:max_rules]
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +279,8 @@ def test_eclat_respects_min_support(toy_ds):
 
 
 def test_eclat_rejects_limits_it_cannot_honour(toy_ds):
-    for field, limit in (("time_budget", ExtractionLimit(time_budget=0.05)),
-                         ("per_target_rules", ExtractionLimit(per_target_rules=1))):
-        with pytest.raises(MinerError, match=field):
-            eclat_mine(toy_ds, limit)
+    with pytest.raises(MinerError, match="time_budget"):
+        eclat_mine(toy_ds, ExtractionLimit(time_budget=0.05))
 
 
 # ---------------------------------------------------------------------------

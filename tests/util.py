@@ -77,20 +77,17 @@ def brute_force_min_rules(train: Dataset, target, blocked=(), max_size=3,
 
 
 def brute_force_extract_all(train: Dataset, max_size=3, min_support=1,
-                            max_rules=None, per_target_rules=None):
+                            max_rules=None):
     """The per-target mining pipeline: brute-force rules per (feature, value)
-    target in order, blocking clauses across targets, with rule-count cuts.
+    target in order, blocking clauses across targets, with a rule-count cut.
 
-    Returns (rules with ids, truncated). Cuts must be >= 1.
+    Returns (rules with ids, truncated). The cut must be >= 1.
     """
     space = train.space
     rules, blocked, truncated = [], set(), False
     for f in range(space.m):
         for v in range(len(space.domain(f))):
             budget = None if max_rules is None else max_rules - len(rules)
-            if per_target_rules is not None:
-                budget = per_target_rules if budget is None \
-                    else min(budget, per_target_rules)
             got = brute_force_min_rules(train, space.literal(f, v), blocked,
                                         max_size, min_support)
             if budget is not None and len(got) >= budget:
@@ -110,6 +107,9 @@ def planted_dataset(rng: random.Random, rows: int) -> Dataset:
     - f0=v0 -> f1=v0
     - f2=v1 AND f3=v1 -> f4=v0
     - f5 = (f6 + f7) mod |D5|
+
+    The class `y` is `yes` iff (f1=v0 AND f4=v0) OR f5=v0; it is derived
+    from the features, so it draws nothing from `rng`.
     """
     sizes = (2, 3, 4, 3, 2, 5, 4, 3)
     out = []
@@ -121,9 +121,10 @@ def planted_dataset(rng: random.Random, rows: int) -> Dataset:
             x[4] = 0
         x[5] = (x[6] + x[7]) % sizes[5]
         out.append(tuple(x))
+    labels = tuple(int((x[1] == 0 and x[4] == 0) or x[5] == 0) for x in out)
     return Dataset(tuple("f%d" % f for f in range(len(sizes))),
                    tuple(tuple("v%d" % v for v in range(k)) for k in sizes),
-                   tuple(out))
+                   tuple(out), "y", ("no", "yes"), labels)
 
 
 def planted_rules(space: FeatureSpace) -> list[Rule]:
