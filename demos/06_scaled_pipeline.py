@@ -50,15 +50,14 @@ hits = sum(dl.classify(i) == l
 print("greedy decision list: %d rules, %.1f%% test accuracy"
       % (len(dl.rules), 100 * hits / test_q.n_rows))
 
-plain_oracle = EntailmentOracle(dl)
-kb_oracle = EntailmentOracle(dl, kb)
+oracle = EntailmentOracle(dl, kb)  # answers with and without the knowledge
 insts = [i for i in test_q.instances() if kb.satisfied_by(i)][:8]
 before, after = [], []
 for inst in insts:
     before.append(enumerate_smallest(Kind.AXP, dl, inst, n=1,
-                                     oracle=plain_oracle).explanations[0].size)
+                                     oracle=oracle).explanations[0].size)
     after.append(enumerate_smallest(Kind.AXP, dl, inst, knowledge=kb, n=1,
-                                    oracle=kb_oracle).explanations[0].size)
+                                    oracle=oracle).explanations[0].size)
 print("smallest why-answer over %d test instances: avg %.2f features "
       "without knowledge, %.2f with" % (len(insts), sum(before) / len(before),
                                         sum(after) / len(after)))

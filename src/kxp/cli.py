@@ -32,7 +32,7 @@ from .ingest import (Dataset, IngestError, fit_quantization, fold_indices,
 from .miner import (ExtractionLimit, MinerError, eclat_mine, extract_all,
                     load_knowledge, rule_accuracy, save_rules)
 from .models import ModelError, load_model
-from .oracle import OracleError
+from .oracle import EntailmentOracle, OracleError
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 SUBSETS_FORMAT = "kxp.subsets/1"
@@ -83,6 +83,18 @@ def _row_instance(model, ds: Dataset, index, source: str) -> Instance:
         raise IngestError("%s: row index %r is not in [0, %d)"
                           % (source, index, ds.n_rows))
     return model.space.instance_from_labels(ds.row_labels(index))
+
+
+def _feature_indices(space: FeatureSpace, names: list, source: str) -> list[int]:
+    """The sorted indices of the named features; `source` names where the
+    names came from (a flag or a file's record) for the error message."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ExplainError("%s: feature %r named more than once" % (source, name))
+    try:
+        return sorted(space.feature_index(n) for n in names)
+    except SpaceError as exc:
+        raise ExplainError("%s: %s" % (source, exc)) from None
 
 
 def _load_inputs(args):
@@ -208,7 +220,9 @@ _WORKER: dict = {}
 
 
 def _init_worker(model_obj, kb_obj, kind, n):
-    _WORKER.update(model=model_obj, kb=kb_obj, kind=kind, n=n)
+    # one oracle over (model, K) per process serves tasks with and without K
+    _WORKER.update(model=model_obj, kb=kb_obj, kind=kind, n=n,
+                   oracle=EntailmentOracle(model_obj, kb_obj))
 
 
 def _run_one(task):
@@ -216,7 +230,8 @@ def _run_one(task):
     model, kb = _WORKER["model"], _WORKER["kb"]
     inst = Instance(tuple(values))
     res = enumerate_smallest(_WORKER["kind"], model, inst,
-                             knowledge=kb if use_kb else None, n=_WORKER["n"])
+                             knowledge=kb if use_kb else None, n=_WORKER["n"],
+                             oracle=_WORKER["oracle"])
     return {"type": "result", "index": index, "kind": _WORKER["kind"].value,
             "knowledge": use_kb,
             "explanations": [{"features": e.feature_names(model.space),
@@ -331,7 +346,7 @@ def cmd_attribute(args) -> int:
         features = sorted(find_axp(model, inst, knowledge=kb).features)
     else:
         names = [t.strip() for t in args.axp.split(",") if t.strip()]
-        features = sorted(model.space.feature_index(n) for n in names)
+        features = _feature_indices(model.space, names, "--axp")
     manifest = _manifest("attribute", args, inputs,
                          limits={"instance": args.instance, "axp": args.axp})
     t0 = time.perf_counter()
@@ -381,22 +396,25 @@ def cmd_assess(args) -> int:
     manifest = _manifest("assess", args, inputs + [args.explanations],
                          limits={"kind": kind.value})
     t0 = time.perf_counter()
+    oracle = EntailmentOracle(model, kb)  # answers with and without K
     rows = []
-    for rec in records:
+    for i, rec in enumerate(records):
         index = rec["index"]
-        features = sorted(model.space.feature_index(n) for n in rec["features"])
+        features = _feature_indices(model.space, rec["features"],
+                                    "%s: records[%d]" % (args.explanations, i))
         inst = _row_instance(model, ds, index, args.explanations)
         if kb is not None and not kb.satisfied_by(inst):
             rows.append({"index": index, "skipped": True})
             continue
-        verdict = check_explanation(features, kind, model, inst)
+        verdict = check_explanation(features, kind, model, inst, oracle=oracle)
         row = {"index": index, "features": rec["features"], "size": len(features),
                "correct_plain": verdict}
         if kb is not None:
             verdict = row["correct_with_knowledge"] = check_explanation(
-                features, kind, model, inst, knowledge=kb)
+                features, kind, model, inst, knowledge=kb, oracle=oracle)
         if verdict:
-            reduced = reduce_explanation(features, kind, model, inst, knowledge=kb)
+            reduced = reduce_explanation(features, kind, model, inst, knowledge=kb,
+                                         oracle=oracle)
             row["reduced_size"] = reduced.size
         rows.append(row)
     manifest["timings"]["wall"] = time.perf_counter() - t0

@@ -24,45 +24,48 @@ class ExplainError(ValueError):
     """Violated precondition (non-entailing seed, bad feature set, ...)."""
 
 
-def _setup(model: Model, instance: Instance, contested: Optional[int],
-           knowledge: Optional[KnowledgeBase],
-           oracle: Optional[EntailmentOracle]) -> tuple[EntailmentOracle, int, KnowledgeBase]:
-    kb = knowledge if knowledge is not None else KnowledgeBase()
-    check_compatible(instance, kb)
-    predicted = model.classify(instance)
-    if contested is not None and contested != predicted:
-        raise ExplainError("contested class %d is not the model's prediction %d"
-                           % (contested, predicted))
-    if oracle is None:
-        oracle = EntailmentOracle(model, kb)
-    elif set(oracle.knowledge.clauses) != set(kb.clauses):
-        raise ExplainError("the supplied oracle was built over a different "
-                           "knowledge base")
-    return oracle, predicted, kb
+class _Questions:
+    """Questions about one instance's prediction under `knowledge` (None:
+    none), put to one oracle. A supplied oracle must be built over the same
+    model and hold every clause of `knowledge`: one oracle over (model, K)
+    answers under any subset of K."""
 
+    def __init__(self, model: Model, instance: Instance,
+                 knowledge: Optional[KnowledgeBase],
+                 oracle: Optional[EntailmentOracle]):
+        kb = knowledge if knowledge is not None else KnowledgeBase()
+        check_compatible(instance, kb)
+        if oracle is None:
+            oracle = EntailmentOracle(model, kb)
+        elif oracle.model != model:
+            raise ExplainError("the supplied oracle was built over a different model")
+        elif not set(kb.clauses) <= set(oracle.knowledge.clauses):
+            raise ExplainError("the knowledge has clauses outside the supplied "
+                               "oracle's knowledge base")
+        self.oracle, self.instance, self.knowledge = oracle, instance, kb
+        self.predicted = model.classify(instance)
+        # the oracle's whole knowledge base needs no clause switched off
+        self._subset = kb if len(kb) < len(oracle.knowledge) else None
 
-def _holds(oracle: EntailmentOracle, kind: Kind, features: AbstractSet[int],
-           v: Instance, c: int) -> tuple[bool, OracleResult]:
-    """Does the set meet the kind's defining condition? One oracle call.
+    def holds(self, kind: Kind, features: AbstractSet[int]) -> tuple[bool, OracleResult]:
+        """Does the set meet the kind's defining condition? One oracle call.
 
-    An AXp fixes its features and entails c; a CXp frees its features, so
-    fixing the rest does not entail c.
-    """
-    axp = kind is Kind.AXP
-    fixed = features if axp else frozenset(range(oracle.space.m)) - features
-    res = oracle.query(fixed, v, c)
-    return res.entails == axp, res
+        An AXp fixes its features and entails the prediction; a CXp frees its
+        features, so fixing the rest does not entail it.
+        """
+        axp = kind is Kind.AXP
+        fixed = features if axp else frozenset(range(self.oracle.space.m)) - features
+        res = self.oracle.query(fixed, self.instance, self.predicted, self._subset)
+        return res.entails == axp, res
 
-
-def _shrink(oracle: EntailmentOracle, kind: Kind, v: Instance, c: int,
-            seed: frozenset[int]) -> frozenset[int]:
-    """Deletion-based linear search, ascending feature order; the seed must hold."""
-    current = set(seed)
-    for f in sorted(seed):
-        current.discard(f)
-        if not _holds(oracle, kind, current, v, c)[0]:
-            current.add(f)
-    return frozenset(current)
+    def shrink(self, kind: Kind, seed: frozenset[int]) -> frozenset[int]:
+        """Deletion-based linear search, ascending feature order; the seed must hold."""
+        current = set(seed)
+        for f in sorted(seed):
+            current.discard(f)
+            if not self.holds(kind, current)[0]:
+                current.add(f)
+        return frozenset(current)
 
 
 def _feature_set(features: Iterable[int], m: int) -> frozenset[int]:
@@ -76,19 +79,18 @@ _SEED_FAILS = {Kind.AXP: "seed %s does not entail the prediction",
                Kind.CXP: "freeing seed %s admits no counterexample"}
 
 
-def _find(kind: Kind, model: Model, instance: Instance, contested: Optional[int],
+def _find(kind: Kind, model: Model, instance: Instance,
           knowledge: Optional[KnowledgeBase], seed: Optional[Iterable[int]],
           oracle: Optional[EntailmentOracle]) -> Explanation:
-    oracle, c, kb = _setup(model, instance, contested, knowledge, oracle)
+    q = _Questions(model, instance, knowledge, oracle)
     m = model.space.m
     seed_set = _feature_set(seed, m) if seed is not None else frozenset(range(m))
-    if not _holds(oracle, kind, seed_set, instance, c)[0]:
+    if not q.holds(kind, seed_set)[0]:
         raise ExplainError(_SEED_FAILS[kind] % sorted(seed_set))
-    features = _shrink(oracle, kind, instance, c, seed_set)
-    return Explanation(kind, features, bool(kb))
+    return Explanation(kind, q.shrink(kind, seed_set), bool(q.knowledge))
 
 
-def find_axp(model: Model, instance: Instance, contested: Optional[int] = None,
+def find_axp(model: Model, instance: Instance,
              knowledge: Optional[KnowledgeBase] = None,
              seed: Optional[Iterable[int]] = None,
              oracle: Optional[EntailmentOracle] = None) -> Explanation:
@@ -96,33 +98,30 @@ def find_axp(model: Model, instance: Instance, contested: Optional[int] = None,
 
     One oracle call per seed feature, plus one validating the seed.
     """
-    return _find(Kind.AXP, model, instance, contested, knowledge, seed, oracle)
+    return _find(Kind.AXP, model, instance, knowledge, seed, oracle)
 
 
-def find_cxp(model: Model, instance: Instance, contested: Optional[int] = None,
+def find_cxp(model: Model, instance: Instance,
              knowledge: Optional[KnowledgeBase] = None,
              seed: Optional[Iterable[int]] = None,
              oracle: Optional[EntailmentOracle] = None) -> Explanation:
     """Subset-minimal CXp inside `seed` (default: all features); calls as find_axp."""
-    return _find(Kind.CXP, model, instance, contested, knowledge, seed, oracle)
+    return _find(Kind.CXP, model, instance, knowledge, seed, oracle)
 
 
 def check_explanation(features: Iterable[int], kind: Kind, model: Model,
-                      instance: Instance, contested: Optional[int] = None,
-                      knowledge: Optional[KnowledgeBase] = None,
+                      instance: Instance, knowledge: Optional[KnowledgeBase] = None,
                       oracle: Optional[EntailmentOracle] = None) -> bool:
     """Does the feature set satisfy the kind's defining condition? One oracle call."""
-    oracle, c, _ = _setup(model, instance, contested, knowledge, oracle)
-    fset = _feature_set(features, model.space.m)
-    return _holds(oracle, Kind(kind), fset, instance, c)[0]
+    q = _Questions(model, instance, knowledge, oracle)
+    return q.holds(Kind(kind), _feature_set(features, model.space.m))[0]
 
 
 def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
-                       instance: Instance, contested: Optional[int] = None,
-                       knowledge: Optional[KnowledgeBase] = None,
+                       instance: Instance, knowledge: Optional[KnowledgeBase] = None,
                        oracle: Optional[EntailmentOracle] = None) -> Explanation:
     """Shrink a correct (possibly oversized) explanation to a subset-minimal one."""
-    return _find(Kind(kind), model, instance, contested, knowledge, features, oracle)
+    return _find(Kind(kind), model, instance, knowledge, features, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,6 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
 
 
 def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
-                       contested: Optional[int] = None,
                        knowledge: Optional[KnowledgeBase] = None, n: int = 20,
                        oracle: Optional[EntailmentOracle] = None) -> EnumerationResult:
     """Up to n explanations of the kind, nondecreasing in size.
@@ -219,8 +217,8 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     """
     kind = Kind(kind)
     dual = Kind.CXP if kind is Kind.AXP else Kind.AXP
-    oracle, c, kb = _setup(model, instance, contested, knowledge, oracle)
-    calls0 = oracle.calls
+    q = _Questions(model, instance, knowledge, oracle)
+    calls0 = q.oracle.calls
     m = model.space.m
     state = DualState()
     found = {Kind.AXP: state.found_axps, Kind.CXP: state.found_cxps}
@@ -232,9 +230,9 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
         if cand is None:
             exhausted = True
             break
-        ok, res = _holds(oracle, kind, cand, instance, c)
+        ok, res = q.holds(kind, cand)
         if ok:
-            out.append(Explanation(kind, cand, bool(kb)))
+            out.append(Explanation(kind, cand, bool(q.knowledge)))
             found[kind].append(cand)
             continue
         # a failed AXp candidate's witness frees a CXp; a failed CXp
@@ -244,16 +242,15 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
                              if res.witness.values[f] != instance.values[f])
         else:
             seed = frozenset(range(m)) - cand
-        found[dual].append(_shrink(oracle, dual, instance, c, seed))
-    return EnumerationResult(out, exhausted, oracle.calls - calls0, state)
+        found[dual].append(q.shrink(dual, seed))
+    return EnumerationResult(out, exhausted, q.oracle.calls - calls0, state)
 
 
 # ---------------------------------------------------------------------------
 # attributing explanations to knowledge rules
 
 def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
-                    axp_features: Iterable[int],
-                    contested: Optional[int] = None) -> KnowledgeBase:
+                    axp_features: Iterable[int]) -> KnowledgeBase:
     """Subset-minimal part of the knowledge responsible for an assisted AXp.
 
     Returns the empty knowledge base when the AXp already holds without any
@@ -261,7 +258,8 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     order, keeping each only if entailment breaks without it. Attribution is
     at clause granularity; provenance keeps all originating rule ids.
     """
-    oracle, c, _ = _setup(model, instance, contested, knowledge, None)
+    q = _Questions(model, instance, knowledge, None)
+    oracle, c = q.oracle, q.predicted
     fset = _feature_set(axp_features, model.space.m)
     if not oracle.query(fset, instance, c).entails:
         raise ExplainError("feature set %s is not an AXp under the knowledge"

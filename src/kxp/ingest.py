@@ -87,7 +87,7 @@ class Dataset:
 
     def write_csv(self, path) -> None:
         """Write back as CSV with value labels, class column in its original position."""
-        lines = [list(self.names)] + [[("%g" % cell) if dom is None else dom[cell]
+        lines = [list(self.names)] + [[repr(cell) if dom is None else dom[cell]
                                        for dom, cell in zip(self.domains, row)]
                                       for row in self.rows]
         if self.class_name is not None:
@@ -238,15 +238,15 @@ def fit_quantization(ds: Dataset, q: int = 5, force: bool = False) -> Quantizati
     `q` is an interval count in {4, 5, 6}; pass force=True to allow other
     counts >= 2.
     """
+    if q not in ALLOWED_INTERVALS and not force:
+        raise IngestError("interval count %d not in %s (use force to override)"
+                          % (q, list(ALLOWED_INTERVALS)))
+    if q < 2:
+        raise IngestError("interval count %d is below 2" % q)
     columns = {}
     for c, name in enumerate(ds.names):
         if ds.domains[c] is not None:
             continue
-        if q not in ALLOWED_INTERVALS and not force:
-            raise IngestError("interval count %d for column %r not in %s "
-                              "(use force to override)" % (q, name, list(ALLOWED_INTERVALS)))
-        if q < 2:
-            raise IngestError("interval count %d for column %r is below 2" % (q, name))
         values = [row[c] for row in ds.rows]
         if not values:
             raise IngestError("column %r has no rows to fit on" % name)

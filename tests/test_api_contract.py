@@ -58,17 +58,16 @@ PARAMETERS = {
     "OracleResult": ["status", "witness"],
     "QuantizationSpec": ["columns"],
     "Rule": ["antecedent", "consequent", "id", "support", "consistency"],
-    "attribute_rules": ["model", "instance", "knowledge", "axp_features", "contested"],
+    "attribute_rules": ["model", "instance", "knowledge", "axp_features"],
     "check_compatible": ["instance", "knowledge"],
-    "check_explanation": ["features", "kind", "model", "instance", "contested",
-                          "knowledge", "oracle"],
+    "check_explanation": ["features", "kind", "model", "instance", "knowledge",
+                          "oracle"],
     "eclat_mine": ["train", "limit"],
     "enumerate_min_rules": ["train", "target", "blocked", "limit"],
-    "enumerate_smallest": ["kind", "model", "instance", "contested", "knowledge",
-                           "n", "oracle"],
+    "enumerate_smallest": ["kind", "model", "instance", "knowledge", "n", "oracle"],
     "extract_all": ["train", "limit"],
-    "find_axp": ["model", "instance", "contested", "knowledge", "seed", "oracle"],
-    "find_cxp": ["model", "instance", "contested", "knowledge", "seed", "oracle"],
+    "find_axp": ["model", "instance", "knowledge", "seed", "oracle"],
+    "find_cxp": ["model", "instance", "knowledge", "seed", "oracle"],
     "fit_quantization": ["ds", "q", "force"],
     "folds": ["ds", "k", "seed"],
     "load_csv": ["path", "class_column"],
@@ -77,8 +76,8 @@ PARAMETERS = {
     "model_constraints": ["model"],
     "quantize": ["ds", "spec"],
     "query_to_dimacs": ["model", "knowledge", "fixed", "instance", "contested"],
-    "reduce_explanation": ["features", "kind", "model", "instance", "contested",
-                           "knowledge", "oracle"],
+    "reduce_explanation": ["features", "kind", "model", "instance", "knowledge",
+                           "oracle"],
     "rule_accuracy": ["rule", "test"],
     "rule_to_clause": ["space", "rule"],
     "save_model": ["model", "path"],

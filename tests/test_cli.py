@@ -80,6 +80,16 @@ def test_quantize_roundtrip(tmp_path):
                  "--out-prefix", prefix]) == 0
 
 
+def test_quantize_checks_interval_count_without_numeric_columns(tmp_path, capsys):
+    prefix = tmp_path / "ident"
+    assert main(["quantize", TOY, "--q", "3", "--out-prefix", str(prefix)]) == 2
+    assert "interval count 3 not in [4, 5, 6]" in capsys.readouterr().err
+    assert main(["quantize", TOY, "--q", "1", "--force",
+                 "--out-prefix", str(prefix)]) == 2
+    assert "interval count 1 is below 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_quantize_categorical_identity(tmp_path):
     prefix = str(tmp_path / "ident")
     assert main(["quantize", TOY, "--q", "5", "--out-prefix", prefix]) == 0
@@ -385,6 +395,57 @@ def test_assess_knowledge_can_only_help(tmp_path):
         >= report["percent_correct_plain"]
     assert report["records"][0]["correct_plain"] is False
     assert report["records"][0]["correct_with_knowledge"] is True
+
+
+def test_one_oracle_per_command(monkeypatch, tmp_path):
+    from kxp.oracle import EntailmentOracle
+    rules = str(tmp_path / "rules.jsonl")
+    assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0
+    subsets = tmp_path / "subsets.json"
+    subsets.write_text(json.dumps({"format": "kxp.subsets/1", "records": [
+        {"index": i, "features": ["Education", "Status", "Occupation",
+                                  "Relationship", "Sex"]} for i in range(6)]}))
+    builds = []
+    init = EntailmentOracle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EntailmentOracle, "__init__", counting_init)
+    out = tmp_path / "expl.jsonl"
+    assert main(["explain", DL, TOY, "--instances", "all", "--knowledge", rules,
+                 "--compare", "--enum", "3", "--out", str(out)]) == 0
+    assert len([r for r in read_jsonl(out) if r.get("type") == "result"]) == 12
+    assert len(builds) == 1
+    builds.clear()
+    out = tmp_path / "assess.json"
+    assert main(["assess", DL, TOY, str(subsets), "--knowledge", rules,
+                 "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 6 and all("reduced_size" in r for r in records)
+    assert len(builds) == 1
+
+
+def test_bad_feature_names_name_their_source(tmp_path, capsys):
+    rules = str(tmp_path / "rules.jsonl")
+    assert main(["mine", TOY, "--max-size", "1", "--out", rules]) == 0
+    subsets = tmp_path / "subsets.json"
+    out = tmp_path / "out.json"
+    for names, message in (
+            (["Nope"], "unknown feature 'Nope'"),
+            (["Relationship", "Sex", "Relationship"],
+             "feature 'Relationship' named more than once")):
+        subsets.write_text(json.dumps({"format": "kxp.subsets/1", "records": [
+            {"index": 0, "features": ["Education"]},
+            {"index": 1, "features": names}]}))
+        assert main(["assess", DL, TOY, str(subsets), "--out", str(out)]) == 2
+        assert "error: %s: records[1]: %s" % (subsets, message) \
+            in capsys.readouterr().err
+        assert main(["attribute", DL, TOY, "--instance", "0", "--knowledge", rules,
+                     "--axp", ",".join(names), "--out", str(out)]) == 2
+        assert "error: --axp: %s" % message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_row_indices_outside_the_dataset_exit_2(tmp_path, capsys):

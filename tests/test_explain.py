@@ -3,9 +3,9 @@ import random
 import pytest
 
 from kxp import (Kind, KnowledgeBase, Rule)
-from kxp.explain import (ExplainError, attribute_rules, check_explanation,
-                         enumerate_smallest, find_axp, find_cxp,
-                         minimum_hitting_set, reduce_explanation)
+from kxp.explain import (EnumerationResult, ExplainError, attribute_rules,
+                         check_explanation, enumerate_smallest, find_axp,
+                         find_cxp, minimum_hitting_set, reduce_explanation)
 from kxp.oracle import EntailmentOracle
 
 from util import (all_minimal_explanations, all_minimal_hitting_sets,
@@ -170,8 +170,6 @@ def test_seed_preconditions_raise(toy_dl, row1):
         find_axp(toy_dl, row1, seed=[4, 5])  # Sex+Hours cannot entail
     with pytest.raises(ExplainError):
         find_cxp(toy_dl, row1, seed=[4])     # freeing Sex flips nothing
-    with pytest.raises(ExplainError):
-        find_axp(toy_dl, row1, contested=1 - toy_dl.classify(row1))
     # a feature outside the space is rejected the same way for both kinds
     seed = list(range(toy_dl.space.m)) + [99]
     for kind, find in ((Kind.AXP, find_axp), (Kind.CXP, find_cxp)):
@@ -192,12 +190,36 @@ def test_axp_call_budget(toy_dl, row1):
         assert oracle.calls == toy_dl.space.m + 1
 
 
-def test_mismatched_oracle_rejected(small_dl, separated_male,
+def test_mismatched_oracle_rejected(small_dl, toy_dl, separated_male,
                                     marital_constraint):
     plain_oracle = EntailmentOracle(small_dl)
-    with pytest.raises(ExplainError, match="different knowledge"):
+    with pytest.raises(ExplainError, match="outside the supplied oracle's knowledge"):
         find_axp(small_dl, separated_male, knowledge=marital_constraint,
                  oracle=plain_oracle)
+    with pytest.raises(ExplainError, match="different model"):
+        find_axp(small_dl, separated_male, oracle=EntailmentOracle(toy_dl))
+    # an oracle over K answers without K: knowledge=None is the empty subset
+    kb_oracle = EntailmentOracle(small_dl, marital_constraint)
+    plain = find_axp(small_dl, separated_male)
+    assert find_axp(small_dl, separated_male, oracle=kb_oracle) == plain
+    assisted = find_axp(small_dl, separated_male, knowledge=marital_constraint,
+                        oracle=kb_oracle)
+    assert assisted.features < plain.features and assisted.knowledge_assisted
+
+
+def test_oracle_over_another_model_rejected(toy_ds, toy_dl, toy_bt):
+    v = toy_dl.space.instance_from_labels(toy_ds.row_labels(5))
+    assert names_of(toy_dl.space, find_axp(toy_dl, v).features) == ["Relationship"]
+    bt_oracle = EntailmentOracle(toy_bt)
+    calls = [lambda: find_axp(toy_dl, v, oracle=bt_oracle),
+             lambda: find_cxp(toy_dl, v, oracle=bt_oracle),
+             lambda: check_explanation([3], Kind.AXP, toy_dl, v, oracle=bt_oracle),
+             lambda: reduce_explanation([3], Kind.AXP, toy_dl, v, oracle=bt_oracle),
+             lambda: enumerate_smallest(Kind.AXP, toy_dl, v, oracle=bt_oracle)]
+    for call in calls:
+        with pytest.raises(ExplainError, match="different model"):
+            call()
+    assert bt_oracle.calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +274,60 @@ def test_enumeration_matches_bruteforce_sets():
             assert set(res.feature_sets) == set(brute), "trial %d" % trial
             sizes = [len(s) for s in res.feature_sets]
             assert sizes == sorted(sizes)
+
+
+def _outcome(call, oracle):
+    """What one explain call returns (or the ExplainError it raises) through
+    the oracle, and how many queries the oracle answered for it."""
+    calls0 = oracle.calls
+    try:
+        got = call(oracle)
+    except ExplainError as exc:
+        got = "ExplainError: %s" % exc
+    if isinstance(got, EnumerationResult):
+        got = (got.explanations, got.exhausted, got.oracle_calls)
+    return got, oracle.calls - calls0
+
+
+def test_shared_oracle_matches_fresh_oracles():
+    """One oracle over (model, K), shared across rows and knowledge subsets,
+    answers every explain call as a fresh oracle over the subset does."""
+    rng = random.Random(1789)
+    subsets = strict = 0
+    for trial in range(30):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+        make = random_dl if trial % 2 else random_bt
+        model = make(rng, sp, n_classes=(2, 3)[trial // 2 % 2])
+        v = random_instance(rng, sp)
+        kb = random_knowledge(rng, sp, v, max_clauses=5)
+        shared = EntailmentOracle(model, kb)
+        rows = [v] + [u for u in (random_instance(rng, sp) for _ in range(2))
+                      if kb.satisfied_by(u)]
+        for u in rows:
+            picks = [None, kb] + [kb.subset(rng.sample(kb.clauses,
+                                                       rng.randrange(len(kb))))
+                                  for _ in range(2 if kb else 0)]
+            for knowledge in picks:
+                seed = frozenset(rng.sample(range(sp.m), rng.randint(1, sp.m)))
+                n = rng.randint(1, 6)
+                calls = [lambda o: find_axp(model, u, knowledge=knowledge, oracle=o),
+                         lambda o: find_cxp(model, u, knowledge=knowledge, oracle=o),
+                         lambda o: find_axp(model, u, knowledge=knowledge,
+                                            seed=seed, oracle=o)]
+                for kind in Kind:
+                    calls += [
+                        lambda o, kind=kind: check_explanation(
+                            seed, kind, model, u, knowledge=knowledge, oracle=o),
+                        lambda o, kind=kind: reduce_explanation(
+                            seed, kind, model, u, knowledge=knowledge, oracle=o),
+                        lambda o, kind=kind: enumerate_smallest(
+                            kind, model, u, knowledge=knowledge, n=n, oracle=o)]
+                for call in calls:
+                    fresh = EntailmentOracle(model, knowledge)
+                    assert _outcome(call, shared) == _outcome(call, fresh), trial
+                subsets += 1
+                strict += len(knowledge or ()) < len(kb)
+    assert subsets > 200 and strict > 100
 
 
 def test_enumeration_truncates_at_n(toy_dl, row1):

@@ -123,6 +123,16 @@ def test_interval_count_whitelist(tmp_path):
     assert len(fit_quantization(ds, 3, force=True).columns["x"].labels) == 3
 
 
+def test_interval_count_checked_without_numeric_columns(toy_ds):
+    # the count is refused whether or not a column needs it
+    assert not toy_ds.numeric_columns
+    with pytest.raises(IngestError, match="interval count 3 not in"):
+        fit_quantization(toy_ds, 3)
+    with pytest.raises(IngestError, match="interval count 1 is below 2"):
+        fit_quantization(toy_ds, 1, force=True)
+    assert fit_quantization(toy_ds, 3, force=True).columns == {}
+
+
 def test_quantize_spec_coverage_errors(tmp_path):
     path = write(tmp_path, "x,y,Y\n1,2,a\n2,4,b\n3,6,a\n")
     ds = load_csv(path)
@@ -179,3 +189,13 @@ def test_write_csv_round_trip(tmp_path, toy_ds):
     toy_ds.write_csv(out)
     again = load_csv(out)
     assert again == toy_ds
+
+
+def test_write_csv_round_trips_raw_numeric_cells(tmp_path):
+    path = write(tmp_path, "x,Y\n1234567.891,a\n-0.000123456789,b\n1e300,a\n")
+    ds = load_csv(path)
+    out = tmp_path / "round.csv"
+    ds.write_csv(out)
+    again = load_csv(out)
+    assert again == ds
+    assert [row[0] for row in again.rows] == [1234567.891, -0.000123456789, 1e300]
