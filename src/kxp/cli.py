@@ -27,8 +27,9 @@ from .core import (FeatureSpace, Instance, Kind, SpaceError, json_field,
                    read_json, write_json)
 from .explain import (ExplainError, attribute_rules, check_explanation,
                       enumerate_smallest, find_axp, reduce_explanation)
-from .ingest import (Dataset, IngestError, fit_quantization, fold_indices,
-                     load_csv, quantize, split_indices)
+from .ingest import (Dataset, IngestError, check_interval_count,
+                     fit_quantization, fold_indices, load_csv, quantize,
+                     split_indices)
 from .miner import (ExtractionLimit, MinerError, eclat_mine, extract_all,
                     load_knowledge, rule_accuracy, save_rules)
 from .models import ModelError, load_model
@@ -170,6 +171,7 @@ def cmd_mine(args) -> int:
 
 def cmd_xval_rules(args) -> int:
     ds = _load_csv(args.csv, args)
+    check_interval_count(args.q, args.force)  # also on a table without numeric columns
     limit, record = _mining_limits(args)
     manifest = _manifest("xval-rules", args, [args.csv],
                          seeds={"fold_seed": args.seed},
@@ -342,15 +344,16 @@ def _summarize_explanations(records, skipped, kind, compare) -> dict:
 def cmd_attribute(args) -> int:
     model, ds, kb, inputs = _load_inputs(args)
     inst = _row_instance(model, ds, args.instance, "--instance")
+    oracle = EntailmentOracle(model, kb)
     if args.axp == "auto":
-        features = sorted(find_axp(model, inst, knowledge=kb).features)
+        features = sorted(find_axp(model, inst, knowledge=kb, oracle=oracle).features)
     else:
         names = [t.strip() for t in args.axp.split(",") if t.strip()]
         features = _feature_indices(model.space, names, "--axp")
     manifest = _manifest("attribute", args, inputs,
                          limits={"instance": args.instance, "axp": args.axp})
     t0 = time.perf_counter()
-    used = attribute_rules(model, inst, kb, features)
+    used = attribute_rules(model, inst, kb, features, oracle=oracle)
     manifest["timings"]["wall"] = time.perf_counter() - t0
     rules_out = [{"ids": list(used.provenance.get(clause, ())), "rule": rule.render(model.space)}
                  for clause, rule in zip(used.clauses, used.rules)]

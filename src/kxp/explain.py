@@ -250,7 +250,8 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
 # attributing explanations to knowledge rules
 
 def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
-                    axp_features: Iterable[int]) -> KnowledgeBase:
+                    axp_features: Iterable[int],
+                    oracle: Optional[EntailmentOracle] = None) -> KnowledgeBase:
     """Subset-minimal part of the knowledge responsible for an assisted AXp.
 
     Returns the empty knowledge base when the AXp already holds without any
@@ -258,10 +259,10 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     order, keeping each only if entailment breaks without it. Attribution is
     at clause granularity; provenance keeps all originating rule ids.
     """
-    q = _Questions(model, instance, knowledge, None)
+    q = _Questions(model, instance, knowledge, oracle)
     oracle, c = q.oracle, q.predicted
     fset = _feature_set(axp_features, model.space.m)
-    if not oracle.query(fset, instance, c).entails:
+    if not q.holds(Kind.AXP, fset)[0]:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))
     if oracle.query(fset, instance, c, KnowledgeBase()).entails:

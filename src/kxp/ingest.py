@@ -232,17 +232,22 @@ class QuantizationSpec:
         return cls.from_obj(read_json(path, IngestError))
 
 
+def check_interval_count(q: int, force: bool = False) -> None:
+    """Raise unless `q` is in {4, 5, 6} or, with force=True, at least 2."""
+    if q not in ALLOWED_INTERVALS and not force:
+        raise IngestError("interval count %d not in %s (use force to override)"
+                          % (q, list(ALLOWED_INTERVALS)))
+    if q < 2:
+        raise IngestError("interval count %d is below 2" % q)
+
+
 def fit_quantization(ds: Dataset, q: int = 5, force: bool = False) -> QuantizationSpec:
     """Fit `q` equal-width bins on each numeric column (train data only).
 
     `q` is an interval count in {4, 5, 6}; pass force=True to allow other
     counts >= 2.
     """
-    if q not in ALLOWED_INTERVALS and not force:
-        raise IngestError("interval count %d not in %s (use force to override)"
-                          % (q, list(ALLOWED_INTERVALS)))
-    if q < 2:
-        raise IngestError("interval count %d is below 2" % q)
+    check_interval_count(q, force)
     columns = {}
     for c, name in enumerate(ds.names):
         if ds.domains[c] is not None:

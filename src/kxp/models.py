@@ -189,8 +189,12 @@ class DLEncoding:
             lits.append((self.default_var, 1, False))
         return lits
 
-    def challenge_possible(self, contested: int,
-                           allowed: Sequence[set[int]]) -> bool:
+    def leaf_paths(self) -> list[list[Leaves]]:
+        """No trees: the clauses decide the class."""
+        return []
+
+    def challenge_possible(self, contested: int, lo: Sequence[int],
+                           hi: Sequence[int]) -> bool:
         """Always True: the challenge clause carries the whole class test."""
         return True
 
@@ -231,12 +235,18 @@ def _encode_dl(model: DecisionList) -> DLEncoding:
     return DLEncoding(model, next_var - m, clauses, fire, prev_prefix)
 
 
+# per tree: [(path literals, leaf weight)], one entry per leaf
+Leaves = list[tuple[list[SLit], int]]
+
+
 @dataclass
 class BTEncoding:
-    """Score-side handle for ensembles: reachable-leaf bounds per class group.
+    """Score-side handle for ensembles: the trees' leaves and the class test
+    on per-group score bounds.
 
-    The class test is not clausal, so there is no challenge clause; the oracle
-    prunes with interval bounds, which are exact once every feature in
+    The class test is not clausal, so there is no challenge clause. The oracle
+    keeps each group's [lo, hi] over the leaves whose paths can still hold and
+    asks `challenge_possible`, which is exact once every feature in
     `score_features` is fixed. Leaf activation clauses are still derivable
     for the CNF dump (leaf active iff its whole path holds, one leaf per tree).
     """
@@ -249,74 +259,43 @@ class BTEncoding:
     @property
     def score_features(self) -> frozenset[int]:
         """The features some tree tests: the only ones the bounds read."""
-        return frozenset(var for leaves in self.leaf_paths()
+        return frozenset(var for group in self.leaf_paths() for leaves in group
                          for path, _ in leaves for var, _, _ in path)
 
     def challenge_clause(self, contested: int) -> None:
         return None
 
-    def group_bounds(self, group: int,
-                     allowed: Sequence[set[int]]) -> tuple[int, int]:
-        lo = hi = 0
-        for tree in self.model.trees[group]:
-            tlo, thi = _tree_bounds(tree, allowed)
-            lo += tlo
-            hi += thi
-        return lo, hi
+    def challenge_possible(self, contested: int, lo: Sequence[int],
+                           hi: Sequence[int]) -> bool:
+        """Can scores within the group bounds [lo[g], hi[g]] be classified
+        differently from contested?
 
-    def challenge_possible(self, contested: int,
-                           allowed: Sequence[set[int]]) -> bool:
-        """Can some completion of `allowed` be classified differently from contested?
-
-        Sound over-approximation: per-class bounds are computed independently.
+        Sound over-approximation: each group's bounds are taken independently.
         """
         model = self.model
         if model.positive is not None:
-            lo, hi = self.group_bounds(0, allowed)
-            return lo <= 0 if contested == model.positive else hi > 0
-        bounds = [self.group_bounds(g, allowed) for g in range(len(model.trees))]
-        c_lo = bounds[contested][0]
-        for other in range(len(bounds)):
-            if other == contested:
-                continue
-            hi = bounds[other][1]
-            if (other < contested and hi >= c_lo) or (other > contested and hi > c_lo):
+            return lo[0] <= 0 if contested == model.positive else hi[0] > 0
+        c_lo = lo[contested]
+        for other, other_hi in enumerate(hi):
+            if (other < contested and other_hi >= c_lo) \
+                    or (other > contested and other_hi > c_lo):
                 return True
         return False
 
-    def leaf_paths(self) -> list[list[tuple[list[SLit], int]]]:
-        """Per tree (all groups flattened): [(path literals, leaf weight)]."""
+    def leaf_paths(self) -> list[list[Leaves]]:
+        """Per class group, per tree: [(path literals, leaf weight)]."""
         out = []
         for group in self.model.trees:
+            trees: list[Leaves] = []
             for tree in group:
-                leaves: list[tuple[list[SLit], int]] = []
+                leaves: Leaves = []
                 _collect_paths(tree, [], leaves)
-                out.append(leaves)
+                trees.append(leaves)
+            out.append(trees)
         return out
 
 
-def _tree_bounds(tree: Tree, allowed: Sequence[set[int]]) -> tuple[int, int]:
-    if isinstance(tree, Leaf):
-        return tree.weight, tree.weight
-    dom = allowed[tree.test.feature]
-    v = tree.test.value
-    other = len(dom) > 1 or v not in dom  # some allowed value differs from v
-    if tree.test.negated:
-        can_yes, can_no = other, v in dom
-    else:
-        can_yes, can_no = v in dom, other
-    lo, hi = None, None
-    if can_yes:
-        lo, hi = _tree_bounds(tree.yes, allowed)
-    if can_no:
-        nlo, nhi = _tree_bounds(tree.no, allowed)
-        lo = nlo if lo is None else min(lo, nlo)
-        hi = nhi if hi is None else max(hi, nhi)
-    return lo, hi
-
-
-def _collect_paths(tree: Tree, path: list[SLit],
-                   leaves: list[tuple[list[SLit], int]]) -> None:
+def _collect_paths(tree: Tree, path: list[SLit], leaves: Leaves) -> None:
     if isinstance(tree, Leaf):
         leaves.append((list(path), tree.weight))
         return

@@ -3,15 +3,29 @@
 UNSAT answers certify abductive explanations; SAT answers return a witness
 point that seeds contrastive explanations. The search is a complete
 backtracking procedure with watched-literal unit propagation over one-hot
-feature domains. Ensembles add sound per-class score-interval pruning: the
-bounds are re-checked at the root and after every change to a tree-tested
-feature's domain, by decision or by propagation, so on a full assignment the
-last check saw singleton domains and was exact.
+feature domains. Ensembles add sound per-class score-interval pruning: a leaf
+dies on the first domain change that falsifies a literal on its path, each
+tree's [lo, hi] over its live leaves is kept on the trail, and the group
+bounds are checked after every propagation, so on a full assignment the last
+check saw one live leaf per tree and was exact.
 
 An oracle enters every clause once: the model encoding, the knowledge and,
 for decision lists, each class's challenge. A query switches off the other
 classes' challenges and the knowledge clauses outside its subset (by default
 none); switched-off clauses stay watched and are skipped when they wake.
+
+The propagated state is kept between queries. A query's assumptions, first
+the active unit clauses and then the fixed features in ascending order, are
+levels on one trail, each propagated to fixpoint. The next query keeps the
+leading levels whose assumptions it also asserts, propagates the rest of its
+own above them, searches, and undoes back to its own root. Levels are kept
+only while the switched-off clause set stays the same: a switched-off
+clause's watches do not move, so the two-watched-literal invariant holds
+again only from the empty trail, where a query with another set starts.
+Propagation reaches one fixpoint whatever is reused, and the search returns
+the first solution in its fixed order, so answers and witnesses do not
+depend on the queries asked before. The state still confines an oracle to
+one task at a time.
 """
 
 from __future__ import annotations
@@ -19,11 +33,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .core import Clause, FeatureSpace, Instance, KnowledgeBase
-from .models import DLEncoding, Model, SLit, model_constraints
+from .models import DLEncoding, Leaves, Model, SLit, model_constraints
 
 
 class OracleError(ValueError):
@@ -63,10 +77,77 @@ def _event(slit: SLit) -> tuple:
     return ("fix", var, value) if negated else ("rm", var, value)
 
 
+class _Scores:
+    """Per-group score bounds of an ensemble, kept on the oracle's trail.
+
+    A leaf dies on the first event that falsifies a literal on its path; it
+    revives only when that event is undone, and undo is last-in-first-out,
+    so later falsified literals need no count. Each tree numbers its leaves
+    by ascending weight and keeps the live ones as a bit mask, so its [lo, hi]
+    are the weights of the mask's lowest and highest bits. Each change of a
+    mask is logged with the trail length it happened at and the tree's
+    previous mask and bounds, so undoing the trail restores masks, tree
+    bounds and group sums in reverse order.
+    """
+
+    def __init__(self, groups: list[list[Leaves]]):
+        # event -> [(tree, mask of the tree's leaves the event falsifies)]
+        self.dying: dict[tuple, list[tuple[int, int]]] = {}
+        self.weights: list[list[int]] = []  # per tree, ascending
+        self.group_of: list[int] = []  # per tree
+        for g, trees in enumerate(groups):
+            for leaves in trees:
+                t = len(self.weights)
+                leaves = sorted(leaves, key=lambda leaf: leaf[1])
+                kills: dict[tuple, int] = {}
+                for i, (path, _) in enumerate(leaves):
+                    for slit in path:
+                        ev = _event(slit)
+                        kills[ev] = kills.get(ev, 0) | 1 << i
+                for ev, bits in kills.items():
+                    self.dying.setdefault(ev, []).append((t, bits))
+                self.weights.append([weight for _, weight in leaves])
+                self.group_of.append(g)
+        self.alive = [(1 << len(w)) - 1 for w in self.weights]
+        self.lo = [w[0] for w in self.weights]
+        self.hi = [w[-1] for w in self.weights]
+        self.group_lo = [0] * len(groups)
+        self.group_hi = [0] * len(groups)
+        for t, g in enumerate(self.group_of):
+            self.group_lo[g] += self.lo[t]
+            self.group_hi[g] += self.hi[t]
+        self.log: list[tuple[int, int, int, int, int]] = []  # stamp, tree, mask, lo, hi
+
+    def _set(self, t: int, mask: int, lo: int, hi: int) -> None:
+        g = self.group_of[t]
+        self.group_lo[g] += lo - self.lo[t]
+        self.group_hi[g] += hi - self.hi[t]
+        self.alive[t], self.lo[t], self.hi[t] = mask, lo, hi
+
+    def kill(self, hits: list[tuple[int, int]], stamp: int) -> None:
+        alive = self.alive
+        for t, bits in hits:
+            mask = alive[t]
+            if mask & bits:
+                self.log.append((stamp, t, mask, self.lo[t], self.hi[t]))
+                mask &= ~bits
+                w = self.weights[t]
+                self._set(t, mask, w[(mask & -mask).bit_length() - 1],
+                          w[mask.bit_length() - 1])
+
+    def undo_to(self, mark: int) -> None:
+        log = self.log
+        while log and log[-1][0] > mark:
+            _, t, mask, lo, hi = log.pop()
+            self._set(t, mask, lo, hi)
+
+
 class EntailmentOracle:
     """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
 
-    Owns mutable search state: confine an instance to one task at a time.
+    Owns mutable search state, kept from one query to the next and reset
+    when the switched-off clause set changes: confine an instance to one task
+    at a time.
     """
 
     def __init__(self, model: Model, knowledge: Optional[KnowledgeBase] = None):
@@ -81,18 +162,22 @@ class EntailmentOracle:
         sizes = self._sizes + [2] * self.encoding.aux_count
         self.dom: list[set[int]] = [set(range(s)) for s in sizes]
         self.trail: list[tuple[int, int]] = []
+        # the kept assumption levels: (assumed literal, trail length after it)
+        self._levels: list[tuple[SLit, int]] = []
+        self._scores = _Scores(self.encoding.leaf_paths())
+        self._dying = self._scores.dying
 
-        # decide score-relevant features first and re-check score bounds only
-        # when one of them was pruned
-        self._score_feats = self.encoding.score_features
-        self._order = (sorted(self._score_feats)
-                       + sorted(set(range(m)) - self._score_feats))
+        # decide score-relevant features first, so the bounds tighten early
+        score_feats = self.encoding.score_features
+        self._order = (sorted(score_feats)
+                       + sorted(set(range(m)) - score_feats))
 
         self.clauses: list[list[SLit]] = []
+        self._events: list[list[tuple]] = []  # per clause, each literal's event
         self.cwatch: list[list[int]] = []
         self.watch: dict[tuple, list[int]] = {}
         self.units: list[tuple[int, SLit]] = []
-        self._off: set[int] = set()  # clause ids switched off for this query
+        self._off: set[int] = set()  # clause ids switched off for the kept levels
         for clause in self.encoding.clauses:
             self._add_clause(clause)
         self._kb_ids: dict[Clause, int] = {
@@ -115,12 +200,14 @@ class EntailmentOracle:
     def _add_clause(self, slits: list[SLit]) -> int:
         ci = len(self.clauses)
         self.clauses.append(slits)
+        events = [_event(sl) for sl in slits]
+        self._events.append(events)
         self.cwatch.append([0, 1])
         if len(slits) == 1:
             self.units.append((ci, slits[0]))
         else:
             for pos in (0, 1):
-                self.watch.setdefault(_event(slits[pos]), []).append(ci)
+                self.watch.setdefault(events[pos], []).append(ci)
         return ci
 
     def _switched_off(self, contested: int,
@@ -135,18 +222,6 @@ class EntailmentOracle:
                        if clause not in active)
         return off
 
-    # -- literal state -------------------------------------------------------
-
-    def _true(self, slit: SLit) -> bool:
-        var, value, negated = slit
-        d = self.dom[var]
-        return (value not in d) if negated else (len(d) == 1 and value in d)
-
-    def _false(self, slit: SLit) -> bool:
-        var, value, negated = slit
-        d = self.dom[var]
-        return (len(d) == 1 and value in d) if negated else (value not in d)
-
     # -- propagation ---------------------------------------------------------
 
     def _remove(self, var: int, value: int, queue: deque) -> bool:
@@ -157,9 +232,17 @@ class EntailmentOracle:
             return False
         d.discard(value)
         self.trail.append((var, value))
-        queue.append(("rm", var, value))
+        ev = ("rm", var, value)
+        queue.append(ev)
+        hits = self._dying.get(ev)
+        if hits:
+            self._scores.kill(hits, len(self.trail))
         if len(d) == 1:
-            queue.append(("fix", var, next(iter(d))))
+            ev = ("fix", var, next(iter(d)))
+            queue.append(ev)
+            hits = self._dying.get(ev)
+            if hits:
+                self._scores.kill(hits, len(self.trail))
         return True
 
     def _force(self, slit: SLit, queue: deque) -> bool:
@@ -174,61 +257,79 @@ class EntailmentOracle:
         return True
 
     def _propagate(self, queue: deque) -> bool:
-        off = self._off
+        off, dom, watch = self._off, self.dom, self.watch
+        clauses, events_of, cwatch = self.clauses, self._events, self.cwatch
         while queue:
             ev = queue.popleft()
-            lst = self.watch.get(ev)
+            lst = watch.get(ev)
             if not lst:
                 continue
             keep: list[int] = []
-            i = 0
-            while i < len(lst):
-                ci = lst[i]
-                i += 1
+            for i, ci in enumerate(lst):
                 if ci in off:
                     keep.append(ci)
                     continue
-                slits = self.clauses[ci]
-                w = self.cwatch[ci]
-                if _event(slits[w[0]]) == ev and self._false(slits[w[0]]):
-                    which = 0
-                elif _event(slits[w[1]]) == ev and self._false(slits[w[1]]):
-                    which = 1
+                # an event of this propagation falsified the watched literal
+                # for good: domains only shrink until the propagation ends
+                events = events_of[ci]
+                w = cwatch[ci]
+                w0, w1 = w
+                if events[w0] == ev:
+                    which, other = 0, w1
+                elif events[w1] == ev:
+                    which, other = 1, w0
                 else:
-                    keep.append(ci)  # spurious wakeup (stale entry after backtrack)
+                    keep.append(ci)  # stale entry: the watch has moved
                     continue
-                other = slits[w[1 - which]]
-                if self._true(other):
-                    keep.append(ci)
+                slits = clauses[ci]
+                var, value, negated = slits[other]
+                d = dom[var]
+                if (value not in d) if negated else (len(d) == 1 and value in d):
+                    keep.append(ci)  # the other watch is true
                     continue
-                moved = False
-                for pos, sl in enumerate(slits):
-                    if pos in (w[0], w[1]) or self._false(sl):
+                for pos, (var, value, negated) in enumerate(slits):
+                    if pos == w0 or pos == w1:
                         continue
-                    w[which] = pos
-                    self.watch.setdefault(_event(sl), []).append(ci)
-                    moved = True
-                    break
-                if moved:
-                    continue
-                keep.append(ci)
-                # forcing a false literal fails without touching the domains
-                if not self._force(other, queue):
-                    keep.extend(lst[i:])
-                    self.watch[ev] = keep
-                    return False
-            self.watch[ev] = keep
+                    d = dom[var]
+                    if (len(d) > 1 or value not in d) if negated else (value in d):
+                        w[which] = pos  # watch a literal that is not false
+                        watch.setdefault(events[pos], []).append(ci)
+                        break
+                else:
+                    keep.append(ci)
+                    # forcing a false literal fails without touching the domains
+                    if not self._force(slits[other], queue):
+                        keep.extend(lst[i + 1:])
+                        watch[ev] = keep
+                        return False
+            watch[ev] = keep
         return True
 
     def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            var, value = self.trail.pop()
-            self.dom[var].add(value)
+        trail, dom = self.trail, self.dom
+        for var, value in trail[mark:]:
+            dom[var].add(value)
+        del trail[mark:]
+        self._scores.undo_to(mark)
+
+    def _assume(self, slit: SLit) -> bool:
+        """Propagate one literal to fixpoint; on a conflict undo its changes."""
+        mark = len(self.trail)
+        queue: deque = deque()
+        if self._force(slit, queue) and self._propagate(queue):
+            return True
+        self._undo_to(mark)
+        return False
 
     # -- search --------------------------------------------------------------
 
     def _witness(self) -> Instance:
         return Instance(tuple(next(iter(self.dom[f])) for f in range(self.space.m)))
+
+    def _possible(self, contested: int) -> bool:
+        scores = self._scores
+        return self.encoding.challenge_possible(contested, scores.group_lo,
+                                                scores.group_hi)
 
     def _search(self, contested: int) -> Optional[Instance]:
         var = next((f for f in self._order if len(self.dom[f]) > 1), None)
@@ -236,20 +337,38 @@ class EntailmentOracle:
             return self._witness()
         for value in sorted(self.dom[var]):
             mark = len(self.trail)
-            queue: deque = deque()
-            ok = self._force((var, value, False), queue) and self._propagate(queue)
-            if ok and (not self._score_touched(mark)
-                       or self.encoding.challenge_possible(contested, self.dom)):
+            if self._assume((var, value, False)) and self._possible(contested):
                 found = self._search(contested)
                 if found is not None:
                     return found
             self._undo_to(mark)
         return None
 
-    def _score_touched(self, mark: int) -> bool:
-        if not self._score_feats:
-            return False
-        return any(var in self._score_feats for var, _ in self.trail[mark:])
+    def _solve(self, assumptions: list[SLit], contested: int) -> Optional[Instance]:
+        """A witness under the assumptions, or None; ends at their root level."""
+        levels = self._levels
+        wanted = set(assumptions)
+        kept = 0
+        for slit, _ in levels:
+            if slit not in wanted:
+                break
+            kept += 1
+        del levels[kept:]
+        # also drops what a query that raised partway left above its levels
+        self._undo_to(levels[-1][1] if levels else 0)
+        held = {slit for slit, _ in levels}
+        for slit in assumptions:
+            if slit in held:
+                continue
+            if not self._assume(slit):
+                return None
+            levels.append((slit, len(self.trail)))
+        if not self._possible(contested):
+            return None
+        root = len(self.trail)
+        witness = self._search(contested)
+        self._undo_to(root)
+        return witness
 
     def _checked(self, fixed: Iterable[int], instance: Instance,
                  contested: int) -> set[int]:
@@ -276,20 +395,17 @@ class EntailmentOracle:
         """Decide the query; Z, the class challenge and the knowledge subset
         (default: the oracle's whole knowledge base) are per-call."""
         fixed = self._checked(fixed, instance, contested)
-        self._off = self._switched_off(contested, knowledge)
+        off = self._switched_off(contested, knowledge)
         self.calls += 1
         if contested in self._entailed:
             return OracleResult(Status.ENTAILS)
-        try:
-            queue: deque = deque()
-            units = [slit for ci, slit in self.units if ci not in self._off]
-            units += [(f, instance.values[f], False) for f in sorted(fixed)]
-            ok = all(self._force(slit, queue) for slit in units) and self._propagate(queue)
-            witness = None
-            if ok and self.encoding.challenge_possible(contested, self.dom):
-                witness = self._search(contested)
-        finally:
+        if off != self._off:
             self._undo_to(0)
+            self._levels.clear()
+            self._off = off
+        assumptions = [slit for ci, slit in self.units if ci not in off]
+        assumptions += [(f, instance.values[f], False) for f in sorted(fixed)]
+        witness = self._solve(assumptions, contested)
         if witness is None:
             return OracleResult(Status.ENTAILS)
         active = knowledge if knowledge is not None else self.knowledge
@@ -365,7 +481,7 @@ def query_to_dimacs(model: Model, knowledge: Optional[KnowledgeBase],
                         % (aux_base + 1, n_vars))
     else:  # the oracle bounds ensemble scores and holds no leaf clauses
         leaf_id = n_vars
-        for leaves in enc.leaf_paths():
+        for leaves in chain.from_iterable(enc.leaf_paths()):
             tree_vars = []
             for path, weight in leaves:
                 leaf_id += 1

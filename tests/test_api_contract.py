@@ -58,7 +58,8 @@ PARAMETERS = {
     "OracleResult": ["status", "witness"],
     "QuantizationSpec": ["columns"],
     "Rule": ["antecedent", "consequent", "id", "support", "consistency"],
-    "attribute_rules": ["model", "instance", "knowledge", "axp_features"],
+    "attribute_rules": ["model", "instance", "knowledge", "axp_features",
+                        "oracle"],
     "check_compatible": ["instance", "knowledge"],
     "check_explanation": ["features", "kind", "model", "instance", "knowledge",
                           "oracle"],

@@ -90,6 +90,18 @@ def test_quantize_checks_interval_count_without_numeric_columns(tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
+def test_xval_rules_checks_interval_count_without_numeric_columns(tmp_path, capsys):
+    out = tmp_path / "xval.json"
+    common = ["xval-rules", TOY, "--k", "2", "--max-size", "1", "--out", str(out)]
+    assert main(common + ["--q", "3"]) == 2
+    assert "interval count 3 not in [4, 5, 6]" in capsys.readouterr().err
+    assert main(common + ["--q", "1", "--force"]) == 2
+    assert "interval count 1 is below 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(common + ["--q", "3", "--force"]) == 0
+    assert json.loads(out.read_text())["manifest"]["limits"]["q"] == 3
+
+
 def test_quantize_categorical_identity(tmp_path):
     prefix = str(tmp_path / "ident")
     assert main(["quantize", TOY, "--q", "5", "--out-prefix", prefix]) == 0
@@ -424,6 +436,12 @@ def test_one_oracle_per_command(monkeypatch, tmp_path):
                  "--out", str(out)]) == 0
     records = json.loads(out.read_text())["records"]
     assert len(records) == 6 and all("reduced_size" in r for r in records)
+    assert len(builds) == 1
+    builds.clear()
+    out = tmp_path / "attribute.json"
+    assert main(["attribute", DL, TOY, "--instance", "4", "--knowledge", rules,
+                 "--axp", "auto", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["axp"]
     assert len(builds) == 1
 
 

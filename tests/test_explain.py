@@ -215,7 +215,8 @@ def test_oracle_over_another_model_rejected(toy_ds, toy_dl, toy_bt):
              lambda: find_cxp(toy_dl, v, oracle=bt_oracle),
              lambda: check_explanation([3], Kind.AXP, toy_dl, v, oracle=bt_oracle),
              lambda: reduce_explanation([3], Kind.AXP, toy_dl, v, oracle=bt_oracle),
-             lambda: enumerate_smallest(Kind.AXP, toy_dl, v, oracle=bt_oracle)]
+             lambda: enumerate_smallest(Kind.AXP, toy_dl, v, oracle=bt_oracle),
+             lambda: attribute_rules(toy_dl, v, KnowledgeBase(), [3], oracle=bt_oracle)]
     for call in calls:
         with pytest.raises(ExplainError, match="different model"):
             call()
@@ -313,7 +314,11 @@ def test_shared_oracle_matches_fresh_oracles():
                 calls = [lambda o: find_axp(model, u, knowledge=knowledge, oracle=o),
                          lambda o: find_cxp(model, u, knowledge=knowledge, oracle=o),
                          lambda o: find_axp(model, u, knowledge=knowledge,
-                                            seed=seed, oracle=o)]
+                                            seed=seed, oracle=o),
+                         lambda o: attribute_rules(
+                             model, u, knowledge or KnowledgeBase(), find_axp(
+                                 model, u, knowledge=knowledge, oracle=o).features,
+                             oracle=o)]
                 for kind in Kind:
                     calls += [
                         lambda o, kind=kind: check_explanation(

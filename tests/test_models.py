@@ -1,5 +1,6 @@
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -7,9 +8,10 @@ from kxp import (Dataset, Instance, load_model, model_constraints, save_model,
                  train_boosted, train_decision_list)
 from kxp.models import (BoostedEnsemble, DecisionList, DLEncoding, Leaf,
                         ModelError, model_from_obj, model_to_obj, _walk)
+from kxp.oracle import EntailmentOracle
 
-from util import (random_bt, random_dl, random_instance, random_space,
-                  reference_boosted)
+from util import (group_bounds, random_bt, random_dl, random_instance,
+                  random_space, reference_boosted, tree_bounds)
 
 
 def cls_of(model, inst):
@@ -128,7 +130,8 @@ def test_dl_encoding_shape(toy_dl):
 def test_encodings_share_one_interface(toy_dl, toy_bt):
     dl, bt = model_constraints(toy_dl), model_constraints(toy_bt)
     assert dl.score_features == frozenset()
-    assert all(dl.challenge_possible(c, []) for c in range(2))
+    assert dl.leaf_paths() == []
+    assert all(dl.challenge_possible(c, [], []) for c in range(2))
     assert bt.clauses == [] and bt.aux_count == 0
     assert all(bt.challenge_clause(c) is None for c in range(2))
 
@@ -144,7 +147,7 @@ def test_encodings_share_one_interface(toy_dl, toy_bt):
 def test_bt_exactly_one_leaf_per_tree(toy_bt):
     # the leaf paths of each tree partition the space
     enc = model_constraints(toy_bt)
-    per_tree = enc.leaf_paths()
+    per_tree = [leaves for group in enc.leaf_paths() for leaves in group]
     assert all(len(leaves) == 4 for leaves in per_tree)
 
     def holds(slit, inst):
@@ -159,15 +162,53 @@ def test_bt_exactly_one_leaf_per_tree(toy_bt):
             assert len(active) == 1
 
 
+def _assert_bounds_match(model, oracle):
+    """The oracle's trail-kept [lo, hi] per tree and per group equal the
+    recursive reference over its current domains."""
+    scores, dom = oracle._scores, oracle.dom
+    trees = [tree for group in model.trees for tree in group]
+    assert list(zip(scores.lo, scores.hi)) == [tree_bounds(t, dom) for t in trees]
+    assert list(zip(scores.group_lo, scores.group_hi)) == \
+        [group_bounds(model, g, dom) for g in range(len(model.trees))]
+
+
 def test_bt_bounds_are_sound(toy_bt):
+    """Trail-kept bounds on random partial domains reached by removals and
+    undos: equal to the reference, sound for completions of the domains,
+    exact once every feature is fixed, and back to the full-domain bounds
+    after undoing everything."""
     rng = random.Random(11)
-    enc = model_constraints(toy_bt)
-    sp = toy_bt.space
-    full = [set(range(len(sp.domain(f)))) for f in range(sp.m)]
-    lo, hi = enc.group_bounds(0, full)
-    for _ in range(300):
-        inst = random_instance(rng, sp)
-        assert lo <= toy_bt.group_score(0, inst) <= hi
+    models = [toy_bt] + [random_bt(rng, random_space(rng), n_classes=rng.choice((2, 3)),
+                                   depth=3) for _ in range(30)]
+    for model in models:
+        sp = model.space
+        oracle = EntailmentOracle(model)
+        marks = [0]
+        for _ in range(80):
+            if rng.random() < 0.3:
+                mark = rng.choice(marks)
+                oracle._undo_to(mark)
+                marks = [k for k in marks if k <= mark]
+            else:
+                f = rng.randrange(sp.m)
+                if oracle._remove(f, rng.choice(sorted(oracle.dom[f])), deque()):
+                    marks.append(len(oracle.trail))
+            _assert_bounds_match(model, oracle)
+            point = Instance(tuple(rng.choice(sorted(d)) for d in oracle.dom[:sp.m]))
+            for g in range(len(model.trees)):
+                lo, hi = oracle._scores.group_lo[g], oracle._scores.group_hi[g]
+                assert lo <= model.group_score(g, point) <= hi
+        # singleton domains: one live leaf per tree, so the bounds are exact
+        oracle._undo_to(0)
+        point = random_instance(rng, sp)
+        for f in range(sp.m):
+            for v in sorted(oracle.dom[f] - {point.values[f]}):
+                assert oracle._remove(f, v, deque())
+            _assert_bounds_match(model, oracle)
+        exact = [model.group_score(g, point) for g in range(len(model.trees))]
+        assert oracle._scores.group_lo == oracle._scores.group_hi == exact
+        oracle._undo_to(0)
+        _assert_bounds_match(model, oracle)
 
 
 def test_trainers_produce_valid_models(tmp_path, toy_ds):

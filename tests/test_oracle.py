@@ -344,3 +344,120 @@ def test_bt_bounds_after_knowledge_propagation():
             brute = entails_bruteforce(model, kb, fixed, v, c)
             assert got.status is brute.status
             queries += 1
+
+
+# ---------------------------------------------------------------------------
+# one long-lived oracle keeps its trail across interleaved queries
+
+class _Boom(Exception):
+    pass
+
+
+def _single_score_bt(rng, sp):
+    while True:
+        model = random_bt(rng, sp, n_classes=2, depth=3)
+        if model.positive is not None:
+            return model
+
+
+def _kept_trail_cases(rng, sp):
+    """(model, knowledge, instance pool) for DLs with two and three classes,
+    a constant DL, and single-score and multiclass BTs whose knowledge is
+    over tree-tested features. The knowledge holds on the pool's first
+    instance; for each clause the pool also holds a point falsifying it."""
+    v = random_instance(rng, sp)
+    dls = [random_dl(rng, sp, n_classes=2), random_dl(rng, sp, n_classes=3),
+           DecisionList(sp, ("c0", "c1", "c2"), (), default=rng.randrange(3))]
+    cases = [(model, _mixed_knowledge(rng, sp, v, rng.randint(2, 5)))
+             for model in dls]
+    for model in (_single_score_bt(rng, sp),
+                  random_bt(rng, sp, n_classes=3, depth=3)):
+        tested = sorted(model_constraints(model).score_features)
+        kb = (_tested_feature_knowledge(rng, sp, v, tested) if len(tested) >= 2
+              else _mixed_knowledge(rng, sp, v, 2))
+        cases.append((model, kb))
+    out = []
+    for model, kb in cases:
+        pool = [v] + [random_instance(rng, sp) for _ in range(2)]
+        for clause in kb.clauses:
+            values = list(v.values)
+            for lit in clause.literals:
+                values[lit.feature] = lit.value if lit.negated else \
+                    (lit.value + 1) % len(sp.domain(lit.feature))
+            pool.append(Instance(tuple(values)))
+        out.append((model, kb, pool))
+    return out
+
+
+def test_kept_trail_matches_fresh_oracles(monkeypatch):
+    """Fifteen long-lived oracles (five models on each of three spaces)
+    answer 140 interleaved queries each, 2,100 in all. Every answer equals a
+    fresh oracle's, witness included, and the brute-force status. The
+    queries mix the sequences explanations make: shared prefixes, one feature
+    dropped (AXp shrink) or added (CXp shrink), other contested classes,
+    knowledge subsets None, full, strict and empty, and root conflicts. Some
+    follow a rejected query or a query whose propagation raised partway."""
+    rng = random.Random(9090)
+    counts = dict.fromkeys(("queries", "conflicts", "errors", "raised"), 0)
+    patterns = ("drop", "add", "drop", "add", "prefix", "contested", "subset",
+                "instance", "conflict", "error", "raise")
+    for _ in range(3):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+        everything = frozenset(range(sp.m))
+        for model, kb, pool in _kept_trail_cases(rng, sp):
+            shared = EntailmentOracle(model, kb)
+            v, fixed, c, subset = pool[0], frozenset(), model.classify(pool[0]), None
+            for _ in range(140):
+                pattern = rng.choice(patterns)
+                if pattern == "drop" and fixed:
+                    fixed -= {rng.choice(sorted(fixed))}
+                elif pattern == "add" and fixed != everything:
+                    fixed |= {rng.choice(sorted(everything - fixed))}
+                elif pattern == "prefix":
+                    head = sorted(fixed)[:rng.randint(0, len(fixed))]
+                    fixed = frozenset(head).union(
+                        rng.sample(range(sp.m), rng.randint(0, sp.m)))
+                elif pattern == "contested":
+                    c = rng.randrange(model.class_count())
+                elif pattern == "subset":
+                    subset = rng.choice((None, kb, KnowledgeBase(), kb.subset(
+                        rng.sample(kb.clauses, rng.randint(0, len(kb) - 1)))))
+                elif pattern == "instance":
+                    v = rng.choice(pool)
+                elif pattern == "conflict":
+                    clause = rng.choice(kb.clauses)
+                    v = pool[3 + kb.clauses.index(clause)]
+                    fixed |= {lit.feature for lit in clause.literals}
+                    subset = rng.choice((None, kb))
+                elif pattern == "error":
+                    with pytest.raises(OracleError):
+                        shared.query({sp.m}, v, c)
+                    counts["errors"] += 1
+                active = kb if subset is None else subset
+                if pattern == "raise":
+                    calls, stop = [0], rng.randint(1, 3)
+                    propagate = shared._propagate
+
+                    def exploding(queue):
+                        ok = propagate(queue)
+                        calls[0] += 1
+                        if calls[0] >= stop:
+                            raise _Boom
+                        return ok
+
+                    with monkeypatch.context() as patch:
+                        patch.setattr(shared, "_propagate", exploding)
+                        try:
+                            shared.query(fixed, v, c, subset)
+                        except _Boom:
+                            counts["raised"] += 1
+                got = shared.query(fixed, v, c, subset)
+                fresh = EntailmentOracle(model, active).query(fixed, v, c)
+                assert (got.status, got.witness) == (fresh.status, fresh.witness)
+                assert got.status is entails_bruteforce(model, active, fixed, v, c).status
+                counts["queries"] += 1
+                counts["conflicts"] += any(  # the fixed values falsify a clause
+                    all(lit.feature in fixed and not lit.holds(v) for lit in cl.literals)
+                    for cl in active.clauses)
+    assert counts["queries"] >= 2000
+    assert min(counts.values()) > 0, counts

@@ -5,6 +5,8 @@ full-subset enumeration against the exhaustive oracle, and powerset hitting
 set computation. None of it shares code paths with the implementations under
 test beyond the core vocabulary types, except `reference_attribution`, which
 builds a fresh oracle per knowledge subset to check the one-oracle version.
+`tree_bounds` is the recursive score bound the oracle's trail-kept bounds are
+checked against.
 """
 
 from __future__ import annotations
@@ -215,6 +217,37 @@ def reference_boosted(train: Dataset, rounds: int, depth: int, lr: float = 0.5,
         return BoostedEnsemble(space, classes, scale, (boost(1),), positive=1)
     return BoostedEnsemble(space, classes, scale,
                            tuple(boost(c) for c in range(len(classes))))
+
+
+# ---------------------------------------------------------------------------
+# reference ensemble bounds: a recursive walk over the values still allowed
+
+def tree_bounds(tree, allowed) -> tuple[int, int]:
+    """[lo, hi] over the leaves reachable when each feature f takes a value
+    in allowed[f]."""
+    if isinstance(tree, Leaf):
+        return tree.weight, tree.weight
+    dom = allowed[tree.test.feature]
+    v = tree.test.value
+    other = len(dom) > 1 or v not in dom  # some allowed value differs from v
+    if tree.test.negated:
+        can_yes, can_no = other, v in dom
+    else:
+        can_yes, can_no = v in dom, other
+    lo, hi = None, None
+    if can_yes:
+        lo, hi = tree_bounds(tree.yes, allowed)
+    if can_no:
+        nlo, nhi = tree_bounds(tree.no, allowed)
+        lo = nlo if lo is None else min(lo, nlo)
+        hi = nhi if hi is None else max(hi, nhi)
+    return lo, hi
+
+
+def group_bounds(model: BoostedEnsemble, group: int, allowed) -> tuple[int, int]:
+    """The sums of the group's tree bounds."""
+    bounds = [tree_bounds(tree, allowed) for tree in model.trees[group]]
+    return sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
 
 
 # ---------------------------------------------------------------------------
