@@ -369,7 +369,7 @@ def rebind_knowledge(kb: "KnowledgeBase", old: FeatureSpace,
                          rules, kb.truncated)
 
 
-_JSON_TYPES = {list: "a list", str: "a string", int: "an integer"}
+_JSON_TYPES = {list: "a list", str: "a string", int: "an integer", dict: "an object"}
 
 
 def json_field(obj, key: str, kind: type = object, where: str = ""):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .core import FeatureSpace, Instance, read_json
+from .core import FeatureSpace, Instance, SpaceError, json_field, read_json
 
 ALLOWED_INTERVALS = (4, 5, 6)
 
@@ -101,18 +102,20 @@ class Dataset:
 
 def _try_float(cell: str) -> Optional[float]:
     try:
-        return float(cell)
+        x = float(cell)
     except ValueError:
         return None
+    return x if math.isfinite(x) else None
 
 
 def load_csv(path, class_column: Optional[str] = "last") -> Dataset:
     """Load a headered CSV; a UTF-8 byte-order mark before the header is dropped.
 
     Categorical domains are built in first-appearance order. Columns whose
-    cells all parse as floats are numeric (awaiting quantization). The last
-    column is the class unless `class_column` names another one or is None
-    for a class-free table. Column names must be distinct.
+    cells all parse as finite floats are numeric (awaiting quantization); a
+    column with a `nan` or `inf` cell is categorical. The last column is the
+    class unless `class_column` names another one or is None for a
+    class-free table. Column names must be distinct.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -222,14 +225,34 @@ class QuantizationSpec:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "QuantizationSpec":
-        if obj.get("format") != "kxp.qspec/1":
-            raise IngestError("unrecognized quantization spec format %r" % obj.get("format"))
-        return cls({name: ColumnBins(tuple(spec["cuts"]), tuple(spec["labels"]))
-                    for name, spec in obj["columns"].items()})
+        """A spec from its JSON object; a malformed one raises IngestError or
+        SpaceError naming the field or column."""
+        fmt = obj.get("format") if isinstance(obj, dict) else None
+        if fmt != "kxp.qspec/1":
+            raise IngestError("unrecognized quantization spec format %r" % fmt)
+        out = {}
+        for name, spec in json_field(obj, "columns", dict).items():
+            where = "columns[%r]" % name
+            cuts = json_field(spec, "cuts", list, where)
+            labels = json_field(spec, "labels", list, where)
+            if not (all(type(x) in (int, float) and math.isfinite(x) for x in cuts)
+                    and all(isinstance(label, str) for label in labels)):
+                raise IngestError("%s: expected finite numbers as cuts and "
+                                  "strings as labels" % where)
+            try:
+                out[name] = ColumnBins(tuple(cuts), tuple(labels))
+            except IngestError as exc:
+                raise IngestError("%s: %s" % (where, exc)) from None
+        return cls(out)
 
     @classmethod
     def load(cls, path) -> "QuantizationSpec":
-        return cls.from_obj(read_json(path, IngestError))
+        """Read a spec file; any fault in it raises IngestError naming the file."""
+        obj = read_json(path, IngestError)
+        try:
+            return cls.from_obj(obj)
+        except (IngestError, SpaceError) as exc:
+            raise IngestError("%s: %s" % (path, exc)) from None
 
 
 def check_interval_count(q: int, force: bool = False) -> None:

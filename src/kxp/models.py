@@ -12,8 +12,8 @@ from .ingest import Dataset
 
 MODEL_FORMAT = "kxp.model/1"
 
-# solver literal: (variable, value, negated); variables 0..m-1 are the features,
-# higher ids are Boolean auxiliaries with domain {0, 1}
+# solver literal: (variable, value, negated) over the features 0..m-1; the
+# DIMACS dump numbers its Boolean rule-chain variables from m up, value 1 true
 SLit = tuple[int, int, bool]
 
 
@@ -160,79 +160,48 @@ def _neg(slit: SLit) -> SLit:
 
 @dataclass
 class DLEncoding:
-    """Clauses over feature indicators plus per-rule match/prefix/fire Booleans.
-
-    fire[j] is true iff rule j's antecedent holds and no earlier rule matched;
-    the default path fires iff the last prefix variable is true.
-    """
+    """Class test for decision lists on the oracle's feature domains; `rules`
+    holds each rule's antecedent as solver literals and its class, in order."""
 
     model: DecisionList
-    aux_count: int
-    clauses: list[list[SLit]]
-    fire: list[int]           # var id of fire_j
-    default_var: Optional[int]  # var id of "no rule matched", None when no rules
+    rules: list[tuple[list[SLit], int]] = field(init=False)
 
-    score_features = frozenset()  # no score bounds: the clauses decide the class
+    score_features = frozenset()  # no score bounds
 
-    def challenge_clause(self, contested: int) -> Optional[list[SLit]]:
-        """Clause forcing the model output to differ from `contested`.
-
-        Returns None when the challenge is vacuously true (constant model of
-        another class) and [] when it is unsatisfiable (constant model of the
-        contested class).
-        """
-        lits = [(f, 1, False) for f, rule in zip(self.fire, self.model.rules)
-                if rule.cls != contested]
-        if self.model.default != contested:
-            if self.default_var is None:
-                return None
-            lits.append((self.default_var, 1, False))
-        return lits
+    def __post_init__(self):
+        self.rules = [([_lit_slit(l) for l in sorted(rule.antecedent)], rule.cls)
+                      for rule in self.model.rules]
 
     def leaf_paths(self) -> list[list[Leaves]]:
-        """No trees: the clauses decide the class."""
+        """No trees: the class test reads the domains."""
         return []
 
-    def challenge_possible(self, contested: int, lo: Sequence[int],
-                           hi: Sequence[int]) -> bool:
-        """Always True: the challenge clause carries the whole class test."""
-        return True
-
-
-def _encode_dl(model: DecisionList) -> DLEncoding:
-    m = model.space.m
-    next_var = m
-    clauses: list[list[SLit]] = []
-    fire: list[int] = []
-    prev_prefix: Optional[int] = None  # None means "vacuously true" (before rule 0)
-    for j, rule in enumerate(model.rules):
-        match = next_var
-        next_var += 1
-        lits = [_lit_slit(l) for l in sorted(rule.antecedent)]
-        for sl in lits:
-            clauses.append([(match, 0, False), sl])
-        clauses.append([(match, 1, False)] + [_neg(sl) for sl in lits])
-        f = next_var
-        next_var += 1
-        fire.append(f)
-        if prev_prefix is None:
-            clauses.append([(f, 0, False), (match, 1, False)])
-            clauses.append([(f, 1, False), (match, 0, False)])
-        else:
-            clauses.append([(f, 0, False), (prev_prefix, 1, False)])
-            clauses.append([(f, 0, False), (match, 1, False)])
-            clauses.append([(f, 1, False), (prev_prefix, 0, False), (match, 0, False)])
-        prefix = next_var
-        next_var += 1
-        if prev_prefix is None:
-            clauses.append([(prefix, 0, False), (match, 0, False)])
-            clauses.append([(prefix, 1, False), (match, 1, False)])
-        else:
-            clauses.append([(prefix, 0, False), (prev_prefix, 1, False)])
-            clauses.append([(prefix, 0, False), (match, 0, False)])
-            clauses.append([(prefix, 1, False), (prev_prefix, 0, False), (match, 1, False)])
-        prev_prefix = prefix
-    return DLEncoding(model, next_var - m, clauses, fire, prev_prefix)
+    def challenge_possible(self, contested: int, dom: Sequence[set[int]],
+                           lo: Sequence[int], hi: Sequence[int]) -> bool:
+        """Can a point within the domains be classified differently from
+        contested? Rules with a false literal are skipped; the first other
+        rule answers True if its class differs, False if it is contested and
+        surely fires (every literal true); past the last rule the default
+        answers. Sound on partial domains and exact on singleton ones."""
+        for lits, cls in self.rules:
+            sure = True
+            for var, value, negated in lits:
+                d = dom[var]
+                if negated:
+                    if value in d:
+                        if len(d) == 1:
+                            break
+                        sure = False
+                elif value not in d:
+                    break
+                elif len(d) > 1:
+                    sure = False
+            else:
+                if cls != contested:
+                    return True
+                if sure:
+                    return False
+        return self.model.default != contested
 
 
 # per tree: [(path literals, leaf weight)], one entry per leaf
@@ -244,17 +213,12 @@ class BTEncoding:
     """Score-side handle for ensembles: the trees' leaves and the class test
     on per-group score bounds.
 
-    The class test is not clausal, so there is no challenge clause. The oracle
-    keeps each group's [lo, hi] over the leaves whose paths can still hold and
-    asks `challenge_possible`, which is exact once every feature in
-    `score_features` is fixed. Leaf activation clauses are still derivable
-    for the CNF dump (leaf active iff its whole path holds, one leaf per tree).
+    The oracle keeps each group's [lo, hi] over the leaves whose paths can
+    still hold and asks `challenge_possible`, which is exact once every
+    feature in `score_features` is fixed.
     """
 
     model: BoostedEnsemble
-
-    aux_count = 0
-    clauses: list[list[SLit]] = field(default_factory=list)
 
     @property
     def score_features(self) -> frozenset[int]:
@@ -262,11 +226,8 @@ class BTEncoding:
         return frozenset(var for group in self.leaf_paths() for leaves in group
                          for path, _ in leaves for var, _, _ in path)
 
-    def challenge_clause(self, contested: int) -> None:
-        return None
-
-    def challenge_possible(self, contested: int, lo: Sequence[int],
-                           hi: Sequence[int]) -> bool:
+    def challenge_possible(self, contested: int, dom: Sequence[set[int]],
+                           lo: Sequence[int], hi: Sequence[int]) -> bool:
         """Can scores within the group bounds [lo[g], hi[g]] be classified
         differently from contested?
 
@@ -307,7 +268,7 @@ def _collect_paths(tree: Tree, path: list[SLit], leaves: Leaves) -> None:
 def model_constraints(model: Model) -> Union[DLEncoding, BTEncoding]:
     """Expose the model's decision semantics as logical constraints."""
     if isinstance(model, DecisionList):
-        return _encode_dl(model)
+        return DLEncoding(model)
     if isinstance(model, BoostedEnsemble):
         return BTEncoding(model)
     raise ModelError("unsupported model type %r" % type(model).__name__)

@@ -3,25 +3,27 @@
 UNSAT answers certify abductive explanations; SAT answers return a witness
 point that seeds contrastive explanations. The search is a complete
 backtracking procedure with watched-literal unit propagation over one-hot
-feature domains. Ensembles add sound per-class score-interval pruning: a leaf
-dies on the first domain change that falsifies a literal on its path, each
-tree's [lo, hi] over its live leaves is kept on the trail, and the group
-bounds are checked after every propagation, so on a full assignment the last
-check saw one live leaf per tree and was exact.
+feature domains. After every propagation one class test for both model
+families, the encoding's `challenge_possible`, asks whether a point within
+the domains can be classified other than the contested class: a decision
+list reads the domains rule by rule, an ensemble its per-class score bounds
+(a leaf dies on the first domain change that falsifies a literal on its
+path; each tree's [lo, hi] over its live leaves is kept on the trail). The
+test is sound on partial domains and exact on a full assignment.
 
-An oracle enters every clause once: the model encoding, the knowledge and,
-for decision lists, each class's challenge. A query switches off the other
-classes' challenges and the knowledge clauses outside its subset (by default
-none); switched-off clauses stay watched and are skipped when they wake.
+The variables are the features and the clauses the knowledge, each entered
+once. A query switches off the clauses outside its knowledge subset (by
+default none); switched-off clauses stay watched and are skipped when they
+wake.
 
 The propagated state is kept between queries. A query's assumptions, first
 the active unit clauses and then the fixed features in ascending order, are
 levels on one trail, each propagated to fixpoint. The next query keeps the
 leading levels whose assumptions it also asserts, propagates the rest of its
 own above them, searches, and undoes back to its own root. Levels are kept
-only while the switched-off clause set stays the same: a switched-off
-clause's watches do not move, so the two-watched-literal invariant holds
-again only from the empty trail, where a query with another set starts.
+only while the knowledge subset stays the same: a switched-off clause's
+watches do not move, so the two-watched-literal invariant holds again only
+from the empty trail, where a query with another subset starts.
 Propagation reaches one fixpoint whatever is reused, and the search returns
 the first solution in its fixed order, so answers and witnesses do not
 depend on the queries asked before. The state still confines an oracle to
@@ -37,7 +39,8 @@ from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .core import Clause, FeatureSpace, Instance, KnowledgeBase
-from .models import DLEncoding, Leaves, Model, SLit, model_constraints
+from .models import (DecisionList, DLEncoding, Leaves, Model, SLit, _neg,
+                     model_constraints)
 
 
 class OracleError(ValueError):
@@ -159,8 +162,7 @@ class EntailmentOracle:
 
         m = self.space.m
         self._sizes = [len(self.space.domain(f)) for f in range(m)]
-        sizes = self._sizes + [2] * self.encoding.aux_count
-        self.dom: list[set[int]] = [set(range(s)) for s in sizes]
+        self.dom: list[set[int]] = [set(range(s)) for s in self._sizes]
         self.trail: list[tuple[int, int]] = []
         # the kept assumption levels: (assumed literal, trail length after it)
         self._levels: list[tuple[SLit, int]] = []
@@ -178,22 +180,10 @@ class EntailmentOracle:
         self.watch: dict[tuple, list[int]] = {}
         self.units: list[tuple[int, SLit]] = []
         self._off: set[int] = set()  # clause ids switched off for the kept levels
-        for clause in self.encoding.clauses:
-            self._add_clause(clause)
         self._kb_ids: dict[Clause, int] = {
             clause: self._add_clause([(l.feature, l.value, l.negated)
                                       for l in clause.literals])
             for clause in self.knowledge.clauses}
-        # class -> id of its challenge clause; an empty challenge means the
-        # class is always entailed, a vacuous one adds nothing
-        self._challenge: dict[int, int] = {}
-        self._entailed: set[int] = set()
-        for c in range(model.class_count()):
-            ch = self.encoding.challenge_clause(c)
-            if ch == []:
-                self._entailed.add(c)
-            elif ch is not None:
-                self._challenge[c] = self._add_clause(ch)
 
     # -- clause database -----------------------------------------------------
 
@@ -210,17 +200,14 @@ class EntailmentOracle:
                 self.watch.setdefault(events[pos], []).append(ci)
         return ci
 
-    def _switched_off(self, contested: int,
-                      knowledge: Optional[KnowledgeBase]) -> set[int]:
-        off = {ci for c, ci in self._challenge.items() if c != contested}
-        if knowledge is not None:
-            active = set(knowledge.clauses)
-            if any(clause not in self._kb_ids for clause in active):
-                raise OracleError("the knowledge subset has a clause outside "
-                                  "the oracle's knowledge base")
-            off.update(ci for clause, ci in self._kb_ids.items()
-                       if clause not in active)
-        return off
+    def _switched_off(self, knowledge: Optional[KnowledgeBase]) -> set[int]:
+        if knowledge is None:
+            return set()
+        active = set(knowledge.clauses)
+        if any(clause not in self._kb_ids for clause in active):
+            raise OracleError("the knowledge subset has a clause outside "
+                              "the oracle's knowledge base")
+        return {ci for clause, ci in self._kb_ids.items() if clause not in active}
 
     # -- propagation ---------------------------------------------------------
 
@@ -328,7 +315,7 @@ class EntailmentOracle:
 
     def _possible(self, contested: int) -> bool:
         scores = self._scores
-        return self.encoding.challenge_possible(contested, scores.group_lo,
+        return self.encoding.challenge_possible(contested, self.dom, scores.group_lo,
                                                 scores.group_hi)
 
     def _search(self, contested: int) -> Optional[Instance]:
@@ -392,13 +379,11 @@ class EntailmentOracle:
 
     def query(self, fixed: Iterable[int], instance: Instance, contested: int,
               knowledge: Optional[KnowledgeBase] = None) -> OracleResult:
-        """Decide the query; Z, the class challenge and the knowledge subset
+        """Decide the query; Z, the contested class and the knowledge subset
         (default: the oracle's whole knowledge base) are per-call."""
         fixed = self._checked(fixed, instance, contested)
-        off = self._switched_off(contested, knowledge)
+        off = self._switched_off(knowledge)
         self.calls += 1
-        if contested in self._entailed:
-            return OracleResult(Status.ENTAILS)
         if off != self._off:
             self._undo_to(0)
             self._levels.clear()
@@ -419,23 +404,54 @@ class EntailmentOracle:
 # ---------------------------------------------------------------------------
 # DIMACS dump for cross-checking with external solvers
 
+def _dl_cnf(model: DecisionList,
+            contested: int) -> tuple[list[list[SLit]], Optional[list[SLit]]]:
+    """A decision list as clauses over rule j's Booleans m + 3j on: match
+    (its antecedent holds), fire (it is the first match) and prefix (no rule
+    up to j matched); and the clause asking for another class than
+    `contested`: None when vacuous (no rules, another default), [] when
+    unsatisfiable (every rule and the default are contested)."""
+    clauses: list[list[SLit]] = []
+
+    def define(var: int, parts: list[SLit]) -> None:  # var <-> AND(parts)
+        clauses.extend([(var, 0, False), sl] for sl in parts)
+        clauses.append([(var, 1, False)] + [_neg(sl) for sl in parts])
+
+    challenge: list[SLit] = []
+    prefix: list[SLit] = []  # the previous rule's prefix; none before rule 0
+    var = model.space.m
+    for lits, cls in DLEncoding(model).rules:
+        match, fire, ahead = var, var + 1, var + 2
+        var += 3
+        define(match, lits)
+        define(fire, prefix + [(match, 1, False)])
+        define(ahead, prefix + [(match, 0, False)])
+        prefix = [(ahead, 1, False)]
+        if cls != contested:
+            challenge.append((fire, 1, False))
+    if model.default != contested:
+        if not prefix:
+            return clauses, None
+        challenge += prefix
+    return clauses, challenge
+
+
 def query_to_dimacs(model: Model, knowledge: Optional[KnowledgeBase],
                     fixed: Iterable[int], instance: Instance, contested: int) -> str:
     """CNF image of one query over one-hot indicators.
 
-    The clauses are those of an `EntailmentOracle` over (model, knowledge) as
-    the query switches them (an empty clause when `contested` is always
-    entailed), the fixed features' units and the one-hot domain clauses.
-    Indicator id = 1 + offset(feature) + value index, where offset is the sum
-    of the domain sizes of earlier features. For decision lists the dump is
-    equisatisfiable with the query; for ensembles the score comparison is not
-    clausal and is omitted (a comment line says so).
+    The clauses are the one-hot domain clauses, the fixed features' units,
+    a decision list's rule chain, the oracle's knowledge clauses, and then
+    the list's challenge to `contested` (an empty clause when no point can
+    meet it) or an ensemble's leaf clauses. Indicator id = 1 + offset(feature) + value index, where offset
+    is the sum of the domain sizes of earlier features. For decision lists
+    the dump is equisatisfiable with the query; for ensembles the score
+    comparison is not clausal and is omitted (a comment line says so).
     """
     oracle = EntailmentOracle(model, knowledge)
     fixed = oracle._checked(fixed, instance, contested)
     check_compatible(instance, oracle.knowledge)
     space = oracle.space
-    enc = oracle.encoding
     offsets = []
     total = 0
     for f in range(space.m):
@@ -445,14 +461,12 @@ def query_to_dimacs(model: Model, knowledge: Optional[KnowledgeBase],
     def ind(f: int, d: int) -> int:
         return 1 + offsets[f] + d
 
-    aux_base = total  # aux Boolean b -> id aux_base + (b - m) + 1
-
     def slit_dimacs(slit: SLit) -> int:
         var, value, negated = slit
         if var < space.m:
             lit = ind(var, value)
             return -lit if negated else lit
-        lit = aux_base + (var - space.m) + 1
+        lit = total + (var - space.m) + 1  # a rule-chain Boolean
         positive = (value == 1) != negated
         return lit if positive else -lit
 
@@ -469,19 +483,19 @@ def query_to_dimacs(model: Model, knowledge: Optional[KnowledgeBase],
         clauses.extend([-a, -b] for a, b in combinations(ids, 2))
     for f in sorted(fixed):
         clauses.append([ind(f, instance.values[f])])
-    off = oracle._switched_off(contested, None)
-    clauses.extend([slit_dimacs(sl) for sl in slits]
-                   for ci, slits in enumerate(oracle.clauses) if ci not in off)
-    if contested in oracle._entailed:
-        clauses.append([])
 
-    n_vars = total + enc.aux_count
-    if isinstance(enc, DLEncoding):
+    is_dl = isinstance(model, DecisionList)
+    rule_cnf, challenge = _dl_cnf(model, contested) if is_dl else ([], None)
+    cnf = rule_cnf + oracle.clauses + ([challenge] if challenge is not None else [])
+    clauses.extend([slit_dimacs(sl) for sl in slits] for slits in cnf)
+    n_vars = total
+    if is_dl:
+        n_vars += 3 * len(model.rules)
         comments.append("c aux vars %d..%d: rule match/fire/prefix chain"
-                        % (aux_base + 1, n_vars))
+                        % (total + 1, n_vars))
     else:  # the oracle bounds ensemble scores and holds no leaf clauses
         leaf_id = n_vars
-        for leaves in chain.from_iterable(enc.leaf_paths()):
+        for leaves in chain.from_iterable(oracle.encoding.leaf_paths()):
             tree_vars = []
             for path, weight in leaves:
                 leaf_id += 1

@@ -102,6 +102,22 @@ def test_xval_rules_checks_interval_count_without_numeric_columns(tmp_path, caps
     assert json.loads(out.read_text())["manifest"]["limits"]["q"] == 3
 
 
+@pytest.mark.parametrize("cell", ["NaN", "inf"])
+@pytest.mark.parametrize("row", [0, 2])
+def test_quantize_keeps_non_finite_columns_categorical(tmp_path, cell, row):
+    cells = ["1", "2", "3", "4"]
+    cells[row] = cell
+    csv = tmp_path / "odd.csv"
+    csv.write_text("a,b,Y\n" + "".join("%s,%d,c%d\n" % (x, 10 * r, r % 2)
+                                       for r, x in enumerate(cells)))
+    prefix = str(tmp_path / "quant")
+    assert main(["quantize", str(csv), "--q", "4", "--out-prefix", prefix]) == 0
+    spec = json.loads(Path(prefix + ".qspec.json").read_text())
+    assert list(spec["columns"]) == ["b"]
+    out = Path(prefix + ".csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in out] == ["a"] + cells
+
+
 def test_quantize_categorical_identity(tmp_path):
     prefix = str(tmp_path / "ident")
     assert main(["quantize", TOY, "--q", "5", "--out-prefix", prefix]) == 0

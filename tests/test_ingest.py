@@ -89,6 +89,15 @@ def test_numeric_detection_and_quantize(tmp_path):
     assert quantize(q, spec) == q
 
 
+@pytest.mark.parametrize("cells", [("1", "2", "NaN", "3"), ("nan", "1", "2", "3"),
+                                   ("1", "inf", "2", "3"), ("-Infinity", "1", "2", "3")])
+def test_non_finite_cells_keep_a_column_categorical(tmp_path, cells):
+    rows = "".join("%s,c%d\n" % (cell, r % 2) for r, cell in enumerate(cells))
+    ds = load_csv(write(tmp_path, "a,Y\n" + rows))
+    assert ds.numeric_columns == ()
+    assert ds.space.domain(0) == cells
+
+
 def test_quantize_cut_semantics():
     bins = ColumnBins.from_cuts([40.0, 45.0])
     assert bins.labels == ("<=40", "(40,45]", ">45")
@@ -150,6 +159,31 @@ def test_qspec_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     write_json(path, spec.to_obj())
     assert QuantizationSpec.load(path) == spec
+
+
+def test_qspec_load_names_file_and_field(tmp_path):
+    good = {"format": "kxp.qspec/1",
+            "columns": {"x": {"cuts": [1.0, 2.0], "labels": ["a", "b", "c"]}}}
+    bad = {
+        "list": ([], "unrecognized quantization spec format None"),
+        "no-columns": ({"format": "kxp.qspec/1"}, "missing field 'columns'"),
+        "decreasing": ({**good, "columns": {"x": {"cuts": [2.0, 1.0],
+                                                  "labels": ["a", "b", "c"]}}},
+                       "columns['x']: cut points must be strictly increasing"),
+        "no-labels": ({**good, "columns": {"x": {"cuts": [1.0]}}},
+                      "columns['x']: missing field 'labels'"),
+        "text-cut": ({**good, "columns": {"x": {"cuts": ["1"], "labels": ["a", "b"]}}},
+                     "columns['x']: expected finite numbers as cuts"),
+    }
+    path = tmp_path / "good.json"
+    write_json(path, good)
+    assert QuantizationSpec.load(path).columns["x"].cuts == (1.0, 2.0)
+    for name, (obj, message) in bad.items():
+        path = tmp_path / (name + ".json")
+        write_json(path, obj)
+        with pytest.raises(IngestError) as err:
+            QuantizationSpec.load(path)
+        assert str(err.value).startswith("%s: %s" % (path, message)), name
 
 
 def test_split_basics(toy_ds):

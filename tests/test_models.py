@@ -1,12 +1,14 @@
+import inspect
 import json
 import random
 from collections import deque
+from itertools import product
 
 import pytest
 
 from kxp import (Dataset, Instance, load_model, model_constraints, save_model,
                  train_boosted, train_decision_list)
-from kxp.models import (BoostedEnsemble, DecisionList, DLEncoding, Leaf,
+from kxp.models import (BoostedEnsemble, DecisionList, DLEncoding, DLRule, Leaf,
                         ModelError, model_from_obj, model_to_obj, _walk)
 from kxp.oracle import EntailmentOracle
 
@@ -120,20 +122,25 @@ def test_random_model_round_trips():
 def test_dl_encoding_shape(toy_dl):
     enc = model_constraints(toy_dl)
     assert isinstance(enc, DLEncoding)
-    assert len(enc.fire) == len(toy_dl.rules)
-    assert enc.aux_count == 3 * len(toy_dl.rules)
-    challenge = enc.challenge_clause(0)
-    # challenging the positive class: some below-50k path must fire
-    assert challenge is not None and len(challenge) == 3
+    assert [cls for _, cls in enc.rules] == [rule.cls for rule in toy_dl.rules]
+    assert [sorted(lits) for lits, _ in enc.rules] == \
+        [sorted((l.feature, l.value, l.negated) for l in rule.antecedent)
+         for rule in toy_dl.rules]
+    full = [set(range(len(toy_dl.space.domain(f)))) for f in range(toy_dl.space.m)]
+    # on the full space both classes can be challenged
+    assert all(enc.challenge_possible(c, full, [], []) for c in range(2))
 
 
 def test_encodings_share_one_interface(toy_dl, toy_bt):
     dl, bt = model_constraints(toy_dl), model_constraints(toy_bt)
     assert dl.score_features == frozenset()
     assert dl.leaf_paths() == []
-    assert all(dl.challenge_possible(c, [], []) for c in range(2))
-    assert bt.clauses == [] and bt.aux_count == 0
-    assert all(bt.challenge_clause(c) is None for c in range(2))
+    assert list(inspect.signature(dl.challenge_possible).parameters) == \
+        list(inspect.signature(bt.challenge_possible).parameters) == \
+        ["contested", "dom", "lo", "hi"]
+    for enc in (dl, bt):
+        assert not any(hasattr(enc, name) for name in
+                       ("clauses", "aux_count", "challenge_clause"))
 
     def tested(tree):
         if isinstance(tree, Leaf):
@@ -142,6 +149,59 @@ def test_encodings_share_one_interface(toy_dl, toy_bt):
 
     assert bt.score_features == set().union(
         *(tested(t) for group in toy_bt.trees for t in group))
+
+
+def _class_test_models(rng, sp):
+    """Binary and 3-class lists (with `!=` literals on ternary features), a
+    constant list, and a list with an empty-antecedent rule."""
+    n = rng.choice((2, 3))
+    classes = tuple("c%d" % c for c in range(n))
+    pick = rng.random()
+    if pick < 0.15:
+        return DecisionList(sp, classes, (), default=rng.randrange(n))
+    model = random_dl(rng, sp, n_classes=n, max_rules=6)
+    if pick < 0.35:
+        at = rng.randint(0, len(model.rules))
+        rules = model.rules[:at] + (DLRule(frozenset(), rng.randrange(n)),) \
+            + model.rules[at:]
+        return DecisionList(sp, classes, rules, model.default)
+    return model
+
+
+def test_dl_class_test_sound_and_exact():
+    """`DLEncoding.challenge_possible` on random partial domains answers
+    False only when every completion is classified contested; on singleton
+    domains it equals `classify(point) != contested`."""
+    rng = random.Random(6060)
+    seen = dict.fromkeys(("false", "true_unreachable", "negated", "empty",
+                          "constant"), 0)
+    for _ in range(250):
+        sp = random_space(rng, min_features=2, max_features=4, max_domain=3)
+        model = _class_test_models(rng, sp)
+        enc = DLEncoding(model)
+        n = model.class_count()
+        seen["negated"] += any(l.negated for r in model.rules for l in r.antecedent)
+        seen["empty"] += any(not r.antecedent for r in model.rules)
+        seen["constant"] += not model.rules
+        sizes = [len(sp.domain(f)) for f in range(sp.m)]
+        for _ in range(8):
+            dom = [set(rng.sample(range(k), rng.randint(1, k))) for k in sizes]
+            classes = {model.classify(Instance(p))
+                       for p in product(*(sorted(d) for d in dom))}
+            for c in range(n):
+                possible = enc.challenge_possible(c, dom, [], [])
+                if not possible:
+                    assert classes == {c}, (model, dom, c)
+                    seen["false"] += 1
+                elif classes == {c}:
+                    seen["true_unreachable"] += 1
+        for _ in range(4):
+            point = random_instance(rng, sp)
+            dom = [{v} for v in point.values]
+            for c in range(n):
+                assert enc.challenge_possible(c, dom, [], []) == \
+                    (model.classify(point) != c), (model, point, c)
+    assert min(seen.values()) > 0, seen
 
 
 def test_bt_exactly_one_leaf_per_tree(toy_bt):

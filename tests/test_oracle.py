@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
 from kxp.models import DecisionList, DLRule, model_constraints
-from kxp.oracle import EntailmentOracle, OracleError, Status, query_to_dimacs
+from kxp.oracle import (EntailmentOracle, OracleError, Status, _dl_cnf,
+                        query_to_dimacs)
 
 from util import (dimacs_satisfiable, entails_bruteforce, random_bt, random_dl,
                   random_instance, random_knowledge, random_model, random_space)
@@ -217,7 +219,7 @@ def test_dimacs_dump_cross_checked_small():
                                 rng.randrange(model.class_count())))
     challenges, units = set(), 0
     for model, kb, fixed, inst, c in queries:
-        ch = model_constraints(model).challenge_clause(c)
+        ch = _dl_cnf(model, c)[1]
         challenges.add(ch if ch is None else min(len(ch), 2))
         units += sum(len(clause.literals) == 1 for clause in kb.clauses)
         text = query_to_dimacs(model, kb, fixed, inst, c)
@@ -232,6 +234,43 @@ def test_dimacs_bt_dump_structure(toy_bt, row1):
     assert "score comparison is not encoded" in text
     # one leaf variable per leaf of the three trees
     assert text.count("c var") >= 12
+
+
+# sha256 over the dumps of `_dimacs_pin_texts`, recorded when the dump read
+# the decision-list clauses from the oracle's clause database
+DIMACS_PIN = "5f05a1af2b087ece6099ab4535e54ddba21c8125f83199748c075d9be251184f"
+
+
+def _dimacs_pin_texts():
+    """`query_to_dimacs` texts on four random spaces. Models: 2- and 3-class
+    lists, constant lists, a list with an empty-antecedent rule, single-score
+    and multiclass ensembles. Each is queried without and with knowledge under
+    every contested class."""
+    rng = random.Random(1010)
+    texts = []
+    for _ in range(4):
+        sp = random_space(rng, min_features=3, max_features=4, max_domain=3)
+        base = random_dl(rng, sp, n_classes=2, max_rules=4)
+        empty = DecisionList(sp, base.classes, base.rules[:1]
+                             + (DLRule(frozenset(), 1 - base.default),)
+                             + base.rules[1:], base.default)
+        models = [base, random_dl(rng, sp, n_classes=3, max_rules=4), empty,
+                  DecisionList(sp, ("c0", "c1", "c2"), (), default=rng.randrange(3)),
+                  _single_score_bt(rng, sp), random_bt(rng, sp, n_classes=3)]
+        for model in models:
+            v = random_instance(rng, sp)
+            for kb in (KnowledgeBase(), _mixed_knowledge(rng, sp, v, rng.randint(1, 4))):
+                for c in range(model.class_count()):
+                    fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
+                    texts.append(query_to_dimacs(model, kb, fixed, v, c))
+    return texts
+
+
+def test_dimacs_dump_pinned():
+    texts = _dimacs_pin_texts()
+    assert len(texts) == 4 * 2 * (2 + 3 + 2 + 3 + 2 + 3)
+    digest = hashlib.sha256("\0".join(texts).encode("utf-8")).hexdigest()
+    assert digest == DIMACS_PIN
 
 
 # ---------------------------------------------------------------------------
