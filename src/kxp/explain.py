@@ -7,7 +7,9 @@ features whose freeing admits a differently-classified, knowledge-consistent
 point. A set is a CXp exactly when fixing the other features does not
 entail the prediction, so one predicate and one deletion loop serve both
 kinds. The two families are minimal-hitting-set duals, which drives the
-smallest-first enumerator.
+smallest-first enumerator. Its hitting-set side is incremental: one solver
+per enumeration takes each new dual and each emission as it comes and
+resumes its search from the last answer.
 """
 
 from __future__ import annotations
@@ -147,39 +149,117 @@ class EnumerationResult:
         return [e.features for e in self.explanations]
 
 
-def _lb_disjoint(unhit: list[int]) -> int:
-    count, covered = 0, 0
-    for s in unhit:
-        if not s & covered:
-            count += 1
-            covered |= s
-    return count
+def _mask(elements: Iterable[int], universe: int) -> int:
+    mask = 0
+    for e in elements:
+        if not 0 <= e < universe:
+            raise ExplainError("element %r lies outside the universe range(%d)"
+                               % (e, universe))
+        mask |= 1 << e
+    return mask
 
 
-def _mhs_dfs(i: int, chosen: int, count: int, k: int,
-             sets: list[int], blocked: list[int]) -> Optional[int]:
-    for b in blocked:
-        if not b & ~chosen:
-            return None  # chosen is a superset of a blocked emission
-    unhit = [s for s in sets if not s & chosen]
+_CUT = -1  # no answer within the size bound; a larger bound may find one
+
+
+def _search(i: int, chosen: int, left: int, unhit: list[int],
+            blocked: list[int], floor: Optional[int]) -> Optional[int]:
+    """Lex-first extension of `chosen` by at most `left` elements from i up.
+
+    `unhit` holds the sets `chosen` misses, `blocked` the blocked sets minus
+    `chosen` that may still end up inside the answer. While `floor` is not
+    None, `chosen` equals the previous answer below i and `floor` is that
+    answer's elements from i up; branches leading lexicographically below it
+    are pruned. Returns the extension as a mask, `_CUT` when the size bound
+    or the floor pruned a branch, and None when no extension exists at any
+    size.
+    """
     if not unhit:
         return chosen
-    if count >= k:
-        return None
-    future = ~((1 << i) - 1)
-    if any(not s & future for s in unhit):
-        return None
-    if count + _lb_disjoint(unhit) > k:
-        return None
-    union = 0
+    if not left:
+        return _CUT
+    future = -1 << i
+    union = covered = disjoint = 0
     for s in unhit:
+        s &= future
+        if not s:
+            return None
         union |= s
-    rest = union & future
-    j = (rest & -rest).bit_length() - 1
-    found = _mhs_dfs(j + 1, chosen | (1 << j), count + 1, k, sets, blocked)
-    if found is not None:
-        return found
-    return _mhs_dfs(j + 1, chosen, count, k, sets, blocked)
+        if not s & covered:  # greedy disjoint sets: a lower bound on the picks
+            disjoint += 1
+            covered |= s
+    if disjoint > left:
+        return _CUT
+    bit = union & -union
+    j = bit.bit_length() - 1
+    if floor is not None:
+        if bit < floor & -floor:  # picking j would sort below the floor
+            found = _search(j + 1, chosen, left, unhit, blocked, floor)
+            return _CUT if found is None else found
+        pick_floor = floor ^ bit if bit == floor & -floor else None
+    else:
+        pick_floor = None
+    found, kept = None, []
+    for b in blocked:
+        if b & bit:
+            b ^= bit
+            if not b:
+                break  # picking j completes a blocked set
+        if not b & (bit - 1):  # else it keeps an element passed over
+            kept.append(b)
+    else:
+        found = _search(j + 1, chosen | bit, left - 1,
+                        [s for s in unhit if not s & bit], kept, pick_floor)
+        if found is not None and found >= 0:
+            return found
+    other = _search(j + 1, chosen, left, unhit, blocked, None)
+    return found if other is None else other
+
+
+class _HittingSets:
+    """Minimum hitting sets of a family that only grows.
+
+    The sets to hit and the blocked sets arrive one at a time as bit masks.
+    Each answer is the smallest set hitting every set and containing no
+    blocked set, with ties broken lexicographically. Added sets only shrink
+    the feasible family, so its least member never decreases: each search
+    resumes at the last answer's size, above the last answer.
+    """
+
+    def __init__(self, universe: int):
+        self.universe = universe
+        self._sets: list[int] = []
+        self._blocked: list[int] = []
+        self._last = 0      # the last answer (a mask) and its size
+        self._size = 0
+        self._empty = False  # no set is feasible, now or after later additions
+
+    def hit(self, elements: Iterable[int]) -> None:
+        """Every later answer must intersect `elements`."""
+        mask = _mask(elements, self.universe)
+        self._empty = self._empty or not mask
+        self._sets.append(mask)
+
+    def block(self, elements: Iterable[int]) -> None:
+        """No later answer may contain `elements`."""
+        mask = _mask(elements, self.universe)
+        self._empty = self._empty or not mask
+        self._blocked.append(mask)
+
+    def minimum(self) -> Optional[frozenset[int]]:
+        """The current least answer, or None when there is none."""
+        if self._empty:
+            return None
+        for k in range(self._size, self.universe + 1):
+            floor = self._last if k == self._size else None
+            found = _search(0, 0, k, self._sets, self._blocked, floor)
+            if found is None:
+                break  # nothing cut by size: no larger bound can succeed
+            if found >= 0:
+                self._last, self._size = found, k
+                return frozenset(e for e in range(self.universe) if found >> e & 1)
+        self._empty = True
+        return None
 
 
 def minimum_hitting_set(sets: Iterable[frozenset[int]],
@@ -187,22 +267,21 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
                         universe: int) -> Optional[frozenset[int]]:
     """Smallest set hitting every set in `sets` while containing no blocked set.
 
-    Exact iterative-deepening branch and bound over element bitmasks; ties
-    between equal-cardinality answers break lexicographically. None when
-    infeasible.
+    Exact iterative-deepening branch and bound over range(universe). Among
+    the answers of minimum size it returns the one whose sorted element list
+    is lexicographically least. None when infeasible (an empty set to hit, an
+    empty blocked set, or every hitting set containing a blocked one); an
+    element outside range(universe) raises ExplainError. Adding sets to hit
+    or to block only shrinks the feasible family, so the answer never
+    decreases in (size, lex) order; `enumerate_smallest` relies on that to
+    resume each search where the last one stopped.
     """
-    def mask(s):
-        return sum(1 << e for e in s)
-
-    set_masks = sorted({mask(s) for s in sets})
-    blocked_masks = [mask(b) for b in blocked]
-    if 0 in set_masks or 0 in blocked_masks:
-        return None  # an empty dual cannot be hit / an empty emission blocks everything
-    for k in range(universe + 1):
-        found = _mhs_dfs(0, 0, 0, k, set_masks, blocked_masks)
-        if found is not None:
-            return frozenset(f for f in range(universe) if found >> f & 1)
-    return None
+    hs = _HittingSets(universe)
+    for s in sets:
+        hs.hit(s)
+    for b in blocked:
+        hs.block(b)
+    return hs.minimum()
 
 
 def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
@@ -213,8 +292,11 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     Implicit hitting set loop: propose a minimum hitting set of the opposing
     duals collected so far (skipping supersets of prior emissions); an oracle
     check either certifies it (emit and block) or yields a counterexample
-    from which a new dual is extracted and recorded.
+    from which a new dual is extracted and recorded. One incremental
+    hitting-set solver serves the whole loop. n below 1 raises ExplainError.
     """
+    if n < 1:
+        raise ExplainError("n must be at least 1, got %r" % (n,))
     kind = Kind(kind)
     dual = Kind.CXP if kind is Kind.AXP else Kind.AXP
     q = _Questions(model, instance, knowledge, oracle)
@@ -224,9 +306,9 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     found = {Kind.AXP: state.found_axps, Kind.CXP: state.found_cxps}
     out: list[Explanation] = []
     exhausted = False
+    hs = _HittingSets(m)
     while len(out) < n:
-        # emitted sets are blocked: no later candidate may contain one
-        cand = minimum_hitting_set(found[dual], found[kind], m)
+        cand = hs.minimum()
         if cand is None:
             exhausted = True
             break
@@ -234,6 +316,7 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
         if ok:
             out.append(Explanation(kind, cand, bool(q.knowledge)))
             found[kind].append(cand)
+            hs.block(cand)  # no later candidate may contain an emission
             continue
         # a failed AXp candidate's witness frees a CXp; a failed CXp
         # candidate's complement fixes an AXp
@@ -242,7 +325,9 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
                              if res.witness.values[f] != instance.values[f])
         else:
             seed = frozenset(range(m)) - cand
-        found[dual].append(q.shrink(dual, seed))
+        new_dual = q.shrink(dual, seed)
+        found[dual].append(new_dual)
+        hs.hit(new_dual)
     return EnumerationResult(out, exhausted, q.oracle.calls - calls0, state)
 
 

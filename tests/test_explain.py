@@ -1,16 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
 from kxp import (Kind, KnowledgeBase, Rule)
-from kxp.explain import (EnumerationResult, ExplainError, attribute_rules,
-                         check_explanation, enumerate_smallest, find_axp,
-                         find_cxp, minimum_hitting_set, reduce_explanation)
+from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
+                         attribute_rules, check_explanation, enumerate_smallest,
+                         find_axp, find_cxp, minimum_hitting_set,
+                         reduce_explanation)
 from kxp.oracle import EntailmentOracle
 
 from util import (all_minimal_explanations, all_minimal_hitting_sets,
-                  random_bt, random_dl, random_instance, random_knowledge,
-                  random_model, random_space, reference_attribution)
+                  minimum_hitting_set_bruteforce, random_bt, random_dl,
+                  random_instance, random_knowledge, random_model, random_space,
+                  reference_attribution)
 
 
 def F(space, *names):
@@ -257,6 +260,64 @@ def test_minimum_hitting_set_matches_bruteforce():
         assert sorted(answer) == smallest[0]
 
 
+def test_minimum_hitting_set_rejects_elements_outside_universe():
+    for sets, blocked, element in (([{5}], [], 5), ([{-1}], [], -1),
+                                   ([{1}], [{0, 4}], 4)):
+        with pytest.raises(ExplainError,
+                           match=r"element %d .*range\(4\)" % element):
+            minimum_hitting_set(sets, blocked, 4)
+
+
+def _grow_step(rng, m, last):
+    """One set to hit or to block. Like the enumerator's, most sets to hit
+    miss the last answer and most blocked sets are the last answer; now and
+    then a set is empty."""
+    if rng.random() < 0.03:
+        return rng.random() < 0.5, frozenset()
+    pool = list(range(m))
+    if rng.random() < 0.5:
+        if rng.random() < 0.7 and last is not None and len(last) < m:
+            pool = [e for e in pool if e not in last]
+        return True, frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+    if rng.random() < 0.6 and last:
+        return False, last
+    return False, frozenset(rng.sample(pool, rng.randint(1, min(3, m))))
+
+
+def test_incremental_hitting_sets_match_bruteforce():
+    """Grown one set at a time, the incremental solver, the one-shot
+    `minimum_hitting_set` and the brute-force reference agree after every
+    step, through the empty answer and infeasibility."""
+    rng = random.Random(4096)
+    outcomes = {"empty": 0, "none": 0, "same size": 0, "larger": 0}
+    for _ in range(400):
+        m = rng.randint(1, 8)
+        hs, sets, blocked = _HittingSets(m), [], []
+        last = hs.minimum()
+        assert last == frozenset()
+        for _ in range(rng.randint(1, 14)):
+            to_hit, elements = _grow_step(rng, m, last)
+            if to_hit:
+                sets.append(elements)
+                hs.hit(elements)
+            else:
+                blocked.append(elements)
+                hs.block(elements)
+            got = hs.minimum()
+            assert got == minimum_hitting_set(sets, blocked, m)
+            assert got == minimum_hitting_set_bruteforce(sets, blocked, m)
+            if got is None:
+                outcomes["none"] += 1
+            elif not got:
+                outcomes["empty"] += 1
+            elif last is not None:
+                outcomes["same size" if len(got) == len(last) else "larger"] += 1
+            if got is None and last is None:
+                break  # infeasible twice: later steps stay infeasible
+            last = got
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 # ---------------------------------------------------------------------------
 # enumeration equals the brute-force explanation sets
 
@@ -275,6 +336,43 @@ def test_enumeration_matches_bruteforce_sets():
             assert set(res.feature_sets) == set(brute), "trial %d" % trial
             sizes = [len(s) for s in res.feature_sets]
             assert sizes == sorted(sizes)
+
+
+# sha256 over `_enumeration_pin_texts`, recorded before the hitting-set side
+# of the enumerator became incremental
+ENUMERATION_PIN = "ad5a590dff3e34a2b7c2cfc427d04c6528f0bfe0e85129cdadc748570c7ddd7a"
+
+
+def _enumeration_pin_texts():
+    """(feature sets in emission order, exhausted, oracle calls) of seeded
+    enumerations on ten random spaces: 2- and 3-class decision lists and
+    boosted trees, AXp and CXp, without and with knowledge, truncated (n=3)
+    or run to exhaustion."""
+    rng = random.Random(1111)
+    texts = []
+    for _ in range(10):
+        sp = random_space(rng, min_features=6, max_features=10, max_domain=4)
+        models = [random_dl(rng, sp, n_classes=2, max_rules=12),
+                  random_dl(rng, sp, n_classes=3, max_rules=12),
+                  random_bt(rng, sp, n_classes=2, max_trees=8, depth=3),
+                  random_bt(rng, sp, n_classes=3, max_trees=8, depth=3)]
+        for model in models:
+            v = random_instance(rng, sp)
+            kb = random_knowledge(rng, sp, v, max_clauses=5)
+            for knowledge in (None, kb):
+                for kind in Kind:
+                    res = enumerate_smallest(kind, model, v, knowledge=knowledge,
+                                             n=rng.choice((3, 200)))
+                    texts.append(repr(([sorted(s) for s in res.feature_sets],
+                                       res.exhausted, res.oracle_calls)))
+    return texts
+
+
+def test_enumeration_outputs_pinned():
+    texts = _enumeration_pin_texts()
+    assert len(texts) == 10 * 4 * 2 * 2
+    digest = hashlib.sha256("\0".join(texts).encode("utf-8")).hexdigest()
+    assert digest == ENUMERATION_PIN
 
 
 def _outcome(call, oracle):
@@ -338,6 +436,14 @@ def test_shared_oracle_matches_fresh_oracles():
 def test_enumeration_truncates_at_n(toy_dl, row1):
     res = enumerate_smallest(Kind.CXP, toy_dl, row1, n=2)
     assert len(res.explanations) == 2 and not res.exhausted
+
+
+def test_enumeration_rejects_n_below_one(toy_dl, row1):
+    oracle = EntailmentOracle(toy_dl, None)
+    for n in (0, -3):
+        with pytest.raises(ExplainError, match="n must be at least 1, got %d" % n):
+            enumerate_smallest(Kind.AXP, toy_dl, row1, n=n, oracle=oracle)
+    assert oracle.calls == 0
 
 
 def test_dual_state_hitting_invariant():

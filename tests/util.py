@@ -375,6 +375,19 @@ def all_minimal_hitting_sets(sets, m):
     return out
 
 
+def minimum_hitting_set_bruteforce(sets, blocked, m):
+    """The first subset of range(m) in (size, sorted tuple) order that hits
+    every set and contains no blocked set; None when there is none."""
+    sets = [frozenset(s) for s in sets]
+    blocked = [frozenset(b) for b in blocked]
+    for size in range(m + 1):
+        for combo in combinations(range(m), size):
+            cand = frozenset(combo)
+            if all(cand & s for s in sets) and not any(b <= cand for b in blocked):
+                return cand
+    return None
+
+
 # ---------------------------------------------------------------------------
 # random instance generators (seeded by the caller)
 
