@@ -14,9 +14,8 @@ from .models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
                      train_boosted, train_decision_list)
 from .oracle import (EntailmentOracle, OracleError, OracleResult, Status,
                      query_to_dimacs)
-from .explain import (DualState, EnumerationResult, ExplainError,
-                      attribute_rules, check_explanation, enumerate_smallest,
-                      find_axp, find_cxp, minimum_hitting_set,
-                      reduce_explanation)
+from .explain import (EnumerationResult, ExplainError, attribute_rules,
+                      check_explanation, enumerate_smallest, find_axp,
+                      find_cxp, minimum_hitting_set, reduce_explanation)
 
 __version__ = "0.1.0"

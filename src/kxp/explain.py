@@ -14,7 +14,7 @@ resumes its search from the last answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional
 
 from .core import Explanation, Instance, Kind, KnowledgeBase
@@ -130,19 +130,10 @@ def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
 # smallest-first enumeration via minimal hitting set duality
 
 @dataclass
-class DualState:
-    """Explanations found so far; every stored AXp intersects every stored CXp."""
-
-    found_axps: list[frozenset[int]] = field(default_factory=list)
-    found_cxps: list[frozenset[int]] = field(default_factory=list)
-
-
-@dataclass
 class EnumerationResult:
     explanations: list[Explanation]
     exhausted: bool           # true when no further explanation exists
     oracle_calls: int
-    state: DualState
 
     @property
     def feature_sets(self) -> list[frozenset[int]]:
@@ -302,8 +293,6 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     q = _Questions(model, instance, knowledge, oracle)
     calls0 = q.oracle.calls
     m = model.space.m
-    state = DualState()
-    found = {Kind.AXP: state.found_axps, Kind.CXP: state.found_cxps}
     out: list[Explanation] = []
     exhausted = False
     hs = _HittingSets(m)
@@ -315,7 +304,6 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
         ok, res = q.holds(kind, cand)
         if ok:
             out.append(Explanation(kind, cand, bool(q.knowledge)))
-            found[kind].append(cand)
             hs.block(cand)  # no later candidate may contain an emission
             continue
         # a failed AXp candidate's witness frees a CXp; a failed CXp
@@ -326,9 +314,8 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
         else:
             seed = frozenset(range(m)) - cand
         new_dual = q.shrink(dual, seed)
-        found[dual].append(new_dual)
         hs.hit(new_dual)
-    return EnumerationResult(out, exhausted, q.oracle.calls - calls0, state)
+    return EnumerationResult(out, exhausted, q.oracle.calls - calls0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ class ExtractionLimit:
             raise MinerError("min support must be >= 1")
         if self.max_rules is not None and self.max_rules < 1:
             raise MinerError("max rules must be >= 1")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise MinerError("time budget must be >= 0 seconds, got %r"
+                             % (self.time_budget,))
 
 
 # The level loop reads the clock once per this many candidate nodes, so a

@@ -6,10 +6,13 @@ backtracking procedure with watched-literal unit propagation over one-hot
 feature domains. After every propagation one class test for both model
 families, the encoding's `challenge_possible`, asks whether a point within
 the domains can be classified other than the contested class: a decision
-list reads the domains rule by rule, an ensemble its per-class score bounds
-(a leaf dies on the first domain change that falsifies a literal on its
-path; each tree's [lo, hi] over its live leaves is kept on the trail). The
-test is sound on partial domains and exact on a full assignment.
+list reads the domains rule by rule, an ensemble its per-class score bounds.
+Every leaf of every tree is one bit of one integer; a domain change clears
+the leaves whose path it falsifies with one AND (fixing a value clears all
+its leaves at once), and the trail logs the previous integer. The per-tree
+[lo, hi] and their per-class sums are brought up to date when the test reads
+them, for the trees whose leaves changed since. The test is sound on partial
+domains and exact on a full assignment.
 
 The variables are the features and the clauses the knowledge, each entered
 once. A query switches off the clauses outside its knowledge subset (by
@@ -35,7 +38,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 from typing import Iterable, Optional
 
 from .core import Clause, FeatureSpace, Instance, KnowledgeBase
@@ -83,66 +88,86 @@ def _event(slit: SLit) -> tuple:
 class _Scores:
     """Per-group score bounds of an ensemble, kept on the oracle's trail.
 
+    Every leaf of every tree is one bit of the integer `alive`. Tree t owns
+    a contiguous range of bits, its leaves in ascending weight order, so its
+    [lo, hi] are the weights of the lowest and highest live bit in its range.
     A leaf dies on the first event that falsifies a literal on its path; it
     revives only when that event is undone, and undo is last-in-first-out,
-    so later falsified literals need no count. Each tree numbers its leaves
-    by ascending weight and keeps the live ones as a bit mask, so its [lo, hi]
-    are the weights of the mask's lowest and highest bits. Each change of a
-    mask is logged with the trail length it happened at and the tree's
-    previous mask and bounds, so undoing the trail restores masks, tree
-    bounds and group sums in reverse order.
+    so later falsified literals need no count. `dying` maps each event to
+    the mask of the leaves it falsifies, and `fixing[var][value]` to the
+    mask of the leaves that `var = value` falsifies, so a kill is one AND.
+    Each change of `alive` is logged with the trail length it happened at
+    and the previous `alive`, and undo restores that one integer.
+
+    The per-tree bounds and the group sums are brought up to date when they
+    are read (`sync`): only the trees with a bit changed since the last
+    reading are visited, whatever kills and undos came in between.
     """
 
-    def __init__(self, groups: list[list[Leaves]]):
-        # event -> [(tree, mask of the tree's leaves the event falsifies)]
-        self.dying: dict[tuple, list[tuple[int, int]]] = {}
-        self.weights: list[list[int]] = []  # per tree, ascending
+    def __init__(self, groups: list[list[Leaves]], sizes: list[int]):
+        self.dying: dict[tuple, int] = {}  # event -> leaves it falsifies
+        self.weights: list[int] = []  # per bit
+        self.tree_of: list[int] = []  # per bit
+        self.masks: list[int] = []  # per tree: its bit range
+        self.below: list[int] = []  # per tree: the bits below its range
         self.group_of: list[int] = []  # per tree
         for g, trees in enumerate(groups):
             for leaves in trees:
-                t = len(self.weights)
+                t, first = len(self.masks), len(self.weights)
                 leaves = sorted(leaves, key=lambda leaf: leaf[1])
-                kills: dict[tuple, int] = {}
-                for i, (path, _) in enumerate(leaves):
+                for i, (path, weight) in enumerate(leaves, first):
                     for slit in path:
                         ev = _event(slit)
-                        kills[ev] = kills.get(ev, 0) | 1 << i
-                for ev, bits in kills.items():
-                    self.dying.setdefault(ev, []).append((t, bits))
-                self.weights.append([weight for _, weight in leaves])
+                        self.dying[ev] = self.dying.get(ev, 0) | 1 << i
+                    self.weights.append(weight)
+                    self.tree_of.append(t)
+                self.masks.append((1 << len(self.weights)) - (1 << first))
+                self.below.append((1 << first) - 1)
                 self.group_of.append(g)
-        self.alive = [(1 << len(w)) - 1 for w in self.weights]
-        self.lo = [w[0] for w in self.weights]
-        self.hi = [w[-1] for w in self.weights]
-        self.group_lo = [0] * len(groups)
-        self.group_hi = [0] * len(groups)
-        for t, g in enumerate(self.group_of):
-            self.group_lo[g] += self.lo[t]
-            self.group_hi[g] += self.hi[t]
-        self.log: list[tuple[int, int, int, int, int]] = []  # stamp, tree, mask, lo, hi
+        self.fixing: list[list[int]] = []  # var -> value -> leaves it falsifies
+        for var, size in enumerate(sizes):
+            rm = [self.dying.get(("rm", var, value), 0) for value in range(size)]
+            self.fixing.append([reduce(or_, rm[:value] + rm[value + 1:],
+                                       self.dying.get(("fix", var, value), 0))
+                                for value in range(size)])
+        self.alive = (1 << len(self.weights)) - 1
+        self.log: list[tuple[int, int]] = []  # stamp, previous alive
+        # per tree and per group, as of the last sync with `alive` = `seen`
+        self.lo, self.hi = [0] * len(self.masks), [0] * len(self.masks)
+        self.group_lo, self.group_hi = [0] * len(groups), [0] * len(groups)
+        self.seen = 0
+        self.sync()
 
-    def _set(self, t: int, mask: int, lo: int, hi: int) -> None:
-        g = self.group_of[t]
-        self.group_lo[g] += lo - self.lo[t]
-        self.group_hi[g] += hi - self.hi[t]
-        self.alive[t], self.lo[t], self.hi[t] = mask, lo, hi
-
-    def kill(self, hits: list[tuple[int, int]], stamp: int) -> None:
+    def kill(self, bits: int, stamp: int) -> None:
         alive = self.alive
-        for t, bits in hits:
-            mask = alive[t]
-            if mask & bits:
-                self.log.append((stamp, t, mask, self.lo[t], self.hi[t]))
-                mask &= ~bits
-                w = self.weights[t]
-                self._set(t, mask, w[(mask & -mask).bit_length() - 1],
-                          w[mask.bit_length() - 1])
+        if alive & bits:
+            self.log.append((stamp, alive))
+            self.alive = alive & ~bits
 
     def undo_to(self, mark: int) -> None:
         log = self.log
         while log and log[-1][0] > mark:
-            _, t, mask, lo, hi = log.pop()
-            self._set(t, mask, lo, hi)
+            self.alive = log.pop()[1]
+
+    def sync(self) -> None:
+        """Bring the per-tree bounds and group sums up to date with `alive`."""
+        alive = self.alive
+        changed = alive ^ self.seen
+        if not changed:
+            return
+        self.seen = alive
+        weights, tree_of, masks, below = self.weights, self.tree_of, self.masks, self.below
+        lo, hi, group_lo, group_hi = self.lo, self.hi, self.group_lo, self.group_hi
+        while changed:  # from the highest changed tree down
+            t = tree_of[changed.bit_length() - 1]
+            changed &= below[t]
+            live = alive & masks[t]
+            t_lo = weights[(live & -live).bit_length() - 1]
+            t_hi = weights[live.bit_length() - 1]
+            g = self.group_of[t]
+            group_lo[g] += t_lo - lo[t]
+            group_hi[g] += t_hi - hi[t]
+            lo[t], hi[t] = t_lo, t_hi
 
 
 class EntailmentOracle:
@@ -166,7 +191,7 @@ class EntailmentOracle:
         self.trail: list[tuple[int, int]] = []
         # the kept assumption levels: (assumed literal, trail length after it)
         self._levels: list[tuple[SLit, int]] = []
-        self._scores = _Scores(self.encoding.leaf_paths())
+        self._scores = _Scores(self.encoding.leaf_paths(), self._sizes)
         self._dying = self._scores.dying
 
         # decide score-relevant features first, so the bounds tighten early
@@ -221,26 +246,36 @@ class EntailmentOracle:
         self.trail.append((var, value))
         ev = ("rm", var, value)
         queue.append(ev)
-        hits = self._dying.get(ev)
-        if hits:
-            self._scores.kill(hits, len(self.trail))
+        bits = self._dying.get(ev, 0)
         if len(d) == 1:
             ev = ("fix", var, next(iter(d)))
             queue.append(ev)
-            hits = self._dying.get(ev)
-            if hits:
-                self._scores.kill(hits, len(self.trail))
+            bits |= self._dying.get(ev, 0)
+        if bits:
+            self._scores.kill(bits, len(self.trail))
         return True
 
     def _force(self, slit: SLit, queue: deque) -> bool:
         var, value, negated = slit
         if negated:
             return self._remove(var, value, queue)
-        if value not in self.dom[var]:
+        d = self.dom[var]
+        if value not in d:
             return False
-        for other in list(self.dom[var]):
-            if other != value and not self._remove(var, other, queue):
-                return False
+        if len(d) == 1:
+            return True
+        # remove every other value at once: the same trail entries and
+        # events as one `_remove` each, and one kill for all their leaves
+        trail = self.trail
+        for other in list(d):
+            if other != value:
+                d.discard(other)
+                trail.append((var, other))
+                queue.append(("rm", var, other))
+        queue.append(("fix", var, value))
+        bits = self._scores.fixing[var][value]
+        if bits:
+            self._scores.kill(bits, len(trail))
         return True
 
     def _propagate(self, queue: deque) -> bool:
@@ -315,6 +350,7 @@ class EntailmentOracle:
 
     def _possible(self, contested: int) -> bool:
         scores = self._scores
+        scores.sync()
         return self.encoding.challenge_possible(contested, self.dom, scores.group_lo,
                                                 scores.group_hi)
 

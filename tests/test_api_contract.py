@@ -14,7 +14,7 @@ import kxp.oracle
 PUBLIC = {
     "kxp": [
         "BoostedEnsemble", "Clause", "ColumnBins", "DLRule", "Dataset",
-        "DecisionList", "DualState", "EntailmentOracle", "EnumerationResult",
+        "DecisionList", "EntailmentOracle", "EnumerationResult",
         "ExplainError", "Explanation", "ExtractionLimit", "FeatureSpace",
         "IngestError", "Instance", "Kind", "KnowledgeBase", "Leaf", "Literal",
         "MinerError", "ModelError", "Node", "OracleError", "OracleResult",
@@ -44,9 +44,8 @@ PARAMETERS = {
     "Dataset": ["names", "domains", "rows", "class_name", "class_domain",
                 "class_labels", "class_position"],
     "DecisionList": ["space", "classes", "rules", "default"],
-    "DualState": ["found_axps", "found_cxps"],
     "EntailmentOracle": ["model", "knowledge"],
-    "EnumerationResult": ["explanations", "exhausted", "oracle_calls", "state"],
+    "EnumerationResult": ["explanations", "exhausted", "oracle_calls"],
     "Explanation": ["kind", "features", "knowledge_assisted"],
     "ExtractionLimit": ["max_size", "max_rules", "time_budget", "min_support"],
     "FeatureSpace": ["features"],

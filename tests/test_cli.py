@@ -192,6 +192,15 @@ def test_mine_rejects_nonpositive_max_rules(tmp_path):
     assert not out.exists()
 
 
+def test_mine_rejects_nan_or_negative_time_budget(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    for bad, shown in (("nan", "nan"), ("-1", "-1.0")):
+        assert main(["mine", TOY, "--time-budget", bad, "--out", str(out)]) == 2
+        assert "time budget must be >= 0 seconds, got %s" % shown \
+            in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mine_rejects_unquantized(tmp_path):
     assert main(["mine", numeric_csv(tmp_path), "--out",
                  str(tmp_path / "r.jsonl")]) == 2

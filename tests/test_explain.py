@@ -446,15 +446,19 @@ def test_enumeration_rejects_n_below_one(toy_dl, row1):
     assert oracle.calls == 0
 
 
-def test_dual_state_hitting_invariant():
+def test_axps_and_cxps_hit_each_other():
+    """Every AXp of an exhaustive AXp enumeration intersects every CXp of an
+    exhaustive CXp enumeration."""
     rng = random.Random(99)
     for _ in range(20):
         sp = random_space(rng, min_features=3, max_features=4)
         model = random_model(rng, sp)
         v = random_instance(rng, sp)
-        res = enumerate_smallest(Kind.AXP, model, v, n=50)
-        for axp in res.state.found_axps:
-            for cxp in res.state.found_cxps:
+        axps = enumerate_smallest(Kind.AXP, model, v, n=50)
+        cxps = enumerate_smallest(Kind.CXP, model, v, n=50)
+        assert axps.exhausted and cxps.exhausted
+        for axp in axps.feature_sets:
+            for cxp in cxps.feature_sets:
                 assert axp & cxp, "duality violated"
 
 

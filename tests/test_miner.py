@@ -226,6 +226,12 @@ def test_limit_validation():
     for bad in (0, -1):
         with pytest.raises(MinerError, match="max rules"):
             ExtractionLimit(max_rules=bad)
+    for bad, shown in ((float("nan"), "nan"), (-1.0, "-1.0"), (-1e-9, "-1e-09")):
+        with pytest.raises(MinerError, match="time budget must be >= 0 seconds, got %s"
+                           % shown):
+            ExtractionLimit(time_budget=bad)
+    for fine in (0.0, 0.5, float("inf")):
+        assert ExtractionLimit(time_budget=fine).time_budget == fine
 
 
 def test_one_target_rule_budget(toy_ds):

@@ -223,9 +223,10 @@ def test_bt_exactly_one_leaf_per_tree(toy_bt):
 
 
 def _assert_bounds_match(model, oracle):
-    """The oracle's trail-kept [lo, hi] per tree and per group equal the
+    """After a sync, the oracle's [lo, hi] per tree and per group equal the
     recursive reference over its current domains."""
     scores, dom = oracle._scores, oracle.dom
+    scores.sync()
     trees = [tree for group in model.trees for tree in group]
     assert list(zip(scores.lo, scores.hi)) == [tree_bounds(t, dom) for t in trees]
     assert list(zip(scores.group_lo, scores.group_hi)) == \
@@ -233,26 +234,43 @@ def _assert_bounds_match(model, oracle):
 
 
 def test_bt_bounds_are_sound(toy_bt):
-    """Trail-kept bounds on random partial domains reached by removals and
-    undos: equal to the reference, sound for completions of the domains,
-    exact once every feature is fixed, and back to the full-domain bounds
-    after undoing everything."""
+    """Trail-kept bounds on random partial domains reached by removals,
+    fixings (`_force` with a positive literal, on full and reduced domains)
+    and undos, read after one or several changes: equal to the reference,
+    sound for completions of the domains, exact once every feature is fixed,
+    and back to the full-domain bounds after undoing everything. A fixing
+    leaves the trail and the queue as one removal per other value would."""
     rng = random.Random(11)
-    models = [toy_bt] + [random_bt(rng, random_space(rng), n_classes=rng.choice((2, 3)),
-                                   depth=3) for _ in range(30)]
+    models = [toy_bt] + [random_bt(rng, random_space(rng, max_domain=4),
+                                   n_classes=rng.choice((2, 3)), depth=3)
+                         for _ in range(30)]
+    fixed_from = {"full": 0, "reduced": 0}
     for model in models:
         sp = model.space
         oracle = EntailmentOracle(model)
         marks = [0]
         for _ in range(80):
-            if rng.random() < 0.3:
+            step = rng.random()
+            f = rng.randrange(sp.m)
+            v = rng.choice(sorted(oracle.dom[f]))
+            if step < 0.3:
                 mark = rng.choice(marks)
                 oracle._undo_to(mark)
                 marks = [k for k in marks if k <= mark]
-            else:
-                f = rng.randrange(sp.m)
-                if oracle._remove(f, rng.choice(sorted(oracle.dom[f])), deque()):
-                    marks.append(len(oracle.trail))
+            elif step < 0.6 and len(oracle.dom[f]) > 1:
+                others = [x for x in oracle.dom[f] if x != v]
+                fixed_from["full" if len(oracle.dom[f]) == len(sp.domain(f))
+                           else "reduced"] += 1
+                queue, before = deque(), len(oracle.trail)
+                assert oracle._force((f, v, False), queue)
+                assert oracle.dom[f] == {v}
+                assert oracle.trail[before:] == [(f, x) for x in others]
+                assert list(queue) == [("rm", f, x) for x in others] + [("fix", f, v)]
+                marks.append(len(oracle.trail))
+            elif oracle._remove(f, v, deque()):
+                marks.append(len(oracle.trail))
+            if rng.random() < 0.3:
+                continue  # read the bounds after several changes
             _assert_bounds_match(model, oracle)
             point = Instance(tuple(rng.choice(sorted(d)) for d in oracle.dom[:sp.m]))
             for g in range(len(model.trees)):
@@ -262,13 +280,17 @@ def test_bt_bounds_are_sound(toy_bt):
         oracle._undo_to(0)
         point = random_instance(rng, sp)
         for f in range(sp.m):
-            for v in sorted(oracle.dom[f] - {point.values[f]}):
-                assert oracle._remove(f, v, deque())
+            if rng.random() < 0.5:
+                assert oracle._force((f, point.values[f], False), deque())
+            else:
+                for v in sorted(oracle.dom[f] - {point.values[f]}):
+                    assert oracle._remove(f, v, deque())
             _assert_bounds_match(model, oracle)
         exact = [model.group_score(g, point) for g in range(len(model.trees))]
         assert oracle._scores.group_lo == oracle._scores.group_hi == exact
         oracle._undo_to(0)
         _assert_bounds_match(model, oracle)
+    assert min(fixed_from.values()) >= 80, fixed_from
 
 
 def test_trainers_produce_valid_models(tmp_path, toy_ds):

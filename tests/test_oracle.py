@@ -392,9 +392,9 @@ class _Boom(Exception):
     pass
 
 
-def _single_score_bt(rng, sp):
+def _single_score_bt(rng, sp, depth=3):
     while True:
-        model = random_bt(rng, sp, n_classes=2, depth=3)
+        model = random_bt(rng, sp, n_classes=2, depth=depth)
         if model.positive is not None:
             return model
 
@@ -500,3 +500,66 @@ def test_kept_trail_matches_fresh_oracles(monkeypatch):
                     for cl in active.clauses)
     assert counts["queries"] >= 2000
     assert min(counts.values()) > 0, counts
+
+
+# sha256 over `_answer_pin_lines`, recorded when each tree kept its own live
+# leaf mask and bounds on a per-tree log
+ANSWER_PIN = "76a14b0811c9f68afa44699100d0bb223e1c7c20cc686012be607afbbae0cd74"
+
+
+def _tested_features(model):
+    """The features the model's trees or rules test."""
+    if isinstance(model, DecisionList):
+        return sorted({lit.feature for rule in model.rules for lit in rule.antecedent})
+    return sorted(model_constraints(model).score_features)
+
+
+def _answer_pin_lines():
+    """(status, witness) of seeded queries on three random spaces. Models:
+    single-score and 3-class ensembles of depth 3 and 4, 2- and 3-class
+    lists, each without and with knowledge over the features it tests. Every
+    query is asked of one long-lived oracle per (model, K) and of a fresh
+    oracle, under K or a random subset of it."""
+    rng = random.Random(2468)
+    lines = []
+    for _ in range(3):
+        sp = random_space(rng, min_features=5, max_features=8, max_domain=4)
+        v = random_instance(rng, sp)
+        models = [random_dl(rng, sp, n_classes=2), random_dl(rng, sp, n_classes=3)]
+        for depth in (3, 4):
+            models += [_single_score_bt(rng, sp, depth),
+                       random_bt(rng, sp, n_classes=3, depth=depth)]
+        for model in models:
+            tested = _tested_features(model)
+            with_k = (_tested_feature_knowledge(rng, sp, v, tested) if len(tested) >= 2
+                      else _mixed_knowledge(rng, sp, v, 2))
+            for kb in (KnowledgeBase(), with_k):
+                pool = [v] + [p for p in (random_instance(rng, sp) for _ in range(12))
+                              if kb.satisfied_by(p)]
+                shared = EntailmentOracle(model, kb)
+                fixed = frozenset()
+                for _ in range(40):
+                    if rng.random() < 0.5:
+                        fixed = frozenset(rng.sample(range(sp.m), rng.randint(sp.m // 2, sp.m)))
+                    elif fixed and rng.random() < 0.4:
+                        fixed -= {rng.choice(sorted(fixed))}
+                    else:
+                        fixed |= {rng.randrange(sp.m)}
+                    inst = rng.choice(pool)
+                    c = rng.randrange(model.class_count())
+                    subset = None if rng.random() < 0.7 else kb.subset(
+                        rng.sample(kb.clauses, rng.randint(0, len(kb))))
+                    for oracle in (shared, EntailmentOracle(model, kb)):
+                        res = oracle.query(fixed, inst, c, subset)
+                        lines.append("%s %s" % (res.status.value, res.witness and
+                                                res.witness.values))
+    return lines
+
+
+def test_oracle_answers_pinned():
+    lines = _answer_pin_lines()
+    assert len(lines) == 3 * 6 * 2 * 40 * 2
+    assert sum(line.startswith("entails") for line in lines) > len(lines) // 5
+    assert sum(line.startswith("counterexample") for line in lines) > len(lines) // 5
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == ANSWER_PIN
