@@ -10,10 +10,9 @@ from .ingest import (ColumnBins, Dataset, IngestError, QuantizationSpec,
 from .miner import (ExtractionLimit, MinerError, eclat_mine,
                     enumerate_min_rules, extract_all, rule_accuracy)
 from .models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
-                     Node, load_model, model_constraints, save_model,
-                     train_boosted, train_decision_list)
-from .oracle import (EntailmentOracle, OracleError, OracleResult, Status,
-                     query_to_dimacs)
+                     Node, load_model, save_model, train_boosted,
+                     train_decision_list)
+from .oracle import EntailmentOracle, OracleError, OracleResult, Status
 from .explain import (EnumerationResult, ExplainError, attribute_rules,
                       check_explanation, enumerate_smallest, find_axp,
                       find_cxp, minimum_hitting_set, reduce_explanation)

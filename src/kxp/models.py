@@ -1,10 +1,10 @@
-"""Decision lists and boosted tree ensembles: classification, encodings, file IO."""
+"""Decision lists and boosted tree ensembles: classification, model files, trainers."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Union
 
 from .core import (FeatureSpace, Instance, Literal, SpaceError, json_field,
                    read_json, space_from_obj, space_to_obj, write_json)
@@ -12,13 +12,20 @@ from .ingest import Dataset
 
 MODEL_FORMAT = "kxp.model/1"
 
-# solver literal: (variable, value, negated) over the features 0..m-1; the
-# DIMACS dump numbers its Boolean rule-chain variables from m up, value 1 true
-SLit = tuple[int, int, bool]
-
 
 class ModelError(ValueError):
     """Malformed model structure or file."""
+
+
+def _check_classes(classes: tuple) -> None:
+    """At least two class labels, each a string and none repeated."""
+    if len(classes) < 2:
+        raise ModelError("need at least two classes")
+    for i, label in enumerate(classes):
+        if not isinstance(label, str):
+            raise ModelError("classes[%d]: label %r is not a string" % (i, label))
+        if label in classes[:i]:
+            raise ModelError("classes[%d]: repeated label %r" % (i, label))
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,7 @@ class DecisionList:
     default: int
 
     def __post_init__(self):
-        if len(self.classes) < 2:
-            raise ModelError("need at least two classes")
+        _check_classes(self.classes)
         if not 0 <= self.default < len(self.classes):
             raise ModelError("default class index %d out of range" % self.default)
         for r, rule in enumerate(self.rules):
@@ -92,8 +98,7 @@ class BoostedEnsemble:
     positive: Optional[int] = None
 
     def __post_init__(self):
-        if len(self.classes) < 2:
-            raise ModelError("need at least two classes")
+        _check_classes(self.classes)
         if self.positive is not None:
             if len(self.classes) != 2 or len(self.trees) != 1:
                 raise ModelError("single-score mode needs 2 classes and 1 tree group")
@@ -147,134 +152,6 @@ Model = Union[DecisionList, BoostedEnsemble]
 
 
 # ---------------------------------------------------------------------------
-# logical encodings consumed by the entailment oracle
-
-def _lit_slit(lit: Literal) -> SLit:
-    return (lit.feature, lit.value, lit.negated)
-
-
-def _neg(slit: SLit) -> SLit:
-    var, value, negated = slit
-    return (var, value, not negated)
-
-
-@dataclass
-class DLEncoding:
-    """Class test for decision lists on the oracle's feature domains; `rules`
-    holds each rule's antecedent as solver literals and its class, in order."""
-
-    model: DecisionList
-    rules: list[tuple[list[SLit], int]] = field(init=False)
-
-    score_features = frozenset()  # no score bounds
-
-    def __post_init__(self):
-        self.rules = [([_lit_slit(l) for l in sorted(rule.antecedent)], rule.cls)
-                      for rule in self.model.rules]
-
-    def leaf_paths(self) -> list[list[Leaves]]:
-        """No trees: the class test reads the domains."""
-        return []
-
-    def challenge_possible(self, contested: int, dom: Sequence[set[int]],
-                           lo: Sequence[int], hi: Sequence[int]) -> bool:
-        """Can a point within the domains be classified differently from
-        contested? Rules with a false literal are skipped; the first other
-        rule answers True if its class differs, False if it is contested and
-        surely fires (every literal true); past the last rule the default
-        answers. Sound on partial domains and exact on singleton ones."""
-        for lits, cls in self.rules:
-            sure = True
-            for var, value, negated in lits:
-                d = dom[var]
-                if negated:
-                    if value in d:
-                        if len(d) == 1:
-                            break
-                        sure = False
-                elif value not in d:
-                    break
-                elif len(d) > 1:
-                    sure = False
-            else:
-                if cls != contested:
-                    return True
-                if sure:
-                    return False
-        return self.model.default != contested
-
-
-# per tree: [(path literals, leaf weight)], one entry per leaf
-Leaves = list[tuple[list[SLit], int]]
-
-
-@dataclass
-class BTEncoding:
-    """Score-side handle for ensembles: the trees' leaves and the class test
-    on per-group score bounds.
-
-    The oracle keeps each group's [lo, hi] over the leaves whose paths can
-    still hold and asks `challenge_possible`, which is exact once every
-    feature in `score_features` is fixed.
-    """
-
-    model: BoostedEnsemble
-
-    @property
-    def score_features(self) -> frozenset[int]:
-        """The features some tree tests: the only ones the bounds read."""
-        return frozenset(var for group in self.leaf_paths() for leaves in group
-                         for path, _ in leaves for var, _, _ in path)
-
-    def challenge_possible(self, contested: int, dom: Sequence[set[int]],
-                           lo: Sequence[int], hi: Sequence[int]) -> bool:
-        """Can scores within the group bounds [lo[g], hi[g]] be classified
-        differently from contested?
-
-        Sound over-approximation: each group's bounds are taken independently.
-        """
-        model = self.model
-        if model.positive is not None:
-            return lo[0] <= 0 if contested == model.positive else hi[0] > 0
-        c_lo = lo[contested]
-        for other, other_hi in enumerate(hi):
-            if (other < contested and other_hi >= c_lo) \
-                    or (other > contested and other_hi > c_lo):
-                return True
-        return False
-
-    def leaf_paths(self) -> list[list[Leaves]]:
-        """Per class group, per tree: [(path literals, leaf weight)]."""
-        out = []
-        for group in self.model.trees:
-            trees: list[Leaves] = []
-            for tree in group:
-                leaves: Leaves = []
-                _collect_paths(tree, [], leaves)
-                trees.append(leaves)
-            out.append(trees)
-        return out
-
-
-def _collect_paths(tree: Tree, path: list[SLit], leaves: Leaves) -> None:
-    if isinstance(tree, Leaf):
-        leaves.append((list(path), tree.weight))
-        return
-    sl = _lit_slit(tree.test)
-    _collect_paths(tree.yes, path + [sl], leaves)
-    _collect_paths(tree.no, path + [_neg(sl)], leaves)
-
-
-def model_constraints(model: Model) -> Union[DLEncoding, BTEncoding]:
-    """Expose the model's decision semantics as logical constraints."""
-    if isinstance(model, DecisionList):
-        return DLEncoding(model)
-    if isinstance(model, BoostedEnsemble):
-        return BTEncoding(model)
-    raise ModelError("unsupported model type %r" % type(model).__name__)
-
-
-# ---------------------------------------------------------------------------
 # model files
 
 def _tree_obj(space: FeatureSpace, tree: Tree):
@@ -318,6 +195,7 @@ def model_from_obj(obj: Mapping) -> Model:
         raise ModelError("unrecognized model format %r" % fmt)
     space = space_from_obj(json_field(obj, "features", list))
     classes = tuple(json_field(obj, "classes", list))
+    _check_classes(classes)
 
     def class_index(label, where: str) -> int:
         if label not in classes:

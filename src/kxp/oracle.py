@@ -3,16 +3,17 @@
 UNSAT answers certify abductive explanations; SAT answers return a witness
 point that seeds contrastive explanations. The search is a complete
 backtracking procedure with watched-literal unit propagation over one-hot
-feature domains. After every propagation one class test for both model
-families, the encoding's `challenge_possible`, asks whether a point within
-the domains can be classified other than the contested class: a decision
-list reads the domains rule by rule, an ensemble its per-class score bounds.
-Every leaf of every tree is one bit of one integer; a domain change clears
-the leaves whose path it falsifies with one AND (fixing a value clears all
-its leaves at once), and the trail logs the previous integer. The per-tree
-[lo, hi] and their per-class sums are brought up to date when the test reads
-them, for the trees whose leaves changed since. The test is sound on partial
-domains and exact on a full assignment.
+feature domains. After every propagation a class test asks whether a point
+within the domains can be classified other than the contested class. Each
+model family has its own, bound once when the oracle is built. A decision
+list's, `_dl_possible`, reads the domains rule by rule. An ensemble's,
+`_Scores.possible`, reads per-class score bounds. Every leaf of every tree
+is one bit of one integer; a domain change clears the leaves whose path it
+falsifies with one AND (fixing a value clears all its leaves at once), and
+the trail logs the previous integer. The per-tree [lo, hi] and their
+per-class sums are brought up to date when the test reads them, for the
+trees whose leaves changed since. Both tests are sound on partial domains
+and exact on a full assignment.
 
 The variables are the features and the clauses the knowledge, each entered
 once. A query switches off the clauses outside its knowledge subset (by
@@ -38,14 +39,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from itertools import chain, combinations
+from functools import partial, reduce
 from operator import or_
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .core import Clause, FeatureSpace, Instance, KnowledgeBase
-from .models import (DecisionList, DLEncoding, Leaves, Model, SLit, _neg,
-                     model_constraints)
+from .core import Clause, FeatureSpace, Instance, KnowledgeBase, Literal
+from .models import BoostedEnsemble, DecisionList, Leaf, Model, ModelError, Tree
+
+# solver literal: (variable, value, negated) over the features 0..m-1
+_SLit = tuple[int, int, bool]
 
 
 class OracleError(ValueError):
@@ -79,14 +81,25 @@ def check_compatible(instance: Instance, knowledge: KnowledgeBase) -> None:
                               % sorted(clause.literals))
 
 
-def _event(slit: SLit) -> tuple:
+def _lit_slit(lit: Literal) -> _SLit:
+    return (lit.feature, lit.value, lit.negated)
+
+
+def _neg(slit: _SLit) -> _SLit:
+    var, value, negated = slit
+    return (var, value, not negated)
+
+
+def _event(slit: _SLit) -> tuple:
     var, value, negated = slit
     # the event on which this literal becomes false
     return ("fix", var, value) if negated else ("rm", var, value)
 
 
 class _Scores:
-    """Per-group score bounds of an ensemble, kept on the oracle's trail.
+    """Per-group score bounds of an ensemble, kept on the oracle's trail, and
+    the ensemble's class test (`possible`) over them. A decision list's
+    oracle holds one with no trees, so its domain changes kill nothing.
 
     Every leaf of every tree is one bit of the integer `alive`. Tree t owns
     a contiguous range of bits, its leaves in ascending weight order, so its
@@ -104,17 +117,21 @@ class _Scores:
     reading are visited, whatever kills and undos came in between.
     """
 
-    def __init__(self, groups: list[list[Leaves]], sizes: list[int]):
+    def __init__(self, trees: Sequence[Sequence[Tree]], positive: Optional[int],
+                 sizes: list[int]):
+        self.positive = positive
         self.dying: dict[tuple, int] = {}  # event -> leaves it falsifies
         self.weights: list[int] = []  # per bit
         self.tree_of: list[int] = []  # per bit
         self.masks: list[int] = []  # per tree: its bit range
         self.below: list[int] = []  # per tree: the bits below its range
         self.group_of: list[int] = []  # per tree
-        for g, trees in enumerate(groups):
-            for leaves in trees:
+        for g, group in enumerate(trees):
+            for tree in group:
                 t, first = len(self.masks), len(self.weights)
-                leaves = sorted(leaves, key=lambda leaf: leaf[1])
+                leaves: list[tuple[list[_SLit], int]] = []
+                _collect_paths(tree, [], leaves)
+                leaves.sort(key=lambda leaf: leaf[1])
                 for i, (path, weight) in enumerate(leaves, first):
                     for slit in path:
                         ev = _event(slit)
@@ -134,7 +151,7 @@ class _Scores:
         self.log: list[tuple[int, int]] = []  # stamp, previous alive
         # per tree and per group, as of the last sync with `alive` = `seen`
         self.lo, self.hi = [0] * len(self.masks), [0] * len(self.masks)
-        self.group_lo, self.group_hi = [0] * len(groups), [0] * len(groups)
+        self.group_lo, self.group_hi = [0] * len(trees), [0] * len(trees)
         self.seen = 0
         self.sync()
 
@@ -169,6 +186,61 @@ class _Scores:
             group_hi[g] += t_hi - hi[t]
             lo[t], hi[t] = t_lo, t_hi
 
+    def possible(self, contested: int) -> bool:
+        """The ensemble's class test: can scores within the group bounds be
+        classified other than contested? Sound: each group's bounds are
+        taken independently."""
+        self.sync()
+        if self.positive is not None:
+            return self.group_lo[0] <= 0 if contested == self.positive \
+                else self.group_hi[0] > 0
+        c_lo = self.group_lo[contested]
+        for other, other_hi in enumerate(self.group_hi):
+            if (other < contested and other_hi >= c_lo) \
+                    or (other > contested and other_hi > c_lo):
+                return True
+        return False
+
+
+def _collect_paths(tree: Tree, path: list[_SLit],
+                   leaves: list[tuple[list[_SLit], int]]) -> None:
+    """Append (path literals, weight) for each leaf of the tree, yes-branch first."""
+    if isinstance(tree, Leaf):
+        leaves.append((list(path), tree.weight))
+        return
+    sl = _lit_slit(tree.test)
+    _collect_paths(tree.yes, path + [sl], leaves)
+    _collect_paths(tree.no, path + [_neg(sl)], leaves)
+
+
+def _dl_possible(rules: list[tuple[list[_SLit], int]], default: int,
+                 dom: list[set[int]], contested: int) -> bool:
+    """A decision list's class test: can a point within the domains be
+    classified other than contested? `rules` holds each rule's antecedent as
+    solver literals and its class, in list order. Rules with a false literal
+    are skipped; the first other rule answers True if its class differs,
+    False if it is contested and surely fires (every literal true); past the
+    last rule the default answers."""
+    for lits, cls in rules:
+        sure = True
+        for var, value, negated in lits:
+            d = dom[var]
+            if negated:
+                if value in d:
+                    if len(d) == 1:
+                        break
+                    sure = False
+            elif value not in d:
+                break
+            elif len(d) > 1:
+                sure = False
+        else:
+            if cls != contested:
+                return True
+            if sure:
+                return False
+    return default != contested
+
 
 class EntailmentOracle:
     """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
@@ -182,7 +254,6 @@ class EntailmentOracle:
         self.model = model
         self.space: FeatureSpace = model.space
         self.knowledge = knowledge if knowledge is not None else KnowledgeBase()
-        self.encoding = model_constraints(model)
         self.calls = 0
 
         m = self.space.m
@@ -190,29 +261,37 @@ class EntailmentOracle:
         self.dom: list[set[int]] = [set(range(s)) for s in self._sizes]
         self.trail: list[tuple[int, int]] = []
         # the kept assumption levels: (assumed literal, trail length after it)
-        self._levels: list[tuple[SLit, int]] = []
-        self._scores = _Scores(self.encoding.leaf_paths(), self._sizes)
+        self._levels: list[tuple[_SLit, int]] = []
+        # the class test, bound once: `_possible(contested)` at every node
+        if isinstance(model, DecisionList):
+            self._scores = _Scores((), None, self._sizes)
+            rules = [([_lit_slit(l) for l in sorted(rule.antecedent)], rule.cls)
+                     for rule in model.rules]
+            self._possible = partial(_dl_possible, rules, model.default, self.dom)
+        elif isinstance(model, BoostedEnsemble):
+            self._scores = _Scores(model.trees, model.positive, self._sizes)
+            self._possible = self._scores.possible
+        else:
+            raise ModelError("unsupported model type %r" % type(model).__name__)
         self._dying = self._scores.dying
 
-        # decide score-relevant features first, so the bounds tighten early
-        score_feats = self.encoding.score_features
-        self._order = (sorted(score_feats)
-                       + sorted(set(range(m)) - score_feats))
+        # decide tree-tested features first, so the bounds tighten early
+        tested = {var for _, var, _ in self._dying}
+        self._order = sorted(tested) + sorted(set(range(m)) - tested)
 
-        self.clauses: list[list[SLit]] = []
+        self.clauses: list[list[_SLit]] = []
         self._events: list[list[tuple]] = []  # per clause, each literal's event
         self.cwatch: list[list[int]] = []
         self.watch: dict[tuple, list[int]] = {}
-        self.units: list[tuple[int, SLit]] = []
+        self.units: list[tuple[int, _SLit]] = []
         self._off: set[int] = set()  # clause ids switched off for the kept levels
         self._kb_ids: dict[Clause, int] = {
-            clause: self._add_clause([(l.feature, l.value, l.negated)
-                                      for l in clause.literals])
+            clause: self._add_clause([_lit_slit(l) for l in clause.literals])
             for clause in self.knowledge.clauses}
 
     # -- clause database -----------------------------------------------------
 
-    def _add_clause(self, slits: list[SLit]) -> int:
+    def _add_clause(self, slits: list[_SLit]) -> int:
         ci = len(self.clauses)
         self.clauses.append(slits)
         events = [_event(sl) for sl in slits]
@@ -255,7 +334,7 @@ class EntailmentOracle:
             self._scores.kill(bits, len(self.trail))
         return True
 
-    def _force(self, slit: SLit, queue: deque) -> bool:
+    def _force(self, slit: _SLit, queue: deque) -> bool:
         var, value, negated = slit
         if negated:
             return self._remove(var, value, queue)
@@ -334,7 +413,7 @@ class EntailmentOracle:
         del trail[mark:]
         self._scores.undo_to(mark)
 
-    def _assume(self, slit: SLit) -> bool:
+    def _assume(self, slit: _SLit) -> bool:
         """Propagate one literal to fixpoint; on a conflict undo its changes."""
         mark = len(self.trail)
         queue: deque = deque()
@@ -347,12 +426,6 @@ class EntailmentOracle:
 
     def _witness(self) -> Instance:
         return Instance(tuple(next(iter(self.dom[f])) for f in range(self.space.m)))
-
-    def _possible(self, contested: int) -> bool:
-        scores = self._scores
-        scores.sync()
-        return self.encoding.challenge_possible(contested, self.dom, scores.group_lo,
-                                                scores.group_hi)
 
     def _search(self, contested: int) -> Optional[Instance]:
         var = next((f for f in self._order if len(self.dom[f]) > 1), None)
@@ -367,7 +440,7 @@ class EntailmentOracle:
             self._undo_to(mark)
         return None
 
-    def _solve(self, assumptions: list[SLit], contested: int) -> Optional[Instance]:
+    def _solve(self, assumptions: list[_SLit], contested: int) -> Optional[Instance]:
         """A witness under the assumptions, or None; ends at their root level."""
         levels = self._levels
         wanted = set(assumptions)
@@ -436,118 +509,3 @@ class EntailmentOracle:
             raise AssertionError("witness fails direct evaluation")
         return OracleResult(Status.COUNTEREXAMPLE, witness)
 
-
-# ---------------------------------------------------------------------------
-# DIMACS dump for cross-checking with external solvers
-
-def _dl_cnf(model: DecisionList,
-            contested: int) -> tuple[list[list[SLit]], Optional[list[SLit]]]:
-    """A decision list as clauses over rule j's Booleans m + 3j on: match
-    (its antecedent holds), fire (it is the first match) and prefix (no rule
-    up to j matched); and the clause asking for another class than
-    `contested`: None when vacuous (no rules, another default), [] when
-    unsatisfiable (every rule and the default are contested)."""
-    clauses: list[list[SLit]] = []
-
-    def define(var: int, parts: list[SLit]) -> None:  # var <-> AND(parts)
-        clauses.extend([(var, 0, False), sl] for sl in parts)
-        clauses.append([(var, 1, False)] + [_neg(sl) for sl in parts])
-
-    challenge: list[SLit] = []
-    prefix: list[SLit] = []  # the previous rule's prefix; none before rule 0
-    var = model.space.m
-    for lits, cls in DLEncoding(model).rules:
-        match, fire, ahead = var, var + 1, var + 2
-        var += 3
-        define(match, lits)
-        define(fire, prefix + [(match, 1, False)])
-        define(ahead, prefix + [(match, 0, False)])
-        prefix = [(ahead, 1, False)]
-        if cls != contested:
-            challenge.append((fire, 1, False))
-    if model.default != contested:
-        if not prefix:
-            return clauses, None
-        challenge += prefix
-    return clauses, challenge
-
-
-def query_to_dimacs(model: Model, knowledge: Optional[KnowledgeBase],
-                    fixed: Iterable[int], instance: Instance, contested: int) -> str:
-    """CNF image of one query over one-hot indicators.
-
-    The clauses are the one-hot domain clauses, the fixed features' units,
-    a decision list's rule chain, the oracle's knowledge clauses, and then
-    the list's challenge to `contested` (an empty clause when no point can
-    meet it) or an ensemble's leaf clauses. Indicator id = 1 + offset(feature) + value index, where offset
-    is the sum of the domain sizes of earlier features. For decision lists
-    the dump is equisatisfiable with the query; for ensembles the score
-    comparison is not clausal and is omitted (a comment line says so).
-    """
-    oracle = EntailmentOracle(model, knowledge)
-    fixed = oracle._checked(fixed, instance, contested)
-    check_compatible(instance, oracle.knowledge)
-    space = oracle.space
-    offsets = []
-    total = 0
-    for f in range(space.m):
-        offsets.append(total)
-        total += len(space.domain(f))
-
-    def ind(f: int, d: int) -> int:
-        return 1 + offsets[f] + d
-
-    def slit_dimacs(slit: SLit) -> int:
-        var, value, negated = slit
-        if var < space.m:
-            lit = ind(var, value)
-            return -lit if negated else lit
-        lit = total + (var - space.m) + 1  # a rule-chain Boolean
-        positive = (value == 1) != negated
-        return lit if positive else -lit
-
-    lines = []
-    clauses: list[list[int]] = []
-    comments = ["c entailment query: fixed=%s contested=%d"
-                % (sorted(fixed), contested)]
-    for f in range(space.m):
-        name, domain = space.features[f]
-        for d, label in enumerate(domain):
-            comments.append("c var %d = [%s = %s]" % (ind(f, d), name, label))
-        ids = [ind(f, d) for d in range(len(domain))]
-        clauses.append(ids)
-        clauses.extend([-a, -b] for a, b in combinations(ids, 2))
-    for f in sorted(fixed):
-        clauses.append([ind(f, instance.values[f])])
-
-    is_dl = isinstance(model, DecisionList)
-    rule_cnf, challenge = _dl_cnf(model, contested) if is_dl else ([], None)
-    cnf = rule_cnf + oracle.clauses + ([challenge] if challenge is not None else [])
-    clauses.extend([slit_dimacs(sl) for sl in slits] for slits in cnf)
-    n_vars = total
-    if is_dl:
-        n_vars += 3 * len(model.rules)
-        comments.append("c aux vars %d..%d: rule match/fire/prefix chain"
-                        % (total + 1, n_vars))
-    else:  # the oracle bounds ensemble scores and holds no leaf clauses
-        leaf_id = n_vars
-        for leaves in chain.from_iterable(oracle.encoding.leaf_paths()):
-            tree_vars = []
-            for path, weight in leaves:
-                leaf_id += 1
-                tree_vars.append(leaf_id)
-                comments.append("c var %d = leaf with weight %d" % (leaf_id, weight))
-                for sl in path:
-                    clauses.append([-leaf_id, slit_dimacs(sl)])
-                clauses.append([leaf_id] + [-slit_dimacs(sl) for sl in path])
-            clauses.append(list(tree_vars))
-            clauses.extend([-a, -b] for a, b in combinations(tree_vars, 2))
-        n_vars = leaf_id
-        comments.append("c note: the class-score comparison is not encoded; "
-                        "this dump covers the propositional part only")
-
-    lines.extend(comments)
-    lines.append("p cnf %d %d" % (n_vars, len(clauses)))
-    for clause in clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"

@@ -578,6 +578,11 @@ def test_malformed_model_names_file_and_field(tmp_path, capsys):
         ({**bt, "trees": [7]}, "trees: expected a list of tree lists"),
         (no_domain, "features[2]: missing field 'domain'"),
         ([dl], "unrecognized model format None"),
+        ({**dl, "classes": [">=50k", "<50k", "<50k"]},
+         "classes[2]: repeated label '<50k'"),
+        ({**bt, "classes": [1, [2]]}, "classes[0]: label 1 is not a string"),
+        ({**bt, "classes": [">=50k", ["<50k"]]},
+         "classes[1]: label ['<50k'] is not a string"),
     ]
     model = tmp_path / "model.json"
     for obj, message in cases:

@@ -1,4 +1,3 @@
-import inspect
 import json
 import random
 from collections import deque
@@ -6,14 +5,15 @@ from itertools import product
 
 import pytest
 
-from kxp import (Dataset, Instance, load_model, model_constraints, save_model,
-                 train_boosted, train_decision_list)
-from kxp.models import (BoostedEnsemble, DecisionList, DLEncoding, DLRule, Leaf,
-                        ModelError, model_from_obj, model_to_obj, _walk)
-from kxp.oracle import EntailmentOracle
+from kxp import (Dataset, Instance, load_model, save_model, train_boosted,
+                 train_decision_list)
+from kxp.models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
+                        model_from_obj, model_to_obj, _walk)
+from kxp.oracle import EntailmentOracle, _collect_paths, _dl_possible
 
 from util import (group_bounds, random_bt, random_dl, random_instance,
-                  random_space, reference_boosted, tree_bounds)
+                  random_space, reference_boosted, tree_bounds,
+                  tree_tested_features)
 
 
 def cls_of(model, inst):
@@ -88,6 +88,10 @@ def test_model_validation():
         BoostedEnsemble(sp, ("a", "b"), 4, ((Leaf(1),), (Leaf(1),)), positive=0)
     with pytest.raises(ModelError):
         BoostedEnsemble(sp, ("a", "b", "c"), 4, ((Leaf(1),),))
+    with pytest.raises(ModelError, match=r"classes\[2\]: repeated label 'a'"):
+        DecisionList(sp, ("a", "b", "a"), (), 0)
+    with pytest.raises(ModelError, match=r"classes\[1\]: label 2 is not a string"):
+        BoostedEnsemble(sp, ("a", 2), 4, ((Leaf(1),),), positive=0)
 
 
 def test_model_round_trip_byte_stable(tmp_path, toy_dl, toy_bt, small_dl):
@@ -111,6 +115,20 @@ def test_model_obj_rejects_junk():
         model_from_obj(obj)
 
 
+def test_model_obj_rejects_bad_class_labels(toy_dl, toy_bt):
+    """Repeated or non-string labels, checked before any rule or tree reads
+    them; a list label raises ModelError, not a TypeError from hashing."""
+    for model in (toy_dl, toy_bt):
+        high, low = model.classes
+        for classes, message in (([high, low, low], r"classes\[2\]: repeated label"),
+                                 ([1, [2]], r"classes\[0\]: label 1 is not a string"),
+                                 ([high, [low]], r"classes\[1\]: label \[.*\] is not")):
+            obj = model_to_obj(model)
+            obj["classes"] = classes
+            with pytest.raises(ModelError, match=message):
+                model_from_obj(obj)
+
+
 def test_random_model_round_trips():
     rng = random.Random(9)
     for _ in range(30):
@@ -120,35 +138,29 @@ def test_random_model_round_trips():
 
 
 def test_dl_encoding_shape(toy_dl):
-    enc = model_constraints(toy_dl)
-    assert isinstance(enc, DLEncoding)
-    assert [cls for _, cls in enc.rules] == [rule.cls for rule in toy_dl.rules]
-    assert [sorted(lits) for lits, _ in enc.rules] == \
+    """The oracle binds the list's class test over each rule's antecedent as
+    solver literals, in list order, and its own domains."""
+    oracle = EntailmentOracle(toy_dl)
+    assert oracle._possible.func is _dl_possible
+    rules, default, dom = oracle._possible.args
+    assert [cls for _, cls in rules] == [rule.cls for rule in toy_dl.rules]
+    assert [sorted(lits) for lits, _ in rules] == \
         [sorted((l.feature, l.value, l.negated) for l in rule.antecedent)
          for rule in toy_dl.rules]
-    full = [set(range(len(toy_dl.space.domain(f)))) for f in range(toy_dl.space.m)]
+    assert default == toy_dl.default and dom is oracle.dom
     # on the full space both classes can be challenged
-    assert all(enc.challenge_possible(c, full, [], []) for c in range(2))
+    assert all(oracle._possible(c) for c in range(2))
 
 
-def test_encodings_share_one_interface(toy_dl, toy_bt):
-    dl, bt = model_constraints(toy_dl), model_constraints(toy_bt)
-    assert dl.score_features == frozenset()
-    assert dl.leaf_paths() == []
-    assert list(inspect.signature(dl.challenge_possible).parameters) == \
-        list(inspect.signature(bt.challenge_possible).parameters) == \
-        ["contested", "dom", "lo", "hi"]
-    for enc in (dl, bt):
-        assert not any(hasattr(enc, name) for name in
-                       ("clauses", "aux_count", "challenge_clause"))
-
-    def tested(tree):
-        if isinstance(tree, Leaf):
-            return set()
-        return {tree.test.feature} | tested(tree.yes) | tested(tree.no)
-
-    assert bt.score_features == set().union(
-        *(tested(t) for group in toy_bt.trees for t in group))
+def test_search_order_puts_tree_tested_features_first(toy_dl, toy_bt):
+    """The search decides the features whose events kill leaves first: for
+    an ensemble exactly the features its trees test, for a list none."""
+    dl, bt = EntailmentOracle(toy_dl), EntailmentOracle(toy_bt)
+    assert dl._scores.dying == {} and dl._scores.weights == []
+    assert dl._order == list(range(toy_dl.space.m))
+    tested = tree_tested_features(toy_bt)
+    assert sorted({var for _, var, _ in bt._scores.dying}) == tested
+    assert bt._order == tested + sorted(set(range(toy_bt.space.m)) - set(tested))
 
 
 def _class_test_models(rng, sp):
@@ -169,16 +181,16 @@ def _class_test_models(rng, sp):
 
 
 def test_dl_class_test_sound_and_exact():
-    """`DLEncoding.challenge_possible` on random partial domains answers
-    False only when every completion is classified contested; on singleton
-    domains it equals `classify(point) != contested`."""
+    """The oracle's decision-list class test on random partial domains
+    answers False only when every completion is classified contested; on
+    singleton domains it equals `classify(point) != contested`."""
     rng = random.Random(6060)
     seen = dict.fromkeys(("false", "true_unreachable", "negated", "empty",
                           "constant"), 0)
     for _ in range(250):
         sp = random_space(rng, min_features=2, max_features=4, max_domain=3)
         model = _class_test_models(rng, sp)
-        enc = DLEncoding(model)
+        oracle = EntailmentOracle(model)
         n = model.class_count()
         seen["negated"] += any(l.negated for r in model.rules for l in r.antecedent)
         seen["empty"] += any(not r.antecedent for r in model.rules)
@@ -188,8 +200,9 @@ def test_dl_class_test_sound_and_exact():
             dom = [set(rng.sample(range(k), rng.randint(1, k))) for k in sizes]
             classes = {model.classify(Instance(p))
                        for p in product(*(sorted(d) for d in dom))}
+            oracle.dom[:] = dom
             for c in range(n):
-                possible = enc.challenge_possible(c, dom, [], [])
+                possible = oracle._possible(c)
                 if not possible:
                     assert classes == {c}, (model, dom, c)
                     seen["false"] += 1
@@ -197,17 +210,20 @@ def test_dl_class_test_sound_and_exact():
                     seen["true_unreachable"] += 1
         for _ in range(4):
             point = random_instance(rng, sp)
-            dom = [{v} for v in point.values]
+            oracle.dom[:] = [{v} for v in point.values]
             for c in range(n):
-                assert enc.challenge_possible(c, dom, [], []) == \
+                assert oracle._possible(c) == \
                     (model.classify(point) != c), (model, point, c)
     assert min(seen.values()) > 0, seen
 
 
 def test_bt_exactly_one_leaf_per_tree(toy_bt):
-    # the leaf paths of each tree partition the space
-    enc = model_constraints(toy_bt)
-    per_tree = [leaves for group in enc.leaf_paths() for leaves in group]
+    # the oracle's leaf paths of each tree partition the space
+    per_tree = []
+    for tree in (t for group in toy_bt.trees for t in group):
+        leaves = []
+        _collect_paths(tree, [], leaves)
+        per_tree.append(leaves)
     assert all(len(leaves) == 4 for leaves in per_tree)
 
     def holds(slit, inst):

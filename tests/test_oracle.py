@@ -4,12 +4,13 @@ import random
 import pytest
 
 from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
-from kxp.models import DecisionList, DLRule, model_constraints
-from kxp.oracle import (EntailmentOracle, OracleError, Status, _dl_cnf,
-                        query_to_dimacs)
+from kxp.models import DecisionList, DLRule
+from kxp.oracle import EntailmentOracle, OracleError, Status
 
-from util import (dimacs_satisfiable, entails_bruteforce, random_bt, random_dl,
-                  random_instance, random_knowledge, random_model, random_space)
+from util import (_dl_cnf, dimacs_satisfiable, entails_bruteforce,
+                  query_to_dimacs, random_bt, random_dl, random_instance,
+                  random_knowledge, random_model, random_space,
+                  tree_tested_features)
 
 
 def Q(model, inst, fixed, contested=None, kb=None):
@@ -369,7 +370,7 @@ def test_bt_bounds_after_knowledge_propagation():
     while queries < 600:
         sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
         model = random_bt(rng, sp, n_classes=rng.choice((2, 2, 3)), depth=3)
-        tested = sorted(model_constraints(model).score_features)
+        tested = tree_tested_features(model)
         if len(tested) < 2:
             continue
         v = random_instance(rng, sp)
@@ -411,7 +412,7 @@ def _kept_trail_cases(rng, sp):
              for model in dls]
     for model in (_single_score_bt(rng, sp),
                   random_bt(rng, sp, n_classes=3, depth=3)):
-        tested = sorted(model_constraints(model).score_features)
+        tested = tree_tested_features(model)
         kb = (_tested_feature_knowledge(rng, sp, v, tested) if len(tested) >= 2
               else _mixed_knowledge(rng, sp, v, 2))
         cases.append((model, kb))
@@ -511,7 +512,7 @@ def _tested_features(model):
     """The features the model's trees or rules test."""
     if isinstance(model, DecisionList):
         return sorted({lit.feature for rule in model.rules for lit in rule.antecedent})
-    return sorted(model_constraints(model).score_features)
+    return tree_tested_features(model)
 
 
 def _answer_pin_lines():

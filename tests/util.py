@@ -6,7 +6,9 @@ set computation. None of it shares code paths with the implementations under
 test beyond the core vocabulary types, except `reference_attribution`, which
 builds a fresh oracle per knowledge subset to check the one-oracle version.
 `tree_bounds` is the recursive score bound the oracle's trail-kept bounds are
-checked against.
+checked against. `query_to_dimacs` writes a query as CNF with its own
+encoding of a decision list, which `dimacs_satisfiable` decides; it shares
+only the oracle's input checks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from itertools import combinations, product
 from kxp import (Clause, Dataset, FeatureSpace, Instance, Kind, KnowledgeBase,
                  Rule, rule_to_clause)
 from kxp.models import BoostedEnsemble, DecisionList, DLRule, Leaf, Node
-from kxp.oracle import EntailmentOracle, OracleError, OracleResult, Status
+from kxp.oracle import (EntailmentOracle, OracleError, OracleResult, Status,
+                        check_compatible)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,16 @@ def group_bounds(model: BoostedEnsemble, group: int, allowed) -> tuple[int, int]
     """The sums of the group's tree bounds."""
     bounds = [tree_bounds(tree, allowed) for tree in model.trees[group]]
     return sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
+
+
+def tree_tested_features(model: BoostedEnsemble) -> list[int]:
+    """The features some tree of the ensemble tests, ascending."""
+    def tested(tree):
+        if isinstance(tree, Leaf):
+            return set()
+        return {tree.test.feature} | tested(tree.yes) | tested(tree.no)
+
+    return sorted(set().union(*(tested(t) for group in model.trees for t in group)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +513,138 @@ def dimacs_satisfiable(text: str) -> bool:
         if all(any(val(l) for l in clause) for clause in clauses):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# DIMACS dump of one query, for cross-checking the oracle with a CNF decider.
+# Literals are (variable, value, negated) triples: variables below m are the
+# features; the rule-chain Booleans are numbered from m up, value 1 true.
+
+def _slit(lit) -> tuple[int, int, bool]:
+    return (lit.feature, lit.value, lit.negated)
+
+
+def _flip(slit):
+    var, value, negated = slit
+    return (var, value, not negated)
+
+
+def _dl_cnf(model: DecisionList, contested: int):
+    """A decision list as clauses over rule j's Booleans m + 3j on: match
+    (its antecedent holds), fire (it is the first match) and prefix (no rule
+    up to j matched); and the clause asking for another class than
+    `contested`: None when vacuous (no rules, another default), [] when
+    unsatisfiable (every rule and the default are contested)."""
+    clauses = []
+
+    def define(var, parts):  # var <-> AND(parts)
+        clauses.extend([(var, 0, False), sl] for sl in parts)
+        clauses.append([(var, 1, False)] + [_flip(sl) for sl in parts])
+
+    challenge = []
+    prefix = []  # the previous rule's prefix; none before rule 0
+    var = model.space.m
+    for rule in model.rules:
+        match, fire, ahead = var, var + 1, var + 2
+        var += 3
+        define(match, [_slit(l) for l in sorted(rule.antecedent)])
+        define(fire, prefix + [(match, 1, False)])
+        define(ahead, prefix + [(match, 0, False)])
+        prefix = [(ahead, 1, False)]
+        if rule.cls != contested:
+            challenge.append((fire, 1, False))
+    if model.default != contested:
+        if not prefix:
+            return clauses, None
+        challenge += prefix
+    return clauses, challenge
+
+
+def _leaf_paths(tree, path=()):
+    """(path literals, weight) for each leaf, yes-branch first."""
+    if isinstance(tree, Leaf):
+        return [(list(path), tree.weight)]
+    sl = _slit(tree.test)
+    return _leaf_paths(tree.yes, path + (sl,)) + _leaf_paths(tree.no, path + (_flip(sl),))
+
+
+def query_to_dimacs(model, knowledge, fixed, instance, contested) -> str:
+    """CNF image of one query over one-hot indicators.
+
+    The clauses are the one-hot domain clauses, the fixed features' units,
+    a decision list's rule chain, the knowledge clauses, and then the list's
+    challenge to `contested` (an empty clause when no point can meet it) or
+    an ensemble's leaf clauses. Indicator id = 1 + offset(feature) + value
+    index, where offset is the sum of the domain sizes of earlier features.
+    For decision lists the dump is equisatisfiable with the query; for
+    ensembles the score comparison is not clausal and is omitted (a comment
+    line says so). The query is validated as the oracle validates it.
+    """
+    oracle = EntailmentOracle(model, knowledge)
+    fixed = oracle._checked(fixed, instance, contested)
+    check_compatible(instance, oracle.knowledge)
+    space = oracle.space
+    offsets = []
+    total = 0
+    for f in range(space.m):
+        offsets.append(total)
+        total += len(space.domain(f))
+
+    def ind(f, d):
+        return 1 + offsets[f] + d
+
+    def slit_dimacs(slit):
+        var, value, negated = slit
+        if var < space.m:
+            lit = ind(var, value)
+            return -lit if negated else lit
+        lit = total + (var - space.m) + 1  # a rule-chain Boolean
+        positive = (value == 1) != negated
+        return lit if positive else -lit
+
+    lines = []
+    clauses = []
+    comments = ["c entailment query: fixed=%s contested=%d"
+                % (sorted(fixed), contested)]
+    for f in range(space.m):
+        name, domain = space.features[f]
+        for d, label in enumerate(domain):
+            comments.append("c var %d = [%s = %s]" % (ind(f, d), name, label))
+        ids = [ind(f, d) for d in range(len(domain))]
+        clauses.append(ids)
+        clauses.extend([-a, -b] for a, b in combinations(ids, 2))
+    for f in sorted(fixed):
+        clauses.append([ind(f, instance.values[f])])
+
+    is_dl = isinstance(model, DecisionList)
+    rule_cnf, challenge = _dl_cnf(model, contested) if is_dl else ([], None)
+    kb_cnf = [[_slit(l) for l in clause.literals] for clause in oracle.knowledge.clauses]
+    cnf = rule_cnf + kb_cnf + ([challenge] if challenge is not None else [])
+    clauses.extend([slit_dimacs(sl) for sl in slits] for slits in cnf)
+    n_vars = total
+    if is_dl:
+        n_vars += 3 * len(model.rules)
+        comments.append("c aux vars %d..%d: rule match/fire/prefix chain"
+                        % (total + 1, n_vars))
+    else:  # leaf clauses only: the score comparison is not clausal
+        leaf_id = n_vars
+        for tree in (t for group in model.trees for t in group):
+            tree_vars = []
+            for path, weight in _leaf_paths(tree):
+                leaf_id += 1
+                tree_vars.append(leaf_id)
+                comments.append("c var %d = leaf with weight %d" % (leaf_id, weight))
+                for sl in path:
+                    clauses.append([-leaf_id, slit_dimacs(sl)])
+                clauses.append([leaf_id] + [-slit_dimacs(sl) for sl in path])
+            clauses.append(list(tree_vars))
+            clauses.extend([-a, -b] for a, b in combinations(tree_vars, 2))
+        n_vars = leaf_id
+        comments.append("c note: the class-score comparison is not encoded; "
+                        "this dump covers the propositional part only")
+
+    lines.extend(comments)
+    lines.append("p cnf %d %d" % (n_vars, len(clauses)))
+    for clause in clauses:
+        lines.append(" ".join(str(l) for l in clause) + " 0")
+    return "\n".join(lines) + "\n"
