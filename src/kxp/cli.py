@@ -156,7 +156,7 @@ def cmd_mine(args) -> int:
         rules, truncated = kb.rules, kb.truncated
     else:
         rules = eclat_mine(ds, limit)
-        truncated = limit.max_rules is not None and len(rules) >= limit.max_rules
+        truncated = len(rules) == limit.max_rules
     manifest["timings"]["wall"] = time.perf_counter() - t0
     manifest["truncated"] = truncated
     save_rules(args.out, ds.space, rules, truncated=truncated,

@@ -169,8 +169,8 @@ class Literal:
         op = json_field(obj, "op", str, where)
         if op not in ("==", "!="):
             raise SpaceError("%s: bad literal op %r" % (where, op))
-        return space.literal(json_field(obj, "feature", where=where),
-                             json_field(obj, "value", where=where), negated=op == "!=")
+        return space.literal(json_field(obj, "feature", str, where),
+                             json_field(obj, "value", str, where), negated=op == "!=")
 
 
 @dataclass(frozen=True)
@@ -313,13 +313,14 @@ class KnowledgeBase:
         return all(clause.satisfied_by(inst) for clause in self.clauses)
 
     def subset(self, clauses: Iterable[Clause]) -> "KnowledgeBase":
-        chosen = list(clauses)
-        chosen_set = set(chosen)
-        rules = tuple(r for c, r in zip(self.clauses, self.rules) if c in chosen_set) \
-            if len(self.rules) == len(self.clauses) else ()
-        return KnowledgeBase(tuple(chosen),
-                             {c: self.provenance.get(c, ()) for c in chosen},
-                             rules, self.truncated)
+        """The chosen clauses in the given order, each with its provenance and,
+        if every one has a rule here, its rule."""
+        chosen = tuple(clauses)
+        rule_of = dict(zip(self.clauses, self.rules)) \
+            if len(self.rules) == len(self.clauses) else {}
+        rules = tuple(rule_of.get(c) for c in chosen)
+        return KnowledgeBase(chosen, {c: self.provenance.get(c, ()) for c in chosen},
+                             () if None in rules else rules, self.truncated)
 
 
 def space_to_obj(space: FeatureSpace) -> list:
@@ -373,14 +374,15 @@ _JSON_TYPES = {list: "a list", str: "a string", int: "an integer", dict: "an obj
 
 
 def json_field(obj, key: str, kind: type = object, where: str = ""):
-    """`obj[key]`, checked to be a `kind`; a fault raises SpaceError naming
-    the field and `where` (its parent's path), for file loaders' messages."""
+    """`obj[key]`, checked to be a `kind` (a boolean is no int); a fault raises
+    SpaceError naming the field and `where` (its parent's path), for file
+    loaders' messages."""
     at = where + ": " if where else ""
     if not isinstance(obj, dict):
         raise SpaceError("%sexpected an object, got %s" % (at, reprlib.repr(obj)))
     if key not in obj:
         raise SpaceError("%smissing field %r" % (at, key))
-    if not isinstance(obj[key], kind):
+    if not isinstance(obj[key], kind) or (kind is int and isinstance(obj[key], bool)):
         raise SpaceError("%sfield %r: expected %s, got %s"
                          % (at, key, _JSON_TYPES[kind], reprlib.repr(obj[key])))
     return obj[key]

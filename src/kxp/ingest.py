@@ -293,12 +293,11 @@ def quantize(ds: Dataset, spec: QuantizationSpec) -> Dataset:
     the spec's interval labels pass through unchanged, so re-applying a spec
     is the identity.
     """
-    pending = set(ds.numeric_columns)
-    missing = pending - set(spec.columns)
+    missing = set(ds.numeric_columns) - set(spec.columns)
     if missing:
         raise IngestError("no bins for numeric columns %s" % sorted(missing))
     domains = list(ds.domains)
-    columns = {c: list(col) for c, col in enumerate(zip(*ds.rows))} if ds.rows else {}
+    binned = []  # (column index, bins) of each numeric column
     for name, bins in spec.columns.items():
         if name not in ds.names:
             raise IngestError("spec covers unknown column %r" % name)
@@ -309,14 +308,14 @@ def quantize(ds: Dataset, spec: QuantizationSpec) -> Dataset:
                                   "the spec's intervals" % name)
             continue
         domains[c] = bins.labels
-        if ds.rows:
-            columns[c] = [bins.interval(x) for x in columns[c]]
-    if ds.rows:
-        rows = tuple(tuple(columns[c][r] for c in range(len(ds.names)))
-                     for r in range(ds.n_rows))
-    else:
-        rows = ()
-    return replace(ds, domains=tuple(domains), rows=rows)
+        binned.append((c, bins))
+    rows = []
+    for row in ds.rows:
+        cells = list(row)
+        for c, bins in binned:
+            cells[c] = bins.interval(cells[c])
+        rows.append(tuple(cells))
+    return replace(ds, domains=tuple(domains), rows=tuple(rows))
 
 
 def split_indices(n: int, fraction: float = 0.8,

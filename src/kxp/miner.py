@@ -182,33 +182,25 @@ def _mine(space: FeatureSpace, insts: list[Instance], limit: ExtractionLimit,
     return found, False
 
 
-def _emit_target(space: FeatureSpace, target: Literal,
-                 found: list[tuple[frozenset[Literal], int]], blocked: set[Clause],
-                 budget: Optional[int], next_id: int) -> tuple[list[Rule], bool]:
-    """One target's rules in mining order, skipping (then adding) blocked clauses.
-
-    The flag is set when the rule budget ran out.
-    """
-    emitted: list[Rule] = []
-    for antecedent, support in found:
-        rule = Rule(antecedent, target, id=next_id + len(emitted), support=support,
-                    consistency=1.0)
-        clause = rule_to_clause(space, rule)
-        if clause not in blocked:
+def _emit(space: FeatureSpace, targets: Iterable[Literal], found: Found,
+          blocked: set[Clause], limit: ExtractionLimit) -> list[Rule]:
+    """The targets' rules in mining order, minus blocked clauses, up to `limit.max_rules`."""
+    rules: list[Rule] = []
+    for target in targets:
+        for antecedent, support in found.get((target.feature, target.value), ()):
+            rule = Rule(antecedent, target, id=len(rules), support=support, consistency=1.0)
+            clause = rule_to_clause(space, rule)
+            if clause in blocked:
+                continue
             blocked.add(clause)
-            emitted.append(rule)
-        if budget is not None and len(emitted) >= budget:
-            return emitted, True
-    return emitted, False
+            rules.append(rule)
+            if len(rules) == limit.max_rules:
+                return rules
+    return rules
 
 
 def _deadline(limit: ExtractionLimit) -> Optional[float]:
     return None if limit.time_budget is None else time.monotonic() + limit.time_budget
-
-
-def _rule_budget(limit: ExtractionLimit, emitted: int) -> Optional[int]:
-    """How many rules the next target may emit, `emitted` rules into the run."""
-    return None if limit.max_rules is None else limit.max_rules - emitted
 
 
 def enumerate_min_rules(train: Dataset, target: Literal,
@@ -223,9 +215,7 @@ def enumerate_min_rules(train: Dataset, target: Literal,
     if target.negated:
         raise MinerError("targets must be = literals")
     found, _ = _mine(space, train.instances(), limit, _deadline(limit))
-    rules, _ = _emit_target(space, target, found.get((target.feature, target.value), []),
-                            set(blocked), _rule_budget(limit, 0), next_id=0)
-    return rules
+    return _emit(space, [target], found, set(blocked), limit)
 
 
 def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> KnowledgeBase:
@@ -239,18 +229,9 @@ def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> K
     """
     space = train.space
     found, truncated = _mine(space, train.instances(), limit, _deadline(limit))
-    blocked: set[Clause] = set()
-    rules: list[Rule] = []
-    for f in range(space.m):
-        for v in range(len(space.domain(f))):
-            got, trunc = _emit_target(space, space.literal(f, v), found.get((f, v), []),
-                                      blocked, _rule_budget(limit, len(rules)),
-                                      next_id=len(rules))
-            rules.extend(got)
-            truncated = truncated or trunc
-            if limit.max_rules is not None and len(rules) >= limit.max_rules:
-                return KnowledgeBase.from_rules(space, rules, truncated=True)
-    return KnowledgeBase.from_rules(space, rules, truncated=truncated)
+    rules = _emit(space, space.equalities(), found, set(), limit)
+    return KnowledgeBase.from_rules(space, rules,
+                                    truncated=truncated or len(rules) == limit.max_rules)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +261,7 @@ def eclat_mine(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> li
     supports: dict[frozenset[Literal], int] = {frozenset(): n}
     found: list[tuple[frozenset[Literal], int]] = []
 
-    def grow(prefix: list[int], ptids: int, candidates: list[tuple[int, int]]) -> None:
+    def grow(prefix: list[int], candidates: list[tuple[int, int]]) -> None:
         for pos, (i, itids) in enumerate(candidates):
             itemset = frozenset(items[k] for k in prefix + [i])
             supports[itemset] = itids.bit_count()
@@ -295,21 +276,19 @@ def eclat_mine(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> li
                 if t.bit_count() >= min_support:
                     exts.append((k, t))
             if exts:
-                grow(prefix + [i], itids, exts)
+                grow(prefix + [i], exts)
 
-    grow([], (1 << n) - 1, [(i, tids[i]) for i in order])
+    grow([], [(i, tids[i]) for i in order])
 
     rules: list[Rule] = []
-    next_id = 0
     for itemset, supp in found:
         for consequent in sorted(itemset):
             antecedent = itemset - {consequent}
             if supports.get(antecedent, 0 if antecedent else n) != supp:
                 continue
-            rules.append(Rule(antecedent, consequent, id=next_id,
+            rules.append(Rule(antecedent, consequent, id=len(rules),
                               support=supp, consistency=1.0))
-            next_id += 1
-            if limit.max_rules is not None and len(rules) >= limit.max_rules:
+            if len(rules) == limit.max_rules:
                 return rules
     return rules
 

@@ -133,7 +133,7 @@ class BoostedEnsemble:
 
 def _check_tree(space: FeatureSpace, tree: Tree) -> None:
     if isinstance(tree, Leaf):
-        if not isinstance(tree.weight, int):
+        if type(tree.weight) is not int:  # nor a bool
             raise ModelError("leaf weight %r is not an integer" % (tree.weight,))
         return
     if not space.has(tree.test):
@@ -291,16 +291,23 @@ def train_decision_list(ds: Dataset) -> DecisionList:
     return DecisionList(space, classes, tuple(rules), default)
 
 
-def _fit_tree(insts, rows, residual, lits, depth, min_leaf=4) -> tuple[Tree, bool]:
-    """Least-squares regression tree over literal tests; bool flags a real split."""
+_BT_LEARNING_RATE = 0.5
+_BT_SCALE = 4
+_BT_MIN_LEAF = 4
+
+
+def _fit_tree(insts, rows, residual, lits, depth) -> tuple[Tree, bool]:
+    """Least-squares regression tree over literal tests, leaves at fixed point;
+    bool flags a real split."""
     mean = sum(residual[i] for i in rows) / len(rows) if rows else 0.0
-    if depth == 0 or len(rows) < 2 * min_leaf:
-        return Leaf(mean), False
+    leaf = Leaf(int(round(mean * _BT_LEARNING_RATE * 10 ** _BT_SCALE)))
+    if depth == 0 or len(rows) < 2 * _BT_MIN_LEAF:
+        return leaf, False
     sse = sum((residual[i] - mean) ** 2 for i in rows)
     best = None
     for lit in lits:
         yes = [i for i in rows if lit.holds(insts[i])]
-        if len(yes) < min_leaf or len(rows) - len(yes) < min_leaf:
+        if len(yes) < _BT_MIN_LEAF or len(rows) - len(yes) < _BT_MIN_LEAF:
             continue
         yes_set = set(yes)
         no = [i for i in rows if i not in yes_set]
@@ -311,21 +318,11 @@ def _fit_tree(insts, rows, residual, lits, depth, min_leaf=4) -> tuple[Tree, boo
         if best is None or gain > best[0] + 1e-12:
             best = (gain, lit, yes, no)
     if best is None or best[0] <= 1e-9:
-        return Leaf(mean), False
+        return leaf, False
     _, lit, yes, no = best
-    ytree, _ = _fit_tree(insts, yes, residual, lits, depth - 1, min_leaf)
-    ntree, _ = _fit_tree(insts, no, residual, lits, depth - 1, min_leaf)
+    ytree, _ = _fit_tree(insts, yes, residual, lits, depth - 1)
+    ntree, _ = _fit_tree(insts, no, residual, lits, depth - 1)
     return Node(lit, ytree, ntree), True
-
-
-_BT_LEARNING_RATE = 0.5
-_BT_SCALE = 4
-
-
-def _scale_tree(tree: Tree) -> Tree:
-    if isinstance(tree, Leaf):
-        return Leaf(int(round(tree.weight * _BT_LEARNING_RATE * 10 ** _BT_SCALE)))
-    return Node(tree.test, _scale_tree(tree.yes), _scale_tree(tree.no))
 
 
 def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2) -> BoostedEnsemble:
@@ -342,10 +339,9 @@ def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2) -> BoostedEnsem
         for _ in range(rounds):
             residual = [target[i] - score[i] for i in rows]
             tree, split = _fit_tree(insts, rows, residual, lits, depth)
-            fixed = _scale_tree(tree)
-            group.append(fixed)
+            group.append(tree)
             for i in rows:
-                score[i] += _walk(fixed, insts[i]).weight / 10 ** _BT_SCALE
+                score[i] += _walk(tree, insts[i]).weight / 10 ** _BT_SCALE
             if not split:
                 break
         return tuple(group)

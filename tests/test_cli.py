@@ -263,25 +263,33 @@ def test_explain_compare_and_skip(tmp_path, capsys):
                 consistency=1.0)
     save_rules(rules, sp, [rule])
     out = str(tmp_path / "expl.jsonl")
+    assert main(["explain", SMALL, TOY, "--compare", "--out", out]) == 2
+    assert "error: --compare needs --knowledge" in capsys.readouterr().err
     assert main(["explain", SMALL, TOY, "--kind", "axp", "--instances", "all",
                  "--knowledge", rules, "--compare", "--enum", "1",
                  "--out", out]) == 0
     summary = json.loads(Path(out + ".summary.json").read_text())
     avg = summary["avg_smallest_size"]
     assert avg["with_knowledge"] <= avg["without_knowledge"]
-    # a knowledge-violating instance is skipped and logged, not fatal
+    # a knowledge-violating instance, and one with a label the model's space
+    # lacks, are skipped and logged, not fatal
     bad = tmp_path / "bad.csv"
     bad.write_text("Education,Status,Occupation,Relationship,Sex,Hours/w,Target\n"
                    "Dropout,Married,Service,Not-in-family,Male,<=40,<50k\n"
                    "Dropout,Separated,Service,Not-in-family,Male,<=40,<50k\n"
-                   "HighSchool,Married,Sales,Husband,Female,40to45,>=50k\n")
+                   "HighSchool,Married,Sales,Husband,Female,40to45,>=50k\n"
+                   "Masters,Widowed,Sales,Husband,Male,<=40,>=50k\n")
     out2 = str(tmp_path / "expl2.jsonl")
     assert main(["explain", SMALL, str(bad), "--kind", "axp",
                  "--knowledge", rules, "--instances", "all",
                  "--enum", "1", "--out", out2]) == 0
     lines = read_jsonl(out2)
     skipped = [l for l in lines if l.get("type") == "skipped"]
-    assert len(skipped) == 1 and skipped[0]["index"] == 0
+    assert skipped == [
+        {"type": "skipped", "index": 0, "reason": "instance violates the knowledge base"},
+        {"type": "skipped", "index": 3,
+         "reason": "unknown value 'Widowed' for feature 'Status'"}]
+    assert sorted({l["index"] for l in lines if l.get("type") == "result"}) == [1, 2]
 
 
 def test_explain_compare_sizes_two_vs_three(tmp_path):
@@ -432,6 +440,21 @@ def test_assess_knowledge_can_only_help(tmp_path):
         >= report["percent_correct_plain"]
     assert report["records"][0]["correct_plain"] is False
     assert report["records"][0]["correct_with_knowledge"] is True
+    # a row that violates the knowledge is skipped, not judged
+    bad = tmp_path / "bad.csv"
+    bad.write_text("Education,Status,Occupation,Relationship,Sex,Hours/w,Target\n"
+                   "Dropout,Married,Service,Not-in-family,Male,<=40,<50k\n"
+                   "Dropout,Separated,Service,Not-in-family,Male,<=40,<50k\n"
+                   "HighSchool,Married,Sales,Husband,Female,40to45,>=50k\n")
+    subsets.write_text(json.dumps({
+        "format": "kxp.subsets/1",
+        "records": [{"index": 0, "features": ["Status"]},
+                    {"index": 1, "features": ["Status", "Relationship", "Sex"]}]}))
+    assert main(["assess", SMALL, str(bad), str(subsets), "--kind", "axp",
+                 "--knowledge", rules, "--out", out]) == 0
+    report = json.loads(Path(out).read_text())
+    assert report["records"][0] == {"index": 0, "skipped": True}
+    assert report["skipped"] == 1 and "skipped" not in report["records"][1]
 
 
 def test_one_oracle_per_command(monkeypatch, tmp_path):
@@ -569,6 +592,12 @@ def test_malformed_model_names_file_and_field(tmp_path, capsys):
     float_leaf["trees"][0][1] = {"leaf": 1.5}
     no_domain = json.loads(json.dumps(dl))
     del no_domain["features"][2]["domain"]
+    number_value = json.loads(json.dumps(dl))
+    number_value["rules"][0]["if"][0]["value"] = 0
+    bool_feature = json.loads(json.dumps(dl))
+    bool_feature["rules"][1]["if"][0]["feature"] = True
+    bool_leaf = json.loads(json.dumps(bt))
+    bool_leaf["trees"][0][0]["yes"]["no"] = {"leaf": True}
     cases = [
         (no_kind, "missing field 'kind'"),
         (bad_class, "rules[1]: unknown class 'rich'"),
@@ -577,6 +606,10 @@ def test_malformed_model_names_file_and_field(tmp_path, capsys):
         (float_leaf, "trees[0][1]: field 'leaf': expected an integer, got 1.5"),
         ({**bt, "trees": [7]}, "trees: expected a list of tree lists"),
         (no_domain, "features[2]: missing field 'domain'"),
+        (number_value, "rules[0]: field 'value': expected a string, got 0"),
+        (bool_feature, "rules[1]: field 'feature': expected a string, got True"),
+        ({**bt, "scale": True}, "field 'scale': expected an integer, got True"),
+        (bool_leaf, "trees[0][0].yes.no: field 'leaf': expected an integer, got True"),
         ([dl], "unrecognized model format None"),
         ({**dl, "classes": [">=50k", "<50k", "<50k"]},
          "classes[2]: repeated label '<50k'"),
@@ -609,6 +642,17 @@ def test_malformed_rules_file_names_line(tmp_path, capsys):
         ([header, "", json.dumps({"if": [status("==", "Single")], "then": sex})],
          ":3: unknown value 'Single'"),
         (['{"format": "kxp.rules/1"}'], ":1: missing field 'features'"),
+        ([header, json.dumps({"if": [status("==", 0)], "then": sex})],
+         ":2: if[0]: field 'value': expected a string, got 0"),
+        ([header, json.dumps({"if": [], "then": {**sex, "feature": 4}})],
+         ":2: then: field 'feature': expected a string, got 4"),
+        ([], ":0: empty rules file"),
+        (['{"format": "kxp.rules/2"}'], ":1: unrecognized rules format 'kxp.rules/2'"),
+        ([json.dumps({**json.loads(header), "features": json.loads(header)["features"]
+                      + [{"name": "Age", "domain": ["young", "old"]}]}),
+          json.dumps({"if": [{"feature": "Age", "op": "==", "value": "old"}],
+                      "then": sex})],
+         ": unknown feature 'Age'"),
     ]
     bad = tmp_path / "bad.jsonl"
     for lines, message in cases:

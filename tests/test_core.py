@@ -156,6 +156,29 @@ def test_knowledge_from_rules_merges_provenance():
     assert kb.provenance[kb.clauses[0]] == (0, 1)
 
 
+def test_knowledge_subset_keeps_each_clauses_rule():
+    sp = FeatureSpace.make([("a", ["0", "1", "2"]), ("b", ["0", "1", "2"]),
+                            ("c", ["0", "1"])])
+    rules = [Rule(frozenset({sp.literal("a", "0")}), sp.literal("b", "0"), id=0),
+             Rule(frozenset({sp.literal("a", "1")}), sp.literal("b", "1"), id=1),
+             Rule(frozenset({sp.literal("b", "2")}), sp.literal("c", "1"), id=2)]
+    kb = KnowledgeBase.from_rules(sp, rules, truncated=True)
+    c0, c1, c2 = kb.clauses
+    # reordered clauses keep their own rules and provenance
+    sub = kb.subset([c2, c0])
+    assert sub.clauses == (c2, c0)
+    assert sub.rules == (rules[2], rules[0])
+    assert sub.provenance == {c2: (2,), c0: (0,)}
+    assert sub.truncated
+    # a clause from outside the knowledge base has no rule, so none are kept
+    outside = Clause.of([sp.literal("c", "0")])
+    sub = kb.subset([c0, outside])
+    assert sub.clauses == (c0, outside)
+    assert sub.rules == ()
+    assert sub.provenance == {c0: (0,), outside: ()}
+    assert KnowledgeBase((c0, c1)).subset([c1]).rules == ()
+
+
 def test_rebind_onto_larger_space(toy_ds, toy_dl):
     sp_csv = toy_ds.space
     rule = Rule(frozenset({sp_csv.literal("Relationship", "Husband")}),

@@ -92,6 +92,8 @@ def test_model_validation():
         DecisionList(sp, ("a", "b", "a"), (), 0)
     with pytest.raises(ModelError, match=r"classes\[1\]: label 2 is not a string"):
         BoostedEnsemble(sp, ("a", 2), 4, ((Leaf(1),),), positive=0)
+    with pytest.raises(ModelError, match="leaf weight True is not an integer"):
+        BoostedEnsemble(sp, ("a", "b"), 4, ((Leaf(True),),), positive=0)
 
 
 def test_model_round_trip_byte_stable(tmp_path, toy_dl, toy_bt, small_dl):
