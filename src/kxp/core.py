@@ -370,11 +370,13 @@ def rebind_knowledge(kb: "KnowledgeBase", old: FeatureSpace,
                          rules, kb.truncated)
 
 
-_JSON_TYPES = {list: "a list", str: "a string", int: "an integer", dict: "an object"}
+NUMBER = (int, float)
+_JSON_TYPES = {list: "a list", str: "a string", int: "an integer", dict: "an object",
+               bool: "a boolean", NUMBER: "a number"}
 
 
 def json_field(obj, key: str, kind: type = object, where: str = ""):
-    """`obj[key]`, checked to be a `kind` (a boolean is no int); a fault raises
+    """`obj[key]`, checked to be a `kind` (a boolean is no number); a fault raises
     SpaceError naming the field and `where` (its parent's path), for file
     loaders' messages."""
     at = where + ": " if where else ""
@@ -382,7 +384,8 @@ def json_field(obj, key: str, kind: type = object, where: str = ""):
         raise SpaceError("%sexpected an object, got %s" % (at, reprlib.repr(obj)))
     if key not in obj:
         raise SpaceError("%smissing field %r" % (at, key))
-    if not isinstance(obj[key], kind) or (kind is int and isinstance(obj[key], bool)):
+    if not isinstance(obj[key], kind) or (kind in (int, NUMBER)
+                                          and isinstance(obj[key], bool)):
         raise SpaceError("%sfield %r: expected %s, got %s"
                          % (at, key, _JSON_TYPES[kind], reprlib.repr(obj[key])))
     return obj[key]

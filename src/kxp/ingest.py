@@ -187,7 +187,8 @@ def _index_labels(path, name, cells, minimum):
 
 @dataclass(frozen=True)
 class ColumnBins:
-    """Fitted bins for one numeric column: strictly increasing interior cut points."""
+    """Fitted bins for one numeric column: strictly increasing interior cut
+    points and distinct interval labels."""
 
     cuts: tuple[float, ...]
     labels: tuple[str, ...]
@@ -198,6 +199,8 @@ class ColumnBins:
         if len(self.labels) != len(self.cuts) + 1:
             raise IngestError("expected %d interval labels, got %d"
                               % (len(self.cuts) + 1, len(self.labels)))
+        if len(set(self.labels)) < len(self.labels):
+            raise IngestError("interval labels must be distinct: %s" % (self.labels,))
 
     def interval(self, x: float) -> int:
         # values on a cut point go to the lower interval; out-of-range clamps
@@ -206,9 +209,13 @@ class ColumnBins:
     @classmethod
     def from_cuts(cls, cuts: Sequence[float]) -> "ColumnBins":
         cuts = tuple(float(c) for c in cuts)
-        labels = ["<=%g" % cuts[0]]
-        labels += ["(%g,%g]" % (a, b) for a, b in zip(cuts, cuts[1:])]
-        labels.append(">%g" % cuts[-1])
+        # %g's 6 significant digits, or the fewest more that tell the cuts apart
+        digits = next((p for p in range(6, 17)
+                       if len({"%.*g" % (p, c) for c in cuts}) == len(cuts)), 17)
+        text = ["%.*g" % (digits, c) for c in cuts]
+        labels = ["<=" + text[0]]
+        labels += ["(%s,%s]" % ab for ab in zip(text, text[1:])]
+        labels.append(">" + text[-1])
         return cls(cuts, tuple(labels))
 
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (Clause, FeatureSpace, Instance, KnowledgeBase, Literal,
+from .core import (NUMBER, Clause, FeatureSpace, Instance, KnowledgeBase, Literal,
                    Rule, SpaceError, json_field, rebind_rule, rule_to_clause,
                    space_from_obj, space_to_obj, validate_rule)
 from .ingest import Dataset
@@ -338,14 +338,19 @@ def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
         if fmt != RULES_FORMAT:
             raise MinerError("unrecognized rules format %r" % fmt)
         space = space_from_obj(json_field(header, "features", list))
+        if "truncated" in header:
+            json_field(header, "truncated", bool)
         rules = []
         for n, ln in lines[1:]:
             obj = json.loads(ln.decode("utf-8"))
             ante = json_field(obj, "if", list)
+            # mining stats are optional; the ids become knowledge provenance
+            stats = [None if obj.get(key) is None else json_field(obj, key, kind)
+                     for key, kind in (("id", int), ("support", int),
+                                       ("consistency", NUMBER))]
             rule = Rule(frozenset(Literal.from_obj(space, l, "if[%d]" % i)
                                   for i, l in enumerate(ante)),
-                        Literal.from_obj(space, json_field(obj, "then"), "then"),
-                        obj.get("id"), obj.get("support"), obj.get("consistency"))
+                        Literal.from_obj(space, json_field(obj, "then"), "then"), *stats)
             validate_rule(space, rule)
             rules.append(rule)
     except ValueError as exc:  # encoding, JSON syntax, SpaceError, MinerError
@@ -364,4 +369,4 @@ def load_knowledge(path, target_space: Optional[FeatureSpace] = None) -> Knowled
         except SpaceError as exc:  # a name or label the target space lacks
             raise MinerError("%s: %s" % (path, exc)) from None
         space = target_space
-    return KnowledgeBase.from_rules(space, rules, truncated=bool(header.get("truncated")))
+    return KnowledgeBase.from_rules(space, rules, truncated=header.get("truncated", False))

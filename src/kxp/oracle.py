@@ -2,15 +2,17 @@
 
 UNSAT answers certify abductive explanations; SAT answers return a witness
 point that seeds contrastive explanations. The search is a complete
-backtracking procedure with watched-literal unit propagation over one-hot
-feature domains. After every propagation a class test asks whether a point
-within the domains can be classified other than the contested class. Each
-model family has its own, bound once when the oracle is built. A decision
-list's, `_dl_possible`, reads the domains rule by rule. An ensemble's,
-`_Scores.possible`, reads per-class score bounds. Every leaf of every tree
-is one bit of one integer; a domain change clears the leaves whose path it
-falsifies with one AND (fixing a value clears all its leaves at once), and
-the trail logs the previous integer. The per-tree [lo, hi] and their
+backtracking procedure with watched-literal unit propagation over feature
+domains, each one integer with bit v set while value v is possible. After
+every propagation a class test asks whether a point within the domains can
+be classified other than the contested class. Each model family has its
+own, bound once when the oracle is built. A decision list's, `_dl_possible`,
+reads the domains rule by rule. An ensemble's, `_Scores.possible`, reads
+per-class score bounds. Every leaf of every tree is one bit of one integer,
+`alive`. The trail is the only undo log: `_force` is the one write to the
+domains, and each domain change appends one entry (the feature, its previous
+domain and the previous `alive`) and clears the leaves whose path it
+falsifies with one AND; undo restores both. The per-tree [lo, hi] and their
 per-class sums are brought up to date when the test reads them, for the
 trees whose leaves changed since. Both tests are sound on partial domains
 and exact on a full assignment.
@@ -39,8 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
-from operator import or_
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .core import Clause, FeatureSpace, Instance, KnowledgeBase, Literal
@@ -107,18 +108,17 @@ class _Scores:
     A leaf dies on the first event that falsifies a literal on its path; it
     revives only when that event is undone, and undo is last-in-first-out,
     so later falsified literals need no count. `dying` maps each event to
-    the mask of the leaves it falsifies, and `fixing[var][value]` to the
-    mask of the leaves that `var = value` falsifies, so a kill is one AND.
-    Each change of `alive` is logged with the trail length it happened at
-    and the previous `alive`, and undo restores that one integer.
+    the mask of the leaves it falsifies. The oracle's `_force` ORs the masks
+    of a domain change's events and clears them from `alive` with one AND;
+    its trail entry keeps the `alive` it replaced, and undo restores the one
+    from the first entry it undoes.
 
     The per-tree bounds and the group sums are brought up to date when they
     are read (`sync`): only the trees with a bit changed since the last
     reading are visited, whatever kills and undos came in between.
     """
 
-    def __init__(self, trees: Sequence[Sequence[Tree]], positive: Optional[int],
-                 sizes: list[int]):
+    def __init__(self, trees: Sequence[Sequence[Tree]], positive: Optional[int]):
         self.positive = positive
         self.dying: dict[tuple, int] = {}  # event -> leaves it falsifies
         self.weights: list[int] = []  # per bit
@@ -141,30 +141,12 @@ class _Scores:
                 self.masks.append((1 << len(self.weights)) - (1 << first))
                 self.below.append((1 << first) - 1)
                 self.group_of.append(g)
-        self.fixing: list[list[int]] = []  # var -> value -> leaves it falsifies
-        for var, size in enumerate(sizes):
-            rm = [self.dying.get(("rm", var, value), 0) for value in range(size)]
-            self.fixing.append([reduce(or_, rm[:value] + rm[value + 1:],
-                                       self.dying.get(("fix", var, value), 0))
-                                for value in range(size)])
         self.alive = (1 << len(self.weights)) - 1
-        self.log: list[tuple[int, int]] = []  # stamp, previous alive
         # per tree and per group, as of the last sync with `alive` = `seen`
         self.lo, self.hi = [0] * len(self.masks), [0] * len(self.masks)
         self.group_lo, self.group_hi = [0] * len(trees), [0] * len(trees)
         self.seen = 0
         self.sync()
-
-    def kill(self, bits: int, stamp: int) -> None:
-        alive = self.alive
-        if alive & bits:
-            self.log.append((stamp, alive))
-            self.alive = alive & ~bits
-
-    def undo_to(self, mark: int) -> None:
-        log = self.log
-        while log and log[-1][0] > mark:
-            self.alive = log.pop()[1]
 
     def sync(self) -> None:
         """Bring the per-tree bounds and group sums up to date with `alive`."""
@@ -214,7 +196,7 @@ def _collect_paths(tree: Tree, path: list[_SLit],
 
 
 def _dl_possible(rules: list[tuple[list[_SLit], int]], default: int,
-                 dom: list[set[int]], contested: int) -> bool:
+                 dom: list[int], contested: int) -> bool:
     """A decision list's class test: can a point within the domains be
     classified other than contested? `rules` holds each rule's antecedent as
     solver literals and its class, in list order. Rules with a false literal
@@ -224,15 +206,15 @@ def _dl_possible(rules: list[tuple[list[_SLit], int]], default: int,
     for lits, cls in rules:
         sure = True
         for var, value, negated in lits:
-            d = dom[var]
+            d, bit = dom[var], 1 << value
             if negated:
-                if value in d:
-                    if len(d) == 1:
+                if d & bit:
+                    if d == bit:
                         break
                     sure = False
-            elif value not in d:
+            elif not d & bit:
                 break
-            elif len(d) > 1:
+            elif d != bit:
                 sure = False
         else:
             if cls != contested:
@@ -258,18 +240,19 @@ class EntailmentOracle:
 
         m = self.space.m
         self._sizes = [len(self.space.domain(f)) for f in range(m)]
-        self.dom: list[set[int]] = [set(range(s)) for s in self._sizes]
-        self.trail: list[tuple[int, int]] = []
+        self.dom: list[int] = [(1 << s) - 1 for s in self._sizes]  # bit v: v possible
+        # one entry per domain change: (feature, previous domain, previous alive)
+        self.trail: list[tuple[int, int, int]] = []
         # the kept assumption levels: (assumed literal, trail length after it)
         self._levels: list[tuple[_SLit, int]] = []
         # the class test, bound once: `_possible(contested)` at every node
         if isinstance(model, DecisionList):
-            self._scores = _Scores((), None, self._sizes)
+            self._scores = _Scores((), None)
             rules = [([_lit_slit(l) for l in sorted(rule.antecedent)], rule.cls)
                      for rule in model.rules]
             self._possible = partial(_dl_possible, rules, model.default, self.dom)
         elif isinstance(model, BoostedEnsemble):
-            self._scores = _Scores(model.trees, model.positive, self._sizes)
+            self._scores = _Scores(model.trees, model.positive)
             self._possible = self._scores.possible
         else:
             raise ModelError("unsupported model type %r" % type(model).__name__)
@@ -315,46 +298,32 @@ class EntailmentOracle:
 
     # -- propagation ---------------------------------------------------------
 
-    def _remove(self, var: int, value: int, queue: deque) -> bool:
-        d = self.dom[var]
-        if value not in d:
-            return True
-        if len(d) == 1:
-            return False
-        d.discard(value)
-        self.trail.append((var, value))
-        ev = ("rm", var, value)
-        queue.append(ev)
-        bits = self._dying.get(ev, 0)
-        if len(d) == 1:
-            ev = ("fix", var, next(iter(d)))
-            queue.append(ev)
-            bits |= self._dying.get(ev, 0)
-        if bits:
-            self._scores.kill(bits, len(self.trail))
-        return True
-
     def _force(self, slit: _SLit, queue: deque) -> bool:
+        """Make the literal true: False if that empties its domain. A change
+        is one trail entry, its events are queued (the removed values'
+        ascending, then `fix` if one value is left) and their leaves die."""
         var, value, negated = slit
-        if negated:
-            return self._remove(var, value, queue)
-        d = self.dom[var]
-        if value not in d:
-            return False
-        if len(d) == 1:
+        old = self.dom[var]
+        new = old & ~(1 << value) if negated else old & 1 << value
+        if new == old:
             return True
-        # remove every other value at once: the same trail entries and
-        # events as one `_remove` each, and one kill for all their leaves
-        trail = self.trail
-        for other in list(d):
-            if other != value:
-                d.discard(other)
-                trail.append((var, other))
-                queue.append(("rm", var, other))
-        queue.append(("fix", var, value))
-        bits = self._scores.fixing[var][value]
-        if bits:
-            self._scores.kill(bits, len(trail))
+        if not new:
+            return False
+        scores, dying = self._scores, self._dying
+        self.dom[var] = new
+        self.trail.append((var, old, scores.alive))
+        bits, gone = 0, old ^ new
+        while gone:
+            low = gone & -gone
+            gone ^= low
+            ev = ("rm", var, low.bit_length() - 1)
+            queue.append(ev)
+            bits |= dying.get(ev, 0)
+        if not new & new - 1:
+            ev = ("fix", var, new.bit_length() - 1)
+            queue.append(ev)
+            bits |= dying.get(ev, 0)
+        scores.alive &= ~bits
         return True
 
     def _propagate(self, queue: deque) -> bool:
@@ -385,14 +354,14 @@ class EntailmentOracle:
                 slits = clauses[ci]
                 var, value, negated = slits[other]
                 d = dom[var]
-                if (value not in d) if negated else (len(d) == 1 and value in d):
+                if (not d >> value & 1) if negated else (d == 1 << value):
                     keep.append(ci)  # the other watch is true
                     continue
                 for pos, (var, value, negated) in enumerate(slits):
                     if pos == w0 or pos == w1:
                         continue
                     d = dom[var]
-                    if (len(d) > 1 or value not in d) if negated else (value in d):
+                    if (d != 1 << value) if negated else (d >> value & 1):
                         w[which] = pos  # watch a literal that is not false
                         watch.setdefault(events[pos], []).append(ci)
                         break
@@ -408,10 +377,11 @@ class EntailmentOracle:
 
     def _undo_to(self, mark: int) -> None:
         trail, dom = self.trail, self.dom
-        for var, value in trail[mark:]:
-            dom[var].add(value)
-        del trail[mark:]
-        self._scores.undo_to(mark)
+        if len(trail) > mark:
+            self._scores.alive = trail[mark][2]
+            for var, old, _ in reversed(trail[mark:]):
+                dom[var] = old
+            del trail[mark:]
 
     def _assume(self, slit: _SLit) -> bool:
         """Propagate one literal to fixpoint; on a conflict undo its changes."""
@@ -425,13 +395,18 @@ class EntailmentOracle:
     # -- search --------------------------------------------------------------
 
     def _witness(self) -> Instance:
-        return Instance(tuple(next(iter(self.dom[f])) for f in range(self.space.m)))
+        return Instance(tuple(d.bit_length() - 1 for d in self.dom))
 
     def _search(self, contested: int) -> Optional[Instance]:
-        var = next((f for f in self._order if len(self.dom[f]) > 1), None)
+        dom = self.dom
+        var = next((f for f in self._order if dom[f] & dom[f] - 1), None)
         if var is None:
             return self._witness()
-        for value in sorted(self.dom[var]):
+        d = dom[var]
+        while d:  # values in ascending order
+            low = d & -d
+            d ^= low
+            value = low.bit_length() - 1
             mark = len(self.trail)
             if self._assume((var, value, False)) and self._possible(contested):
                 found = self._search(contested)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -78,6 +79,22 @@ def test_quantize_roundtrip(tmp_path):
     assert main(["quantize", csv, "--q", "3", "--out-prefix", prefix]) == 2
     assert main(["quantize", csv, "--q", "3", "--force",
                  "--out-prefix", prefix]) == 0
+
+
+def test_quantize_labels_tell_close_cuts_apart(tmp_path):
+    # at %g's 6 digits three of these intervals would all read (1,1]
+    table = tmp_path / "close.csv"
+    table.write_text("a,Y\n" + "".join("%s,%s\n" % (x, y) for x, y in [
+        ("1.0", "p"), ("1.000001", "q"), ("1.0000005", "p"), ("1.0000002", "q"),
+        ("1.0000008", "p")]))
+    prefix = str(tmp_path / "quant")
+    assert main(["quantize", str(table), "--q", "5", "--out-prefix", prefix]) == 0
+    labels = json.loads(Path(prefix + ".qspec.json").read_text())["columns"]["a"]["labels"]
+    assert labels == ["<=1.0000002", "(1.0000002,1.0000004]", "(1.0000004,1.0000006]",
+                      "(1.0000006,1.0000008]", ">1.0000008"]
+    rows = list(csv.reader(Path(prefix + ".csv").read_text().splitlines()))
+    assert [row[0] for row in rows] == ["a", labels[0], labels[4], labels[2],
+                                        labels[0], labels[3]]
 
 
 def test_quantize_checks_interval_count_without_numeric_columns(tmp_path, capsys):
@@ -653,7 +670,17 @@ def test_malformed_rules_file_names_line(tmp_path, capsys):
           json.dumps({"if": [{"feature": "Age", "op": "==", "value": "old"}],
                       "then": sex})],
          ": unknown feature 'Age'"),
+        ([json.dumps({**json.loads(header), "truncated": "no"}), first],
+         ":1: field 'truncated': expected a boolean, got 'no'"),
     ]
+    # mining stats may be null, else typed: the ids become provenance
+    for key, value, kind in [("id", {"a": 1}, "an integer"), ("id", "x", "an integer"),
+                             ("id", True, "an integer"), ("support", 2.5, "an integer"),
+                             ("support", False, "an integer"),
+                             ("consistency", "high", "a number"),
+                             ("consistency", True, "a number")]:
+        cases.append(([header, json.dumps({**json.loads(first), key: value})],
+                      ":2: field %r: expected %s, got %r" % (key, kind, value)))
     bad = tmp_path / "bad.jsonl"
     for lines, message in cases:
         bad.write_text("\n".join(lines) + "\n")

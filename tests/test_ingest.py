@@ -174,6 +174,9 @@ def test_qspec_load_names_file_and_field(tmp_path):
                       "columns['x']: missing field 'labels'"),
         "text-cut": ({**good, "columns": {"x": {"cuts": ["1"], "labels": ["a", "b"]}}},
                      "columns['x']: expected finite numbers as cuts"),
+        "repeated-label": ({**good, "columns": {"x": {"cuts": [1.0, 2.0],
+                                                      "labels": ["a", "b", "a"]}}},
+                           "columns['x']: interval labels must be distinct"),
     }
     path = tmp_path / "good.json"
     write_json(path, good)
@@ -184,6 +187,27 @@ def test_qspec_load_names_file_and_field(tmp_path):
         with pytest.raises(IngestError) as err:
             QuantizationSpec.load(path)
         assert str(err.value).startswith("%s: %s" % (path, message)), name
+
+
+def test_interval_labels_are_distinct():
+    """Cuts print with %g's 6 significant digits unless that repeats one; then
+    with the fewest more digits that tell them apart. A spec whose labels
+    repeat is refused, naming the column."""
+    assert ColumnBins.from_cuts([2e-7, 0.5, 1234567.0]).labels == \
+        ("<=2e-07", "(2e-07,0.5]", "(0.5,1.23457e+06]", ">1.23457e+06")
+    assert ColumnBins.from_cuts([1.0, 1.000001]).labels == \
+        ("<=1", "(1,1.000001]", ">1.000001")
+    close = [1.0, 1.0 + 2 ** -52, 1.0 + 2 ** -51]
+    labels = ColumnBins.from_cuts(close).labels
+    assert len(set(labels)) == 4 and labels[0] == "<=1"
+    spec = {"format": "kxp.qspec/1",
+            "columns": {"age": {"cuts": [1.0, 1.0000005, 1.000001],
+                                "labels": ["<=1", "(1,1]", "(1,1]", ">1"]}}}
+    with pytest.raises(IngestError, match=r"^columns\['age'\]: interval labels must be "
+                                          r"distinct: \('<=1', '\(1,1\]', '\(1,1\]', '>1'\)"):
+        QuantizationSpec.from_obj(spec)
+    with pytest.raises(IngestError, match="interval labels must be distinct"):
+        ColumnBins((1.0, 2.0), ("a", "b", "a"))
 
 
 def test_split_basics(toy_ds):

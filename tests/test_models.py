@@ -11,8 +11,8 @@ from kxp.models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
                         model_from_obj, model_to_obj, _walk)
 from kxp.oracle import EntailmentOracle, _collect_paths, _dl_possible
 
-from util import (group_bounds, random_bt, random_dl, random_instance,
-                  random_space, reference_boosted, tree_bounds,
+from util import (group_bounds, mask_values, random_bt, random_dl,
+                  random_instance, random_space, reference_boosted, tree_bounds,
                   tree_tested_features)
 
 
@@ -202,7 +202,7 @@ def test_dl_class_test_sound_and_exact():
             dom = [set(rng.sample(range(k), rng.randint(1, k))) for k in sizes]
             classes = {model.classify(Instance(p))
                        for p in product(*(sorted(d) for d in dom))}
-            oracle.dom[:] = dom
+            oracle.dom[:] = [sum(1 << v for v in d) for d in dom]
             for c in range(n):
                 possible = oracle._possible(c)
                 if not possible:
@@ -212,7 +212,7 @@ def test_dl_class_test_sound_and_exact():
                     seen["true_unreachable"] += 1
         for _ in range(4):
             point = random_instance(rng, sp)
-            oracle.dom[:] = [{v} for v in point.values]
+            oracle.dom[:] = [1 << v for v in point.values]
             for c in range(n):
                 assert oracle._possible(c) == \
                     (model.classify(point) != c), (model, point, c)
@@ -243,7 +243,7 @@ def test_bt_exactly_one_leaf_per_tree(toy_bt):
 def _assert_bounds_match(model, oracle):
     """After a sync, the oracle's [lo, hi] per tree and per group equal the
     recursive reference over its current domains."""
-    scores, dom = oracle._scores, oracle.dom
+    scores, dom = oracle._scores, [set(mask_values(d)) for d in oracle.dom]
     scores.sync()
     trees = [tree for group in model.trees for tree in group]
     assert list(zip(scores.lo, scores.hi)) == [tree_bounds(t, dom) for t in trees]
@@ -252,12 +252,13 @@ def _assert_bounds_match(model, oracle):
 
 
 def test_bt_bounds_are_sound(toy_bt):
-    """Trail-kept bounds on random partial domains reached by removals,
-    fixings (`_force` with a positive literal, on full and reduced domains)
-    and undos, read after one or several changes: equal to the reference,
-    sound for completions of the domains, exact once every feature is fixed,
-    and back to the full-domain bounds after undoing everything. A fixing
-    leaves the trail and the queue as one removal per other value would."""
+    """Trail-kept bounds on random partial domains reached by removals
+    (`_force` with a negated literal), fixings (with a positive one, on full
+    and reduced domains) and undos, read after one or several changes: equal
+    to the reference, sound for completions of the domains, exact once every
+    feature is fixed, and back to the full-domain bounds after undoing
+    everything. A fixing is one trail entry holding the previous mask, and
+    queues one removal per other value, then the fix."""
     rng = random.Random(11)
     models = [toy_bt] + [random_bt(rng, random_space(rng, max_domain=4),
                                    n_classes=rng.choice((2, 3)), depth=3)
@@ -270,27 +271,29 @@ def test_bt_bounds_are_sound(toy_bt):
         for _ in range(80):
             step = rng.random()
             f = rng.randrange(sp.m)
-            v = rng.choice(sorted(oracle.dom[f]))
+            values = mask_values(oracle.dom[f])
+            v = rng.choice(values)
             if step < 0.3:
                 mark = rng.choice(marks)
                 oracle._undo_to(mark)
                 marks = [k for k in marks if k <= mark]
-            elif step < 0.6 and len(oracle.dom[f]) > 1:
-                others = [x for x in oracle.dom[f] if x != v]
-                fixed_from["full" if len(oracle.dom[f]) == len(sp.domain(f))
+            elif step < 0.6 and len(values) > 1:
+                others = [x for x in values if x != v]
+                fixed_from["full" if len(values) == len(sp.domain(f))
                            else "reduced"] += 1
                 queue, before = deque(), len(oracle.trail)
+                previous = (f, oracle.dom[f], oracle._scores.alive)
                 assert oracle._force((f, v, False), queue)
-                assert oracle.dom[f] == {v}
-                assert oracle.trail[before:] == [(f, x) for x in others]
+                assert oracle.dom[f] == 1 << v
+                assert oracle.trail[before:] == [previous]
                 assert list(queue) == [("rm", f, x) for x in others] + [("fix", f, v)]
                 marks.append(len(oracle.trail))
-            elif oracle._remove(f, v, deque()):
+            elif oracle._force((f, v, True), deque()):
                 marks.append(len(oracle.trail))
             if rng.random() < 0.3:
                 continue  # read the bounds after several changes
             _assert_bounds_match(model, oracle)
-            point = Instance(tuple(rng.choice(sorted(d)) for d in oracle.dom[:sp.m]))
+            point = Instance(tuple(rng.choice(mask_values(d)) for d in oracle.dom))
             for g in range(len(model.trees)):
                 lo, hi = oracle._scores.group_lo[g], oracle._scores.group_hi[g]
                 assert lo <= model.group_score(g, point) <= hi
@@ -301,8 +304,9 @@ def test_bt_bounds_are_sound(toy_bt):
             if rng.random() < 0.5:
                 assert oracle._force((f, point.values[f], False), deque())
             else:
-                for v in sorted(oracle.dom[f] - {point.values[f]}):
-                    assert oracle._remove(f, v, deque())
+                for v in mask_values(oracle.dom[f]):
+                    if v != point.values[f]:
+                        assert oracle._force((f, v, True), deque())
             _assert_bounds_match(model, oracle)
         exact = [model.group_score(g, point) for g in range(len(model.trees))]
         assert oracle._scores.group_lo == oracle._scores.group_hi == exact

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
@@ -7,9 +8,9 @@ from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
 from kxp.models import DecisionList, DLRule
 from kxp.oracle import EntailmentOracle, OracleError, Status
 
-from util import (_dl_cnf, dimacs_satisfiable, entails_bruteforce,
-                  query_to_dimacs, random_bt, random_dl, random_instance,
-                  random_knowledge, random_model, random_space,
+from util import (_dl_cnf, _leaf_paths, dimacs_satisfiable, entails_bruteforce,
+                  mask_values, query_to_dimacs, random_bt, random_dl,
+                  random_instance, random_knowledge, random_model, random_space,
                   tree_tested_features)
 
 
@@ -501,6 +502,81 @@ def test_kept_trail_matches_fresh_oracles(monkeypatch):
                     for cl in active.clauses)
     assert counts["queries"] >= 2000
     assert min(counts.values()) > 0, counts
+
+
+# ---------------------------------------------------------------------------
+# the trail is the oracle's only undo log
+
+def _live_leaves(model, dom) -> int:
+    """`alive` recomputed from scratch: bit i is set when each literal on the
+    path of leaf i (trees in order, each tree's leaves by ascending weight)
+    can still hold under the domain masks."""
+    if isinstance(model, DecisionList):
+        return 0
+
+    def can_hold(var, value, negated):
+        return dom[var] != 1 << value if negated else value in mask_values(dom[var])
+
+    alive, bit = 0, 0
+    for tree in (tree for group in model.trees for tree in group):
+        for path, _ in sorted(_leaf_paths(tree), key=lambda leaf: leaf[1]):
+            if all(can_hold(*slit) for slit in path):
+                alive |= 1 << bit
+            bit += 1
+    return alive
+
+
+def test_trail_is_the_only_undo_log():
+    """Random forcings of both polarities and random undos on 2- and 3-class
+    ensembles and lists, with `!=` literals on their larger domains. After
+    every step `alive` equals its recomputation over the domains; a change
+    is one trail entry (the feature, its previous mask and the previous
+    `alive`) and queues `rm` for each removed value in ascending order, then
+    `fix` when one value is left; no change leaves the trail and the queue
+    alone; `_undo_to(m)` restores the domains and `alive` of trail length m."""
+    rng = random.Random(1503)
+    seen = dict.fromkeys(("fix", "multi_rm", "unchanged", "emptied", "undo",
+                          "bt", "dl"), 0)
+    for _ in range(60):
+        sp = random_space(rng, min_features=2, max_features=5, max_domain=4)
+        n = rng.choice((2, 3))
+        if rng.random() < 0.7:
+            model, kind = random_bt(rng, sp, n_classes=n, depth=3), "bt"
+        else:
+            model, kind = random_dl(rng, sp, n_classes=n), "dl"
+        seen[kind] += 1
+        oracle = EntailmentOracle(model)
+        states = [(list(oracle.dom), oracle._scores.alive)]  # per trail length
+        for _ in range(80):
+            if rng.random() < 0.25:
+                mark = rng.randrange(len(oracle.trail) + 1)
+                oracle._undo_to(mark)
+                del states[mark + 1:]
+                assert (oracle.dom, oracle._scores.alive) == states[mark]
+                seen["undo"] += 1
+            else:
+                f, negated = rng.randrange(sp.m), rng.random() < 0.5
+                v = rng.randrange(len(sp.domain(f)))
+                values = mask_values(oracle.dom[f])
+                kept = [x for x in values if (x != v) == negated]
+                previous = (f, oracle.dom[f], oracle._scores.alive)
+                queue = deque()
+                assert oracle._force((f, v, negated), queue) == bool(kept)
+                if kept in ([], values):
+                    seen["emptied" if not kept else "unchanged"] += 1
+                    assert (oracle.dom, oracle._scores.alive) == states[-1]
+                    assert len(oracle.trail) == len(states) - 1 and not queue
+                else:
+                    removed = [x for x in values if x not in kept]
+                    fix = [("fix", f, kept[0])] if len(kept) == 1 else []
+                    seen["fix"] += bool(fix)
+                    seen["multi_rm"] += len(removed) > 1
+                    assert oracle.dom[f] == sum(1 << x for x in kept)
+                    assert oracle.trail[len(states) - 1:] == [previous]
+                    assert list(queue) == [("rm", f, x) for x in removed] + fix
+                    states.append((list(oracle.dom), oracle._scores.alive))
+            assert oracle._scores.alive == _live_leaves(model, oracle.dom)
+    assert min(seen.values()) > 0, seen
 
 
 # sha256 over `_answer_pin_lines`, recorded when each tree kept its own live

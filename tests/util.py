@@ -253,6 +253,11 @@ def group_bounds(model: BoostedEnsemble, group: int, allowed) -> tuple[int, int]
     return sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
 
 
+def mask_values(mask: int) -> list[int]:
+    """The values an oracle domain mask allows, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def tree_tested_features(model: BoostedEnsemble) -> list[int]:
     """The features some tree of the ensemble tests, ascending."""
     def tested(tree):
