@@ -324,8 +324,9 @@ def save_rules(path, space: FeatureSpace, rules: Iterable[Rule],
 
 
 def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
-    """Returns (declared space, rules, header metadata); a malformed line, or
-    a rule `validate_rule` rejects, raises MinerError naming file and line."""
+    """Returns (declared space, rules, header metadata); a malformed line, a
+    repeated rule id, a `size` other than the antecedent's, or a rule
+    `validate_rule` rejects, raises MinerError naming file and line."""
     n = 0  # the line being parsed, for the error message
     try:
         with open(path, "rb") as fh:  # decoded by line, so a bad byte's line is known
@@ -340,17 +341,27 @@ def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
         space = space_from_obj(json_field(header, "features", list))
         if "truncated" in header:
             json_field(header, "truncated", bool)
-        rules = []
+        rules, ids = [], set()
         for n, ln in lines[1:]:
             obj = json.loads(ln.decode("utf-8"))
             ante = json_field(obj, "if", list)
             # mining stats are optional; the ids become knowledge provenance
-            stats = [None if obj.get(key) is None else json_field(obj, key, kind)
-                     for key, kind in (("id", int), ("support", int),
-                                       ("consistency", NUMBER))]
+            rule_id, size, *stats = [
+                None if obj.get(key) is None else json_field(obj, key, kind)
+                for key, kind in (("id", int), ("size", int), ("support", int),
+                                  ("consistency", NUMBER))]
             rule = Rule(frozenset(Literal.from_obj(space, l, "if[%d]" % i)
                                   for i, l in enumerate(ante)),
-                        Literal.from_obj(space, json_field(obj, "then"), "then"), *stats)
+                        Literal.from_obj(space, json_field(obj, "then"), "then"),
+                        rule_id, *stats)
+            if size is not None and size != rule.size:
+                raise MinerError("field 'size': %d is not the antecedent's size %d"
+                                 % (size, rule.size))
+            if rule_id is not None:
+                if rule_id in ids:
+                    raise MinerError("field 'id': %d repeats an earlier rule's id"
+                                     % rule_id)
+                ids.add(rule_id)
             validate_rule(space, rule)
             rules.append(rule)
     except ValueError as exc:  # encoding, JSON syntax, SpaceError, MinerError

@@ -6,16 +6,18 @@ backtracking procedure with watched-literal unit propagation over feature
 domains, each one integer with bit v set while value v is possible. After
 every propagation a class test asks whether a point within the domains can
 be classified other than the contested class. Each model family has its
-own, bound once when the oracle is built. A decision list's, `_dl_possible`,
-reads the domains rule by rule. An ensemble's, `_Scores.possible`, reads
-per-class score bounds. Every leaf of every tree is one bit of one integer,
-`alive`. The trail is the only undo log: `_force` is the one write to the
-domains, and each domain change appends one entry (the feature, its previous
-domain and the previous `alive`) and clears the leaves whose path it
-falsifies with one AND; undo restores both. The per-tree [lo, hi] and their
-per-class sums are brought up to date when the test reads them, for the
-trees whose leaves changed since. Both tests are sound on partial domains
-and exact on a full assignment.
+own, bound once when the oracle is built, over one live set (`_Live`): every
+leaf of every tree, or every rule of a decision list, is one bit of one
+integer, `alive`. The trail is the only undo log: `_force` is the one write
+to the domains, and each domain change appends one entry (the feature, its
+previous domain and the previous `alive`) and clears the leaves or rules it
+falsifies with one AND; undo restores both. An ensemble's test reads
+per-class score bounds: the per-tree [lo, hi] and their per-class sums are
+brought up to date when the test reads them, for the trees whose leaves
+changed since. A list's test takes the first live rule of another class and
+reads literal by literal only the live contested rules before it, for one
+that surely fires. Both tests are sound on partial domains and exact on a
+full assignment.
 
 The variables are the features and the clauses the knowledge, each entered
 once. A query switches off the clauses outside its knowledge subset (by
@@ -23,7 +25,7 @@ default none); switched-off clauses stay watched and are skipped when they
 wake.
 
 The propagated state is kept between queries. A query's assumptions, first
-the active unit clauses and then the fixed features in ascending order, are
+the active unit clauses and then the fixed features in descending order, are
 levels on one trail, each propagated to fixpoint. The next query keeps the
 leading levels whose assumptions it also asserts, propagates the rest of its
 own above them, searches, and undoes back to its own root. Levels are kept
@@ -34,6 +36,10 @@ Propagation reaches one fixpoint whatever is reused, and the search returns
 the first solution in its fixed order, so answers and witnesses do not
 depend on the queries asked before. The state still confines an oracle to
 one task at a time.
+
+A witness is re-checked apart from the search: its fixed values and class
+directly, the active clauses by per (feature, value) masks of the clauses
+that value satisfies, built from the knowledge clauses themselves.
 """
 
 from __future__ import annotations
@@ -41,8 +47,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import Clause, FeatureSpace, Instance, KnowledgeBase, Literal
 from .models import BoostedEnsemble, DecisionList, Leaf, Model, ModelError, Tree
@@ -97,54 +102,100 @@ def _event(slit: _SLit) -> tuple:
     return ("fix", var, value) if negated else ("rm", var, value)
 
 
-class _Scores:
-    """Per-group score bounds of an ensemble, kept on the oracle's trail, and
-    the ensemble's class test (`possible`) over them. A decision list's
-    oracle holds one with no trees, so its domain changes kill nothing.
+class _Live:
+    """The oracle's live set: the leaves of an ensemble's trees (`_Leaves`) or
+    the rules of a decision list (`_Rules`), each one bit of the integer
+    `alive`, kept on the oracle's trail, and the family's class test
+    (`possible`) over it.
 
-    Every leaf of every tree is one bit of the integer `alive`. Tree t owns
-    a contiguous range of bits, its leaves in ascending weight order, so its
-    [lo, hi] are the weights of the lowest and highest live bit in its range.
-    A leaf dies on the first event that falsifies a literal on its path; it
-    revives only when that event is undone, and undo is last-in-first-out,
-    so later falsified literals need no count. `dying` maps each event to
-    the mask of the leaves it falsifies. The oracle's `_force` ORs the masks
-    of a domain change's events and clears them from `alive` with one AND;
-    its trail entry keeps the `alive` it replaced, and undo restores the one
-    from the first entry it undoes.
-
-    The per-tree bounds and the group sums are brought up to date when they
-    are read (`sync`): only the trees with a bit changed since the last
-    reading are visited, whatever kills and undos came in between.
+    A leaf or rule dies on the first event that falsifies a literal on its
+    path or in its antecedent; it revives only when that event is undone,
+    and undo is last-in-first-out, so later falsified literals need no
+    count. `dying` maps each event to the mask of the bits it falsifies. The
+    oracle's `_force` ORs the masks of a domain change's events and clears
+    them from `alive` with one AND; its trail entry keeps the `alive` it
+    replaced, and undo restores the one from the first entry it undoes.
     """
 
-    def __init__(self, trees: Sequence[Sequence[Tree]], positive: Optional[int]):
-        self.positive = positive
-        self.dying: dict[tuple, int] = {}  # event -> leaves it falsifies
+    def __init__(self, conjunctions: list[list[_SLit]]):
+        """One bit per conjunction of literals, in order, all alive."""
+        self.dying: dict[tuple, int] = {}  # event -> bits it falsifies
+        for bit, lits in enumerate(conjunctions):
+            for slit in lits:
+                ev = _event(slit)
+                self.dying[ev] = self.dying.get(ev, 0) | 1 << bit
+        self.alive = (1 << len(conjunctions)) - 1
+
+
+class _Rules(_Live):
+    """A decision list's rules: rule j is bit j, so the first rule that can
+    still fire is the lowest live bit. `other[c]` masks the rules whose
+    class is not c; only the live rules of class c before the first live
+    one of another class are read literal by literal against the domains."""
+
+    def __init__(self, model: DecisionList, dom: list[int]):
+        self.dom, self.default = dom, model.default
+        self.rules = [sorted(map(_lit_slit, rule.antecedent)) for rule in model.rules]
+        self.other = [sum(1 << j for j, rule in enumerate(model.rules) if rule.cls != c)
+                      for c in range(model.class_count())]
+        super().__init__(self.rules)
+
+    def possible(self, contested: int) -> bool:
+        """The list's class test: can a point within the domains be
+        classified other than contested? False if a live contested rule
+        before the first live rule of another class surely fires (every
+        literal true); else True if such a rule exists, and past the last
+        live rule the default answers."""
+        alive = self.alive
+        others = alive & self.other[contested]
+        first = others & -others
+        mine = alive & ~others & (first - 1)  # every live rule when first is 0
+        dom, rules = self.dom, self.rules
+        while mine:
+            low = mine & -mine
+            mine ^= low
+            for var, value, negated in rules[low.bit_length() - 1]:
+                d = dom[var]
+                if (d >> value & 1) if negated else (d != 1 << value):
+                    break
+            else:
+                return False
+        return bool(first) or self.default != contested
+
+
+class _Leaves(_Live):
+    """An ensemble's leaves and its per-group score bounds. Tree t owns a
+    contiguous range of bits, its leaves in ascending weight order, so its
+    [lo, hi] are the weights of the lowest and highest live bit in its
+    range. The per-tree bounds and the group sums are brought up to date
+    when they are read (`sync`): only the trees with a bit changed since the
+    last reading are visited, whatever kills and undos came in between."""
+
+    def __init__(self, model: BoostedEnsemble):
+        self.positive = model.positive
         self.weights: list[int] = []  # per bit
         self.tree_of: list[int] = []  # per bit
         self.masks: list[int] = []  # per tree: its bit range
         self.below: list[int] = []  # per tree: the bits below its range
         self.group_of: list[int] = []  # per tree
-        for g, group in enumerate(trees):
+        paths: list[list[_SLit]] = []  # per bit
+        for g, group in enumerate(model.trees):
             for tree in group:
                 t, first = len(self.masks), len(self.weights)
                 leaves: list[tuple[list[_SLit], int]] = []
                 _collect_paths(tree, [], leaves)
                 leaves.sort(key=lambda leaf: leaf[1])
-                for i, (path, weight) in enumerate(leaves, first):
-                    for slit in path:
-                        ev = _event(slit)
-                        self.dying[ev] = self.dying.get(ev, 0) | 1 << i
+                for path, weight in leaves:
+                    paths.append(path)
                     self.weights.append(weight)
                     self.tree_of.append(t)
                 self.masks.append((1 << len(self.weights)) - (1 << first))
                 self.below.append((1 << first) - 1)
                 self.group_of.append(g)
-        self.alive = (1 << len(self.weights)) - 1
+        super().__init__(paths)
         # per tree and per group, as of the last sync with `alive` = `seen`
         self.lo, self.hi = [0] * len(self.masks), [0] * len(self.masks)
-        self.group_lo, self.group_hi = [0] * len(trees), [0] * len(trees)
+        self.group_lo, self.group_hi = [0] * len(model.trees), [0] * len(model.trees)
         self.seen = 0
         self.sync()
 
@@ -195,35 +246,6 @@ def _collect_paths(tree: Tree, path: list[_SLit],
     _collect_paths(tree.no, path + [_neg(sl)], leaves)
 
 
-def _dl_possible(rules: list[tuple[list[_SLit], int]], default: int,
-                 dom: list[int], contested: int) -> bool:
-    """A decision list's class test: can a point within the domains be
-    classified other than contested? `rules` holds each rule's antecedent as
-    solver literals and its class, in list order. Rules with a false literal
-    are skipped; the first other rule answers True if its class differs,
-    False if it is contested and surely fires (every literal true); past the
-    last rule the default answers."""
-    for lits, cls in rules:
-        sure = True
-        for var, value, negated in lits:
-            d, bit = dom[var], 1 << value
-            if negated:
-                if d & bit:
-                    if d == bit:
-                        break
-                    sure = False
-            elif not d & bit:
-                break
-            elif d != bit:
-                sure = False
-        else:
-            if cls != contested:
-                return True
-            if sure:
-                return False
-    return default != contested
-
-
 class EntailmentOracle:
     """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
 
@@ -245,21 +267,19 @@ class EntailmentOracle:
         self.trail: list[tuple[int, int, int]] = []
         # the kept assumption levels: (assumed literal, trail length after it)
         self._levels: list[tuple[_SLit, int]] = []
-        # the class test, bound once: `_possible(contested)` at every node
+        # the live set and its class test, `_possible(contested)` at every
+        # node. An ensemble's tree-tested features are decided first, so the
+        # bounds tighten early; a list's stay in feature order.
+        tested: set[int] = set()
         if isinstance(model, DecisionList):
-            self._scores = _Scores((), None)
-            rules = [([_lit_slit(l) for l in sorted(rule.antecedent)], rule.cls)
-                     for rule in model.rules]
-            self._possible = partial(_dl_possible, rules, model.default, self.dom)
+            self._live: _Live = _Rules(model, self.dom)
         elif isinstance(model, BoostedEnsemble):
-            self._scores = _Scores(model.trees, model.positive)
-            self._possible = self._scores.possible
+            self._live = _Leaves(model)
+            tested = {var for _, var, _ in self._live.dying}
         else:
             raise ModelError("unsupported model type %r" % type(model).__name__)
-        self._dying = self._scores.dying
-
-        # decide tree-tested features first, so the bounds tighten early
-        tested = {var for _, var, _ in self._dying}
+        self._possible = self._live.possible
+        self._dying = self._live.dying
         self._order = sorted(tested) + sorted(set(range(m)) - tested)
 
         self.clauses: list[list[_SLit]] = []
@@ -271,6 +291,16 @@ class EntailmentOracle:
         self._kb_ids: dict[Clause, int] = {
             clause: self._add_clause([_lit_slit(l) for l in clause.literals])
             for clause in self.knowledge.clauses}
+        # the witness check's knowledge half, read from the clauses themselves:
+        # per (feature, value) the clauses it satisfies, and the active ones
+        self._satisfies = [[0] * size for size in self._sizes]
+        for clause, ci in self._kb_ids.items():
+            for lit in clause.literals:
+                row = self._satisfies[lit.feature]
+                for v in range(len(row)):
+                    if (v != lit.value) == lit.negated:  # `Literal.holds` at v
+                        row[v] |= 1 << ci
+        self._active = (1 << len(self.clauses)) - 1
 
     # -- clause database -----------------------------------------------------
 
@@ -309,9 +339,9 @@ class EntailmentOracle:
             return True
         if not new:
             return False
-        scores, dying = self._scores, self._dying
+        live, dying = self._live, self._dying
         self.dom[var] = new
-        self.trail.append((var, old, scores.alive))
+        self.trail.append((var, old, live.alive))
         bits, gone = 0, old ^ new
         while gone:
             low = gone & -gone
@@ -323,7 +353,7 @@ class EntailmentOracle:
             ev = ("fix", var, new.bit_length() - 1)
             queue.append(ev)
             bits |= dying.get(ev, 0)
-        scores.alive &= ~bits
+        live.alive &= ~bits
         return True
 
     def _propagate(self, queue: deque) -> bool:
@@ -378,7 +408,7 @@ class EntailmentOracle:
     def _undo_to(self, mark: int) -> None:
         trail, dom = self.trail, self.dom
         if len(trail) > mark:
-            self._scores.alive = trail[mark][2]
+            self._live.alive = trail[mark][2]
             for var, old, _ in reversed(trail[mark:]):
                 dom[var] = old
             del trail[mark:]
@@ -472,14 +502,17 @@ class EntailmentOracle:
             self._undo_to(0)
             self._levels.clear()
             self._off = off
+            self._active = (1 << len(self.clauses)) - 1 - sum(1 << ci for ci in off)
         assumptions = [slit for ci, slit in self.units if ci not in off]
-        assumptions += [(f, instance.values[f], False) for f in sorted(fixed)]
+        assumptions += [(f, instance.values[f], False) for f in sorted(fixed, reverse=True)]
         witness = self._solve(assumptions, contested)
         if witness is None:
             return OracleResult(Status.ENTAILS)
-        active = knowledge if knowledge is not None else self.knowledge
+        satisfied = 0
+        for row, v in zip(self._satisfies, witness.values):
+            satisfied |= row[v]
         if not (all(witness.values[f] == instance.values[f] for f in fixed)
-                and active.satisfied_by(witness)
+                and not self._active & ~satisfied
                 and self.model.classify(witness) != contested):
             raise AssertionError("witness fails direct evaluation")
         return OracleResult(Status.COUNTEREXAMPLE, witness)

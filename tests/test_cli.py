@@ -672,10 +672,16 @@ def test_malformed_rules_file_names_line(tmp_path, capsys):
          ": unknown feature 'Age'"),
         ([json.dumps({**json.loads(header), "truncated": "no"}), first],
          ":1: field 'truncated': expected a boolean, got 'no'"),
+        # the ids become provenance, so one names one rule
+        ([header, first, json.dumps({**json.loads(rest[0]), "id": json.loads(first)["id"]})],
+         ":3: field 'id': %d repeats an earlier rule's id" % json.loads(first)["id"]),
+        ([header, json.dumps({**json.loads(first), "size": 2})],
+         ":2: field 'size': 2 is not the antecedent's size 1"),
     ]
     # mining stats may be null, else typed: the ids become provenance
     for key, value, kind in [("id", {"a": 1}, "an integer"), ("id", "x", "an integer"),
-                             ("id", True, "an integer"), ("support", 2.5, "an integer"),
+                             ("id", True, "an integer"), ("size", 1.5, "an integer"),
+                             ("support", 2.5, "an integer"),
                              ("support", False, "an integer"),
                              ("consistency", "high", "a number"),
                              ("consistency", True, "a number")]:

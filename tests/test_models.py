@@ -9,11 +9,11 @@ from kxp import (Dataset, Instance, load_model, save_model, train_boosted,
                  train_decision_list)
 from kxp.models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
                         model_from_obj, model_to_obj, _walk)
-from kxp.oracle import EntailmentOracle, _collect_paths, _dl_possible
+from kxp.oracle import EntailmentOracle, _collect_paths, _event
 
-from util import (group_bounds, mask_values, random_bt, random_dl,
-                  random_instance, random_space, reference_boosted, tree_bounds,
-                  tree_tested_features)
+from util import (dl_possible_reference, group_bounds, mask_values, random_bt,
+                  random_dl, random_instance, random_space, reference_boosted,
+                  tree_bounds, tree_tested_features)
 
 
 def cls_of(model, inst):
@@ -140,28 +140,39 @@ def test_random_model_round_trips():
 
 
 def test_dl_encoding_shape(toy_dl):
-    """The oracle binds the list's class test over each rule's antecedent as
-    solver literals, in list order, and its own domains."""
+    """Rule j of the list is bit j of the oracle's live set, all alive on the
+    full space; `other[c]` masks the rules of the classes other than c, and
+    each literal's falsifying event maps to the rules whose antecedent holds
+    it. The class test reads the oracle's own domains."""
     oracle = EntailmentOracle(toy_dl)
-    assert oracle._possible.func is _dl_possible
-    rules, default, dom = oracle._possible.args
-    assert [cls for _, cls in rules] == [rule.cls for rule in toy_dl.rules]
-    assert [sorted(lits) for lits, _ in rules] == \
-        [sorted((l.feature, l.value, l.negated) for l in rule.antecedent)
-         for rule in toy_dl.rules]
-    assert default == toy_dl.default and dom is oracle.dom
+    live, rules = oracle._live, toy_dl.rules
+    assert live.alive == (1 << len(rules)) - 1 == 0b1111
+    assert live.other == [sum(1 << j for j, rule in enumerate(rules) if rule.cls != c)
+                          for c in range(2)] == [0b0011, 0b1100]
+    dying = {}
+    for j, rule in enumerate(rules):
+        for l in rule.antecedent:
+            ev = _event((l.feature, l.value, l.negated))
+            dying[ev] = dying.get(ev, 0) | 1 << j
+    assert live.dying == dying == {("rm", 0, 3): 0b0001, ("rm", 2, 2): 0b0010,
+                                   ("rm", 1, 0): 0b1100, ("rm", 3, 0): 0b0100,
+                                   ("rm", 3, 1): 0b1000}
+    assert live.default == toy_dl.default and live.dom is oracle.dom
     # on the full space both classes can be challenged
     assert all(oracle._possible(c) for c in range(2))
 
 
 def test_search_order_puts_tree_tested_features_first(toy_dl, toy_bt):
     """The search decides the features whose events kill leaves first: for
-    an ensemble exactly the features its trees test, for a list none."""
-    dl, bt = EntailmentOracle(toy_dl), EntailmentOracle(toy_bt)
-    assert dl._scores.dying == {} and dl._scores.weights == []
-    assert dl._order == list(range(toy_dl.space.m))
+    an ensemble exactly the features its trees test. A list's rule events
+    leave its order at the feature order, whatever the rules test."""
+    rng = random.Random(157)
+    for model in [toy_dl] + [random_dl(rng, random_space(rng)) for _ in range(10)]:
+        dl = EntailmentOracle(model)
+        assert dl._live.dying and dl._order == list(range(model.space.m))
+    bt = EntailmentOracle(toy_bt)
     tested = tree_tested_features(toy_bt)
-    assert sorted({var for _, var, _ in bt._scores.dying}) == tested
+    assert sorted({var for _, var, _ in bt._live.dying}) == tested
     assert bt._order == tested + sorted(set(range(toy_bt.space.m)) - set(tested))
 
 
@@ -202,7 +213,7 @@ def test_dl_class_test_sound_and_exact():
             dom = [set(rng.sample(range(k), rng.randint(1, k))) for k in sizes]
             classes = {model.classify(Instance(p))
                        for p in product(*(sorted(d) for d in dom))}
-            oracle.dom[:] = [sum(1 << v for v in d) for d in dom]
+            _remove_all_but(oracle, dom)
             for c in range(n):
                 possible = oracle._possible(c)
                 if not possible:
@@ -210,12 +221,58 @@ def test_dl_class_test_sound_and_exact():
                     seen["false"] += 1
                 elif classes == {c}:
                     seen["true_unreachable"] += 1
+            oracle._undo_to(0)
         for _ in range(4):
             point = random_instance(rng, sp)
-            oracle.dom[:] = [1 << v for v in point.values]
+            _remove_all_but(oracle, [{v} for v in point.values])
             for c in range(n):
                 assert oracle._possible(c) == \
                     (model.classify(point) != c), (model, point, c)
+            oracle._undo_to(0)
+    assert min(seen.values()) > 0, seen
+
+
+def _remove_all_but(oracle, dom):
+    """Reduce the oracle's domains to the value sets `dom` through `_force`
+    with negated literals, so the live rules follow."""
+    for f, keep in enumerate(dom):
+        for v in mask_values(oracle.dom[f]):
+            if v not in keep:
+                assert oracle._force((f, v, True), deque())
+    assert oracle.dom == [sum(1 << v for v in d) for d in dom]
+
+
+def test_dl_class_test_matches_literal_reference():
+    """The live-rule class test against the literal-by-literal reference on
+    random lists (with `!=` literals), constant lists and lists with an
+    empty-antecedent rule, after every step of random forcings of both
+    polarities and random undos. Contested rules that surely fire before
+    another class's first live rule are what make it answer False."""
+    rng = random.Random(1111)
+    seen = dict.fromkeys(("false", "true", "sure_before_other", "undo", "negated",
+                          "empty", "constant"), 0)
+    for _ in range(150):
+        sp = random_space(rng, min_features=2, max_features=4, max_domain=4)
+        model = _class_test_models(rng, sp)
+        oracle = EntailmentOracle(model)
+        seen["negated"] += any(l.negated for r in model.rules for l in r.antecedent)
+        seen["empty"] += any(not r.antecedent for r in model.rules)
+        seen["constant"] += not model.rules
+        for _ in range(30):
+            if rng.random() < 0.25:
+                oracle._undo_to(rng.randrange(len(oracle.trail) + 1))
+                seen["undo"] += 1
+            else:
+                f = rng.randrange(sp.m)
+                oracle._force((f, rng.randrange(len(sp.domain(f))), rng.random() < 0.6),
+                              deque())
+            for c in range(model.class_count()):
+                want = dl_possible_reference(model, oracle.dom, c)
+                assert oracle._possible(c) == want, (model, oracle.dom, c)
+                seen["true" if want else "false"] += 1
+                live = oracle._live
+                seen["sure_before_other"] += not want and \
+                    bool(live.alive & live.other[c])
     assert min(seen.values()) > 0, seen
 
 
@@ -243,11 +300,11 @@ def test_bt_exactly_one_leaf_per_tree(toy_bt):
 def _assert_bounds_match(model, oracle):
     """After a sync, the oracle's [lo, hi] per tree and per group equal the
     recursive reference over its current domains."""
-    scores, dom = oracle._scores, [set(mask_values(d)) for d in oracle.dom]
-    scores.sync()
+    live, dom = oracle._live, [set(mask_values(d)) for d in oracle.dom]
+    live.sync()
     trees = [tree for group in model.trees for tree in group]
-    assert list(zip(scores.lo, scores.hi)) == [tree_bounds(t, dom) for t in trees]
-    assert list(zip(scores.group_lo, scores.group_hi)) == \
+    assert list(zip(live.lo, live.hi)) == [tree_bounds(t, dom) for t in trees]
+    assert list(zip(live.group_lo, live.group_hi)) == \
         [group_bounds(model, g, dom) for g in range(len(model.trees))]
 
 
@@ -282,7 +339,7 @@ def test_bt_bounds_are_sound(toy_bt):
                 fixed_from["full" if len(values) == len(sp.domain(f))
                            else "reduced"] += 1
                 queue, before = deque(), len(oracle.trail)
-                previous = (f, oracle.dom[f], oracle._scores.alive)
+                previous = (f, oracle.dom[f], oracle._live.alive)
                 assert oracle._force((f, v, False), queue)
                 assert oracle.dom[f] == 1 << v
                 assert oracle.trail[before:] == [previous]
@@ -295,7 +352,7 @@ def test_bt_bounds_are_sound(toy_bt):
             _assert_bounds_match(model, oracle)
             point = Instance(tuple(rng.choice(mask_values(d)) for d in oracle.dom))
             for g in range(len(model.trees)):
-                lo, hi = oracle._scores.group_lo[g], oracle._scores.group_hi[g]
+                lo, hi = oracle._live.group_lo[g], oracle._live.group_hi[g]
                 assert lo <= model.group_score(g, point) <= hi
         # singleton domains: one live leaf per tree, so the bounds are exact
         oracle._undo_to(0)
@@ -309,7 +366,7 @@ def test_bt_bounds_are_sound(toy_bt):
                         assert oracle._force((f, v, True), deque())
             _assert_bounds_match(model, oracle)
         exact = [model.group_score(g, point) for g in range(len(model.trees))]
-        assert oracle._scores.group_lo == oracle._scores.group_hi == exact
+        assert oracle._live.group_lo == oracle._live.group_hi == exact
         oracle._undo_to(0)
         _assert_bounds_match(model, oracle)
     assert min(fixed_from.values()) >= 80, fixed_from

@@ -343,6 +343,36 @@ def test_knowledge_subset_outside_the_oracle_rejected(small_dl, separated_male,
         EntailmentOracle(small_dl).query(set(), separated_male, 0, marital_constraint)
 
 
+def test_witness_fails_direct_evaluation(monkeypatch):
+    """A witness the search returns is checked against the query itself: one
+    that breaks an active clause, is classified as the contested class, or
+    disagrees on a fixed feature raises. One that breaks only a clause the
+    query's knowledge subset switches off is a counterexample, and raises
+    again once the clause is back."""
+    sp = FeatureSpace.make([(name, ["0", "1"]) for name in "abc"])
+    model = DecisionList(sp, ("p", "q"), (DLRule(frozenset({sp.literal("a", "1")}), 1),),
+                         default=0)
+    bc = Clause.of([sp.literal("b", "0"), sp.literal("c", "0")])
+    ac = Clause.of([sp.literal("a", "1"), sp.literal("c", "0")])
+    kb = KnowledgeBase((bc, ac))
+    v = sp.instance(["0", "0", "0"])
+    oracle = EntailmentOracle(model, kb)
+    breaks_bc = sp.instance(["1", "1", "1"])
+    assert not bc.satisfied_by(breaks_bc) and ac.satisfied_by(breaks_bc)
+    monkeypatch.setattr(oracle, "_search", lambda contested: breaks_bc)
+    res = oracle.query(set(), v, 0, kb.subset([ac]))
+    assert (res.status, res.witness) == (Status.COUNTEREXAMPLE, breaks_bc)
+    cases = [(set(), breaks_bc, None), (set(), breaks_bc, kb),
+             (set(), v, None),  # v is classified p
+             ({1}, sp.instance(["1", "1", "0"]), None)]
+    for fixed, witness, knowledge in cases:
+        monkeypatch.setattr(oracle, "_search", lambda contested: witness)
+        with pytest.raises(AssertionError, match="witness fails direct evaluation"):
+            oracle.query(fixed, v, 0, knowledge)
+        res = EntailmentOracle(model, kb).query(fixed, v, 0, knowledge)
+        assert res.status is Status.COUNTEREXAMPLE and res.witness != witness
+
+
 # ---------------------------------------------------------------------------
 # ensemble bounds when knowledge propagation fixes tree-tested features
 
@@ -507,23 +537,22 @@ def test_kept_trail_matches_fresh_oracles(monkeypatch):
 # ---------------------------------------------------------------------------
 # the trail is the oracle's only undo log
 
-def _live_leaves(model, dom) -> int:
+def _live_bits(model, dom) -> int:
     """`alive` recomputed from scratch: bit i is set when each literal on the
-    path of leaf i (trees in order, each tree's leaves by ascending weight)
-    can still hold under the domain masks."""
-    if isinstance(model, DecisionList):
-        return 0
-
+    path of leaf i (trees in order, each tree's leaves by ascending weight),
+    or in the antecedent of rule i of a list, can still hold under the
+    domain masks."""
     def can_hold(var, value, negated):
         return dom[var] != 1 << value if negated else value in mask_values(dom[var])
 
-    alive, bit = 0, 0
-    for tree in (tree for group in model.trees for tree in group):
-        for path, _ in sorted(_leaf_paths(tree), key=lambda leaf: leaf[1]):
-            if all(can_hold(*slit) for slit in path):
-                alive |= 1 << bit
-            bit += 1
-    return alive
+    if isinstance(model, DecisionList):
+        conjunctions = [[(l.feature, l.value, l.negated) for l in rule.antecedent]
+                        for rule in model.rules]
+    else:
+        conjunctions = [path for tree in (tree for group in model.trees for tree in group)
+                        for path, _ in sorted(_leaf_paths(tree), key=lambda leaf: leaf[1])]
+    return sum(1 << bit for bit, lits in enumerate(conjunctions)
+               if all(can_hold(*slit) for slit in lits))
 
 
 def test_trail_is_the_only_undo_log():
@@ -546,25 +575,25 @@ def test_trail_is_the_only_undo_log():
             model, kind = random_dl(rng, sp, n_classes=n), "dl"
         seen[kind] += 1
         oracle = EntailmentOracle(model)
-        states = [(list(oracle.dom), oracle._scores.alive)]  # per trail length
+        states = [(list(oracle.dom), oracle._live.alive)]  # per trail length
         for _ in range(80):
             if rng.random() < 0.25:
                 mark = rng.randrange(len(oracle.trail) + 1)
                 oracle._undo_to(mark)
                 del states[mark + 1:]
-                assert (oracle.dom, oracle._scores.alive) == states[mark]
+                assert (oracle.dom, oracle._live.alive) == states[mark]
                 seen["undo"] += 1
             else:
                 f, negated = rng.randrange(sp.m), rng.random() < 0.5
                 v = rng.randrange(len(sp.domain(f)))
                 values = mask_values(oracle.dom[f])
                 kept = [x for x in values if (x != v) == negated]
-                previous = (f, oracle.dom[f], oracle._scores.alive)
+                previous = (f, oracle.dom[f], oracle._live.alive)
                 queue = deque()
                 assert oracle._force((f, v, negated), queue) == bool(kept)
                 if kept in ([], values):
                     seen["emptied" if not kept else "unchanged"] += 1
-                    assert (oracle.dom, oracle._scores.alive) == states[-1]
+                    assert (oracle.dom, oracle._live.alive) == states[-1]
                     assert len(oracle.trail) == len(states) - 1 and not queue
                 else:
                     removed = [x for x in values if x not in kept]
@@ -574,8 +603,8 @@ def test_trail_is_the_only_undo_log():
                     assert oracle.dom[f] == sum(1 << x for x in kept)
                     assert oracle.trail[len(states) - 1:] == [previous]
                     assert list(queue) == [("rm", f, x) for x in removed] + fix
-                    states.append((list(oracle.dom), oracle._scores.alive))
-            assert oracle._scores.alive == _live_leaves(model, oracle.dom)
+                    states.append((list(oracle.dom), oracle._live.alive))
+            assert oracle._live.alive == _live_bits(model, oracle.dom)
     assert min(seen.values()) > 0, seen
 
 

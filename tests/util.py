@@ -6,9 +6,10 @@ set computation. None of it shares code paths with the implementations under
 test beyond the core vocabulary types, except `reference_attribution`, which
 builds a fresh oracle per knowledge subset to check the one-oracle version.
 `tree_bounds` is the recursive score bound the oracle's trail-kept bounds are
-checked against. `query_to_dimacs` writes a query as CNF with its own
-encoding of a decision list, which `dimacs_satisfiable` decides; it shares
-only the oracle's input checks.
+checked against, and `dl_possible_reference` the literal-by-literal decision
+list class test its live-rule bits are checked against. `query_to_dimacs`
+writes a query as CNF with its own encoding of a decision list, which
+`dimacs_satisfiable` decides; it shares only the oracle's input checks.
 """
 
 from __future__ import annotations
@@ -256,6 +257,25 @@ def group_bounds(model: BoostedEnsemble, group: int, allowed) -> tuple[int, int]
 def mask_values(mask: int) -> list[int]:
     """The values an oracle domain mask allows, ascending."""
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def dl_possible_reference(model: DecisionList, dom: list[int], contested: int) -> bool:
+    """The decision-list class test read literal by literal: can a point
+    within the domain masks be classified other than contested? Rules go in
+    list order; a rule with a literal that no allowed value satisfies is
+    skipped. The first other rule answers True if its class differs, False
+    if it is contested and surely fires (each literal holds on every allowed
+    value); past the last rule the default answers."""
+    for rule in model.rules:
+        holding = [[(v == lit.value) != lit.negated for v in mask_values(dom[lit.feature])]
+                   for lit in rule.antecedent]
+        if not all(any(h) for h in holding):
+            continue
+        if rule.cls != contested:
+            return True
+        if all(all(h) for h in holding):
+            return False
+    return model.default != contested
 
 
 def tree_tested_features(model: BoostedEnsemble) -> list[int]:
