@@ -19,7 +19,7 @@ sp = ds.space
 
 print("-- rules targeting Status = Married (antecedents up to size 2)")
 for rule in enumerate_min_rules(ds, sp.literal("Status", "Married"),
-                                limit=ExtractionLimit(max_size=2)):
+                                limit=ExtractionLimit(max_size=2)).rules:
     print("  [support %d] %s" % (rule.support, rule.render(sp)))
 print()
 
@@ -38,7 +38,7 @@ tern = FeatureSpace.make([("x1", ["0", "1", "2"]), ("x2", ["0", "1", "2"])])
 tiny = Dataset(tern.names, tuple(d for _, d in tern.features),
                ((0, 0), (1, 1), (2, 1)))
 lattice = enumerate_min_rules(tiny, tern.literal("x2", "1"),
-                              limit=ExtractionLimit(max_size=1))
+                              limit=ExtractionLimit(max_size=1)).rules
 print("  lattice miner:", [r.render(tern) for r in lattice])
 print("  eclat:        ", [r.render(tern) for r in eclat_mine(tiny)
                            if r.consequent == tern.literal("x2", "1")])

@@ -49,15 +49,18 @@ class _Questions:
         # the oracle's whole knowledge base needs no clause switched off
         self._subset = kb if len(kb) < len(oracle.knowledge) else None
 
-    def holds(self, kind: Kind, features: AbstractSet[int]) -> tuple[bool, OracleResult]:
+    def holds(self, kind: Kind, features: AbstractSet[int],
+              status_only: bool = True) -> tuple[bool, OracleResult]:
         """Does the set meet the kind's defining condition? One oracle call.
 
         An AXp fixes its features and entails the prediction; a CXp frees its
-        features, so fixing the rest does not entail it.
+        features, so fixing the rest does not entail it. A caller that reads
+        the witness clears `status_only`, so the witness is the search's.
         """
         axp = kind is Kind.AXP
         fixed = features if axp else frozenset(range(self.oracle.space.m)) - features
-        res = self.oracle.query(fixed, self.instance, self.predicted, self._subset)
+        res = self.oracle.query(fixed, self.instance, self.predicted, self._subset,
+                                status_only=status_only)
         return res.entails == axp, res
 
     def shrink(self, kind: Kind, seed: frozenset[int]) -> frozenset[int]:
@@ -301,7 +304,7 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
         if cand is None:
             exhausted = True
             break
-        ok, res = q.holds(kind, cand)
+        ok, res = q.holds(kind, cand, status_only=kind is not Kind.AXP)
         if ok:
             out.append(Explanation(kind, cand, bool(q.knowledge)))
             hs.block(cand)  # no later candidate may contain an emission
@@ -337,11 +340,12 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     if not q.holds(Kind.AXP, fset)[0]:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))
-    if oracle.query(fset, instance, c, KnowledgeBase()).entails:
+    if oracle.query(fset, instance, c, KnowledgeBase(), status_only=True).entails:
         return knowledge.subset([])
     kept = list(knowledge.clauses)
     for clause in knowledge.clauses:
         trial = [cl for cl in kept if cl != clause]
-        if oracle.query(fset, instance, c, KnowledgeBase(tuple(trial))).entails:
+        if oracle.query(fset, instance, c, KnowledgeBase(tuple(trial)),
+                        status_only=True).entails:
             kept = trial
     return knowledge.subset(kept)

@@ -182,9 +182,14 @@ def _mine(space: FeatureSpace, insts: list[Instance], limit: ExtractionLimit,
     return found, False
 
 
-def _emit(space: FeatureSpace, targets: Iterable[Literal], found: Found,
-          blocked: set[Clause], limit: ExtractionLimit) -> list[Rule]:
-    """The targets' rules in mining order, minus blocked clauses, up to `limit.max_rules`."""
+def _knowledge(train: Dataset, targets: Iterable[Literal], blocked: set[Clause],
+               limit: ExtractionLimit) -> KnowledgeBase:
+    """Mine once; the targets' rules in mining order, minus blocked clauses, up
+    to `limit.max_rules`, flagged `truncated` when the count or time budget
+    cut the run."""
+    space, insts = train.space, train.instances()
+    deadline = None if limit.time_budget is None else time.monotonic() + limit.time_budget
+    found, truncated = _mine(space, insts, limit, deadline)
     rules: list[Rule] = []
     for target in targets:
         for antecedent, support in found.get((target.feature, target.value), ()):
@@ -195,27 +200,23 @@ def _emit(space: FeatureSpace, targets: Iterable[Literal], found: Found,
             blocked.add(clause)
             rules.append(rule)
             if len(rules) == limit.max_rules:
-                return rules
-    return rules
-
-
-def _deadline(limit: ExtractionLimit) -> Optional[float]:
-    return None if limit.time_budget is None else time.monotonic() + limit.time_budget
+                return KnowledgeBase.from_rules(space, rules, truncated=True)
+    return KnowledgeBase.from_rules(space, rules, truncated=truncated)
 
 
 def enumerate_min_rules(train: Dataset, target: Literal,
                         blocked: Iterable[Clause] = (),
-                        limit: ExtractionLimit = ExtractionLimit()) -> list[Rule]:
+                        limit: ExtractionLimit = ExtractionLimit()) -> KnowledgeBase:
     """All consistency-preserving rules with subset-minimal antecedents for one target.
 
     Emission order is nondecreasing in antecedent size, lexicographic within a
     size; clauses in `blocked` (and clauses already emitted) are suppressed.
+    The rules come as a knowledge base, flagged `truncated` as in
+    `extract_all` when the count or time budget cut the run.
     """
-    space = train.space
     if target.negated:
         raise MinerError("targets must be = literals")
-    found, _ = _mine(space, train.instances(), limit, _deadline(limit))
-    return _emit(space, [target], found, set(blocked), limit)
+    return _knowledge(train, [target], set(blocked), limit)
 
 
 def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> KnowledgeBase:
@@ -227,11 +228,7 @@ def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> K
     or time budget returns the partial knowledge base with its truncation
     flag set.
     """
-    space = train.space
-    found, truncated = _mine(space, train.instances(), limit, _deadline(limit))
-    rules = _emit(space, space.equalities(), found, set(), limit)
-    return KnowledgeBase.from_rules(space, rules,
-                                    truncated=truncated or len(rules) == limit.max_rules)
+    return _knowledge(train, train.space.equalities(), set(), limit)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,10 @@ def _check_tree(space: FeatureSpace, tree: Tree) -> None:
 
 
 def _walk(tree: Tree, inst: Instance) -> Leaf:
-    while isinstance(tree, Node):
-        tree = tree.yes if tree.test.holds(inst) else tree.no
+    values = inst.values
+    while type(tree) is Node:
+        test = tree.test  # `Literal.holds`, inline
+        tree = tree.yes if (values[test.feature] == test.value) != test.negated else tree.no
     return tree
 
 

@@ -40,6 +40,21 @@ one task at a time.
 A witness is re-checked apart from the search: its fixed values and class
 directly, the active clauses by per (feature, value) masks of the clauses
 that value satisfies, built from the knowledge clauses themselves.
+
+Every searched answer is also kept as a certificate (`_Certificates`). An
+entailment is its fixed values, the contested class and the active clause
+mask; it answers any later query that fixes a superset of those values, for
+the same class, under a superset of those clauses. A counterexample is its
+witness, the class the re-check gave it and the mask of the clauses it
+satisfies; it answers any later query whose fixed values it agrees with,
+whose contested class is not its class and whose active clauses it
+satisfies. A query consults the entailments first, then, only when its
+caller reads nothing but the status (`status_only`), the witnesses; either
+hit returns without search and leaves the kept levels as they are. An
+entailment carries no witness, so a witness `query` returns is always the
+search's first, independent of the queries asked before; a status-only
+counterexample may carry an earlier query's witness instead. `calls` counts
+every question and `store_hits` those the store answered.
 """
 
 from __future__ import annotations
@@ -246,6 +261,82 @@ def _collect_paths(tree: Tree, path: list[_SLit],
     _collect_paths(tree.no, path + [_neg(sl)], leaves)
 
 
+# certificates of each kind one oracle keeps; past it the oldest is replaced
+_STORE_SIZE = 1024
+
+
+class _Certificates:
+    """Earlier answers of one kind, each a partial assignment (`values[f]`
+    for each f of `features`), a class and a clause mask, under ids
+    0.._STORE_SIZE-1 that are reused oldest first.
+
+    Per (feature, value) one bitset holds the ids that assign it (`has`), per
+    feature one the ids that assign it at all (`fixes`), per class one the
+    ids of that class. An entry's mask holds the clauses that may not be
+    `clashing` for it to answer: the oracle sets the clashing clauses when
+    its active ones change (`retarget`), and a new entry is added under them
+    and does not clash. `usable` holds the ids that do not clash."""
+
+    def __init__(self, sizes: list[int], classes: int):
+        self.has = [[0] * size for size in sizes]
+        self.fixes = [0] * len(sizes)
+        self.of_class = [0] * classes
+        # per id: (features, values, class, mask)
+        self.entries: list[tuple[Iterable[int], tuple[int, ...], int, int]] = []
+        self.usable = 0
+        self._next = 0
+
+    def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
+            mask: int) -> None:
+        i = self._next
+        self._next = (i + 1) % _STORE_SIZE
+        bit = 1 << i
+        has, fixes = self.has, self.fixes
+        entry = (features, values, cls, mask)
+        if i < len(self.entries):
+            old_features, old_values, old_cls, _ = self.entries[i]
+            for f in old_features:
+                has[f][old_values[f]] ^= bit
+                fixes[f] ^= bit
+            self.of_class[old_cls] ^= bit
+            self.entries[i] = entry
+        else:
+            self.entries.append(entry)
+        for f in features:
+            has[f][values[f]] |= bit
+            fixes[f] |= bit
+        self.of_class[cls] |= bit
+        self.usable |= bit
+
+    def retarget(self, clashing: int) -> None:
+        self.usable = sum(1 << i for i, entry in enumerate(self.entries)
+                          if not entry[3] & clashing)
+
+    def within(self, fixed: set[int], values: tuple[int, ...], cls: int) -> bool:
+        """Is a usable entry of class cls assigned only values the query fixes?"""
+        ids = self.usable & self.of_class[cls]
+        has = self.has
+        for f, fx in enumerate(self.fixes):
+            if not ids:
+                return False
+            if f in fixed:
+                fx ^= has[f][values[f]]  # the ids assigning f another value
+            ids &= ~fx
+        return bool(ids)
+
+    def agreeing(self, fixed: set[int], values: tuple[int, ...],
+                 cls: int) -> Optional[tuple[int, ...]]:
+        """The values of a usable entry of a class other than cls that agrees
+        with the query on every fixed feature, or None."""
+        ids = self.usable & ~self.of_class[cls]
+        has = self.has
+        for f in fixed:
+            if not ids:
+                return None
+            ids &= has[f][values[f]]
+        return self.entries[(ids & -ids).bit_length() - 1][1] if ids else None
+
+
 class EntailmentOracle:
     """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
 
@@ -259,9 +350,11 @@ class EntailmentOracle:
         self.space: FeatureSpace = model.space
         self.knowledge = knowledge if knowledge is not None else KnowledgeBase()
         self.calls = 0
+        self.store_hits = 0  # of `calls`, those answered from the store
 
         m = self.space.m
         self._sizes = [len(self.space.domain(f)) for f in range(m)]
+        self._features = range(m)
         self.dom: list[int] = [(1 << s) - 1 for s in self._sizes]  # bit v: v possible
         # one entry per domain change: (feature, previous domain, previous alive)
         self.trail: list[tuple[int, int, int]] = []
@@ -301,6 +394,11 @@ class EntailmentOracle:
                     if (v != lit.value) == lit.negated:  # `Literal.holds` at v
                         row[v] |= 1 << ci
         self._active = (1 << len(self.clauses)) - 1
+        # an entailment is kept with the clauses it was found under, which
+        # may not be switched off; a witness with those it breaks, which may
+        # not be active
+        self._entailed = _Certificates(self._sizes, model.class_count())
+        self._witnesses = _Certificates(self._sizes, model.class_count())
 
     # -- clause database -----------------------------------------------------
 
@@ -492,9 +590,12 @@ class EntailmentOracle:
         return fixed
 
     def query(self, fixed: Iterable[int], instance: Instance, contested: int,
-              knowledge: Optional[KnowledgeBase] = None) -> OracleResult:
+              knowledge: Optional[KnowledgeBase] = None, *,
+              status_only: bool = False) -> OracleResult:
         """Decide the query; Z, the contested class and the knowledge subset
-        (default: the oracle's whole knowledge base) are per-call."""
+        (default: the oracle's whole knowledge base) are per-call. A caller
+        that reads only the status sets `status_only`: a counterexample may
+        then carry an earlier query's witness in place of the search's."""
         fixed = self._checked(fixed, instance, contested)
         off = self._switched_off(knowledge)
         self.calls += 1
@@ -502,18 +603,32 @@ class EntailmentOracle:
             self._undo_to(0)
             self._levels.clear()
             self._off = off
-            self._active = (1 << len(self.clauses)) - 1 - sum(1 << ci for ci in off)
+            switched = sum(1 << ci for ci in off)
+            self._active = (1 << len(self.clauses)) - 1 - switched
+            self._entailed.retarget(switched)
+            self._witnesses.retarget(self._active)
+        values = instance.values
+        if self._entailed.within(fixed, values, contested):
+            self.store_hits += 1
+            return OracleResult(Status.ENTAILS)
+        if status_only:
+            stored = self._witnesses.agreeing(fixed, values, contested)
+            if stored is not None:
+                self.store_hits += 1
+                return OracleResult(Status.COUNTEREXAMPLE, Instance(stored))
         assumptions = [slit for ci, slit in self.units if ci not in off]
-        assumptions += [(f, instance.values[f], False) for f in sorted(fixed, reverse=True)]
+        assumptions += [(f, values[f], False) for f in sorted(fixed, reverse=True)]
         witness = self._solve(assumptions, contested)
         if witness is None:
+            self._entailed.add(tuple(fixed), values, contested, self._active)
             return OracleResult(Status.ENTAILS)
         satisfied = 0
         for row, v in zip(self._satisfies, witness.values):
             satisfied |= row[v]
-        if not (all(witness.values[f] == instance.values[f] for f in fixed)
-                and not self._active & ~satisfied
-                and self.model.classify(witness) != contested):
+        cls = self.model.classify(witness)
+        if not (all(witness.values[f] == values[f] for f in fixed)
+                and not self._active & ~satisfied and cls != contested):
             raise AssertionError("witness fails direct evaluation")
+        self._witnesses.add(self._features, witness.values, cls, ~satisfied)
         return OracleResult(Status.COUNTEREXAMPLE, witness)
 

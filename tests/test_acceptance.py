@@ -136,7 +136,7 @@ def test_c1d_remark_constructions(threshold_dl, parity_dl, bool3_space):
 def test_c1e_mined_rules_and_duplicate_blocking(toy_ds):
     sp = toy_ds.space
     rules = enumerate_min_rules(toy_ds, sp.literal("Relationship", "Husband"),
-                                limit=ExtractionLimit(max_size=2))
+                                limit=ExtractionLimit(max_size=2)).rules
     texts = {r.render(sp) for r in rules}
     assert "IF Status = Married AND Sex = Male THEN Relationship = Husband" \
         in texts
@@ -294,7 +294,7 @@ def test_c5_miner_contracts(toy_ds):
         check_miner_contract(ds, kb)
         f = rng.randrange(sp.m)
         target = sp.literal(f, rng.randrange(len(sp.domain(f))))
-        fast = enumerate_min_rules(ds, target, limit=ExtractionLimit(max_size=3))
+        fast = enumerate_min_rules(ds, target, limit=ExtractionLimit(max_size=3)).rules
         slow = brute_force_min_rules(ds, target, max_size=3)
         assert {(r.antecedent, r.consequent) for r in fast} \
             == {(r.antecedent, r.consequent) for r in slow}

@@ -186,11 +186,18 @@ def test_seed_preconditions_raise(toy_dl, row1):
 
 
 def test_axp_call_budget(toy_dl, row1):
+    m = toy_dl.space.m
     for find in (find_axp, find_cxp):
         oracle = EntailmentOracle(toy_dl)
-        find(toy_dl, row1, oracle=oracle)
+        first = find(toy_dl, row1, oracle=oracle)
         # one validation call plus one deletion test per feature
-        assert oracle.calls == toy_dl.space.m + 1
+        assert oracle.calls == m + 1
+        searched = oracle.calls - oracle.store_hits
+        # asked again, every question is answered from the store, and
+        # `calls` still counts each one
+        assert find(toy_dl, row1, oracle=oracle) == first
+        assert oracle.calls == 2 * (m + 1)
+        assert oracle.calls - oracle.store_hits == searched
 
 
 def test_mismatched_oracle_rejected(small_dl, toy_dl, separated_male,

@@ -28,9 +28,10 @@ def texts(space, rules):
 
 def test_status_married_rules(toy_ds):
     sp = toy_ds.space
-    rules = enumerate_min_rules(toy_ds, sp.literal("Status", "Married"),
-                                limit=ExtractionLimit(max_size=2))
-    got = texts(sp, rules)
+    kb = enumerate_min_rules(toy_ds, sp.literal("Status", "Married"),
+                             limit=ExtractionLimit(max_size=2))
+    assert not kb.truncated
+    got = texts(sp, kb.rules)
     assert "IF Relationship = Husband THEN Status = Married" in got
     assert "IF Relationship = Wife THEN Status = Married" in got
 
@@ -38,7 +39,7 @@ def test_status_married_rules(toy_ds):
 def test_relationship_husband_rule(toy_ds):
     sp = toy_ds.space
     rules = enumerate_min_rules(toy_ds, sp.literal("Relationship", "Husband"),
-                                limit=ExtractionLimit(max_size=2))
+                                limit=ExtractionLimit(max_size=2)).rules
     assert "IF Status = Married AND Sex = Male THEN Relationship = Husband" \
         in texts(sp, rules)
 
@@ -51,11 +52,11 @@ def test_blocked_clause_suppresses_duplicate(toy_ds):
     blocked = {rule_to_clause(sp, husband)}
     rules = enumerate_min_rules(toy_ds, sp.literal("Sex", "Female"),
                                 blocked=blocked,
-                                limit=ExtractionLimit(max_size=2))
+                                limit=ExtractionLimit(max_size=2)).rules
     dup = "IF Status = Married AND Relationship != Husband THEN Sex = Female"
     assert dup not in texts(sp, rules)
     unblocked = enumerate_min_rules(toy_ds, sp.literal("Sex", "Female"),
-                                    limit=ExtractionLimit(max_size=2))
+                                    limit=ExtractionLimit(max_size=2)).rules
     assert dup in texts(sp, unblocked)
 
 
@@ -98,7 +99,7 @@ def test_emitted_rules_satisfy_contract(toy_ds):
 def test_emission_order_nondecreasing(toy_ds):
     sp = toy_ds.space
     rules = enumerate_min_rules(toy_ds, sp.literal("Relationship", "Husband"),
-                                limit=ExtractionLimit(max_size=3))
+                                limit=ExtractionLimit(max_size=3)).rules
     sizes = [r.size for r in rules]
     assert sizes == sorted(sizes)
     ids = [r.id for r in rules]
@@ -114,7 +115,7 @@ def test_matches_bruteforce_on_random_data():
         target = sp.literal(f, rng.randrange(len(sp.domain(f))))
         min_sup = rng.choice((1, 1, 2))
         limit = ExtractionLimit(max_size=3, min_support=min_sup)
-        fast = enumerate_min_rules(ds, target, limit=limit)
+        fast = enumerate_min_rules(ds, target, limit=limit).rules
         slow = brute_force_min_rules(ds, target, max_size=3, min_support=min_sup)
         fast_set = {(r.antecedent, r.consequent) for r in fast}
         slow_set = {(r.antecedent, r.consequent) for r in slow}
@@ -127,7 +128,7 @@ def test_binary_dataset_matches_bruteforce():
     for _ in range(10):
         ds = tiny_dataset(rng, sp, 8)
         target = sp.literal(0, rng.randrange(2))
-        fast = enumerate_min_rules(ds, target, limit=ExtractionLimit(max_size=3))
+        fast = enumerate_min_rules(ds, target, limit=ExtractionLimit(max_size=3)).rules
         slow = brute_force_min_rules(ds, target, max_size=3)
         assert {(r.antecedent, r.consequent) for r in fast} \
             == {(r.antecedent, r.consequent) for r in slow}
@@ -218,6 +219,17 @@ def test_time_budget_truncates(toy_ds):
     assert kb.truncated
 
 
+def test_one_target_time_budget_truncates(toy_ds):
+    """The one-target miner keeps the truncation flag: the same target
+    gives rules without a budget and an empty, truncated result at 0 s."""
+    target = toy_ds.space.literal("Status", "Married")
+    full = enumerate_min_rules(toy_ds, target, limit=ExtractionLimit(max_size=2))
+    assert len(full.rules) > 0 and not full.truncated
+    cut = enumerate_min_rules(toy_ds, target,
+                              limit=ExtractionLimit(max_size=2, time_budget=0.0))
+    assert cut.truncated and len(cut.rules) < len(full.rules)
+
+
 def test_limit_validation():
     with pytest.raises(MinerError):
         ExtractionLimit(max_size=0)
@@ -237,11 +249,11 @@ def test_limit_validation():
 def test_one_target_rule_budget(toy_ds):
     target = toy_ds.space.literal("Status", "Married")
     everything = enumerate_min_rules(toy_ds, target, limit=ExtractionLimit(max_size=2))
-    assert len(everything) >= 3
+    assert len(everything) >= 3 and not everything.truncated
     for max_rules in (1, 2, 3):
         got = enumerate_min_rules(toy_ds, target, limit=ExtractionLimit(
             max_size=2, max_rules=max_rules))
-        assert got == everything[:max_rules]
+        assert got.rules == everything.rules[:max_rules] and got.truncated
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +265,7 @@ def test_eclat_cannot_express_negations():
     ds = Dataset(sp.names, tuple(d for _, d in sp.features),
                  ((0, 0), (1, 1), (2, 1)))
     lattice = texts(sp, enumerate_min_rules(ds, sp.literal("x2", "1"),
-                                            limit=ExtractionLimit(max_size=1)))
+                                            limit=ExtractionLimit(max_size=1)).rules)
     assert "IF x1 != 0 THEN x2 = 1" in lattice
     eclat = texts(sp, eclat_mine(ds))
     assert "IF x1 != 0 THEN x2 = 1" not in eclat

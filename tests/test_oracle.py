@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+import kxp.oracle as oracle_module
 from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
 from kxp.models import DecisionList, DLRule
 from kxp.oracle import EntailmentOracle, OracleError, Status
@@ -189,11 +190,17 @@ def test_oracle_reuse_is_stateless_across_queries(toy_dl, row1):
                                        "Relationship"])
     first = [oracle.query(fixed, row1, toy_dl.classify(row1)).status
              for _ in range(3)]
-    loose = oracle.query(set(), row1, toy_dl.classify(row1)).status
+    loose = oracle.query(set(), row1, toy_dl.classify(row1))
     second = oracle.query(fixed, row1, toy_dl.classify(row1)).status
     assert first == [Status.ENTAILS] * 3
-    assert loose is Status.COUNTEREXAMPLE and second is Status.ENTAILS
-    assert oracle.calls == 5
+    assert loose.status is Status.COUNTEREXAMPLE and second is Status.ENTAILS
+    # the repeats of the entailment come from the store; a witness-reading
+    # counterexample is searched again, a status-only one is not
+    again = oracle.query(set(), row1, toy_dl.classify(row1))
+    stored = oracle.query(set(), row1, toy_dl.classify(row1), status_only=True)
+    assert again == loose and stored.status is Status.COUNTEREXAMPLE
+    # `calls` counts every question, stored or searched
+    assert (oracle.calls, oracle.store_hits) == (7, 4)
 
 
 def test_dimacs_dump_cross_checked_small():
@@ -532,6 +539,71 @@ def test_kept_trail_matches_fresh_oracles(monkeypatch):
                     for cl in active.clauses)
     assert counts["queries"] >= 2000
     assert min(counts.values()) > 0, counts
+
+
+# ---------------------------------------------------------------------------
+# the certificate store answers from earlier entailments and witnesses
+
+def test_certificate_store_matches_fresh_oracles(monkeypatch):
+    """Long-lived oracles over lists (with `!=` literals, and constant ones),
+    single-score and multiclass ensembles run deletion loops in both
+    directions, the way AXp and CXp shrinks ask, over several instances,
+    contested classes and knowledge subsets (None, full, strict and empty),
+    interleaved. Every answer's status equals a fresh oracle's and brute
+    force; a witness-reading answer equals a fresh oracle's witness too.
+    Every counterexample, also one the store decided, agrees with the query
+    on its fixed features, satisfies its active clauses and is classified
+    otherwise than the contested class. A second pass keeps only the newest
+    three certificates of each kind, so old ones are replaced throughout."""
+    rng = random.Random(1717)
+    passes = ((oracle_module._STORE_SIZE, 4), (3, 3))  # (store size, spaces)
+    hits = {size: {Status.ENTAILS: 0, Status.COUNTEREXAMPLE: 0} for size, _ in passes}
+    queries, replaced = 0, 0
+    for size, spaces in passes:
+        monkeypatch.setattr(oracle_module, "_STORE_SIZE", size)
+        for _ in range(spaces):
+            sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+            everything = frozenset(range(sp.m))
+            for model, kb, pool in _kept_trail_cases(rng, sp):
+                shared = EntailmentOracle(model, kb)
+                searched = {Status.ENTAILS: 0, Status.COUNTEREXAMPLE: 0}
+                strict = kb.subset(rng.sample(kb.clauses, len(kb) - 1))
+                for _ in range(14):
+                    v = rng.choice(pool)
+                    c = model.classify(v) if rng.random() < 0.6 \
+                        else rng.randrange(model.class_count())
+                    subset = rng.choice((None, kb, strict, KnowledgeBase()))
+                    active = kb if subset is None else subset
+                    # AXp shrink: drop each feature in turn from the fixed
+                    # set; CXp shrink: free each in turn, fixing the rest
+                    axp = rng.random() < 0.5
+                    kept = set(everything) if axp else set()
+                    for f in rng.sample(sorted(everything), sp.m):
+                        fixed = frozenset(kept - {f}) if axp else frozenset(kept | {f})
+                        status_only = rng.random() < 0.8
+                        before = shared.store_hits
+                        got = shared.query(fixed, v, c, subset, status_only=status_only)
+                        fresh = EntailmentOracle(model, active).query(fixed, v, c)
+                        assert got.status is fresh.status \
+                            is entails_bruteforce(model, active, fixed, v, c).status
+                        if not status_only:
+                            assert got.witness == fresh.witness
+                        w = got.witness
+                        if w is not None:
+                            assert all(w.values[g] == v.values[g] for g in fixed)
+                            assert active.satisfied_by(w) and model.classify(w) != c
+                        if shared.store_hits > before:
+                            hits[size][got.status] += 1
+                        else:
+                            searched[got.status] += 1
+                        if got.entails != axp:
+                            kept = set(fixed)
+                        queries += 1
+                replaced += sum(max(0, n - size) for n in searched.values())
+    assert queries >= 2000 and replaced >= 250
+    full, small = (hits[size] for size, _ in passes)
+    assert full[Status.ENTAILS] >= 250 and full[Status.COUNTEREXAMPLE] >= 120, hits
+    assert min(small.values()) >= 100, hits
 
 
 # ---------------------------------------------------------------------------
