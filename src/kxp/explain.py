@@ -10,10 +10,17 @@ kinds. The two families are minimal-hitting-set duals, which drives the
 smallest-first enumerator. Its hitting-set side is incremental: one solver
 per enumeration takes each new dual and each emission as it comes and
 resumes its search from the last answer.
+
+Every entry point takes an optional oracle. A call that passes none reuses
+the oracle the thread's last such call built, when it is over the same model
+object and holds every clause of the asked knowledge, and otherwise builds
+one over that knowledge in its place. So rows explained in turn with and
+without one knowledge base share one build and one certificate store.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional
 
@@ -26,11 +33,24 @@ class ExplainError(ValueError):
     """Violated precondition (non-entailing seed, bad feature set, ...)."""
 
 
+# the oracle the last call without `oracle=` built, per thread
+_slot = threading.local()
+
+
+def _holds_all(oracle: EntailmentOracle, kb: KnowledgeBase) -> bool:
+    """Does the oracle hold every clause of kb?"""
+    return kb is oracle.knowledge or oracle._kb_ids.keys() >= set(kb.clauses)
+
+
 class _Questions:
     """Questions about one instance's prediction under `knowledge` (None:
-    none), put to one oracle. A supplied oracle must be built over the same
-    model and hold every clause of `knowledge`: one oracle over (model, K)
-    answers under any subset of K."""
+    none), put to one oracle: one oracle over (model, K) answers under any
+    subset of K. A supplied oracle must be built over the same model and
+    hold every clause of `knowledge`. Without one, the thread's last built
+    oracle serves when it meets the same test, with the same model object;
+    otherwise one is built over `knowledge` and takes its place, so rows
+    asked in turn with and without K share one build and its certificate
+    store."""
 
     def __init__(self, model: Model, instance: Instance,
                  knowledge: Optional[KnowledgeBase],
@@ -38,10 +58,12 @@ class _Questions:
         kb = knowledge if knowledge is not None else KnowledgeBase()
         check_compatible(instance, kb)
         if oracle is None:
-            oracle = EntailmentOracle(model, kb)
+            oracle = getattr(_slot, "oracle", None)
+            if oracle is None or oracle.model is not model or not _holds_all(oracle, kb):
+                oracle = _slot.oracle = EntailmentOracle(model, kb)
         elif oracle.model != model:
             raise ExplainError("the supplied oracle was built over a different model")
-        elif not set(kb.clauses) <= set(oracle.knowledge.clauses):
+        elif not _holds_all(oracle, kb):
             raise ExplainError("the knowledge has clauses outside the supplied "
                                "oracle's knowledge base")
         self.oracle, self.instance, self.knowledge = oracle, instance, kb

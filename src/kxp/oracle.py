@@ -22,7 +22,8 @@ full assignment.
 The variables are the features and the clauses the knowledge, each entered
 once. A query switches off the clauses outside its knowledge subset (by
 default none); switched-off clauses stay watched and are skipped when they
-wake.
+wake. The switch is worked out again only when a query names another subset
+object than the last one.
 
 The propagated state is kept between queries. A query's assumptions, first
 the active unit clauses and then the fixed features in descending order, are
@@ -54,7 +55,9 @@ hit returns without search and leaves the kept levels as they are. An
 entailment carries no witness, so a witness `query` returns is always the
 search's first, independent of the queries asked before; a status-only
 counterexample may carry an earlier query's witness instead. `calls` counts
-every question and `store_hits` those the store answered.
+every question and `store_hits` those the store answered. Each store also
+keeps the entries that no clause of the base bars, so a switch to the whole
+base or to no knowledge needs no pass over its entries.
 """
 
 from __future__ import annotations
@@ -268,61 +271,60 @@ _STORE_SIZE = 1024
 class _Certificates:
     """Earlier answers of one kind, each a partial assignment (`values[f]`
     for each f of `features`), a class and a clause mask, under ids
-    0.._STORE_SIZE-1 that are reused oldest first.
+    0.._STORE_SIZE-1 that are reused oldest first. Here the entries are
+    witnesses, and each assigns every feature.
 
     Per (feature, value) one bitset holds the ids that assign it (`has`), per
-    feature one the ids that assign it at all (`fixes`), per class one the
-    ids of that class. An entry's mask holds the clauses that may not be
-    `clashing` for it to answer: the oracle sets the clashing clauses when
-    its active ones change (`retarget`), and a new entry is added under them
-    and does not clash. `usable` holds the ids that do not clash."""
+    class one the ids of that class. An entry's mask holds the clauses that
+    may not be `clashing` for it to answer: the oracle sets the clashing
+    clauses when its active ones change (`retarget`), and a new entry is
+    added under them and does not clash. `usable` holds the ids that do not
+    clash, and `clean` those whose mask holds no clause of the base, so that
+    no clause or every clause clashing needs no pass over the entries."""
 
-    def __init__(self, sizes: list[int], classes: int):
+    def __init__(self, sizes: list[int], classes: int, clauses: int):
         self.has = [[0] * size for size in sizes]
-        self.fixes = [0] * len(sizes)
         self.of_class = [0] * classes
+        self.base = (1 << clauses) - 1
         # per id: (features, values, class, mask)
         self.entries: list[tuple[Iterable[int], tuple[int, ...], int, int]] = []
-        self.usable = 0
+        self.usable = self.clean = 0
         self._next = 0
 
     def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
-            mask: int) -> None:
+            mask: int) -> int:
+        """Keep an entry, in place of the oldest when the store is full; its id's bit."""
         i = self._next
         self._next = (i + 1) % _STORE_SIZE
         bit = 1 << i
-        has, fixes = self.has, self.fixes
+        has = self.has
         entry = (features, values, cls, mask)
         if i < len(self.entries):
             old_features, old_values, old_cls, _ = self.entries[i]
             for f in old_features:
                 has[f][old_values[f]] ^= bit
-                fixes[f] ^= bit
             self.of_class[old_cls] ^= bit
             self.entries[i] = entry
         else:
             self.entries.append(entry)
         for f in features:
             has[f][values[f]] |= bit
-            fixes[f] |= bit
         self.of_class[cls] |= bit
         self.usable |= bit
+        if mask & self.base:
+            self.clean &= ~bit
+        else:
+            self.clean |= bit
+        return bit
 
     def retarget(self, clashing: int) -> None:
-        self.usable = sum(1 << i for i, entry in enumerate(self.entries)
-                          if not entry[3] & clashing)
-
-    def within(self, fixed: set[int], values: tuple[int, ...], cls: int) -> bool:
-        """Is a usable entry of class cls assigned only values the query fixes?"""
-        ids = self.usable & self.of_class[cls]
-        has = self.has
-        for f, fx in enumerate(self.fixes):
-            if not ids:
-                return False
-            if f in fixed:
-                fx ^= has[f][values[f]]  # the ids assigning f another value
-            ids &= ~fx
-        return bool(ids)
+        if not clashing:
+            self.usable = (1 << len(self.entries)) - 1
+        elif clashing == self.base:
+            self.usable = self.clean
+        else:
+            self.usable = sum(1 << i for i, entry in enumerate(self.entries)
+                              if not entry[3] & clashing)
 
     def agreeing(self, fixed: set[int], values: tuple[int, ...],
                  cls: int) -> Optional[tuple[int, ...]]:
@@ -335,6 +337,38 @@ class _Certificates:
                 return None
             ids &= has[f][values[f]]
         return self.entries[(ids & -ids).bit_length() - 1][1] if ids else None
+
+
+class _Entailments(_Certificates):
+    """Earlier entailments: each fixes some features, and per feature one
+    bitset holds the ids that fix it (`fixes`)."""
+
+    def __init__(self, sizes: list[int], classes: int, clauses: int):
+        super().__init__(sizes, classes, clauses)
+        self.fixes = [0] * len(sizes)
+
+    def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
+            mask: int) -> int:
+        fixes, i = self.fixes, self._next
+        if i < len(self.entries):
+            for f in self.entries[i][0]:
+                fixes[f] ^= 1 << i
+        bit = super().add(features, values, cls, mask)
+        for f in features:
+            fixes[f] |= bit
+        return bit
+
+    def within(self, fixed: set[int], values: tuple[int, ...], cls: int) -> bool:
+        """Is a usable entry of class cls assigned only values the query fixes?"""
+        ids = self.usable & self.of_class[cls]
+        has = self.has
+        for f, fx in enumerate(self.fixes):
+            if not ids:
+                return False
+            if f in fixed:
+                fx ^= has[f][values[f]]  # the ids assigning f another value
+            ids &= ~fx
+        return bool(ids)
 
 
 class EntailmentOracle:
@@ -354,7 +388,7 @@ class EntailmentOracle:
 
         m = self.space.m
         self._sizes = [len(self.space.domain(f)) for f in range(m)]
-        self._features = range(m)
+        self._features = range(m)  # what every witness assigns
         self.dom: list[int] = [(1 << s) - 1 for s in self._sizes]  # bit v: v possible
         # one entry per domain change: (feature, previous domain, previous alive)
         self.trail: list[tuple[int, int, int]] = []
@@ -381,6 +415,7 @@ class EntailmentOracle:
         self.watch: dict[tuple, list[int]] = {}
         self.units: list[tuple[int, _SLit]] = []
         self._off: set[int] = set()  # clause ids switched off for the kept levels
+        self._subset: Optional[KnowledgeBase] = None  # the last subset switched to
         self._kb_ids: dict[Clause, int] = {
             clause: self._add_clause([_lit_slit(l) for l in clause.literals])
             for clause in self.knowledge.clauses}
@@ -397,8 +432,8 @@ class EntailmentOracle:
         # an entailment is kept with the clauses it was found under, which
         # may not be switched off; a witness with those it breaks, which may
         # not be active
-        self._entailed = _Certificates(self._sizes, model.class_count())
-        self._witnesses = _Certificates(self._sizes, model.class_count())
+        args = (self._sizes, model.class_count(), len(self.clauses))
+        self._entailed, self._witnesses = _Entailments(*args), _Certificates(*args)
 
     # -- clause database -----------------------------------------------------
 
@@ -415,14 +450,25 @@ class EntailmentOracle:
                 self.watch.setdefault(events[pos], []).append(ci)
         return ci
 
-    def _switched_off(self, knowledge: Optional[KnowledgeBase]) -> set[int]:
-        if knowledge is None:
-            return set()
-        active = set(knowledge.clauses)
-        if any(clause not in self._kb_ids for clause in active):
-            raise OracleError("the knowledge subset has a clause outside "
-                              "the oracle's knowledge base")
-        return {ci for clause, ci in self._kb_ids.items() if clause not in active}
+    def _switch(self, knowledge: Optional[KnowledgeBase]) -> None:
+        """Make `knowledge` the subset in force; the kept levels and the
+        stores' usable entries change only when the switched-off clauses do."""
+        off: set[int] = set()
+        if knowledge is not None:
+            active = set(knowledge.clauses)
+            if any(clause not in self._kb_ids for clause in active):
+                raise OracleError("the knowledge subset has a clause outside "
+                                  "the oracle's knowledge base")
+            off = {ci for clause, ci in self._kb_ids.items() if clause not in active}
+        self._subset = knowledge
+        if off != self._off:
+            self._undo_to(0)
+            self._levels.clear()
+            self._off = off
+            switched = sum(1 << ci for ci in off)
+            self._active = (1 << len(self.clauses)) - 1 - switched
+            self._entailed.retarget(switched)
+            self._witnesses.retarget(self._active)
 
     # -- propagation ---------------------------------------------------------
 
@@ -597,16 +643,10 @@ class EntailmentOracle:
         that reads only the status sets `status_only`: a counterexample may
         then carry an earlier query's witness in place of the search's."""
         fixed = self._checked(fixed, instance, contested)
-        off = self._switched_off(knowledge)
+        if knowledge is not self._subset:  # a KnowledgeBase is frozen
+            self._switch(knowledge)
         self.calls += 1
-        if off != self._off:
-            self._undo_to(0)
-            self._levels.clear()
-            self._off = off
-            switched = sum(1 << ci for ci in off)
-            self._active = (1 << len(self.clauses)) - 1 - switched
-            self._entailed.retarget(switched)
-            self._witnesses.retarget(self._active)
+        off = self._off
         values = instance.values
         if self._entailed.within(fixed, values, contested):
             self.store_hits += 1

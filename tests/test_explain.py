@@ -1,9 +1,13 @@
+import copy
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
 from kxp import (Kind, KnowledgeBase, Rule)
+import kxp.explain as explain_module
 from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
                          attribute_rules, check_explanation, enumerate_smallest,
                          find_axp, find_cxp, minimum_hitting_set,
@@ -382,17 +386,22 @@ def test_enumeration_outputs_pinned():
     assert digest == ENUMERATION_PIN
 
 
-def _outcome(call, oracle):
-    """What one explain call returns (or the ExplainError it raises) through
-    the oracle, and how many queries the oracle answered for it."""
-    calls0 = oracle.calls
+def _answer(call, oracle):
+    """What one explain call returns through the oracle (None: none), or the
+    ExplainError it raises."""
     try:
         got = call(oracle)
     except ExplainError as exc:
-        got = "ExplainError: %s" % exc
+        return "ExplainError: %s" % exc
     if isinstance(got, EnumerationResult):
-        got = (got.explanations, got.exhausted, got.oracle_calls)
-    return got, oracle.calls - calls0
+        return got.explanations, got.exhausted, got.oracle_calls
+    return got
+
+
+def _outcome(call, oracle):
+    """`_answer` through the oracle, and how many queries it answered for it."""
+    calls0 = oracle.calls
+    return _answer(call, oracle), oracle.calls - calls0
 
 
 def test_shared_oracle_matches_fresh_oracles():
@@ -438,6 +447,150 @@ def test_shared_oracle_matches_fresh_oracles():
                 subsets += 1
                 strict += len(knowledge or ()) < len(kb)
     assert subsets > 200 and strict > 100
+
+
+def _slot_cases(rng, sp):
+    """(model, bases, rows): a list with `!=` literals and three classes, a
+    single-score and a multiclass ensemble, each with knowledge bases named
+    none, k, strict (a strict subset of k), super (k and more) and disjoint
+    (no clause of k), and rows that satisfy every base."""
+    v = random_instance(rng, sp)
+    single = random_bt(rng, sp, n_classes=2, depth=3)
+    while single.positive is None:
+        single = random_bt(rng, sp, n_classes=2, depth=3)
+    dl = random_dl(rng, sp, n_classes=3)
+    while not any(l.negated for rule in dl.rules for l in rule.antecedent):
+        dl = random_dl(rng, sp, n_classes=3)
+    models = [dl, single, random_bt(rng, sp, n_classes=3, depth=3)]
+    cases = []
+    for model in models:
+        k = random_knowledge(rng, sp, v, max_clauses=4)
+        while len(k) < 2:
+            k = random_knowledge(rng, sp, v, max_clauses=4)
+        extra = []
+        while not extra:
+            extra = [c for c in random_knowledge(rng, sp, v, max_clauses=4).clauses
+                     if c not in k.clauses]
+        bases = {"none": None, "k": k,
+                 "strict": k.subset(rng.sample(k.clauses, len(k) - 1)),
+                 "super": KnowledgeBase(k.clauses + tuple(extra)),
+                 "disjoint": KnowledgeBase(tuple(extra))}
+        rows = [v] + [u for u in (random_instance(rng, sp) for _ in range(6))
+                      if bases["super"].satisfied_by(u)]
+        cases.append((model, bases, rows))
+    return cases
+
+
+def _explain_calls(model, u, knowledge, rng):
+    """One of each explain entry point on (model, u, knowledge), each a
+    function of the oracle to pass (None: none)."""
+    m = model.space.m
+    seed = frozenset(rng.sample(range(m), rng.randint(1, m)))
+    n = rng.randint(1, 6)
+    kind = rng.choice(list(Kind))
+    return [
+        lambda o: find_axp(model, u, knowledge=knowledge, oracle=o),
+        lambda o: find_cxp(model, u, knowledge=knowledge, seed=seed, oracle=o),
+        lambda o: check_explanation(seed, kind, model, u, knowledge=knowledge, oracle=o),
+        lambda o: reduce_explanation(seed, kind, model, u, knowledge=knowledge, oracle=o),
+        lambda o: enumerate_smallest(kind, model, u, knowledge=knowledge, n=n, oracle=o),
+        lambda o: attribute_rules(model, u, knowledge or KnowledgeBase(), find_axp(
+            model, u, knowledge=knowledge, oracle=o).features, oracle=o)]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per oracle built while the test runs."""
+    built = []
+    init = EntailmentOracle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EntailmentOracle, "__init__", counting_init)
+    return built
+
+
+def test_calls_without_oracle_match_fresh_oracles(builds):
+    """Calls that pass no oracle, interleaved over three models and five
+    knowledge bases (none, K, a strict subset, a superset, a disjoint base),
+    answer as the same call on a fresh oracle does, `oracle_calls` included,
+    while most of them reuse the oracle an earlier call built."""
+    rng = random.Random(4242)
+    calls = shared_builds = 0
+    for _ in range(4):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+        cases = _slot_cases(rng, sp)
+        model, bases, rows = cases[0]
+        for _ in range(60):
+            if rng.random() < 0.25:
+                model, bases, rows = rng.choice(cases)
+            knowledge = bases[rng.choice(list(bases))]
+            u = rng.choice(rows)
+            for call in _explain_calls(model, u, knowledge, rng):
+                fresh = _answer(call, EntailmentOracle(model, knowledge))
+                built = len(builds)
+                assert _answer(call, None) == fresh
+                shared_builds += len(builds) - built
+                calls += 1
+    assert calls == 4 * 60 * 6 and shared_builds < calls // 5, shared_builds
+
+
+def test_calls_without_oracle_build_per_model_and_base(builds):
+    """K-free, then K, then K-free or a subset of K on one model builds two
+    oracles; an equal model that is another object, or a base the kept
+    oracle lacks a clause of, builds again."""
+    rng = random.Random(77)
+    sp = random_space(rng, min_features=4, max_features=5)
+    model, bases, rows = _slot_cases(rng, sp)[2]
+    k, v = bases["k"], rows[0]
+    builds.clear()
+    steps = [(model, None, 1), (model, k, 2), (model, None, 2),
+             (model, bases["strict"], 2), (model, k, 2),
+             (copy.copy(model), k, 3), (model, k, 4),
+             (model, bases["disjoint"], 5), (model, bases["super"], 6),
+             (model, k, 6), (model, bases["disjoint"], 6), (model, None, 6)]
+    for other, knowledge, expected in steps:
+        enumerate_smallest(Kind.AXP, other, v, knowledge=knowledge, n=3)
+        find_cxp(other, v, knowledge=knowledge)
+        assert len(builds) == expected
+
+
+def test_threads_without_oracle_keep_their_own():
+    """Threads enumerating on one model at the same time give the serial
+    results, each on an oracle of its own."""
+    rng = random.Random(31)
+    sp = random_space(rng, min_features=4, max_features=5)
+    model, bases, rows = _slot_cases(rng, sp)[2]
+    tasks = [(kind, u, bases[name]) for u in rows[:3] for kind in Kind
+             for name in ("none", "k", "strict")]
+    serial = [enumerate_smallest(kind, model, u, knowledge=kb, n=4,
+                                 oracle=EntailmentOracle(model, kb))
+              for kind, u, kb in tasks]
+    workers = 4
+    start = threading.Barrier(workers)
+    got, used = {}, {}
+
+    def work(w):
+        start.wait(timeout=10)
+        got[w] = [enumerate_smallest(kind, model, u, knowledge=kb, n=4)
+                  for kind, u, kb in tasks]
+        used[w] = explain_module._slot.oracle
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got[w] == serial for w in range(workers))
+    assert len({id(o) for o in used.values()}) == workers
 
 
 def test_enumeration_truncates_at_n(toy_dl, row1):
@@ -532,14 +685,7 @@ def test_attribute_minimality_random():
         checked += 1
 
 
-def test_attribution_matches_reference_with_one_oracle(monkeypatch):
-    builds = []
-    init = EntailmentOracle.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
+def test_attribution_matches_reference_with_one_oracle(builds):
     rng = random.Random(808)
     cases = needed_knowledge = 0
     while cases < 60:
@@ -551,13 +697,13 @@ def test_attribution_matches_reference_with_one_oracle(monkeypatch):
         if not kb:
             continue
         c = model.classify(v)
+        # the AXp search and the attribution share one oracle, and no
+        # deletion trial builds another
+        built = len(builds)
         axp = find_axp(model, v, knowledge=kb).features
-        expected = reference_attribution(model, v, kb, axp, c)
-        monkeypatch.setattr(EntailmentOracle, "__init__", counting_init)
-        builds.clear()
         got = attribute_rules(model, v, kb, axp)
-        monkeypatch.setattr(EntailmentOracle, "__init__", init)
-        assert len(builds) == 1
+        assert len(builds) - built == 1
+        expected = reference_attribution(model, v, kb, axp, c)
         assert got.clauses == expected.clauses
         assert got.provenance == expected.provenance
         cases += 1
