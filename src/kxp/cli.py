@@ -284,8 +284,9 @@ def cmd_explain(args) -> int:
                                  "instances": args.instances,
                                  "compare": args.compare, "jobs": args.jobs})
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
+    workers = min(args.jobs, len(tasks))  # a pool may start every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(model, kb, kind, args.enum)) as pool:
             records = list(pool.map(_run_one, tasks))
     else:

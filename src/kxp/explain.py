@@ -37,11 +37,6 @@ class ExplainError(ValueError):
 _slot = threading.local()
 
 
-def _holds_all(oracle: EntailmentOracle, kb: KnowledgeBase) -> bool:
-    """Does the oracle hold every clause of kb?"""
-    return kb is oracle.knowledge or oracle._kb_ids.keys() >= set(kb.clauses)
-
-
 class _Questions:
     """Questions about one instance's prediction under `knowledge` (None:
     none), put to one oracle: one oracle over (model, K) answers under any
@@ -59,11 +54,11 @@ class _Questions:
         check_compatible(instance, kb)
         if oracle is None:
             oracle = getattr(_slot, "oracle", None)
-            if oracle is None or oracle.model is not model or not _holds_all(oracle, kb):
+            if oracle is None or oracle.model is not model or not oracle.covers(kb):
                 oracle = _slot.oracle = EntailmentOracle(model, kb)
         elif oracle.model != model:
             raise ExplainError("the supplied oracle was built over a different model")
-        elif not _holds_all(oracle, kb):
+        elif not oracle.covers(kb):
             raise ExplainError("the knowledge has clauses outside the supplied "
                                "oracle's knowledge base")
         self.oracle, self.instance, self.knowledge = oracle, instance, kb
@@ -363,11 +358,11 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))
     if oracle.query(fset, instance, c, KnowledgeBase(), status_only=True).entails:
-        return knowledge.subset([])
-    kept = list(knowledge.clauses)
-    for clause in knowledge.clauses:
+        return q.knowledge.subset([])
+    kept = list(q.knowledge.clauses)
+    for clause in q.knowledge.clauses:
         trial = [cl for cl in kept if cl != clause]
         if oracle.query(fset, instance, c, KnowledgeBase(tuple(trial)),
                         status_only=True).entails:
             kept = trial
-    return knowledge.subset(kept)
+    return q.knowledge.subset(kept)

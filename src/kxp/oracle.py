@@ -42,22 +42,26 @@ A witness is re-checked apart from the search: its fixed values and class
 directly, the active clauses by per (feature, value) masks of the clauses
 that value satisfies, built from the knowledge clauses themselves.
 
-Every searched answer is also kept as a certificate (`_Certificates`). An
-entailment is its fixed values, the contested class and the active clause
-mask; it answers any later query that fixes a superset of those values, for
-the same class, under a superset of those clauses. A counterexample is its
-witness, the class the re-check gave it and the mask of the clauses it
-satisfies; it answers any later query whose fixed values it agrees with,
-whose contested class is not its class and whose active clauses it
-satisfies. A query consults the entailments first, then, only when its
-caller reads nothing but the status (`status_only`), the witnesses; either
-hit returns without search and leaves the kept levels as they are. An
-entailment carries no witness, so a witness `query` returns is always the
-search's first, independent of the queries asked before; a status-only
-counterexample may carry an earlier query's witness instead. `calls` counts
-every question and `store_hits` those the store answered. Each store also
-keeps the entries that no clause of the base bars, so a switch to the whole
-base or to no knowledge needs no pass over its entries.
+A searched answer is also kept as a certificate (`_Certificates`) when the
+query runs under the whole base or under no clause, the subsets rows are
+explained under with and without the knowledge; an attribution trial's
+answers are not kept. An entailment is its fixed values and the
+contested class; it answers a later query that fixes a superset of those
+values, for the same class. A counterexample is its witness and the class
+the re-check gave it; it answers a later query whose fixed values it agrees
+with and whose contested class is not its class. Each store marks its
+`plain` entries: an entailment found with no clause active, a witness that
+breaks no clause of the base. Under the whole base every entailment may
+answer, under no clause every witness, and under any other subset only the
+plain entries: an entailment holds under every superset of the clauses it
+was found under, and a witness is a counterexample under every subset of
+the clauses it satisfies. A query consults the entailments first, then,
+only when its caller reads nothing but the status (`status_only`), the
+witnesses; either hit returns without search and leaves the kept levels as
+they are. An entailment carries no witness, so a witness `query` returns is
+always the search's first, independent of the queries asked before; a
+status-only counterexample may carry an earlier query's witness instead.
+`calls` counts every question and `store_hits` those the store answered.
 """
 
 from __future__ import annotations
@@ -270,37 +274,32 @@ _STORE_SIZE = 1024
 
 class _Certificates:
     """Earlier answers of one kind, each a partial assignment (`values[f]`
-    for each f of `features`), a class and a clause mask, under ids
-    0.._STORE_SIZE-1 that are reused oldest first. Here the entries are
-    witnesses, and each assigns every feature.
+    for each f of `features`) and a class, under ids 0.._STORE_SIZE-1 that
+    are reused oldest first. Here the entries are witnesses, and each
+    assigns every feature.
 
     Per (feature, value) one bitset holds the ids that assign it (`has`), per
-    class one the ids of that class. An entry's mask holds the clauses that
-    may not be `clashing` for it to answer: the oracle sets the clashing
-    clauses when its active ones change (`retarget`), and a new entry is
-    added under them and does not clash. `usable` holds the ids that do not
-    clash, and `clean` those whose mask holds no clause of the base, so that
-    no clause or every clause clashing needs no pass over the entries."""
+    class one the ids of that class, and `plain` the ids of the entries that
+    may answer under every knowledge subset. A lookup reads every entry
+    (`every`) or only the plain ones."""
 
-    def __init__(self, sizes: list[int], classes: int, clauses: int):
+    def __init__(self, sizes: list[int], classes: int):
         self.has = [[0] * size for size in sizes]
         self.of_class = [0] * classes
-        self.base = (1 << clauses) - 1
-        # per id: (features, values, class, mask)
-        self.entries: list[tuple[Iterable[int], tuple[int, ...], int, int]] = []
-        self.usable = self.clean = 0
+        self.entries: list[tuple[Iterable[int], tuple[int, ...], int]] = []  # per id
+        self.plain = 0
         self._next = 0
 
     def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
-            mask: int) -> int:
+            plain: bool) -> int:
         """Keep an entry, in place of the oldest when the store is full; its id's bit."""
         i = self._next
         self._next = (i + 1) % _STORE_SIZE
         bit = 1 << i
         has = self.has
-        entry = (features, values, cls, mask)
+        entry = (features, values, cls)
         if i < len(self.entries):
-            old_features, old_values, old_cls, _ = self.entries[i]
+            old_features, old_values, old_cls = self.entries[i]
             for f in old_features:
                 has[f][old_values[f]] ^= bit
             self.of_class[old_cls] ^= bit
@@ -310,27 +309,14 @@ class _Certificates:
         for f in features:
             has[f][values[f]] |= bit
         self.of_class[cls] |= bit
-        self.usable |= bit
-        if mask & self.base:
-            self.clean &= ~bit
-        else:
-            self.clean |= bit
+        self.plain = self.plain | bit if plain else self.plain & ~bit
         return bit
 
-    def retarget(self, clashing: int) -> None:
-        if not clashing:
-            self.usable = (1 << len(self.entries)) - 1
-        elif clashing == self.base:
-            self.usable = self.clean
-        else:
-            self.usable = sum(1 << i for i, entry in enumerate(self.entries)
-                              if not entry[3] & clashing)
-
-    def agreeing(self, fixed: set[int], values: tuple[int, ...],
-                 cls: int) -> Optional[tuple[int, ...]]:
-        """The values of a usable entry of a class other than cls that agrees
+    def agreeing(self, fixed: set[int], values: tuple[int, ...], cls: int,
+                 every: bool) -> Optional[tuple[int, ...]]:
+        """The values of an entry of a class other than cls that agrees
         with the query on every fixed feature, or None."""
-        ids = self.usable & ~self.of_class[cls]
+        ids = ((1 << len(self.entries)) - 1 if every else self.plain) & ~self.of_class[cls]
         has = self.has
         for f in fixed:
             if not ids:
@@ -343,24 +329,25 @@ class _Entailments(_Certificates):
     """Earlier entailments: each fixes some features, and per feature one
     bitset holds the ids that fix it (`fixes`)."""
 
-    def __init__(self, sizes: list[int], classes: int, clauses: int):
-        super().__init__(sizes, classes, clauses)
+    def __init__(self, sizes: list[int], classes: int):
+        super().__init__(sizes, classes)
         self.fixes = [0] * len(sizes)
 
     def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
-            mask: int) -> int:
+            plain: bool) -> int:
         fixes, i = self.fixes, self._next
         if i < len(self.entries):
             for f in self.entries[i][0]:
                 fixes[f] ^= 1 << i
-        bit = super().add(features, values, cls, mask)
+        bit = super().add(features, values, cls, plain)
         for f in features:
             fixes[f] |= bit
         return bit
 
-    def within(self, fixed: set[int], values: tuple[int, ...], cls: int) -> bool:
-        """Is a usable entry of class cls assigned only values the query fixes?"""
-        ids = self.usable & self.of_class[cls]
+    def within(self, fixed: set[int], values: tuple[int, ...], cls: int,
+               every: bool) -> bool:
+        """Is an entry of class cls assigned only values the query fixes?"""
+        ids = self.of_class[cls] if every else self.plain & self.of_class[cls]
         has = self.has
         for f, fx in enumerate(self.fixes):
             if not ids:
@@ -429,10 +416,7 @@ class EntailmentOracle:
                     if (v != lit.value) == lit.negated:  # `Literal.holds` at v
                         row[v] |= 1 << ci
         self._active = (1 << len(self.clauses)) - 1
-        # an entailment is kept with the clauses it was found under, which
-        # may not be switched off; a witness with those it breaks, which may
-        # not be active
-        args = (self._sizes, model.class_count(), len(self.clauses))
+        args = (self._sizes, model.class_count())
         self._entailed, self._witnesses = _Entailments(*args), _Certificates(*args)
 
     # -- clause database -----------------------------------------------------
@@ -450,25 +434,26 @@ class EntailmentOracle:
                 self.watch.setdefault(events[pos], []).append(ci)
         return ci
 
+    def covers(self, knowledge: KnowledgeBase) -> bool:
+        """Does the oracle's knowledge base hold every clause of `knowledge`?"""
+        return knowledge is self.knowledge or self._kb_ids.keys() >= set(knowledge.clauses)
+
     def _switch(self, knowledge: Optional[KnowledgeBase]) -> None:
-        """Make `knowledge` the subset in force; the kept levels and the
-        stores' usable entries change only when the switched-off clauses do."""
+        """Make `knowledge` the subset in force; the kept levels change only
+        when the switched-off clauses do."""
         off: set[int] = set()
         if knowledge is not None:
-            active = set(knowledge.clauses)
-            if any(clause not in self._kb_ids for clause in active):
+            if not self.covers(knowledge):
                 raise OracleError("the knowledge subset has a clause outside "
                                   "the oracle's knowledge base")
+            active = set(knowledge.clauses)
             off = {ci for clause, ci in self._kb_ids.items() if clause not in active}
         self._subset = knowledge
         if off != self._off:
             self._undo_to(0)
             self._levels.clear()
             self._off = off
-            switched = sum(1 << ci for ci in off)
-            self._active = (1 << len(self.clauses)) - 1 - switched
-            self._entailed.retarget(switched)
-            self._witnesses.retarget(self._active)
+            self._active = (1 << len(self.clauses)) - 1 - sum(1 << ci for ci in off)
 
     # -- propagation ---------------------------------------------------------
 
@@ -646,29 +631,32 @@ class EntailmentOracle:
         if knowledge is not self._subset:  # a KnowledgeBase is frozen
             self._switch(knowledge)
         self.calls += 1
-        off = self._off
+        off, active = self._off, self._active
         values = instance.values
-        if self._entailed.within(fixed, values, contested):
+        if self._entailed.within(fixed, values, contested, not off):
             self.store_hits += 1
             return OracleResult(Status.ENTAILS)
         if status_only:
-            stored = self._witnesses.agreeing(fixed, values, contested)
+            stored = self._witnesses.agreeing(fixed, values, contested, not active)
             if stored is not None:
                 self.store_hits += 1
                 return OracleResult(Status.COUNTEREXAMPLE, Instance(stored))
         assumptions = [slit for ci, slit in self.units if ci not in off]
         assumptions += [(f, values[f], False) for f in sorted(fixed, reverse=True)]
         witness = self._solve(assumptions, contested)
+        keep = not off or not active  # the whole base or no clause
         if witness is None:
-            self._entailed.add(tuple(fixed), values, contested, self._active)
+            if keep:
+                self._entailed.add(tuple(fixed), values, contested, not active)
             return OracleResult(Status.ENTAILS)
         satisfied = 0
         for row, v in zip(self._satisfies, witness.values):
             satisfied |= row[v]
         cls = self.model.classify(witness)
         if not (all(witness.values[f] == values[f] for f in fixed)
-                and not self._active & ~satisfied and cls != contested):
+                and not active & ~satisfied and cls != contested):
             raise AssertionError("witness fails direct evaluation")
-        self._witnesses.add(self._features, witness.values, cls, ~satisfied)
+        if keep:
+            self._witnesses.add(self._features, witness.values, cls,
+                                satisfied == (1 << len(self.clauses)) - 1)
         return OracleResult(Status.COUNTEREXAMPLE, witness)
-

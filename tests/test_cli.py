@@ -360,6 +360,42 @@ def test_explain_jobs_parallel_matches_serial(tmp_path):
     assert strip_volatile(read_jsonl(out1)[1:]) == strip_volatile(read_jsonl(out2)[1:])
 
 
+def test_explain_jobs_start_no_more_workers_than_tasks(monkeypatch, tmp_path):
+    """A pool gets at most one worker per task, and one task runs serially;
+    the manifest keeps --jobs as given. The pool is a fake that runs the
+    tasks in this process, so no worker is started."""
+    import kxp.cli as cli
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    serial = str(tmp_path / "serial.jsonl")
+    assert main(["explain", DL, TOY, "--instances", "0,1", "--enum", "2",
+                 "--out", serial]) == 0
+    for instances, workers in (("0,1", [2]), ("0", [])):
+        out = str(tmp_path / ("jobs%s.jsonl" % instances))
+        pools.clear()
+        assert main(["explain", DL, TOY, "--instances", instances, "--enum", "2",
+                     "--jobs", "64", "--out", out]) == 0
+        assert pools == workers
+        records = read_jsonl(out)
+        assert records[0]["manifest"]["limits"]["jobs"] == 64
+        assert records[1:] == read_jsonl(serial)[1:1 + len(instances.split(","))]
+
+
 def test_explain_records_are_byte_stable(tmp_path):
     rules = str(tmp_path / "rules.jsonl")
     assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0

@@ -658,6 +658,13 @@ def test_attribute_empty_for_plain_axp(small_dl, separated_male,
     assert len(used) == 0
 
 
+def test_attribute_without_knowledge_is_empty(small_dl, separated_male):
+    # None is no knowledge, as in the other entry points
+    axp = find_axp(small_dl, separated_male).features
+    used = attribute_rules(small_dl, separated_male, None, axp)
+    assert isinstance(used, KnowledgeBase) and len(used) == 0
+
+
 def test_attribute_precondition(small_dl, separated_male, marital_constraint):
     with pytest.raises(ExplainError):
         attribute_rules(small_dl, separated_male, marital_constraint,

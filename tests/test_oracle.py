@@ -606,6 +606,53 @@ def test_certificate_store_matches_fresh_oracles(monkeypatch):
     assert min(small.values()) >= 100, hits
 
 
+def test_certificate_store_rule(threshold_dl, bool3_space):
+    """Answers are kept only under the whole base or no clause. An
+    entailment found under the whole base answers only there, one found
+    under no clause everywhere; a witness that breaks a clause answers only
+    under no clause. A query under a strict subset keeps nothing."""
+    L = bool3_space.literal
+    b1, c1 = Clause.of([L("b", "1")]), Clause.of([L("c", "1")])
+    kb = KnowledgeBase((b1, c1))
+    v = Instance((1, 1, 1))  # positive: at least two of three set
+    subsets = {"whole": None, "b": KnowledgeBase((b1,)), "c": KnowledgeBase((c1,)),
+               "none": KnowledgeBase()}
+
+    def ask(oracle, fixed, name):
+        """(status, answered from the store) of a status-only query."""
+        before = oracle.store_hits
+        res = oracle.query(fixed, v, 1, subsets[name], status_only=True)
+        return res.status, oracle.store_hits > before
+
+    def kept(oracle):
+        return len(oracle._entailed.entries), len(oracle._witnesses.entries)
+
+    ENT, CEX = Status.ENTAILS, Status.COUNTEREXAMPLE
+    # fixing a entails under b or c: found under the whole base, the
+    # entailment answers only there
+    oracle = EntailmentOracle(threshold_dl, kb)
+    assert ask(oracle, {0}, "whole") == (ENT, False) and kept(oracle) == (1, 0)
+    assert ask(oracle, {0}, "b") == (ENT, False)
+    assert ask(oracle, {0}, "c") == (ENT, False)
+    assert kept(oracle) == (1, 0)  # strict subsets keep nothing
+    assert ask(oracle, {0}, "none") == (CEX, False)  # witness (1, 0, 0)
+    assert ask(oracle, {0}, "whole") == (ENT, True)
+    # fixing a and b entails under no clause, so under every subset
+    oracle = EntailmentOracle(threshold_dl, kb)
+    assert ask(oracle, {0, 1}, "none") == (ENT, False)
+    for name in ("whole", "b", "c", "none"):
+        assert ask(oracle, {0, 1}, name) == (ENT, True)
+    # the search's witness (0, 0, 0) breaks both clauses: it answers under
+    # no clause only
+    oracle = EntailmentOracle(threshold_dl, kb)
+    assert ask(oracle, set(), "none") == (CEX, False) and kept(oracle) == (0, 1)
+    assert ask(oracle, set(), "none") == (CEX, True)
+    assert ask(oracle, set(), "b") == (CEX, False)  # witness (0, 1, 0)
+    assert ask(oracle, set(), "c") == (CEX, False)
+    assert ask(oracle, set(), "whole") == (ENT, False)
+    assert kept(oracle) == (1, 1)  # the whole base's entailment only
+
+
 # ---------------------------------------------------------------------------
 # the trail is the oracle's only undo log
 
