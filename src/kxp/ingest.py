@@ -1,4 +1,4 @@
-"""Dataset loading, numeric quantization into intervals, splits and folds."""
+"""Dataset loading, numeric quantization into intervals, splits, folds and row bitsets."""
 
 from __future__ import annotations
 
@@ -98,6 +98,16 @@ class Dataset:
                 cells.insert(pos, label)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(lines)
+
+
+def row_bitsets(space: FeatureSpace, insts: Sequence[Instance]) -> list[list[int]]:
+    """Row bitsets per feature value: bit i of cols[f][v] is set iff row i has f = v."""
+    cols = []
+    for f in range(space.m):
+        column = [inst.values[f] for inst in reversed(insts)]
+        cols.append([int("".join("1" if x == v else "0" for x in column) or "0", 2)
+                     for v in range(len(space.domain(f)))])
+    return cols
 
 
 def _try_float(cell: str) -> Optional[float]:

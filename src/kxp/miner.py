@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from .core import (NUMBER, Clause, FeatureSpace, Instance, KnowledgeBase, Literal,
                    Rule, SpaceError, json_field, rebind_rule, rule_to_clause,
                    space_from_obj, space_to_obj, validate_rule)
-from .ingest import Dataset
+from .ingest import Dataset, row_bitsets
 
 RULES_FORMAT = "kxp.rules/1"
 
@@ -61,16 +61,6 @@ def _out_of_time(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _columns(space: FeatureSpace, insts: list[Instance]) -> list[list[int]]:
-    """Row bitsets per feature value: bit i of cols[f][v] is set iff row i has f = v."""
-    cols = []
-    for f in range(space.m):
-        column = [inst.values[f] for inst in reversed(insts)]
-        cols.append([int("".join("1" if x == v else "0" for x in column) or "0", 2)
-                     for v in range(len(space.domain(f)))])
-    return cols
-
-
 def _antecedent_literals(space: FeatureSpace) -> list[Literal]:
     # = literals for every value; != only where the domain has 3+ values
     # (binary != normalizes to the complementary =)
@@ -101,7 +91,7 @@ def _mine(space: FeatureSpace, insts: list[Instance], limit: ExtractionLimit,
         return found, True
     if n < limit.min_support:
         return found, False
-    cols = _columns(space, insts)
+    cols = row_bitsets(space, insts)
     # rows where f != v: a node's rows lie in column f = v iff they miss these
     outside = [[full & ~c for c in fcols] for fcols in cols]
     vals = [inst.values for inst in insts]
@@ -251,7 +241,7 @@ def eclat_mine(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> li
     insts = train.instances()
     n = len(insts)
     items = space.equalities()
-    cols = _columns(space, insts)
+    cols = row_bitsets(space, insts)
     tids = [cols[lit.feature][lit.value] for lit in items]
     order = [i for i in range(len(items)) if tids[i].bit_count() >= min_support]
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Mapping, Optional, Union
 
 from .core import (FeatureSpace, Instance, Literal, SpaceError, json_field,
                    read_json, space_from_obj, space_to_obj, write_json)
-from .ingest import Dataset
+from .ingest import Dataset, row_bitsets
 
 MODEL_FORMAT = "kxp.model/1"
 
@@ -241,6 +242,10 @@ def load_model(path) -> Model:
 
 # ---------------------------------------------------------------------------
 # convenience trainers (desk-scale harness models; no quality claims)
+# The decision-list trainer counts a test's rows and target rows as bit counts
+# of row bitsets ANDed with the rows the rule still covers. The ensemble trainer
+# skips a test whose gain, estimated from sums alone, trails the best by more
+# than the rounding of either figure, so the test that wins is unchanged.
 
 def _class_instances(ds: Dataset) -> tuple[FeatureSpace, list[Instance], list[int]]:
     if ds.class_labels is None:
@@ -256,83 +261,118 @@ def train_decision_list(ds: Dataset) -> DecisionList:
     """Greedy sequential covering; deterministic, first-appearance tie-breaks."""
     space, insts, labels = _class_instances(ds)
     classes = ds.class_domain
-    all_lits = space.equalities()
-    remaining = list(range(len(insts)))
+    cols = row_bitsets(space, insts)
+    tests = [(lit, cols[lit.feature][lit.value]) for lit in space.equalities()]
+    class_rows = [sum(1 << i for i, y in enumerate(labels) if y == c)
+                  for c in range(len(classes))]
+
+    def majority(rows: int) -> int:
+        return max(range(len(classes)), key=lambda c: ((class_rows[c] & rows).bit_count(), -c))
+
+    remaining = every = (1 << len(insts)) - 1
     rules: list[DLRule] = []
     while remaining and len(rules) < _DL_MAX_RULES:
-        counts = Counter(labels[i] for i in remaining)
-        target = max(range(len(classes)), key=lambda c: (counts[c], -c))
-        covered = list(remaining)
+        target = majority(remaining)
+        hits = class_rows[target]
+        covered = remaining
         chosen: list[Literal] = []
-        while len(chosen) < _DL_MAX_ANTECEDENT:
-            pure = all(labels[i] == target for i in covered)
-            if pure:
-                break
+        used = 0  # bit f: the rule tests feature f
+        while len(chosen) < _DL_MAX_ANTECEDENT and covered & ~hits:
             best = None
-            for lit in all_lits:
-                if any(l.feature == lit.feature for l in chosen):
+            for lit, rows in tests:
+                if used >> lit.feature & 1:
                     continue
-                sub = [i for i in covered if lit.holds(insts[i])]
-                pos = sum(1 for i in sub if labels[i] == target)
-                if not sub or pos == 0:
+                sub = covered & rows
+                pos = (sub & hits).bit_count()
+                if pos == 0:
                     continue
-                score = (pos / len(sub), pos)
+                score = (pos / sub.bit_count(), pos)
                 if best is None or score > best[0]:
                     best = (score, lit, sub)
             if best is None:
                 break
             chosen.append(best[1])
+            used |= 1 << best[1].feature
             covered = best[2]
-        if not chosen or not covered:
+        if not chosen:
             break
         rules.append(DLRule(frozenset(chosen), target))
-        covered_set = set(covered)
-        remaining = [i for i in remaining if i not in covered_set]
-    counts = Counter(labels[i] for i in remaining or range(len(insts)))
-    default = max(range(len(classes)), key=lambda c: (counts[c], -c))
-    return DecisionList(space, classes, tuple(rules), default)
+        remaining &= ~covered
+    return DecisionList(space, classes, tuple(rules), majority(remaining or every))
 
 
 _BT_LEARNING_RATE = 0.5
 _BT_SCALE = 4
 _BT_MIN_LEAF = 4
+_GAIN_SLACK = 1e-12  # per row and unit of 1 + sum(r^2); see `_fit_tree`
 
 
-def _fit_tree(insts, rows, residual, lits, depth) -> tuple[Tree, bool]:
+def _gain_estimate(total: float, n: int, sy: float, ny: int) -> float:
+    """A split's gain from sums alone: Sy^2/ny + Sn^2/nn - S^2/n."""
+    return sy * sy / ny + (total - sy) ** 2 / (n - ny) - total * total / n
+
+
+def _exact_gain(sse: float, yes: list[float], no: list[float]) -> float:
+    """A split's gain: the node's squared error less both sides' about their means."""
+    ymean, nmean = sum(yes) / len(yes), sum(no) / len(no)
+    return sse - (sum((x - ymean) ** 2 for x in yes) + sum((x - nmean) ** 2 for x in no))
+
+
+def _split(items, vals, v: int) -> tuple[list, list]:
+    """The items whose value in `vals` is v, and the others, in order."""
+    return list(compress(items, map(v.__eq__, vals))), list(compress(items, map(v.__ne__, vals)))
+
+
+def _fit_tree(rows: list[int], residual: list[float], tests, depth: int) -> tuple[Tree, bool]:
     """Least-squares regression tree over literal tests, leaves at fixed point;
-    bool flags a real split."""
-    mean = sum(residual[i] for i in rows) / len(rows) if rows else 0.0
+    bool flags a real split. `tests` pairs each feature's value column with
+    its `=` literals, in (feature, value) order."""
+    r = [residual[i] for i in rows]
+    n, total = len(r), sum(r)
+    mean = total / n if rows else 0.0
     leaf = Leaf(int(round(mean * _BT_LEARNING_RATE * 10 ** _BT_SCALE)))
-    if depth == 0 or len(rows) < 2 * _BT_MIN_LEAF:
+    if depth == 0 or n < 2 * _BT_MIN_LEAF:
         return leaf, False
-    sse = sum((residual[i] - mean) ** 2 for i in rows)
-    best = None
-    for lit in lits:
-        yes = [i for i in rows if lit.holds(insts[i])]
-        if len(yes) < _BT_MIN_LEAF or len(rows) - len(yes) < _BT_MIN_LEAF:
-            continue
-        yes_set = set(yes)
-        no = [i for i in rows if i not in yes_set]
-        ymean = sum(residual[i] for i in yes) / len(yes)
-        nmean = sum(residual[i] for i in no) / len(no)
-        gain = sse - (sum((residual[i] - ymean) ** 2 for i in yes)
-                      + sum((residual[i] - nmean) ** 2 for i in no))
-        if best is None or gain > best[0] + 1e-12:
-            best = (gain, lit, yes, no)
+    sse = sum((x - mean) ** 2 for x in r)
+    # The exact gain and the estimate approximate the same real gain, each
+    # within about 10 * n * u * sum(r^2) for u = 2^-53 (each sum rounds n
+    # terms, and S^2/n is at most sum(r^2)). The slack is some 1e3 times
+    # that, so a test skipped here could not have beaten `best + 1e-12`.
+    slack = _GAIN_SLACK * n * (1 + sum(x * x for x in r))
+    pick, best = itemgetter(*rows), None
+    for column, lits in tests:
+        vals = pick(column)
+        for lit in lits:
+            ny = vals.count(lit.value)
+            if ny < _BT_MIN_LEAF or n - ny < _BT_MIN_LEAF:
+                continue
+            sy = sum(compress(r, map(lit.value.__eq__, vals)))
+            estimate = _gain_estimate(total, n, sy, ny)
+            if best is not None and estimate + slack <= best[0] + 1e-12:
+                continue
+            gain = _exact_gain(sse, *_split(r, vals, lit.value))
+            if best is None or gain > best[0] + 1e-12:
+                best = (gain, lit, vals)
     if best is None or best[0] <= 1e-9:
         return leaf, False
-    _, lit, yes, no = best
-    ytree, _ = _fit_tree(insts, yes, residual, lits, depth - 1)
-    ntree, _ = _fit_tree(insts, no, residual, lits, depth - 1)
-    return Node(lit, ytree, ntree), True
+    _, lit, vals = best
+    yes, no = _split(rows, vals, lit.value)
+    return Node(lit, _fit_tree(yes, residual, tests, depth - 1)[0],
+                _fit_tree(no, residual, tests, depth - 1)[0]), True
 
 
 def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2) -> BoostedEnsemble:
-    """Least-squares stump boosting at fixed-point scale; one-vs-rest when multiclass."""
+    """Least-squares stump boosting at fixed-point scale; one-vs-rest when multiclass.
+    `rounds` below 1 or `depth` below 0, or either not an int, raises ModelError."""
+    for name, value, least in (("rounds", rounds, 1), ("depth", depth, 0)):
+        if type(value) is not int or value < least:  # a bool is no count
+            raise ModelError("%s must be an integer >= %d, got %r" % (name, least, value))
     space, insts, labels = _class_instances(ds)
     classes = ds.class_domain
-    lits = space.equalities()
     rows = list(range(len(insts)))
+    tests = [([inst.values[f] for inst in insts],
+              [space.literal(f, v) for v in range(len(space.domain(f)))])
+             for f in range(space.m)]
 
     def boost(target_cls: int) -> tuple[Tree, ...]:
         target = [1.0 if labels[i] == target_cls else -1.0 for i in rows]
@@ -340,7 +380,7 @@ def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2) -> BoostedEnsem
         group: list[Tree] = []
         for _ in range(rounds):
             residual = [target[i] - score[i] for i in rows]
-            tree, split = _fit_tree(insts, rows, residual, lits, depth)
+            tree, split = _fit_tree(rows, residual, tests, depth)
             group.append(tree)
             for i in rows:
                 score[i] += _walk(tree, insts[i]).weight / 10 ** _BT_SCALE

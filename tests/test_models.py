@@ -1,19 +1,24 @@
+import hashlib
 import json
 import random
-from collections import deque
+import re
+from collections import Counter, deque
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from kxp import models
 from kxp import (Dataset, Instance, load_model, save_model, train_boosted,
                  train_decision_list)
 from kxp.models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
                         model_from_obj, model_to_obj, _walk)
 from kxp.oracle import EntailmentOracle, _collect_paths, _event
 
-from util import (dl_possible_reference, group_bounds, mask_values, random_bt,
-                  random_dl, random_instance, random_space, reference_boosted,
-                  tree_bounds, tree_tested_features)
+from util import (dl_possible_reference, group_bounds, mask_values, planted_dataset,
+                  random_bt, random_dl, random_instance, random_space, random_table,
+                  reference_boosted, reference_decision_list, tree_bounds,
+                  tree_tested_features)
 
 
 def cls_of(model, inst):
@@ -400,16 +405,151 @@ def test_fixed_point_matches_float_summation(toy_bt):
 
 
 def test_train_boosted_matches_reference_fit():
-    """Leaf for leaf against exhaustive best-gain splits, binary and multiclass."""
+    """Leaf for leaf against exhaustive best-gain splits, binary and multiclass,
+    with duplicate columns and Boolean features (exactly tied and mirrored
+    gains) and two tables of several hundred rows."""
     rng = random.Random(515)
-    for trial in range(8):
-        sp = random_space(rng, min_features=3, max_features=5, max_domain=4)
+    for trial in range(14):
         n_classes = 2 if trial % 2 == 0 else 3
-        rows = tuple(random_instance(rng, sp).values for _ in range(rng.randint(20, 60)))
-        labels = tuple(rng.randrange(n_classes) if rng.random() < 0.3
-                       else (r[0] + r[1]) % n_classes for r in rows)
-        ds = Dataset(sp.names, tuple(d for _, d in sp.features), rows, "y",
-                     tuple("c%d" % c for c in range(n_classes)), labels)
+        if trial < 8:
+            sp = random_space(rng, min_features=3, max_features=5, max_domain=4)
+            rows = tuple(random_instance(rng, sp).values for _ in range(rng.randint(20, 60)))
+            labels = tuple(rng.randrange(n_classes) if rng.random() < 0.3
+                           else (r[0] + r[1]) % n_classes for r in rows)
+            ds = Dataset(sp.names, tuple(d for _, d in sp.features), rows, "y",
+                         tuple("c%d" % c for c in range(n_classes)), labels)
+        else:
+            ds = random_table(rng, rng.randint(300, 500) if trial >= 12 else rng.randint(20, 60),
+                              n_classes, duplicate=True, binary=trial >= 10)
         rounds, depth = rng.randint(1, 6), rng.randint(1, 3)
         got = train_boosted(ds, rounds=rounds, depth=depth)
         assert got == reference_boosted(ds, rounds, depth), "trial %d" % trial
+
+
+@pytest.mark.parametrize("args", [
+    {"rounds": 0}, {"rounds": -2}, {"rounds": 1.5}, {"rounds": True},
+    {"depth": -1}, {"depth": 1.5}, {"depth": True}, {"depth": "2"},
+])
+def test_train_boosted_rejects_bad_counts(toy_ds, args):
+    [(name, value)] = args.items()
+    least = {"rounds": 1, "depth": 0}[name]
+    with pytest.raises(ModelError, match="%s must be an integer >= %d, got %s"
+                       % (name, least, re.escape(repr(value)))):
+        train_boosted(toy_ds, **args)
+
+
+def test_train_boosted_accepts_least_counts(toy_ds):
+    model = train_boosted(toy_ds, rounds=1, depth=0)
+    assert len(model.trees[0]) == 1 and isinstance(model.trees[0][0], Leaf)
+
+
+def test_gain_estimate_within_slack():
+    """The sums-only estimate of a split's gain stays within the skip slack
+    of the exact two-pass gain, also far from zero mean."""
+    rng = random.Random(2001)
+    worst = 0.0
+    for trial in range(240):
+        n = rng.randint(8, 5000) if trial % 8 == 0 else rng.randint(8, 400)
+        scale = 10 ** rng.uniform(-4, 2)
+        offset = rng.choice((0.0, 1.0, 1e3)) * rng.uniform(-1, 1) * scale
+        r = [offset + rng.gauss(0.0, scale) for _ in range(n)]
+        ny = rng.randint(1, n - 1)
+        chosen = set(rng.sample(range(n), ny))
+        yes = [x for i, x in enumerate(r) if i in chosen]
+        no = [x for i, x in enumerate(r) if i not in chosen]
+        total = sum(r)
+        mean = total / n
+        exact = models._exact_gain(sum((x - mean) ** 2 for x in r), yes, no)
+        estimate = models._gain_estimate(total, n, sum(yes), ny)
+        slack = models._GAIN_SLACK * n * (1 + sum(x * x for x in r))
+        worst = max(worst, abs(exact - estimate) / slack)
+    assert worst <= 1, worst
+
+
+def test_most_splits_skip_the_exact_gain(monkeypatch):
+    """On a planted table, fewer than a quarter of the tests that pass the
+    leaf-size floor reach the exact gain, and the model is unchanged."""
+    ds = planted_dataset(random.Random(77), 600)
+    expected = train_boosted(ds, rounds=10, depth=2)
+    calls = Counter()
+    for name in ("_gain_estimate", "_exact_gain"):
+        def counted(*args, inner=getattr(models, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(models, name, counted)
+    assert train_boosted(ds, rounds=10, depth=2) == expected
+    assert 0 < 4 * calls["_exact_gain"] < calls["_gain_estimate"], calls
+
+
+def _pinned_tables():
+    """About forty seeded training tables with their boosting rounds and depth."""
+    rng = random.Random(2020)
+    tables = []
+    for t in range(42):
+        if t % 6 == 0:
+            ds = planted_dataset(rng, rng.randint(40, 240))
+        else:
+            ds = random_table(rng, rng.randint(12, 160),
+                              n_classes=2 if t % 3 else rng.randint(3, 4),
+                              duplicate=t % 4 == 1, constant=t % 5 == 2, binary=t % 2 == 1)
+        tables.append((ds, rng.randint(1, 10), rng.randint(1, 3)))
+    return tables
+
+
+# sha256 over the canonical JSON of both trainers' models on `_pinned_tables`,
+# recorded with the row-by-row trainers that the bitset and column ones replaced
+TRAINER_PIN = "ee28da552c346894c3606d532fa49b1ddaf99429fc365c87ce1d313ba5a9b48b"
+
+
+def test_trainer_outputs_pinned():
+    h = hashlib.sha256()
+    for ds, rounds, depth in _pinned_tables():
+        for model in (train_decision_list(ds), train_boosted(ds, rounds=rounds, depth=depth)):
+            h.update(json.dumps(model_to_obj(model), sort_keys=True).encode("utf-8") + b"\n")
+    assert h.hexdigest() == TRAINER_PIN
+
+
+def _covering_tables():
+    """Tables for the decision-list trainer, each with its case."""
+    rng = random.Random(1987)
+    out = []
+    for t in range(24):
+        out.append(("mixed %d" % t, random_table(
+            rng, rng.randint(8, 120), n_classes=2 if t % 2 else rng.randint(3, 4),
+            duplicate=t % 3 == 0, constant=t % 4 == 1, binary=t % 5 == 2)))
+    for t in range(4):
+        out.append(("tiny %d" % t, random_table(rng, rng.randint(0, 7), n_classes=2 + t % 2)))
+    for t in range(3):
+        ds = random_table(rng, rng.randint(5, 40), n_classes=3)
+        out.append(("pure %d" % t, replace(ds, class_labels=(t,) * ds.n_rows)))
+    for t in range(3):  # random labels: long lists, cut at 32 rules or when no test fits
+        out.append(("capped %d" % t, random_table(rng, 400, n_classes=2 + t % 2,
+                                                  max_domain=5, noise=1.0)))
+    for t in range(4):  # separable labels: covering ends with no row left
+        out.append(("covered %d" % t, random_table(rng, rng.randint(30, 150),
+                                                   n_classes=2 + t % 3, noise=0.0)))
+    return out
+
+
+def test_train_decision_list_matches_reference():
+    """Rule for rule against the row-by-row covering, over every case it has."""
+
+    def majority(ds, rows):
+        counts = Counter(ds.class_labels[i] for i in rows)
+        return max(range(len(ds.class_domain)), key=lambda c: (counts[c], -c))
+
+    seen = Counter()
+    for name, ds in _covering_tables():
+        got = train_decision_list(ds)
+        assert got == reference_decision_list(ds), name
+        insts = ds.instances()
+        left = [i for i, inst in enumerate(insts)
+                if not any(rule.matches(inst) for rule in got.rules)]
+        seen["no rules"] += not got.rules
+        seen["capped"] += len(got.rules) == 32
+        seen["none left"] += bool(insts) and not left
+        # the rows left decide the default, and all rows would not
+        seen["left decide"] += bool(left) and majority(ds, left) != majority(ds, range(len(insts)))
+        seen["multiclass"] += len(ds.class_domain) > 2
+    assert min(seen[case] for case in ("no rules", "capped", "none left", "left decide",
+                                       "multiclass")) >= 2, seen

@@ -5,7 +5,8 @@ full-subset enumeration against the exhaustive oracle, and powerset hitting
 set computation. None of it shares code paths with the implementations under
 test beyond the core vocabulary types, except `reference_attribution`, which
 builds a fresh oracle per knowledge subset to check the one-oracle version.
-`tree_bounds` is the recursive score bound the oracle's trail-kept bounds are
+`reference_decision_list` is the row-by-row greedy covering the bitset
+trainer is checked against. `tree_bounds` is the recursive score bound the oracle's trail-kept bounds are
 checked against, and `dl_possible_reference` the literal-by-literal decision
 list class test its live-rule bits are checked against. `query_to_dimacs`
 writes a query as CNF with its own encoding of a decision list, which
@@ -221,6 +222,96 @@ def reference_boosted(train: Dataset, rounds: int, depth: int, lr: float = 0.5,
         return BoostedEnsemble(space, classes, scale, (boost(1),), positive=1)
     return BoostedEnsemble(space, classes, scale,
                            tuple(boost(c) for c in range(len(classes))))
+
+
+# ---------------------------------------------------------------------------
+# reference decision-list trainer: greedy sequential covering, row by row
+
+def reference_decision_list(train: Dataset, max_rules: int = 32,
+                            max_antecedent: int = 3) -> DecisionList:
+    """Greedy sequential covering (Rivest's decision lists; CN2), plainly.
+
+    Each rule targets the majority class of the rows still uncovered (ties
+    to the lower class index). It adds `=` tests on features it does not
+    test yet, each the first in (feature, value) order with the highest
+    (precision, target rows) over the rows it still covers, until those
+    rows are all of the target class or it has `max_antecedent` tests.
+    Covering stops at `max_rules` rules, when no rows remain, or when no
+    test covers a target row. The default class is the majority of the rows
+    left, or of all rows when none are.
+    """
+    space = train.space
+    insts = train.instances()
+    labels = train.class_labels
+    k = len(train.class_domain)
+    tests = [space.literal(f, v) for f in range(space.m)
+             for v in range(len(space.domain(f)))]
+
+    def majority(rows):
+        counts = [0] * k
+        for i in rows:
+            counts[labels[i]] += 1
+        return max(range(k), key=lambda c: (counts[c], -c))
+
+    remaining = list(range(len(insts)))
+    rules = []
+    while remaining and len(rules) < max_rules:
+        target = majority(remaining)
+        covered = remaining
+        chosen = []
+        while (len(chosen) < max_antecedent
+               and any(labels[i] != target for i in covered)):
+            used = {lit.feature for lit in chosen}
+            best = None
+            for test in tests:
+                if test.feature in used:
+                    continue
+                rows = [i for i in covered if test.holds(insts[i])]
+                hits = len([i for i in rows if labels[i] == target])
+                if hits == 0:
+                    continue
+                score = (hits / len(rows), hits)
+                if best is None or score > best[0]:
+                    best = (score, test, rows)
+            if best is None:
+                break
+            chosen.append(best[1])
+            covered = best[2]
+        if not chosen:
+            break
+        rules.append(DLRule(frozenset(chosen), target))
+        remaining = [i for i in remaining if i not in covered]
+    return DecisionList(space, train.class_domain, tuple(rules),
+                        majority(remaining or range(len(insts))))
+
+
+def random_table(rng: random.Random, rows: int, n_classes: int = 2,
+                 max_domain: int = 4, noise: float = 0.3, duplicate: bool = False,
+                 constant: bool = False, binary: bool = False) -> Dataset:
+    """A random labelled table: the class is (f0 + f1) mod n_classes, or
+    random with probability `noise`. `duplicate` appends a copy of f0,
+    `constant` a column that holds one value, `binary` a Boolean column."""
+    sp = random_space(rng, min_features=3, max_features=5, max_domain=max_domain)
+    domains = [d for _, d in sp.features]
+    values = [list(random_instance(rng, sp).values) for _ in range(rows)]
+    if duplicate:
+        domains.append(domains[0])
+        for x in values:
+            x.append(x[0])
+    if constant:
+        domains.append(("v0", "v1", "v2"))
+        held = rng.randrange(3)
+        for x in values:
+            x.append(held)
+    if binary:
+        domains.append(("v0", "v1"))
+        for x in values:
+            x.append(rng.randrange(2))
+    labels = tuple(rng.randrange(n_classes) if rng.random() < noise
+                   else (x[0] + x[1]) % n_classes for x in values)
+    return Dataset(tuple("f%d" % f for f in range(len(domains))), tuple(domains),
+                   tuple(map(tuple, values)), "y",
+                   tuple("c%d" % c for c in range(n_classes)), labels)
 
 
 # ---------------------------------------------------------------------------
