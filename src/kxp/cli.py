@@ -238,8 +238,7 @@ def _run_one(task):
             "knowledge": use_kb,
             "explanations": [{"features": e.feature_names(model.space),
                               "size": e.size} for e in res.explanations],
-            "n_found": len(res.explanations), "exhausted": res.exhausted,
-            "calls": res.oracle_calls}
+            "n_found": len(res.explanations), "exhausted": res.exhausted}
 
 
 def cmd_explain(args) -> int:

@@ -39,19 +39,14 @@ _slot = threading.local()
 
 class _Questions:
     """Questions about one instance's prediction under `knowledge` (None:
-    none), put to one oracle: one oracle over (model, K) answers under any
-    subset of K. A supplied oracle must be built over the same model and
-    hold every clause of `knowledge`. Without one, the thread's last built
-    oracle serves when it meets the same test, with the same model object;
-    otherwise one is built over `knowledge` and takes its place, so rows
-    asked in turn with and without K share one build and its certificate
-    store."""
+    none), put to one oracle over the model and a base that holds every
+    clause of `knowledge`: the one supplied, or else the thread's (see the
+    module docstring)."""
 
     def __init__(self, model: Model, instance: Instance,
                  knowledge: Optional[KnowledgeBase],
                  oracle: Optional[EntailmentOracle]):
         kb = knowledge if knowledge is not None else KnowledgeBase()
-        check_compatible(instance, kb)
         if oracle is None:
             oracle = getattr(_slot, "oracle", None)
             if oracle is None or oracle.model is not model or not oracle.covers(kb):
@@ -65,19 +60,18 @@ class _Questions:
         self.predicted = model.classify(instance)
         # the oracle's whole knowledge base needs no clause switched off
         self._subset = kb if len(kb) < len(oracle.knowledge) else None
+        if kb and not oracle.compatible(instance, self._subset):
+            check_compatible(instance, kb)  # raises, naming a broken clause
 
-    def holds(self, kind: Kind, features: AbstractSet[int],
-              status_only: bool = True) -> tuple[bool, OracleResult]:
+    def holds(self, kind: Kind, features: AbstractSet[int]) -> tuple[bool, OracleResult]:
         """Does the set meet the kind's defining condition? One oracle call.
 
         An AXp fixes its features and entails the prediction; a CXp frees its
-        features, so fixing the rest does not entail it. A caller that reads
-        the witness clears `status_only`, so the witness is the search's.
+        features, so fixing the rest does not entail it.
         """
         axp = kind is Kind.AXP
         fixed = features if axp else frozenset(range(self.oracle.space.m)) - features
-        res = self.oracle.query(fixed, self.instance, self.predicted, self._subset,
-                                status_only=status_only)
+        res = self.oracle.query(fixed, self.instance, self.predicted, self._subset)
         return res.entails == axp, res
 
     def shrink(self, kind: Kind, seed: frozenset[int]) -> frozenset[int]:
@@ -153,7 +147,7 @@ def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
 class EnumerationResult:
     explanations: list[Explanation]
     exhausted: bool           # true when no further explanation exists
-    oracle_calls: int
+    oracle_calls: int         # unlike the sets, depends on the oracle's store
 
     @property
     def feature_sets(self) -> list[frozenset[int]]:
@@ -298,7 +292,7 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
 def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
                        knowledge: Optional[KnowledgeBase] = None, n: int = 20,
                        oracle: Optional[EntailmentOracle] = None) -> EnumerationResult:
-    """Up to n explanations of the kind, nondecreasing in size.
+    """The n least explanations of the kind in (size, lex) order (all, if fewer).
 
     Implicit hitting set loop: propose a minimum hitting set of the opposing
     duals collected so far (skipping supersets of prior emissions); an oracle
@@ -321,7 +315,7 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
         if cand is None:
             exhausted = True
             break
-        ok, res = q.holds(kind, cand, status_only=kind is not Kind.AXP)
+        ok, res = q.holds(kind, cand)
         if ok:
             out.append(Explanation(kind, cand, bool(q.knowledge)))
             hs.block(cand)  # no later candidate may contain an emission
@@ -357,12 +351,11 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     if not q.holds(Kind.AXP, fset)[0]:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))
-    if oracle.query(fset, instance, c, KnowledgeBase(), status_only=True).entails:
+    if oracle.query(fset, instance, c, KnowledgeBase()).entails:
         return q.knowledge.subset([])
     kept = list(q.knowledge.clauses)
     for clause in q.knowledge.clauses:
         trial = [cl for cl in kept if cl != clause]
-        if oracle.query(fset, instance, c, KnowledgeBase(tuple(trial)),
-                        status_only=True).entails:
+        if oracle.query(fset, instance, c, KnowledgeBase(tuple(trial))).entails:
             kept = trial
     return q.knowledge.subset(kept)

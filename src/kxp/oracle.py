@@ -34,34 +34,32 @@ only while the knowledge subset stays the same: a switched-off clause's
 watches do not move, so the two-watched-literal invariant holds again only
 from the empty trail, where a query with another subset starts.
 Propagation reaches one fixpoint whatever is reused, and the search returns
-the first solution in its fixed order, so answers and witnesses do not
-depend on the queries asked before. The state still confines an oracle to
-one task at a time.
+the first solution in its fixed order. The state confines an oracle to one
+task at a time.
 
 A witness is re-checked apart from the search: its fixed values and class
 directly, the active clauses by per (feature, value) masks of the clauses
-that value satisfies, built from the knowledge clauses themselves.
+that value satisfies, built from the knowledge clauses themselves; so is an
+instance's compatibility with a subset (`compatible`).
 
 A searched answer is also kept as a certificate (`_Certificates`) when the
 query runs under the whole base or under no clause, the subsets rows are
 explained under with and without the knowledge; an attribution trial's
-answers are not kept. An entailment is its fixed values and the
-contested class; it answers a later query that fixes a superset of those
-values, for the same class. A counterexample is its witness and the class
-the re-check gave it; it answers a later query whose fixed values it agrees
-with and whose contested class is not its class. Each store marks its
-`plain` entries: an entailment found with no clause active, a witness that
-breaks no clause of the base. Under the whole base every entailment may
-answer, under no clause every witness, and under any other subset only the
-plain entries: an entailment holds under every superset of the clauses it
-was found under, and a witness is a counterexample under every subset of
-the clauses it satisfies. A query consults the entailments first, then,
-only when its caller reads nothing but the status (`status_only`), the
-witnesses; either hit returns without search and leaves the kept levels as
-they are. An entailment carries no witness, so a witness `query` returns is
-always the search's first, independent of the queries asked before; a
-status-only counterexample may carry an earlier query's witness instead.
-`calls` counts every question and `store_hits` those the store answered.
+answers are not kept. An entailment (its fixed values and contested class)
+answers a later query that fixes a superset of those values, for the same
+class; a counterexample (its witness and the class the re-check gave it),
+one whose fixed values it agrees with and whose contested class is not its
+class. Each store marks its `plain` entries: an entailment found with no
+clause active, a witness that breaks no clause of the base. Under the whole
+base every entailment may answer, under no clause every witness, and under
+any other subset only the plain entries: an entailment holds under every
+superset of the clauses it was found under, and a witness is a
+counterexample under every subset of the clauses it satisfies. A query asks
+the entailments, then the witnesses, then searches; a hit leaves the kept
+levels as they are. So a status never depends on the queries asked before,
+but a witness is some counterexample, perhaps an earlier query's: the same
+for the same sequence of questions to one oracle. `calls` counts every
+question and `store_hits` those the store answered.
 """
 
 from __future__ import annotations
@@ -441,19 +439,34 @@ class EntailmentOracle:
     def _switch(self, knowledge: Optional[KnowledgeBase]) -> None:
         """Make `knowledge` the subset in force; the kept levels change only
         when the switched-off clauses do."""
-        off: set[int] = set()
-        if knowledge is not None:
-            if not self.covers(knowledge):
-                raise OracleError("the knowledge subset has a clause outside "
-                                  "the oracle's knowledge base")
-            active = set(knowledge.clauses)
-            off = {ci for clause, ci in self._kb_ids.items() if clause not in active}
+        if knowledge is self._subset:  # a KnowledgeBase is frozen
+            return
+        if knowledge is not None and not self.covers(knowledge):
+            raise OracleError("the knowledge subset has a clause outside "
+                              "the oracle's knowledge base")
+        on = self._kb_ids.keys() if knowledge is None else set(knowledge.clauses)
+        off = {ci for clause, ci in self._kb_ids.items() if clause not in on}
         self._subset = knowledge
         if off != self._off:
             self._undo_to(0)
             self._levels.clear()
             self._off = off
             self._active = (1 << len(self.clauses)) - 1 - sum(1 << ci for ci in off)
+
+    def _satisfied(self, values: tuple[int, ...]) -> int:
+        """The ids of the clauses a point satisfies, as a mask."""
+        satisfied = 0
+        for row, v in zip(self._satisfies, values):
+            satisfied |= row[v]
+        return satisfied
+
+    def compatible(self, instance: Instance,
+                   knowledge: Optional[KnowledgeBase] = None) -> bool:
+        """Does the instance satisfy every clause of the subset (default: the
+        whole base)? One OR per feature; the subset stays in force."""
+        self._checked((), instance, 0)
+        self._switch(knowledge)
+        return not self._active & ~self._satisfied(instance.values)
 
     # -- propagation ---------------------------------------------------------
 
@@ -621,26 +634,22 @@ class EntailmentOracle:
         return fixed
 
     def query(self, fixed: Iterable[int], instance: Instance, contested: int,
-              knowledge: Optional[KnowledgeBase] = None, *,
-              status_only: bool = False) -> OracleResult:
+              knowledge: Optional[KnowledgeBase] = None) -> OracleResult:
         """Decide the query; Z, the contested class and the knowledge subset
-        (default: the oracle's whole knowledge base) are per-call. A caller
-        that reads only the status sets `status_only`: a counterexample may
-        then carry an earlier query's witness in place of the search's."""
+        (default: the oracle's whole knowledge base) are per-call. A
+        counterexample may carry an earlier query's witness."""
         fixed = self._checked(fixed, instance, contested)
-        if knowledge is not self._subset:  # a KnowledgeBase is frozen
-            self._switch(knowledge)
+        self._switch(knowledge)
         self.calls += 1
         off, active = self._off, self._active
         values = instance.values
         if self._entailed.within(fixed, values, contested, not off):
             self.store_hits += 1
             return OracleResult(Status.ENTAILS)
-        if status_only:
-            stored = self._witnesses.agreeing(fixed, values, contested, not active)
-            if stored is not None:
-                self.store_hits += 1
-                return OracleResult(Status.COUNTEREXAMPLE, Instance(stored))
+        stored = self._witnesses.agreeing(fixed, values, contested, not active)
+        if stored is not None:
+            self.store_hits += 1
+            return OracleResult(Status.COUNTEREXAMPLE, Instance(stored))
         assumptions = [slit for ci, slit in self.units if ci not in off]
         assumptions += [(f, values[f], False) for f in sorted(fixed, reverse=True)]
         witness = self._solve(assumptions, contested)
@@ -649,9 +658,7 @@ class EntailmentOracle:
             if keep:
                 self._entailed.add(tuple(fixed), values, contested, not active)
             return OracleResult(Status.ENTAILS)
-        satisfied = 0
-        for row, v in zip(self._satisfies, witness.values):
-            satisfied |= row[v]
+        satisfied = self._satisfied(witness.values)
         cls = self.model.classify(witness)
         if not (all(witness.values[f] == values[f] for f in fixed)
                 and not active & ~satisfied and cls != contested):

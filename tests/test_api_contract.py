@@ -1,7 +1,8 @@
 """The library's public names pinned: what `kxp` exports and what `kxp.models`
 and `kxp.oracle` define, and the parameter names of each public function and
-class `kxp` and `kxp.oracle` expose. Adding or removing a name or an option
-changes one of these lists, so it must be deliberate.
+class `kxp` and `kxp.oracle` expose, and the oracle's public methods. Adding
+or removing a name or an option changes one of these lists, so it must be
+deliberate.
 """
 
 import ast
@@ -91,6 +92,14 @@ PARAMETERS = {
 }
 
 
+# the oracle's public methods and their parameter names (after self)
+ORACLE_METHODS = {
+    "compatible": ["instance", "knowledge"],
+    "covers": ["knowledge"],
+    "query": ["fixed", "instance", "contested", "knowledge"],
+}
+
+
 def public_names(module) -> list[str]:
     """The names a module binds at top level without a leading underscore.
 
@@ -127,3 +136,11 @@ def test_public_parameters_are_pinned():
                 continue
             got[name] = list(inspect.signature(obj).parameters)
     assert got == PARAMETERS
+
+
+def test_oracle_methods_are_pinned():
+    got = {name: list(inspect.signature(method).parameters)[1:]
+           for name, method in inspect.getmembers(kxp.oracle.EntailmentOracle,
+                                                  inspect.isfunction)
+           if not name.startswith("_")}
+    assert got == ORACLE_METHODS

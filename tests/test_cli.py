@@ -1,10 +1,13 @@
 import csv
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from kxp.cli import main
+
+from util import planted_dataset
 
 DATA = Path(__file__).parent.parent / "data"
 TOY = str(DATA / "adult_toy.csv")
@@ -396,6 +399,32 @@ def test_explain_jobs_start_no_more_workers_than_tasks(monkeypatch, tmp_path):
         assert records[1:] == read_jsonl(serial)[1:1 + len(instances.split(","))]
 
 
+def test_explain_records_do_not_depend_on_jobs_or_row_order(tmp_path):
+    """`kxp explain` gives equal records, keyed by (index, knowledge), with
+    --jobs 1, with --jobs 2 and with the --instances order reversed. A
+    worker's oracle keeps its store from row to row, so an enumeration's
+    oracle calls depend on the rows explained before it (here they differ
+    for some records); the records hold nothing that does."""
+    from kxp.models import save_model, train_boosted
+    ds = planted_dataset(random.Random(5), 200)
+    lines = [",".join(ds.names + (ds.class_name,))]
+    lines += [",".join([ds.domains[f][v] for f, v in enumerate(row)] + [ds.class_domain[y]])
+              for row, y in zip(ds.rows, ds.class_labels)]
+    table, model, rules = (str(tmp_path / name) for name in ("t.csv", "m.json", "k.jsonl"))
+    Path(table).write_text("\n".join(lines) + "\n")
+    save_model(train_boosted(ds, rounds=6, depth=2), model)
+    assert main(["mine", table, "--max-size", "2", "--out", rules]) == 0
+    rows = [str(i) for i in range(12)]
+    runs = []
+    for instances, jobs in ((rows, "1"), (rows, "2"), (rows[::-1], "1")):
+        out = str(tmp_path / "expl.jsonl")
+        assert main(["explain", model, table, "--kind", "axp", "--knowledge", rules,
+                     "--compare", "--enum", "4", "--instances", ",".join(instances),
+                     "--jobs", jobs, "--out", out]) == 0
+        runs.append({(r["index"], r["knowledge"]): r for r in read_jsonl(out)[1:]})
+    assert len(runs[0]) == 24 and runs[0] == runs[1] == runs[2]
+
+
 def test_explain_records_are_byte_stable(tmp_path):
     rules = str(tmp_path / "rules.jsonl")
     assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0
@@ -406,7 +435,8 @@ def test_explain_records_are_byte_stable(tmp_path):
                      "--out", out]) == 0
     a, b = (Path(out).read_text().splitlines()[1:] for out in outs)
     assert len(a) == 12 and a == b
-    assert all("time" not in json.loads(line) for line in a)
+    assert all("time" not in json.loads(line) and "calls" not in json.loads(line)
+               for line in a)
 
 
 def test_explain_test_selection(tmp_path):

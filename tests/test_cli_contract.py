@@ -149,15 +149,17 @@ MANIFESTS = {
 }
 
 # sha256 of each output's canonical JSON (sorted keys, `created`/`timings`
-# dropped), line by line for JSONL files and the CSV text for `quantize`
+# dropped), line by line for JSONL files and the CSV text for `quantize`.
+# The `explain` records were re-pinned once when they lost `calls`; the
+# records before, with `calls` dropped, gave the same digests.
 DIGESTS = {
     'assess.json': 'dc18cca66e02168907f3adf3422b2dc84f2021240b9311418782b21f636339c4',
     'assess_cxp.json': 'b7b376a2bda7dfd57cb9318d3a65ca532d4902685a0700845c6887aeaa69be9a',
     'attr.json': 'f4300e0a68c0c0b9ea96a33f38d4eacfc5838b8be242b65fe9b50749190b0589',
-    'bt.jsonl': 'd583d3e0dde4aee5921b294de06f87a949d50ed7bc36d111e20e02ad9046dffa',
+    'bt.jsonl': 'e86db5d4e432ef580476dd43eae08197b19f6a78fd68ccfe444766f8d070bacf',
     'bt_summary.json': '1219f6244e39bde2595d263a13461e81008eba49e88936e0381c4912d44cebf5',
     'eclat.jsonl': 'f6d12a168a6f4629f4ec2ca36ddfeb76aec897b40e6c664aa3af182f123abbf2',
-    'expl.jsonl': '29e66eba93e11ec653c729635233aa7dac46e1c52121d9cf9fd57b373a1ffea5',
+    'expl.jsonl': 'a867a38fd92cee95e2b0d96c1dcac284e6db6ee4d55c2afbb717a4a2c0cdd593',
     'expl.jsonl.summary.json': '8c18db94fb6cf2b0830e9345ae04692885ca7f0d19d2b0f380111db34ee9a547',
     'quant.csv': '22602f09921a4c6ad671b8ff58cab3ee9568eb2ba4ebe8f168fe30da655e474a',
     'quant.qspec.json': '3e9ca4acd248c9cfa9ae44b6af2a87c7b06508e89a870e1b7bf1ceb5a1cc891b',

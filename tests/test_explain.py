@@ -15,9 +15,9 @@ from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
 from kxp.oracle import EntailmentOracle
 
 from util import (all_minimal_explanations, all_minimal_hitting_sets,
-                  minimum_hitting_set_bruteforce, random_bt, random_dl,
-                  random_instance, random_knowledge, random_model, random_space,
-                  reference_attribution)
+                  assert_counterexample, minimum_hitting_set_bruteforce,
+                  random_bt, random_dl, random_instance, random_knowledge,
+                  random_model, random_space, reference_attribution)
 
 
 def F(space, *names):
@@ -349,14 +349,13 @@ def test_enumeration_matches_bruteforce_sets():
             assert sizes == sorted(sizes)
 
 
-# sha256 over `_enumeration_pin_texts`, recorded before the hitting-set side
-# of the enumerator became incremental
-ENUMERATION_PIN = "ad5a590dff3e34a2b7c2cfc427d04c6528f0bfe0e85129cdadc748570c7ddd7a"
+# sha256 over `_enumeration_pin_texts`, recorded when a stored witness came
+# to answer any query; before that, the same texts had the same digest
+ENUMERATION_PIN = "79573328d358c01b9733357da43a913ca5480f790f832c8b767a33cad844803c"
 
 
 def _enumeration_pin_texts():
-    """(feature sets in emission order, exhausted, oracle calls) of seeded
-    enumerations on ten random spaces: 2- and 3-class decision lists and
+    """(feature sets in emission order, exhausted) of seeded enumerations on ten random spaces: 2- and 3-class decision lists and
     boosted trees, AXp and CXp, without and with knowledge, truncated (n=3)
     or run to exhaustion."""
     rng = random.Random(1111)
@@ -375,7 +374,7 @@ def _enumeration_pin_texts():
                     res = enumerate_smallest(kind, model, v, knowledge=knowledge,
                                              n=rng.choice((3, 200)))
                     texts.append(repr(([sorted(s) for s in res.feature_sets],
-                                       res.exhausted, res.oracle_calls)))
+                                       res.exhausted)))
     return texts
 
 
@@ -388,20 +387,23 @@ def test_enumeration_outputs_pinned():
 
 def _answer(call, oracle):
     """What one explain call returns through the oracle (None: none), or the
-    ExplainError it raises."""
+    ExplainError it raises. Of an enumeration, the sets and `exhausted`:
+    its `oracle_calls` depends on what the oracle was asked before."""
     try:
         got = call(oracle)
     except ExplainError as exc:
         return "ExplainError: %s" % exc
     if isinstance(got, EnumerationResult):
-        return got.explanations, got.exhausted, got.oracle_calls
+        return got.explanations, got.exhausted
     return got
 
 
 def _outcome(call, oracle):
-    """`_answer` through the oracle, and how many queries it answered for it."""
+    """`_answer` through the oracle, and how many queries it answered for
+    it, unless it enumerated (its answer is a tuple)."""
     calls0 = oracle.calls
-    return _answer(call, oracle), oracle.calls - calls0
+    answer = _answer(call, oracle)
+    return answer, None if isinstance(answer, tuple) else oracle.calls - calls0
 
 
 def test_shared_oracle_matches_fresh_oracles():
@@ -515,8 +517,7 @@ def builds(monkeypatch):
 def test_calls_without_oracle_match_fresh_oracles(builds):
     """Calls that pass no oracle, interleaved over three models and five
     knowledge bases (none, K, a strict subset, a superset, a disjoint base),
-    answer as the same call on a fresh oracle does, `oracle_calls` included,
-    while most of them reuse the oracle an earlier call built."""
+    answer as the same call on a fresh oracle does, while most of them reuse the oracle an earlier call built."""
     rng = random.Random(4242)
     calls = shared_builds = 0
     for _ in range(4):
@@ -559,7 +560,7 @@ def test_calls_without_oracle_build_per_model_and_base(builds):
 
 def test_threads_without_oracle_keep_their_own():
     """Threads enumerating on one model at the same time give the serial
-    results, each on an oracle of its own."""
+    sets and `exhausted`, each on an oracle of its own."""
     rng = random.Random(31)
     sp = random_space(rng, min_features=4, max_features=5)
     model, bases, rows = _slot_cases(rng, sp)[2]
@@ -589,8 +590,64 @@ def test_threads_without_oracle_keep_their_own():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(got[w] == serial for w in range(workers))
+    sets = [(res.explanations, res.exhausted) for res in serial]
+    assert all([(res.explanations, res.exhausted) for res in got[w]] == sets
+               for w in range(workers))
     assert len({id(o) for o in used.values()}) == workers
+
+
+def test_enumerations_do_not_depend_on_the_rows_before(monkeypatch):
+    """A list, a single-score and a 3-class ensemble on each of three spaces,
+    with and without K: one shared oracle enumerates the AXps and CXps of the
+    same rows in order, and another in reversed order. The sets and
+    `exhausted` are equal, though `oracle_calls` is not for some, so stored
+    witnesses did seed other duals. Every witness an oracle returned passes
+    direct evaluation."""
+    rng = random.Random(2121)
+    enumerations = differ = witnesses = 0
+    for _ in range(3):
+        sp = random_space(rng, min_features=5, max_features=7, max_domain=3)
+        v = random_instance(rng, sp)
+        single = random_bt(rng, sp, n_classes=2, depth=3)
+        while single.positive is None:
+            single = random_bt(rng, sp, n_classes=2, depth=3)
+        for model in (random_dl(rng, sp, n_classes=rng.choice((2, 3))), single,
+                      random_bt(rng, sp, n_classes=3, depth=3)):
+            kb = random_knowledge(rng, sp, v, max_clauses=5)
+            rows = [v] + [u for u in (random_instance(rng, sp) for _ in range(6))
+                          if kb.satisfied_by(u)]
+            tasks = [(kind, u, knowledge) for u in rows for knowledge in (None, kb)
+                     for kind in Kind]
+            runs = []
+            for order in (range(len(tasks)), reversed(range(len(tasks)))):
+                oracle, answers = EntailmentOracle(model, kb), []
+                query = oracle.query
+
+                def recorded(fixed, u, c, knowledge=None, query=query, answers=answers):
+                    fixed = frozenset(fixed)
+                    answers.append((fixed, u, c, knowledge, query(fixed, u, c, knowledge)))
+                    return answers[-1][-1]
+
+                monkeypatch.setattr(oracle, "query", recorded)
+                results = {}
+                for i in order:
+                    kind, u, knowledge = tasks[i]
+                    results[i] = enumerate_smallest(kind, model, u, knowledge=knowledge,
+                                                    n=6, oracle=oracle)
+                runs.append(results)
+                for fixed, u, c, knowledge, res in answers:
+                    if res.witness is not None:
+                        active = kb if knowledge is None else knowledge
+                        assert_counterexample(model, active, fixed, u, c, res.witness)
+                        witnesses += 1
+            forward, reverse = runs
+            for i in range(len(tasks)):
+                a, b = forward[i], reverse[i]
+                assert (a.explanations, a.exhausted) == (b.explanations, b.exhausted)
+                differ += a.oracle_calls != b.oracle_calls
+                enumerations += 1
+    assert enumerations == 120 and witnesses > 1000, (enumerations, witnesses)
+    assert differ >= 20, differ  # so stored witnesses did seed other duals
 
 
 def test_enumeration_truncates_at_n(toy_dl, row1):

@@ -1,18 +1,18 @@
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
 import kxp.oracle as oracle_module
 from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
 from kxp.models import DecisionList, DLRule
-from kxp.oracle import EntailmentOracle, OracleError, Status
+from kxp.oracle import EntailmentOracle, OracleError, Status, check_compatible
 
-from util import (_dl_cnf, _leaf_paths, dimacs_satisfiable, entails_bruteforce,
-                  mask_values, query_to_dimacs, random_bt, random_dl,
-                  random_instance, random_knowledge, random_model, random_space,
-                  tree_tested_features)
+from util import (_dl_cnf, _leaf_paths, assert_counterexample, dimacs_satisfiable,
+                  entails_bruteforce, mask_values, query_to_dimacs, random_bt,
+                  random_dl, random_instance, random_knowledge, random_model,
+                  random_space, tree_tested_features)
 
 
 def Q(model, inst, fixed, contested=None, kb=None):
@@ -72,6 +72,48 @@ def test_incompatible_instance_rejected(small_dl, marital_constraint):
         query_to_dimacs(*Q(small_dl, bad, set(), kb=marital_constraint))
     with pytest.raises(OracleError, match="incompatible"):
         find_axp(small_dl, bad, knowledge=marital_constraint)
+
+
+def test_compatibility_read_from_clause_masks():
+    """`compatible` agrees with `check_compatible`, which walks the clauses,
+    on random models, knowledge, instances and subsets (none given, the
+    base, a random subset, empty), each asked of one long-lived oracle
+    between queries whose statuses stay those of brute force. An explain
+    call raises `check_compatible`'s message exactly when the instance is
+    incompatible."""
+    rng = random.Random(6060)
+    seen = Counter()
+    for _ in range(150):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=4)
+        model = random_model(rng, sp, n_classes=rng.choice((2, 3)))
+        v = random_instance(rng, sp)
+        kb = _mixed_knowledge(rng, sp, v, rng.randint(1, 6))
+        oracle = EntailmentOracle(model, kb)
+        for _ in range(6):
+            u = v if rng.random() < 0.3 else random_instance(rng, sp)
+            subset = rng.choice((None, kb, KnowledgeBase(), kb.subset(
+                rng.sample(kb.clauses, rng.randint(0, len(kb))))))
+            active = kb if subset is None else subset
+            try:
+                check_compatible(u, active)
+                message = None
+            except OracleError as exc:
+                message = str(exc)
+            assert oracle.compatible(u, subset) == (message is None)
+            seen[message is None] += 1
+            if message is None:
+                find_axp(model, u, knowledge=active, oracle=oracle)
+            else:
+                with pytest.raises(OracleError) as err:
+                    find_axp(model, u, knowledge=active, oracle=oracle)
+                assert str(err.value) == message
+            fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
+            c = rng.randrange(model.class_count())
+            assert oracle.query(fixed, u, c, subset).status \
+                is entails_bruteforce(model, active, fixed, u, c).status
+    assert min(seen.values()) >= 250, seen
+    with pytest.raises(OracleError, match="value 4 out of range for feature 0"):
+        EntailmentOracle(model, kb).compatible(Instance((4,) + v.values[1:]))
 
 
 def test_malformed_queries_rejected(small_dl, separated_male, marital_constraint):
@@ -194,13 +236,13 @@ def test_oracle_reuse_is_stateless_across_queries(toy_dl, row1):
     second = oracle.query(fixed, row1, toy_dl.classify(row1)).status
     assert first == [Status.ENTAILS] * 3
     assert loose.status is Status.COUNTEREXAMPLE and second is Status.ENTAILS
-    # the repeats of the entailment come from the store; a witness-reading
-    # counterexample is searched again, a status-only one is not
+    # the repeats of the entailment come from the store, and so does the
+    # repeated counterexample, with the witness it was kept with
+    hits = oracle.store_hits
     again = oracle.query(set(), row1, toy_dl.classify(row1))
-    stored = oracle.query(set(), row1, toy_dl.classify(row1), status_only=True)
-    assert again == loose and stored.status is Status.COUNTEREXAMPLE
+    assert again == loose and oracle.store_hits == hits + 1
     # `calls` counts every question, stored or searched
-    assert (oracle.calls, oracle.store_hits) == (7, 4)
+    assert (oracle.calls, oracle.store_hits) == (6, 4)
 
 
 def test_dimacs_dump_cross_checked_small():
@@ -312,9 +354,27 @@ def _mixed_knowledge(rng, sp, v, n_clauses):
     return KnowledgeBase(tuple(clauses))
 
 
+def _ask_shared(shared, model, active, fixed, v, c, subset):
+    """The shared oracle's answer under `subset`, and whether its store gave
+    it. The status equals a fresh oracle's over `active` and brute force's. A
+    searched witness equals the fresh oracle's; a stored one is some earlier
+    query's, so every witness is checked by direct evaluation."""
+    hits = shared.store_hits
+    got = shared.query(fixed, v, c, subset)
+    stored = shared.store_hits > hits
+    fresh = EntailmentOracle(model, active).query(fixed, v, c)
+    assert got.status is fresh.status \
+        is entails_bruteforce(model, active, fixed, v, c).status
+    if got.witness is not None:
+        assert_counterexample(model, active, fixed, v, c, got.witness)
+        assert stored or got.witness == fresh.witness
+    return got, stored
+
+
 def test_knowledge_subsets_match_fresh_oracles():
     rng = random.Random(4242)
     queries = 0
+    answers = Counter()  # per (from the store, status)
     for _ in range(25):
         sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
         for model in _challenge_models(rng, sp):
@@ -324,18 +384,16 @@ def test_knowledge_subsets_match_fresh_oracles():
             for _ in range(6):
                 fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
                 c = rng.randrange(model.class_count())
-                if rng.random() < 0.2:
-                    subset, got = kb, shared.query(fixed, v, c)
-                else:
-                    subset = kb.subset(rng.sample(kb.clauses,
-                                                  rng.randint(0, len(kb))))
-                    got = shared.query(fixed, v, c, subset)
-                fresh = EntailmentOracle(model, subset).query(fixed, v, c)
-                assert (got.status, got.witness) == (fresh.status, fresh.witness)
-                brute = entails_bruteforce(model, subset, fixed, v, c)
-                assert got.status is brute.status
+                subset = None if rng.random() < 0.2 else kb.subset(
+                    rng.sample(kb.clauses, rng.randint(0, len(kb))))
+                active = kb if subset is None else subset
+                got, stored = _ask_shared(shared, model, active, fixed, v, c, subset)
+                answers[stored, got.status] += 1
                 queries += 1
     assert queries == 25 * 6 * 6
+    # counterexamples searched on the kept trail, and answered from the store
+    assert answers[False, Status.COUNTEREXAMPLE] >= 340, answers
+    assert answers[True, Status.COUNTEREXAMPLE] >= 200, answers
 
 
 def test_knowledge_subset_outside_the_oracle_rejected(small_dl, separated_male,
@@ -469,14 +527,15 @@ def _kept_trail_cases(rng, sp):
 
 def test_kept_trail_matches_fresh_oracles(monkeypatch):
     """Fifteen long-lived oracles (five models on each of three spaces)
-    answer 140 interleaved queries each, 2,100 in all. Every answer equals a
-    fresh oracle's, witness included, and the brute-force status. The
-    queries mix the sequences explanations make: shared prefixes, one feature
+    answer 140 interleaved queries each, 2,100 in all. Every status equals a
+    fresh oracle's and brute force's; a searched witness equals the fresh
+    oracle's, and a stored one passes direct evaluation. The queries mix the sequences explanations make: shared prefixes, one feature
     dropped (AXp shrink) or added (CXp shrink), other contested classes,
     knowledge subsets None, full, strict and empty, and root conflicts. Some
     follow a rejected query or a query whose propagation raised partway."""
     rng = random.Random(9090)
-    counts = dict.fromkeys(("queries", "conflicts", "errors", "raised"), 0)
+    counts = dict.fromkeys(("queries", "conflicts", "errors", "raised", "searched",
+                            "stored"), 0)
     patterns = ("drop", "add", "drop", "add", "prefix", "contested", "subset",
                 "instance", "conflict", "error", "raise")
     for _ in range(3):
@@ -525,20 +584,23 @@ def test_kept_trail_matches_fresh_oracles(monkeypatch):
 
                     with monkeypatch.context() as patch:
                         patch.setattr(shared, "_propagate", exploding)
+                        # a stored answer would not propagate
+                        patch.setattr(shared._entailed, "within", lambda *args: False)
+                        patch.setattr(shared._witnesses, "agreeing", lambda *args: None)
                         try:
                             shared.query(fixed, v, c, subset)
                         except _Boom:
                             counts["raised"] += 1
-                got = shared.query(fixed, v, c, subset)
-                fresh = EntailmentOracle(model, active).query(fixed, v, c)
-                assert (got.status, got.witness) == (fresh.status, fresh.witness)
-                assert got.status is entails_bruteforce(model, active, fixed, v, c).status
+                got, stored = _ask_shared(shared, model, active, fixed, v, c, subset)
+                if not got.entails:  # counterexamples searched and stored
+                    counts["stored" if stored else "searched"] += 1
                 counts["queries"] += 1
                 counts["conflicts"] += any(  # the fixed values falsify a clause
                     all(lit.feature in fixed and not lit.holds(v) for lit in cl.literals)
                     for cl in active.clauses)
     assert counts["queries"] >= 2000
     assert min(counts.values()) > 0, counts
+    assert counts["searched"] >= 100 and counts["stored"] >= 500, counts
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +611,13 @@ def test_certificate_store_matches_fresh_oracles(monkeypatch):
     single-score and multiclass ensembles run deletion loops in both
     directions, the way AXp and CXp shrinks ask, over several instances,
     contested classes and knowledge subsets (None, full, strict and empty),
-    interleaved. Every answer's status equals a fresh oracle's and brute
-    force; a witness-reading answer equals a fresh oracle's witness too.
-    Every counterexample, also one the store decided, agrees with the query
-    on its fixed features, satisfies its active clauses and is classified
-    otherwise than the contested class. A second pass keeps only the newest
-    three certificates of each kind, so old ones are replaced throughout."""
+    interleaved. Every answer is checked as `_ask_shared` says. A second
+    pass keeps only the newest three certificates of each kind, so old ones
+    are replaced throughout."""
     rng = random.Random(1717)
     passes = ((oracle_module._STORE_SIZE, 4), (3, 3))  # (store size, spaces)
     hits = {size: {Status.ENTAILS: 0, Status.COUNTEREXAMPLE: 0} for size, _ in passes}
-    queries, replaced = 0, 0
+    queries, replaced, searched_cex = 0, 0, 0
     for size, spaces in passes:
         monkeypatch.setattr(oracle_module, "_STORE_SIZE", size)
         for _ in range(spaces):
@@ -580,27 +639,20 @@ def test_certificate_store_matches_fresh_oracles(monkeypatch):
                     kept = set(everything) if axp else set()
                     for f in rng.sample(sorted(everything), sp.m):
                         fixed = frozenset(kept - {f}) if axp else frozenset(kept | {f})
-                        status_only = rng.random() < 0.8
-                        before = shared.store_hits
-                        got = shared.query(fixed, v, c, subset, status_only=status_only)
-                        fresh = EntailmentOracle(model, active).query(fixed, v, c)
-                        assert got.status is fresh.status \
-                            is entails_bruteforce(model, active, fixed, v, c).status
-                        if not status_only:
-                            assert got.witness == fresh.witness
-                        w = got.witness
-                        if w is not None:
-                            assert all(w.values[g] == v.values[g] for g in fixed)
-                            assert active.satisfied_by(w) and model.classify(w) != c
-                        if shared.store_hits > before:
-                            hits[size][got.status] += 1
-                        else:
-                            searched[got.status] += 1
+                        got, stored = _ask_shared(shared, model, active, fixed, v, c,
+                                                  subset)
+                        (hits[size] if stored else searched)[got.status] += 1
+                        if rng.random() < 0.2:  # a searched answer is kept, unless
+                            before = shared.store_hits  # under a strict subset
+                            assert shared.query(fixed, v, c, subset) == got
+                            assert (shared.store_hits > before) \
+                                == (stored or len(active) in (0, len(kb)))
                         if got.entails != axp:
                             kept = set(fixed)
                         queries += 1
                 replaced += sum(max(0, n - size) for n in searched.values())
-    assert queries >= 2000 and replaced >= 250
+                searched_cex += searched[Status.COUNTEREXAMPLE]
+    assert queries >= 2000 and replaced >= 250 and searched_cex >= 200, searched_cex
     full, small = (hits[size] for size, _ in passes)
     assert full[Status.ENTAILS] >= 250 and full[Status.COUNTEREXAMPLE] >= 120, hits
     assert min(small.values()) >= 100, hits
@@ -619,9 +671,9 @@ def test_certificate_store_rule(threshold_dl, bool3_space):
                "none": KnowledgeBase()}
 
     def ask(oracle, fixed, name):
-        """(status, answered from the store) of a status-only query."""
+        """(status, answered from the store) of a query."""
         before = oracle.store_hits
-        res = oracle.query(fixed, v, 1, subsets[name], status_only=True)
+        res = oracle.query(fixed, v, 1, subsets[name])
         return res.status, oracle.store_hits > before
 
     def kept(oracle):
@@ -727,9 +779,9 @@ def test_trail_is_the_only_undo_log():
     assert min(seen.values()) > 0, seen
 
 
-# sha256 over `_answer_pin_lines`, recorded when each tree kept its own live
-# leaf mask and bounds on a per-tree log
-ANSWER_PIN = "76a14b0811c9f68afa44699100d0bb223e1c7c20cc686012be607afbbae0cd74"
+# sha256 over `_answer_pin_lines`, recorded when a stored witness came to
+# answer any query; before that, the same lines had the same digest
+ANSWER_PIN = "c540a0f52f28bb3b8ed59a63a465c012241c096f5e41fcd8d2781eac52277c30"
 
 
 def _tested_features(model):
@@ -740,11 +792,13 @@ def _tested_features(model):
 
 
 def _answer_pin_lines():
-    """(status, witness) of seeded queries on three random spaces. Models:
-    single-score and 3-class ensembles of depth 3 and 4, 2- and 3-class
-    lists, each without and with knowledge over the features it tests. Every
-    query is asked of one long-lived oracle per (model, K) and of a fresh
-    oracle, under K or a random subset of it."""
+    """Answers to seeded queries on three random spaces. Models: single-score
+    and 3-class ensembles of depth 3 and 4, 2- and 3-class lists, each
+    without and with knowledge over the features it tests. Every query is
+    asked, under K or a random subset of it, of one long-lived oracle per
+    (model, K), whose status is a line and whose witness, perhaps an earlier
+    query's, passes direct evaluation; and of a fresh oracle, whose status
+    and witness are a line."""
     rng = random.Random(2468)
     lines = []
     for _ in range(3):
@@ -774,10 +828,13 @@ def _answer_pin_lines():
                     c = rng.randrange(model.class_count())
                     subset = None if rng.random() < 0.7 else kb.subset(
                         rng.sample(kb.clauses, rng.randint(0, len(kb))))
-                    for oracle in (shared, EntailmentOracle(model, kb)):
-                        res = oracle.query(fixed, inst, c, subset)
-                        lines.append("%s %s" % (res.status.value, res.witness and
-                                                res.witness.values))
+                    res = shared.query(fixed, inst, c, subset)
+                    if res.witness is not None:
+                        assert_counterexample(model, kb if subset is None else subset,
+                                              fixed, inst, c, res.witness)
+                    fresh = EntailmentOracle(model, kb).query(fixed, inst, c, subset)
+                    lines += [res.status.value, "%s %s" % (
+                        fresh.status.value, fresh.witness and fresh.witness.values)]
     return lines
 
 

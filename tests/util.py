@@ -427,6 +427,19 @@ def entails_bruteforce(model, knowledge, fixed, instance, contested,
     return OracleResult(Status.ENTAILS)
 
 
+def assert_counterexample(model, active, fixed, v, c, witness) -> None:
+    """Direct evaluation of a witness to the query (fixed features of v,
+    contested class c, knowledge `active`): a point of the model's space
+    that agrees with v on `fixed`, satisfies every clause of `active` and
+    is classified other than c."""
+    space = model.space
+    assert witness is not None and len(witness.values) == space.m
+    assert all(0 <= x < len(space.domain(f)) for f, x in enumerate(witness.values))
+    assert all(witness.values[f] == v.values[f] for f in fixed)
+    assert active.satisfied_by(witness)
+    assert model.classify(witness) != c
+
+
 # ---------------------------------------------------------------------------
 # reference explanation sets via the exhaustive oracle
 
