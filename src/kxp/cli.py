@@ -33,7 +33,7 @@ from .ingest import (Dataset, IngestError, check_interval_count,
 from .miner import (ExtractionLimit, MinerError, eclat_mine, extract_all,
                     load_knowledge, rule_accuracy, save_rules)
 from .models import ModelError, load_model
-from .oracle import EntailmentOracle, OracleError
+from .oracle import OracleError
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 SUBSETS_FORMAT = "kxp.subsets/1"
@@ -222,9 +222,8 @@ _WORKER: dict = {}
 
 
 def _init_worker(model_obj, kb_obj, kind, n):
-    # one oracle over (model, K) per process serves tasks with and without K
-    _WORKER.update(model=model_obj, kb=kb_obj, kind=kind, n=n,
-                   oracle=EntailmentOracle(model_obj, kb_obj))
+    # tasks pass no oracle: a process's rows share its thread's (kxp.explain)
+    _WORKER.update(model=model_obj, kb=kb_obj, kind=kind, n=n)
 
 
 def _run_one(task):
@@ -232,8 +231,7 @@ def _run_one(task):
     model, kb = _WORKER["model"], _WORKER["kb"]
     inst = Instance(tuple(values))
     res = enumerate_smallest(_WORKER["kind"], model, inst,
-                             knowledge=kb if use_kb else None, n=_WORKER["n"],
-                             oracle=_WORKER["oracle"])
+                             knowledge=kb if use_kb else None, n=_WORKER["n"])
     return {"type": "result", "index": index, "kind": _WORKER["kind"].value,
             "knowledge": use_kb,
             "explanations": [{"features": e.feature_names(model.space),
@@ -344,16 +342,15 @@ def _summarize_explanations(records, skipped, kind, compare) -> dict:
 def cmd_attribute(args) -> int:
     model, ds, kb, inputs = _load_inputs(args)
     inst = _row_instance(model, ds, args.instance, "--instance")
-    oracle = EntailmentOracle(model, kb)
     if args.axp == "auto":
-        features = sorted(find_axp(model, inst, knowledge=kb, oracle=oracle).features)
+        features = sorted(find_axp(model, inst, knowledge=kb).features)
     else:
         names = [t.strip() for t in args.axp.split(",") if t.strip()]
         features = _feature_indices(model.space, names, "--axp")
     manifest = _manifest("attribute", args, inputs,
                          limits={"instance": args.instance, "axp": args.axp})
     t0 = time.perf_counter()
-    used = attribute_rules(model, inst, kb, features, oracle=oracle)
+    used = attribute_rules(model, inst, kb, features)
     manifest["timings"]["wall"] = time.perf_counter() - t0
     rules_out = [{"ids": list(used.provenance.get(clause, ())), "rule": rule.render(model.space)}
                  for clause, rule in zip(used.clauses, used.rules)]
@@ -399,7 +396,6 @@ def cmd_assess(args) -> int:
     manifest = _manifest("assess", args, inputs + [args.explanations],
                          limits={"kind": kind.value})
     t0 = time.perf_counter()
-    oracle = EntailmentOracle(model, kb)  # answers with and without K
     rows = []
     for i, rec in enumerate(records):
         index = rec["index"]
@@ -409,15 +405,14 @@ def cmd_assess(args) -> int:
         if kb is not None and not kb.satisfied_by(inst):
             rows.append({"index": index, "skipped": True})
             continue
-        verdict = check_explanation(features, kind, model, inst, oracle=oracle)
+        verdict = check_explanation(features, kind, model, inst)
         row = {"index": index, "features": rec["features"], "size": len(features),
                "correct_plain": verdict}
         if kb is not None:
             verdict = row["correct_with_knowledge"] = check_explanation(
-                features, kind, model, inst, knowledge=kb, oracle=oracle)
+                features, kind, model, inst, knowledge=kb)
         if verdict:
-            reduced = reduce_explanation(features, kind, model, inst, knowledge=kb,
-                                         oracle=oracle)
+            reduced = reduce_explanation(features, kind, model, inst, knowledge=kb)
             row["reduced_size"] = reduced.size
         rows.append(row)
     manifest["timings"]["wall"] = time.perf_counter() - t0

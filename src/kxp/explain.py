@@ -5,11 +5,12 @@ fixed values entail the prediction over the whole space, optionally modulo a
 knowledge base; a contrastive explanation (CXp) is a subset-minimal set of
 features whose freeing admits a differently-classified, knowledge-consistent
 point. A set is a CXp exactly when fixing the other features does not
-entail the prediction, so one predicate and one deletion loop serve both
-kinds. The two families are minimal-hitting-set duals, which drives the
-smallest-first enumerator. Its hitting-set side is incremental: one solver
-per enumeration takes each new dual and each emission as it comes and
-resumes its search from the last answer.
+entail the prediction, so one predicate serves both kinds, and one deletion
+loop both kinds and attributions over clauses. The two families are
+minimal-hitting-set duals, which drives the smallest-first enumerator. Its
+hitting-set side is incremental: one solver per enumeration takes each new
+dual and each emission as it comes and resumes its search from the last
+answer.
 
 Every entry point takes an optional oracle. A call that passes none reuses
 the oracle the thread's last such call built, when it is over the same model
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Callable, Iterable, Optional
 
 from .core import Explanation, Instance, Kind, KnowledgeBase
 from .models import Model
@@ -56,12 +57,10 @@ class _Questions:
         elif not oracle.covers(kb):
             raise ExplainError("the knowledge has clauses outside the supplied "
                                "oracle's knowledge base")
-        self.oracle, self.instance, self.knowledge = oracle, instance, kb
-        self.predicted = model.classify(instance)
-        # the oracle's whole knowledge base needs no clause switched off
-        self._subset = kb if len(kb) < len(oracle.knowledge) else None
-        if kb and not oracle.compatible(instance, self._subset):
+        if not oracle.compatible(instance, kb):  # also the oracle's input check
             check_compatible(instance, kb)  # raises, naming a broken clause
+        self.oracle, self.instance, self.knowledge = oracle, instance, kb
+        self.predicted = model.classify(instance)  # only once the input is checked
 
     def holds(self, kind: Kind, features: AbstractSet[int]) -> tuple[bool, OracleResult]:
         """Does the set meet the kind's defining condition? One oracle call.
@@ -71,17 +70,21 @@ class _Questions:
         """
         axp = kind is Kind.AXP
         fixed = features if axp else frozenset(range(self.oracle.space.m)) - features
-        res = self.oracle.query(fixed, self.instance, self.predicted, self._subset)
+        res = self.oracle.query(fixed, self.instance, self.predicted, self.knowledge)
         return res.entails == axp, res
 
-    def shrink(self, kind: Kind, seed: frozenset[int]) -> frozenset[int]:
-        """Deletion-based linear search, ascending feature order; the seed must hold."""
-        current = set(seed)
-        for f in sorted(seed):
-            current.discard(f)
-            if not self.holds(kind, current)[0]:
-                current.add(f)
-        return frozenset(current)
+
+def _shrink(seed: Iterable[int],
+            holds: Callable[[AbstractSet[int]], bool]) -> frozenset[int]:
+    """A subset-minimal set inside `seed` (which must hold) satisfying the
+    monotone `holds`: deletion-based linear search, ascending, one call per
+    index. Explanations shrink over features, attributions over clauses."""
+    current = set(seed)
+    for i in sorted(current):
+        current.discard(i)
+        if not holds(current):
+            current.add(i)
+    return frozenset(current)
 
 
 def _feature_set(features: Iterable[int], m: int) -> frozenset[int]:
@@ -103,7 +106,8 @@ def _find(kind: Kind, model: Model, instance: Instance,
     seed_set = _feature_set(seed, m) if seed is not None else frozenset(range(m))
     if not q.holds(kind, seed_set)[0]:
         raise ExplainError(_SEED_FAILS[kind] % sorted(seed_set))
-    return Explanation(kind, q.shrink(kind, seed_set), bool(q.knowledge))
+    return Explanation(kind, _shrink(seed_set, lambda s: q.holds(kind, s)[0]),
+                       bool(q.knowledge))
 
 
 def find_axp(model: Model, instance: Instance,
@@ -327,8 +331,7 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
                              if res.witness.values[f] != instance.values[f])
         else:
             seed = frozenset(range(m)) - cand
-        new_dual = q.shrink(dual, seed)
-        hs.hit(new_dual)
+        hs.hit(_shrink(seed, lambda s: q.holds(dual, s)[0]))
     return EnumerationResult(out, exhausted, q.oracle.calls - calls0)
 
 
@@ -340,22 +343,21 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
                     oracle: Optional[EntailmentOracle] = None) -> KnowledgeBase:
     """Subset-minimal part of the knowledge responsible for an assisted AXp.
 
-    Returns the empty knowledge base when the AXp already holds without any
-    knowledge; otherwise drops clauses one by one in the knowledge base's
-    order, keeping each only if entailment breaks without it. Attribution is
-    at clause granularity; provenance keeps all originating rule ids.
+    Returns the empty knowledge base when the AXp holds without knowledge;
+    otherwise `_shrink` over clause indices, in the base's order, keeps each
+    clause only if entailment breaks without it. Attribution is at clause
+    granularity; provenance keeps all originating rule ids.
     """
     q = _Questions(model, instance, knowledge, oracle)
-    oracle, c = q.oracle, q.predicted
     fset = _feature_set(axp_features, model.space.m)
     if not q.holds(Kind.AXP, fset)[0]:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))
-    if oracle.query(fset, instance, c, KnowledgeBase()).entails:
-        return q.knowledge.subset([])
-    kept = list(q.knowledge.clauses)
-    for clause in q.knowledge.clauses:
-        trial = [cl for cl in kept if cl != clause]
-        if oracle.query(fset, instance, c, KnowledgeBase(tuple(trial))).entails:
-            kept = trial
-    return q.knowledge.subset(kept)
+    clauses = q.knowledge.clauses
+
+    def entails(ids: AbstractSet[int]) -> bool:
+        trial = KnowledgeBase(tuple(clauses[i] for i in ids))
+        return q.oracle.query(fset, instance, q.predicted, trial).entails
+
+    kept = () if entails(()) else _shrink(range(len(clauses)), entails)
+    return q.knowledge.subset(clauses[i] for i in sorted(kept))

@@ -20,19 +20,20 @@ that surely fires. Both tests are sound on partial domains and exact on a
 full assignment.
 
 The variables are the features and the clauses the knowledge, each entered
-once. A query switches off the clauses outside its knowledge subset (by
-default none); switched-off clauses stay watched and are skipped when they
-wake. The switch is worked out again only when a query names another subset
-object than the last one.
+once. A knowledge subset is one mask over the clause ids, `_active` (by
+default every clause); propagation, the unit assumptions and the store read
+it, and an inactive clause stays watched and is skipped when it wakes. The
+mask is worked out again only when a query names another subset object than
+the last one.
 
 The propagated state is kept between queries. A query's assumptions, first
 the active unit clauses and then the fixed features in descending order, are
 levels on one trail, each propagated to fixpoint. The next query keeps the
 leading levels whose assumptions it also asserts, propagates the rest of its
 own above them, searches, and undoes back to its own root. Levels are kept
-only while the knowledge subset stays the same: a switched-off clause's
-watches do not move, so the two-watched-literal invariant holds again only
-from the empty trail, where a query with another subset starts.
+only while the mask stays the same: an inactive clause's watches do not
+move, so the two-watched-literal invariant holds again only from the empty
+trail, where a query with another subset starts.
 Propagation reaches one fixpoint whatever is reused, and the search returns
 the first solution in its fixed order. The state confines an oracle to one
 task at a time.
@@ -360,7 +361,7 @@ class EntailmentOracle:
     """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
 
     Owns mutable search state, kept from one query to the next and reset
-    when the switched-off clause set changes: confine an instance to one task
+    when the mask of active clauses changes: confine an instance to one task
     at a time.
     """
 
@@ -399,7 +400,6 @@ class EntailmentOracle:
         self.cwatch: list[list[int]] = []
         self.watch: dict[tuple, list[int]] = {}
         self.units: list[tuple[int, _SLit]] = []
-        self._off: set[int] = set()  # clause ids switched off for the kept levels
         self._subset: Optional[KnowledgeBase] = None  # the last subset switched to
         self._kb_ids: dict[Clause, int] = {
             clause: self._add_clause([_lit_slit(l) for l in clause.literals])
@@ -413,7 +413,8 @@ class EntailmentOracle:
                 for v in range(len(row)):
                     if (v != lit.value) == lit.negated:  # `Literal.holds` at v
                         row[v] |= 1 << ci
-        self._active = (1 << len(self.clauses)) - 1
+        self._all = (1 << len(self.clauses)) - 1
+        self._active = self._all  # the ids of the subset in force, as a mask
         args = (self._sizes, model.class_count())
         self._entailed, self._witnesses = _Entailments(*args), _Certificates(*args)
 
@@ -437,21 +438,21 @@ class EntailmentOracle:
         return knowledge is self.knowledge or self._kb_ids.keys() >= set(knowledge.clauses)
 
     def _switch(self, knowledge: Optional[KnowledgeBase]) -> None:
-        """Make `knowledge` the subset in force; the kept levels change only
-        when the switched-off clauses do."""
+        """Make `knowledge` (None: the whole base) the subset in force; the
+        kept levels go only when the mask changes."""
         if knowledge is self._subset:  # a KnowledgeBase is frozen
             return
-        if knowledge is not None and not self.covers(knowledge):
+        try:  # a base's clauses are distinct, so the sum is their OR
+            active = self._all if knowledge is None else \
+                sum(1 << self._kb_ids[clause] for clause in knowledge.clauses)
+        except KeyError:
             raise OracleError("the knowledge subset has a clause outside "
-                              "the oracle's knowledge base")
-        on = self._kb_ids.keys() if knowledge is None else set(knowledge.clauses)
-        off = {ci for clause, ci in self._kb_ids.items() if clause not in on}
+                              "the oracle's knowledge base") from None
         self._subset = knowledge
-        if off != self._off:
+        if active != self._active:
             self._undo_to(0)
             self._levels.clear()
-            self._off = off
-            self._active = (1 << len(self.clauses)) - 1 - sum(1 << ci for ci in off)
+            self._active = active
 
     def _satisfied(self, values: tuple[int, ...]) -> int:
         """The ids of the clauses a point satisfies, as a mask."""
@@ -499,7 +500,7 @@ class EntailmentOracle:
         return True
 
     def _propagate(self, queue: deque) -> bool:
-        off, dom, watch = self._off, self.dom, self.watch
+        active, dom, watch = self._active, self.dom, self.watch
         clauses, events_of, cwatch = self.clauses, self._events, self.cwatch
         while queue:
             ev = queue.popleft()
@@ -508,7 +509,7 @@ class EntailmentOracle:
                 continue
             keep: list[int] = []
             for i, ci in enumerate(lst):
-                if ci in off:
+                if not active >> ci & 1:
                     keep.append(ci)
                     continue
                 # an event of this propagation falsified the watched literal
@@ -641,19 +642,19 @@ class EntailmentOracle:
         fixed = self._checked(fixed, instance, contested)
         self._switch(knowledge)
         self.calls += 1
-        off, active = self._off, self._active
+        active, whole = self._active, self._active == self._all
         values = instance.values
-        if self._entailed.within(fixed, values, contested, not off):
+        if self._entailed.within(fixed, values, contested, whole):
             self.store_hits += 1
             return OracleResult(Status.ENTAILS)
         stored = self._witnesses.agreeing(fixed, values, contested, not active)
         if stored is not None:
             self.store_hits += 1
             return OracleResult(Status.COUNTEREXAMPLE, Instance(stored))
-        assumptions = [slit for ci, slit in self.units if ci not in off]
+        assumptions = [slit for ci, slit in self.units if active >> ci & 1]
         assumptions += [(f, values[f], False) for f in sorted(fixed, reverse=True)]
         witness = self._solve(assumptions, contested)
-        keep = not off or not active  # the whole base or no clause
+        keep = whole or not active  # the whole base or no clause
         if witness is None:
             if keep:
                 self._entailed.add(tuple(fixed), values, contested, not active)
@@ -665,5 +666,5 @@ class EntailmentOracle:
             raise AssertionError("witness fails direct evaluation")
         if keep:
             self._witnesses.add(self._features, witness.values, cls,
-                                satisfied == (1 << len(self.clauses)) - 1)
+                                satisfied == self._all)
         return OracleResult(Status.COUNTEREXAMPLE, witness)

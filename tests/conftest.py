@@ -5,10 +5,25 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kxp import FeatureSpace, KnowledgeBase, Rule, load_csv, load_model
+from kxp import (EntailmentOracle, FeatureSpace, KnowledgeBase, Rule, load_csv,
+                 load_model)
 from kxp.models import DecisionList, DLRule
 
 DATA = Path(__file__).parent.parent / "data"
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per oracle built while the test runs."""
+    built = []
+    init = EntailmentOracle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EntailmentOracle, "__init__", counting_init)
+    return built
 
 
 @pytest.fixture(scope="session")

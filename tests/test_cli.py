@@ -540,40 +540,39 @@ def test_assess_knowledge_can_only_help(tmp_path):
     assert report["skipped"] == 1 and "skipped" not in report["records"][1]
 
 
-def test_one_oracle_per_command(monkeypatch, tmp_path):
-    from kxp.oracle import EntailmentOracle
+def test_one_oracle_per_command(builds, tmp_path):
+    """Each command's rows share the thread's oracle. `explain --compare`
+    and `assess --knowledge` build two: the first K-free row builds over the
+    empty base, and the first row under K builds over K, which then answers
+    the rest. `attribute` builds one. The counts are the same for 3 rows
+    and for 6."""
     rules = str(tmp_path / "rules.jsonl")
     assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0
-    subsets = tmp_path / "subsets.json"
-    subsets.write_text(json.dumps({"format": "kxp.subsets/1", "records": [
-        {"index": i, "features": ["Education", "Status", "Occupation",
-                                  "Relationship", "Sex"]} for i in range(6)]}))
-    builds = []
-    init = EntailmentOracle.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(EntailmentOracle, "__init__", counting_init)
-    out = tmp_path / "expl.jsonl"
-    assert main(["explain", DL, TOY, "--instances", "all", "--knowledge", rules,
-                 "--compare", "--enum", "3", "--out", str(out)]) == 0
-    assert len([r for r in read_jsonl(out) if r.get("type") == "result"]) == 12
-    assert len(builds) == 1
-    builds.clear()
-    out = tmp_path / "assess.json"
-    assert main(["assess", DL, TOY, str(subsets), "--knowledge", rules,
-                 "--out", str(out)]) == 0
-    records = json.loads(out.read_text())["records"]
-    assert len(records) == 6 and all("reduced_size" in r for r in records)
-    assert len(builds) == 1
-    builds.clear()
-    out = tmp_path / "attribute.json"
-    assert main(["attribute", DL, TOY, "--instance", "4", "--knowledge", rules,
-                 "--axp", "auto", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["axp"]
-    assert len(builds) == 1
+    for rows in (3, 6):
+        subsets = tmp_path / "subsets.json"
+        subsets.write_text(json.dumps({"format": "kxp.subsets/1", "records": [
+            {"index": i, "features": ["Education", "Status", "Occupation",
+                                      "Relationship", "Sex"]} for i in range(rows)]}))
+        builds.clear()
+        out = tmp_path / "expl.jsonl"
+        assert main(["explain", DL, TOY, "--instances",
+                     ",".join(map(str, range(rows))), "--knowledge", rules,
+                     "--compare", "--enum", "3", "--out", str(out)]) == 0
+        assert len([r for r in read_jsonl(out) if r.get("type") == "result"]) == 2 * rows
+        assert len(builds) == 2
+        builds.clear()
+        out = tmp_path / "assess.json"
+        assert main(["assess", DL, TOY, str(subsets), "--knowledge", rules,
+                     "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == rows and all("reduced_size" in r for r in records)
+        assert len(builds) == 2
+        builds.clear()
+        out = tmp_path / "attribute.json"
+        assert main(["attribute", DL, TOY, "--instance", str(rows - 1), "--knowledge",
+                     rules, "--axp", "auto", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["axp"]
+        assert len(builds) == 1
 
 
 def test_bad_feature_names_name_their_source(tmp_path, capsys):

@@ -6,18 +6,19 @@ import threading
 
 import pytest
 
-from kxp import (Kind, KnowledgeBase, Rule)
+from kxp import Instance, Kind, KnowledgeBase, Rule
 import kxp.explain as explain_module
 from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
                          attribute_rules, check_explanation, enumerate_smallest,
                          find_axp, find_cxp, minimum_hitting_set,
                          reduce_explanation)
-from kxp.oracle import EntailmentOracle
+from kxp.oracle import EntailmentOracle, OracleError
 
 from util import (all_minimal_explanations, all_minimal_hitting_sets,
                   assert_counterexample, minimum_hitting_set_bruteforce,
                   random_bt, random_dl, random_instance, random_knowledge,
-                  random_model, random_space, reference_attribution)
+                  random_model, random_single_score_bt, random_space,
+                  reference_attribution)
 
 
 def F(space, *names):
@@ -235,6 +236,29 @@ def test_oracle_over_another_model_rejected(toy_ds, toy_dl, toy_bt):
         with pytest.raises(ExplainError, match="different model"):
             call()
     assert bt_oracle.calls == 0
+
+
+def test_instance_of_the_wrong_length_is_rejected_before_use(toy_dl, toy_bt, row1):
+    """Every entry point checks an instance's length before it classifies
+    it: an OracleError names both counts, and the supplied oracle is asked
+    nothing."""
+    m = toy_dl.space.m
+    short, long = Instance(row1.values[:2]), Instance(row1.values + (0, 0))
+    for model in (toy_dl, toy_bt):
+        for v in (short, long):
+            oracle = EntailmentOracle(model)
+            calls = [lambda: find_axp(model, v, oracle=oracle),
+                     lambda: find_cxp(model, v, oracle=oracle),
+                     lambda: check_explanation([0], Kind.AXP, model, v, oracle=oracle),
+                     lambda: reduce_explanation([0], Kind.CXP, model, v, oracle=oracle),
+                     lambda: enumerate_smallest(Kind.CXP, model, v, oracle=oracle),
+                     lambda: attribute_rules(model, v, KnowledgeBase(), [0],
+                                             oracle=oracle)]
+            for call in calls:
+                with pytest.raises(OracleError, match="instance has %d values, space "
+                                   "has %d features" % (len(v.values), m)):
+                    call()
+            assert oracle.calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +481,7 @@ def _slot_cases(rng, sp):
     none, k, strict (a strict subset of k), super (k and more) and disjoint
     (no clause of k), and rows that satisfy every base."""
     v = random_instance(rng, sp)
-    single = random_bt(rng, sp, n_classes=2, depth=3)
-    while single.positive is None:
-        single = random_bt(rng, sp, n_classes=2, depth=3)
+    single = random_single_score_bt(rng, sp)
     dl = random_dl(rng, sp, n_classes=3)
     while not any(l.negated for rule in dl.rules for l in rule.antecedent):
         dl = random_dl(rng, sp, n_classes=3)
@@ -498,20 +520,6 @@ def _explain_calls(model, u, knowledge, rng):
         lambda o: enumerate_smallest(kind, model, u, knowledge=knowledge, n=n, oracle=o),
         lambda o: attribute_rules(model, u, knowledge or KnowledgeBase(), find_axp(
             model, u, knowledge=knowledge, oracle=o).features, oracle=o)]
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """One entry per oracle built while the test runs."""
-    built = []
-    init = EntailmentOracle.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(EntailmentOracle, "__init__", counting_init)
-    return built
 
 
 def test_calls_without_oracle_match_fresh_oracles(builds):
@@ -608,9 +616,7 @@ def test_enumerations_do_not_depend_on_the_rows_before(monkeypatch):
     for _ in range(3):
         sp = random_space(rng, min_features=5, max_features=7, max_domain=3)
         v = random_instance(rng, sp)
-        single = random_bt(rng, sp, n_classes=2, depth=3)
-        while single.positive is None:
-            single = random_bt(rng, sp, n_classes=2, depth=3)
+        single = random_single_score_bt(rng, sp)
         for model in (random_dl(rng, sp, n_classes=rng.choice((2, 3))), single,
                       random_bt(rng, sp, n_classes=3, depth=3)):
             kb = random_knowledge(rng, sp, v, max_clauses=5)
@@ -648,6 +654,68 @@ def test_enumerations_do_not_depend_on_the_rows_before(monkeypatch):
                 enumerations += 1
     assert enumerations == 120 and witnesses > 1000, (enumerations, witnesses)
     assert differ >= 20, differ  # so stored witnesses did seed other duals
+
+
+QUESTION_PIN = (3759, "7ff8953f7c927068")
+
+
+def _asked(call, *args, **kwargs):
+    """The call's answer, or None when its seed fails (no counterexample)."""
+    try:
+        return call(*args, **kwargs)
+    except ExplainError:
+        return None
+
+
+def test_question_sequence_pinned(monkeypatch):
+    """Seeded explain calls on one shared oracle per model (a 3-class list,
+    a single-score and a 3-class ensemble on each of four spaces), with and
+    without K, attributions under K and under a strict subset included. Every
+    question the oracles are asked, in order, as its fixed set, contested
+    class, the ids of the clauses in force, status and witness, hashes to
+    the pin: the explain layer asks the same questions in the same order."""
+    rng = random.Random(5150)
+    questions = []
+    for _ in range(4):
+        sp = random_space(rng, min_features=4, max_features=6, max_domain=3)
+        v = random_instance(rng, sp)
+        for model in (random_dl(rng, sp, n_classes=3), random_single_score_bt(rng, sp),
+                      random_bt(rng, sp, n_classes=3, depth=3)):
+            kb = random_knowledge(rng, sp, v, max_clauses=5)
+            rows = [v] + [u for u in (random_instance(rng, sp) for _ in range(4))
+                          if kb.satisfied_by(u)]
+            oracle = EntailmentOracle(model, kb)
+            ids = {clause: i for i, clause in enumerate(kb.clauses)}
+            query = oracle.query
+
+            def recorded(fixed, u, c, knowledge=None, query=query, ids=ids):
+                fixed = sorted(fixed)
+                res = query(fixed, u, c, knowledge)
+                active = range(len(ids)) if knowledge is None \
+                    else sorted(ids[clause] for clause in knowledge.clauses)
+                questions.append("%s %d %s %s %s" % (
+                    fixed, c, list(active), res.status.value,
+                    res.witness and list(res.witness.values)))
+                return res
+
+            monkeypatch.setattr(oracle, "query", recorded)
+            strict = kb.subset(kb.clauses[1:])
+            for u in rows:
+                for knowledge in (None, kb):
+                    for kind in Kind:
+                        enumerate_smallest(kind, model, u, knowledge=knowledge, n=4,
+                                           oracle=oracle)
+                        _asked(reduce_explanation, range(sp.m), kind, model, u,
+                               knowledge=knowledge, oracle=oracle)
+                    _asked(find_cxp, model, u, knowledge=knowledge, oracle=oracle)
+                    axp = find_axp(model, u, knowledge=knowledge, oracle=oracle)
+                    check_explanation(axp.features, Kind.CXP, model, u,
+                                      knowledge=knowledge, oracle=oracle)
+                for knowledge in (kb, strict):
+                    axp = find_axp(model, u, knowledge=knowledge, oracle=oracle)
+                    attribute_rules(model, u, knowledge, axp.features, oracle=oracle)
+    digest = hashlib.sha256("\n".join(questions).encode("utf-8")).hexdigest()
+    assert (len(questions), digest[:16]) == QUESTION_PIN
 
 
 def test_enumeration_truncates_at_n(toy_dl, row1):

@@ -12,7 +12,7 @@ from kxp.oracle import EntailmentOracle, OracleError, Status, check_compatible
 from util import (_dl_cnf, _leaf_paths, assert_counterexample, dimacs_satisfiable,
                   entails_bruteforce, mask_values, query_to_dimacs, random_bt,
                   random_dl, random_instance, random_knowledge, random_model,
-                  random_space, tree_tested_features)
+                  random_single_score_bt, random_space, tree_tested_features)
 
 
 def Q(model, inst, fixed, contested=None, kb=None):
@@ -307,7 +307,7 @@ def _dimacs_pin_texts():
                              + base.rules[1:], base.default)
         models = [base, random_dl(rng, sp, n_classes=3, max_rules=4), empty,
                   DecisionList(sp, ("c0", "c1", "c2"), (), default=rng.randrange(3)),
-                  _single_score_bt(rng, sp), random_bt(rng, sp, n_classes=3)]
+                  random_single_score_bt(rng, sp), random_bt(rng, sp, n_classes=3)]
         for model in models:
             v = random_instance(rng, sp)
             for kb in (KnowledgeBase(), _mixed_knowledge(rng, sp, v, rng.randint(1, 4))):
@@ -489,13 +489,6 @@ class _Boom(Exception):
     pass
 
 
-def _single_score_bt(rng, sp, depth=3):
-    while True:
-        model = random_bt(rng, sp, n_classes=2, depth=depth)
-        if model.positive is not None:
-            return model
-
-
 def _kept_trail_cases(rng, sp):
     """(model, knowledge, instance pool) for DLs with two and three classes,
     a constant DL, and single-score and multiclass BTs whose knowledge is
@@ -506,7 +499,7 @@ def _kept_trail_cases(rng, sp):
            DecisionList(sp, ("c0", "c1", "c2"), (), default=rng.randrange(3))]
     cases = [(model, _mixed_knowledge(rng, sp, v, rng.randint(2, 5)))
              for model in dls]
-    for model in (_single_score_bt(rng, sp),
+    for model in (random_single_score_bt(rng, sp),
                   random_bt(rng, sp, n_classes=3, depth=3)):
         tested = tree_tested_features(model)
         kb = (_tested_feature_knowledge(rng, sp, v, tested) if len(tested) >= 2
@@ -806,7 +799,7 @@ def _answer_pin_lines():
         v = random_instance(rng, sp)
         models = [random_dl(rng, sp, n_classes=2), random_dl(rng, sp, n_classes=3)]
         for depth in (3, 4):
-            models += [_single_score_bt(rng, sp, depth),
+            models += [random_single_score_bt(rng, sp, depth),
                        random_bt(rng, sp, n_classes=3, depth=depth)]
         for model in models:
             tested = _tested_features(model)

@@ -45,3 +45,45 @@ def test_src_modules_use_every_name_they_import():
         unused += ["%s:%d: %s" % (path.name, line, name)
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_src_has_no_unreferenced_private_code():
+    """Every private module-level name, every private method (and every
+    method of a private class but dunders) and every private attribute set
+    on `self` is read somewhere in `src/kxp` outside its own definition."""
+    defined, reads = [], []  # (module, name, first line, last line); (module, name, line)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((path.name, node.attr, node.lineno))
+            elif isinstance(node, ast.Attribute) and _private(node.attr) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "self":
+                defined.append((path.name, node.attr, node.lineno, node.lineno))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(path.name, name, node.lineno, node.end_lineno)
+                        for name in names if _private(name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, item.name, item.lineno, item.end_lineno)
+                            for item in node.body if isinstance(item, ast.FunctionDef)
+                            and (_private(item.name) or _private(node.name)
+                                 and not item.name.startswith("__"))]
+    unread = ["%s:%d: %s" % (module, first, name)
+              for module, name, first, last in defined
+              if not any(read == name and (at != module or not first <= line <= last)
+                         for at, read, line in reads)]
+    assert unread == []

@@ -586,6 +586,15 @@ def random_bt(rng: random.Random, space: FeatureSpace, n_classes=2,
     return BoostedEnsemble(space, classes, 4, trees)
 
 
+def random_single_score_bt(rng: random.Random, space: FeatureSpace,
+                           depth=3) -> BoostedEnsemble:
+    """A binary `random_bt` drawn again until it has one score group."""
+    while True:
+        model = random_bt(rng, space, n_classes=2, depth=depth)
+        if model.positive is not None:
+            return model
+
+
 def random_model(rng: random.Random, space: FeatureSpace, n_classes=2):
     if rng.random() < 0.5:
         return random_dl(rng, space, n_classes)
