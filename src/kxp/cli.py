@@ -342,6 +342,12 @@ def _summarize_explanations(records, skipped, kind, compare) -> dict:
 def cmd_attribute(args) -> int:
     model, ds, kb, inputs = _load_inputs(args)
     inst = _row_instance(model, ds, args.instance, "--instance")
+    if not kb.satisfied_by(inst):  # a rules file's clauses each keep their rule
+        clause, rule = next((c, r) for c, r in zip(kb.clauses, kb.rules)
+                            if not c.satisfied_by(inst))
+        raise ExplainError("--instance: row %d breaks rule [%s] of %s: %s"
+                           % (args.instance, ",".join(map(str, kb.provenance[clause])),
+                              args.knowledge, rule.render(model.space)))
     if args.axp == "auto":
         features = sorted(find_axp(model, inst, knowledge=kb).features)
     else:

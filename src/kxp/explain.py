@@ -89,6 +89,9 @@ def _shrink(seed: Iterable[int],
 
 def _feature_set(features: Iterable[int], m: int) -> frozenset[int]:
     fset = frozenset(features)
+    for f in fset:
+        if type(f) is not int:  # nor a bool
+            raise ExplainError("feature index %r is not an integer" % (f,))
     if any(not 0 <= f < m for f in fset):
         raise ExplainError("feature index out of range in %s" % sorted(fset))
     return fset
@@ -161,7 +164,7 @@ class EnumerationResult:
 def _mask(elements: Iterable[int], universe: int) -> int:
     mask = 0
     for e in elements:
-        if not 0 <= e < universe:
+        if type(e) is not int or not 0 <= e < universe:  # nor a bool
             raise ExplainError("element %r lies outside the universe range(%d)"
                                % (e, universe))
         mask |= 1 << e

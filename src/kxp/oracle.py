@@ -10,21 +10,23 @@ own, bound once when the oracle is built, over one live set (`_Live`): every
 leaf of every tree, or every rule of a decision list, is one bit of one
 integer, `alive`. The trail is the only undo log: `_force` is the one write
 to the domains, and each domain change appends one entry (the feature, its
-previous domain and the previous `alive`) and clears the leaves or rules it
-falsifies with one AND; undo restores both. An ensemble's test reads
-per-class score bounds: the per-tree [lo, hi] and their per-class sums are
-brought up to date when the test reads them, for the trees whose leaves
-changed since. A list's test takes the first live rule of another class and
-reads literal by literal only the live contested rules before it, for one
-that surely fires. Both tests are sound on partial domains and exact on a
-full assignment.
+previous domain and the previous `alive`), queues the literals it falsifies
+(`f = v` for each value v it removes, then `f != v` once v is the last value
+left) and clears the leaves or rules that hold them with one AND; undo
+restores both. The queued literals wake the clauses that watch them. An
+ensemble's test reads per-class score bounds: the per-tree [lo, hi] and
+their per-class sums are brought up to date when the test reads them, for
+the trees whose leaves changed since. A list's test takes the first live
+rule of another class and reads literal by literal only the live contested
+rules before it, for one that surely fires. Both tests are sound on partial
+domains and exact on a full assignment.
 
 The variables are the features and the clauses the knowledge, each entered
-once. A knowledge subset is one mask over the clause ids, `_active` (by
-default every clause); propagation, the unit assumptions and the store read
-it, and an inactive clause stays watched and is skipped when it wakes. The
-mask is worked out again only when a query names another subset object than
-the last one.
+once, by `_add_clause`. A knowledge subset is one mask over the clause ids,
+`_active` (by default every clause); propagation, the unit assumptions and
+the store read it, and an inactive clause stays watched and is skipped when
+it wakes. The mask is worked out again only when a query names another
+subset object than the last one.
 
 The propagated state is kept between queries. A query's assumptions, first
 the active unit clauses and then the fixed features in descending order, are
@@ -40,7 +42,7 @@ task at a time.
 
 A witness is re-checked apart from the search: its fixed values and class
 directly, the active clauses by per (feature, value) masks of the clauses
-that value satisfies, built from the knowledge clauses themselves; so is an
+that value satisfies, filled in as each clause is entered; so is an
 instance's compatibility with a subset (`compatible`).
 
 A searched answer is also kept as a certificate (`_Certificates`) when the
@@ -112,39 +114,28 @@ def _lit_slit(lit: Literal) -> _SLit:
     return (lit.feature, lit.value, lit.negated)
 
 
-def _neg(slit: _SLit) -> _SLit:
-    var, value, negated = slit
-    return (var, value, not negated)
-
-
-def _event(slit: _SLit) -> tuple:
-    var, value, negated = slit
-    # the event on which this literal becomes false
-    return ("fix", var, value) if negated else ("rm", var, value)
-
-
 class _Live:
     """The oracle's live set: the leaves of an ensemble's trees (`_Leaves`) or
     the rules of a decision list (`_Rules`), each one bit of the integer
     `alive`, kept on the oracle's trail, and the family's class test
     (`possible`) over it.
 
-    A leaf or rule dies on the first event that falsifies a literal on its
-    path or in its antecedent; it revives only when that event is undone,
-    and undo is last-in-first-out, so later falsified literals need no
-    count. `dying` maps each event to the mask of the bits it falsifies. The
-    oracle's `_force` ORs the masks of a domain change's events and clears
-    them from `alive` with one AND; its trail entry keeps the `alive` it
-    replaced, and undo restores the one from the first entry it undoes.
+    A leaf or rule dies when a literal on its path or in its antecedent is
+    falsified; it revives only when that domain change is undone, and undo
+    is last-in-first-out, so later falsified literals need no count. `dying`
+    maps each literal to the mask of the bits whose conjunction holds it.
+    The oracle's `_force` queues the literals a domain change falsifies, ORs
+    their masks and clears them from `alive` with one AND; its trail entry
+    keeps the `alive` it replaced, and undo restores the one from the first
+    entry it undoes.
     """
 
     def __init__(self, conjunctions: list[list[_SLit]]):
         """One bit per conjunction of literals, in order, all alive."""
-        self.dying: dict[tuple, int] = {}  # event -> bits it falsifies
+        self.dying: dict[_SLit, int] = {}  # literal -> bits that die when it is false
         for bit, lits in enumerate(conjunctions):
             for slit in lits:
-                ev = _event(slit)
-                self.dying[ev] = self.dying.get(ev, 0) | 1 << bit
+                self.dying[slit] = self.dying.get(slit, 0) | 1 << bit
         self.alive = (1 << len(conjunctions)) - 1
 
 
@@ -262,9 +253,9 @@ def _collect_paths(tree: Tree, path: list[_SLit],
     if isinstance(tree, Leaf):
         leaves.append((list(path), tree.weight))
         return
-    sl = _lit_slit(tree.test)
-    _collect_paths(tree.yes, path + [sl], leaves)
-    _collect_paths(tree.no, path + [_neg(sl)], leaves)
+    var, value, negated = _lit_slit(tree.test)
+    _collect_paths(tree.yes, path + [(var, value, negated)], leaves)
+    _collect_paths(tree.no, path + [(var, value, not negated)], leaves)
 
 
 # certificates of each kind one oracle keeps; past it the oldest is replaced
@@ -274,15 +265,17 @@ _STORE_SIZE = 1024
 class _Certificates:
     """Earlier answers of one kind, each a partial assignment (`values[f]`
     for each f of `features`) and a class, under ids 0.._STORE_SIZE-1 that
-    are reused oldest first. Here the entries are witnesses, and each
-    assigns every feature.
+    are reused oldest first: entailments, each fixing some features, or
+    witnesses, each assigning every feature.
 
-    Per (feature, value) one bitset holds the ids that assign it (`has`), per
-    class one the ids of that class, and `plain` the ids of the entries that
-    may answer under every knowledge subset. A lookup reads every entry
+    Per feature one bitset holds the ids that assign it (`fixes`), per
+    (feature, value) one the ids that assign that value (`has`), per class
+    one the ids of that class, and `plain` the ids of the entries that may
+    answer under every knowledge subset. A lookup reads every entry
     (`every`) or only the plain ones."""
 
     def __init__(self, sizes: list[int], classes: int):
+        self.fixes = [0] * len(sizes)
         self.has = [[0] * size for size in sizes]
         self.of_class = [0] * classes
         self.entries: list[tuple[Iterable[int], tuple[int, ...], int]] = []  # per id
@@ -290,58 +283,27 @@ class _Certificates:
         self._next = 0
 
     def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
-            plain: bool) -> int:
-        """Keep an entry, in place of the oldest when the store is full; its id's bit."""
+            plain: bool) -> None:
+        """Keep an entry, in place of the oldest when the store is full."""
         i = self._next
         self._next = (i + 1) % _STORE_SIZE
         bit = 1 << i
-        has = self.has
+        fixes, has = self.fixes, self.has
         entry = (features, values, cls)
         if i < len(self.entries):
             old_features, old_values, old_cls = self.entries[i]
             for f in old_features:
+                fixes[f] ^= bit
                 has[f][old_values[f]] ^= bit
             self.of_class[old_cls] ^= bit
             self.entries[i] = entry
         else:
             self.entries.append(entry)
         for f in features:
+            fixes[f] |= bit
             has[f][values[f]] |= bit
         self.of_class[cls] |= bit
         self.plain = self.plain | bit if plain else self.plain & ~bit
-        return bit
-
-    def agreeing(self, fixed: set[int], values: tuple[int, ...], cls: int,
-                 every: bool) -> Optional[tuple[int, ...]]:
-        """The values of an entry of a class other than cls that agrees
-        with the query on every fixed feature, or None."""
-        ids = ((1 << len(self.entries)) - 1 if every else self.plain) & ~self.of_class[cls]
-        has = self.has
-        for f in fixed:
-            if not ids:
-                return None
-            ids &= has[f][values[f]]
-        return self.entries[(ids & -ids).bit_length() - 1][1] if ids else None
-
-
-class _Entailments(_Certificates):
-    """Earlier entailments: each fixes some features, and per feature one
-    bitset holds the ids that fix it (`fixes`)."""
-
-    def __init__(self, sizes: list[int], classes: int):
-        super().__init__(sizes, classes)
-        self.fixes = [0] * len(sizes)
-
-    def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
-            plain: bool) -> int:
-        fixes, i = self.fixes, self._next
-        if i < len(self.entries):
-            for f in self.entries[i][0]:
-                fixes[f] ^= 1 << i
-        bit = super().add(features, values, cls, plain)
-        for f in features:
-            fixes[f] |= bit
-        return bit
 
     def within(self, fixed: set[int], values: tuple[int, ...], cls: int,
                every: bool) -> bool:
@@ -355,6 +317,18 @@ class _Entailments(_Certificates):
                 fx ^= has[f][values[f]]  # the ids assigning f another value
             ids &= ~fx
         return bool(ids)
+
+    def agreeing(self, fixed: set[int], values: tuple[int, ...], cls: int,
+                 every: bool) -> Optional[tuple[int, ...]]:
+        """The values of an entry of a class other than cls that agrees
+        with the query on every fixed feature, or None."""
+        ids = ((1 << len(self.entries)) - 1 if every else self.plain) & ~self.of_class[cls]
+        has = self.has
+        for f in fixed:
+            if not ids:
+                return None
+            ids &= has[f][values[f]]
+        return self.entries[(ids & -ids).bit_length() - 1][1] if ids else None
 
 
 class EntailmentOracle:
@@ -374,7 +348,7 @@ class EntailmentOracle:
 
         m = self.space.m
         self._sizes = [len(self.space.domain(f)) for f in range(m)]
-        self._features = range(m)  # what every witness assigns
+        self._features = range(m)  # every feature, as each witness assigns them
         self.dom: list[int] = [(1 << s) - 1 for s in self._sizes]  # bit v: v possible
         # one entry per domain change: (feature, previous domain, previous alive)
         self.trail: list[tuple[int, int, int]] = []
@@ -388,49 +362,46 @@ class EntailmentOracle:
             self._live: _Live = _Rules(model, self.dom)
         elif isinstance(model, BoostedEnsemble):
             self._live = _Leaves(model)
-            tested = {var for _, var, _ in self._live.dying}
+            tested = {var for var, _, _ in self._live.dying}
         else:
             raise ModelError("unsupported model type %r" % type(model).__name__)
         self._possible = self._live.possible
-        self._dying = self._live.dying
         self._order = sorted(tested) + sorted(set(range(m)) - tested)
 
         self.clauses: list[list[_SLit]] = []
-        self._events: list[list[tuple]] = []  # per clause, each literal's event
         self.cwatch: list[list[int]] = []
-        self.watch: dict[tuple, list[int]] = {}
+        self.watch: dict[_SLit, list[int]] = {}
         self.units: list[tuple[int, _SLit]] = []
+        # the witness check's knowledge half: per (feature, value) the
+        # clauses it satisfies, filled in by `_add_clause`
+        self._satisfies = [[0] * size for size in self._sizes]
         self._subset: Optional[KnowledgeBase] = None  # the last subset switched to
         self._kb_ids: dict[Clause, int] = {
             clause: self._add_clause([_lit_slit(l) for l in clause.literals])
             for clause in self.knowledge.clauses}
-        # the witness check's knowledge half, read from the clauses themselves:
-        # per (feature, value) the clauses it satisfies, and the active ones
-        self._satisfies = [[0] * size for size in self._sizes]
-        for clause, ci in self._kb_ids.items():
-            for lit in clause.literals:
-                row = self._satisfies[lit.feature]
-                for v in range(len(row)):
-                    if (v != lit.value) == lit.negated:  # `Literal.holds` at v
-                        row[v] |= 1 << ci
         self._all = (1 << len(self.clauses)) - 1
         self._active = self._all  # the ids of the subset in force, as a mask
         args = (self._sizes, model.class_count())
-        self._entailed, self._witnesses = _Entailments(*args), _Certificates(*args)
+        self._entailed, self._witnesses = _Certificates(*args), _Certificates(*args)
 
     # -- clause database -----------------------------------------------------
 
     def _add_clause(self, slits: list[_SLit]) -> int:
+        """Enter a clause: watch its first two literals (a unit clause is an
+        assumption), and mark the values that satisfy it. Its id."""
         ci = len(self.clauses)
         self.clauses.append(slits)
-        events = [_event(sl) for sl in slits]
-        self._events.append(events)
         self.cwatch.append([0, 1])
         if len(slits) == 1:
             self.units.append((ci, slits[0]))
         else:
-            for pos in (0, 1):
-                self.watch.setdefault(events[pos], []).append(ci)
+            for slit in slits[:2]:
+                self.watch.setdefault(slit, []).append(ci)
+        for var, value, negated in slits:
+            row = self._satisfies[var]
+            for v in range(len(row)):
+                if (v == value) != negated:  # the literal holds at v
+                    row[v] |= 1 << ci
         return ci
 
     def covers(self, knowledge: KnowledgeBase) -> bool:
@@ -473,8 +444,9 @@ class EntailmentOracle:
 
     def _force(self, slit: _SLit, queue: deque) -> bool:
         """Make the literal true: False if that empties its domain. A change
-        is one trail entry, its events are queued (the removed values'
-        ascending, then `fix` if one value is left) and their leaves die."""
+        is one trail entry, and the literals it falsifies are queued (`var =
+        v` for each removed v, ascending, then `var != v` if v is the last
+        value left) and the leaves or rules that hold them die."""
         var, value, negated = slit
         old = self.dom[var]
         new = old & ~(1 << value) if negated else old & 1 << value
@@ -482,29 +454,29 @@ class EntailmentOracle:
             return True
         if not new:
             return False
-        live, dying = self._live, self._dying
+        live, dying = self._live, self._live.dying
         self.dom[var] = new
         self.trail.append((var, old, live.alive))
         bits, gone = 0, old ^ new
         while gone:
             low = gone & -gone
             gone ^= low
-            ev = ("rm", var, low.bit_length() - 1)
-            queue.append(ev)
-            bits |= dying.get(ev, 0)
+            lit = (var, low.bit_length() - 1, False)
+            queue.append(lit)
+            bits |= dying.get(lit, 0)
         if not new & new - 1:
-            ev = ("fix", var, new.bit_length() - 1)
-            queue.append(ev)
-            bits |= dying.get(ev, 0)
+            lit = (var, new.bit_length() - 1, True)
+            queue.append(lit)
+            bits |= dying.get(lit, 0)
         live.alive &= ~bits
         return True
 
     def _propagate(self, queue: deque) -> bool:
         active, dom, watch = self._active, self.dom, self.watch
-        clauses, events_of, cwatch = self.clauses, self._events, self.cwatch
+        clauses, cwatch = self.clauses, self.cwatch
         while queue:
-            ev = queue.popleft()
-            lst = watch.get(ev)
+            lit = queue.popleft()
+            lst = watch.get(lit)
             if not lst:
                 continue
             keep: list[int] = []
@@ -512,19 +484,13 @@ class EntailmentOracle:
                 if not active >> ci & 1:
                     keep.append(ci)
                     continue
-                # an event of this propagation falsified the watched literal
-                # for good: domains only shrink until the propagation ends
-                events = events_of[ci]
+                # this propagation falsified the watched literal for good:
+                # domains only shrink until the propagation ends; a clause is
+                # listed only under its two watched literals
+                slits = clauses[ci]
                 w = cwatch[ci]
                 w0, w1 = w
-                if events[w0] == ev:
-                    which, other = 0, w1
-                elif events[w1] == ev:
-                    which, other = 1, w0
-                else:
-                    keep.append(ci)  # stale entry: the watch has moved
-                    continue
-                slits = clauses[ci]
+                which, other = (0, w1) if slits[w0] == lit else (1, w0)
                 var, value, negated = slits[other]
                 d = dom[var]
                 if (not d >> value & 1) if negated else (d == 1 << value):
@@ -536,16 +502,16 @@ class EntailmentOracle:
                     d = dom[var]
                     if (d != 1 << value) if negated else (d >> value & 1):
                         w[which] = pos  # watch a literal that is not false
-                        watch.setdefault(events[pos], []).append(ci)
+                        watch.setdefault(slits[pos], []).append(ci)
                         break
                 else:
                     keep.append(ci)
                     # forcing a false literal fails without touching the domains
                     if not self._force(slits[other], queue):
                         keep.extend(lst[i + 1:])
-                        watch[ev] = keep
+                        watch[lit] = keep
                         return False
-            watch[ev] = keep
+            watch[lit] = keep
         return True
 
     def _undo_to(self, mark: int) -> None:
@@ -617,21 +583,25 @@ class EntailmentOracle:
     def _checked(self, fixed: Iterable[int], instance: Instance,
                  contested: int) -> set[int]:
         """The fixed features as a set, once the query's indices and values
-        are known to lie in the model's space and classes."""
-        m = len(self._sizes)
-        values = instance.values
+        are known to be integers in the model's space and classes."""
+        sizes, values = self._sizes, instance.values
+        m = len(sizes)
         if len(values) != m:
             raise OracleError("instance has %d values, space has %d features"
                               % (len(values), m))
-        for f, (v, size) in enumerate(zip(values, self._sizes)):
-            if not 0 <= v < size:
-                raise OracleError("instance value %d out of range for feature %d" % (v, f))
+        for f in self._features:
+            v = values[f]
+            if type(v) is not int or not 0 <= v < sizes[f]:  # nor a bool
+                raise OracleError("instance value %r %s for feature %d" % (
+                    v, "out of range" if type(v) is int else "is not an integer", f))
         fixed = set(fixed)
         for f in fixed:
-            if not 0 <= f < m:
-                raise OracleError("fixed feature index %d out of range" % f)
-        if not 0 <= contested < self.model.class_count():
-            raise OracleError("contested class %d out of range" % contested)
+            if type(f) is not int or not 0 <= f < m:
+                raise OracleError("fixed feature index %r %s" % (
+                    f, "out of range" if type(f) is int else "is not an integer"))
+        if type(contested) is not int or not 0 <= contested < self.model.class_count():
+            raise OracleError("contested class %r %s" % (
+                contested, "out of range" if type(contested) is int else "is not an integer"))
         return fixed
 
     def query(self, fixed: Iterable[int], instance: Instance, contested: int,

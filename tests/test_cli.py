@@ -473,6 +473,24 @@ def test_attribute_cli(tmp_path):
     assert json.loads(Path(out2).read_text())["rules"] == []
 
 
+def test_attribute_row_that_breaks_the_knowledge_exits_2(tmp_path, capsys):
+    """Rules mined from some rows can break another row: `attribute` rejects
+    it before any explanation, naming the flag, the rules file and the first
+    broken rule by its ids and text, and writes nothing."""
+    lines = Path(TOY).read_text().splitlines()
+    part = tmp_path / "part.csv"
+    part.write_text("\n".join([lines[0]] + [lines[1 + i] for i in (0, 2, 4, 5)]) + "\n")
+    rules = str(tmp_path / "rules.jsonl")
+    assert main(["mine", str(part), "--max-size", "1", "--out", rules]) == 0
+    out = tmp_path / "attr.json"
+    assert main(["attribute", DL, TOY, "--instance", "1", "--knowledge", rules,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--instance: row 1 breaks rule [0] of %s: IF Occupation = Sales THEN " \
+        "Education = HighSchool" % rules in err
+    assert not out.exists()
+
+
 def test_assess_cli(tmp_path):
     subsets = tmp_path / "subsets.json"
     subsets.write_text(json.dumps({

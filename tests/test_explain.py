@@ -261,6 +261,48 @@ def test_instance_of_the_wrong_length_is_rejected_before_use(toy_dl, toy_bt, row
             assert oracle.calls == 0
 
 
+def test_non_integer_values_and_indices_are_rejected_before_use(toy_dl, toy_bt, row1):
+    """A float instance value, or a float feature index that equals a valid
+    one, is an input error naming the value at every entry point, the
+    oracle's own (a float contested class too) and the hitting-set solver's
+    included; the supplied oracle is asked nothing."""
+    m = toy_dl.space.m
+    value = Instance((float(row1.values[0]),) + row1.values[1:])
+    seed = [0, 1.0] + list(range(2, m))  # the float survives the set: it comes first
+    for model in (toy_dl, toy_bt):
+        oracle = EntailmentOracle(model)
+        on_value = [lambda: find_axp(model, value, oracle=oracle),
+                    lambda: find_cxp(model, value, oracle=oracle),
+                    lambda: check_explanation([0], Kind.AXP, model, value, oracle=oracle),
+                    lambda: reduce_explanation([0], Kind.CXP, model, value, oracle=oracle),
+                    lambda: enumerate_smallest(Kind.CXP, model, value, oracle=oracle),
+                    lambda: attribute_rules(model, value, KnowledgeBase(), [0],
+                                            oracle=oracle),
+                    lambda: oracle.query({0}, value, 0),
+                    lambda: oracle.compatible(value)]
+        for call in on_value:
+            with pytest.raises(OracleError, match="instance value %r is not an integer "
+                               "for feature 0" % value.values[0]):
+                call()
+        on_index = [lambda: find_axp(model, row1, seed=seed, oracle=oracle),
+                    lambda: find_cxp(model, row1, seed=seed, oracle=oracle),
+                    lambda: check_explanation(seed, Kind.AXP, model, row1, oracle=oracle),
+                    lambda: reduce_explanation(seed, Kind.CXP, model, row1, oracle=oracle),
+                    lambda: attribute_rules(model, row1, KnowledgeBase(), seed,
+                                            oracle=oracle)]
+        for call in on_index:
+            with pytest.raises(ExplainError, match="feature index 1.0 is not an integer"):
+                call()
+        with pytest.raises(OracleError, match="fixed feature index 1.0 is not an integer"):
+            oracle.query(seed, row1, 0)
+        with pytest.raises(OracleError, match="contested class 0.0 is not an integer"):
+            oracle.query(seed[:1], row1, 0.0)
+        assert oracle.calls == 0
+    for sets, blocked in (([{1.0}], []), ([{1}], [{0, 1.0}]), ([{True}], [])):
+        with pytest.raises(ExplainError, match=r"element (1\.0|True) .*range\(3\)"):
+            minimum_hitting_set(sets, blocked, 3)
+
+
 # ---------------------------------------------------------------------------
 # the hitting-set engine
 

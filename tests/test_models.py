@@ -13,7 +13,7 @@ from kxp import (Dataset, Instance, load_model, save_model, train_boosted,
                  train_decision_list)
 from kxp.models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
                         model_from_obj, model_to_obj, _walk)
-from kxp.oracle import EntailmentOracle, _collect_paths, _event
+from kxp.oracle import EntailmentOracle, _collect_paths
 
 from util import (dl_possible_reference, group_bounds, mask_values, planted_dataset,
                   random_bt, random_dl, random_instance, random_space, random_table,
@@ -147,8 +147,8 @@ def test_random_model_round_trips():
 def test_dl_encoding_shape(toy_dl):
     """Rule j of the list is bit j of the oracle's live set, all alive on the
     full space; `other[c]` masks the rules of the classes other than c, and
-    each literal's falsifying event maps to the rules whose antecedent holds
-    it. The class test reads the oracle's own domains."""
+    literal maps to the rules whose antecedent holds it, which die when it
+    is falsified. The class test reads the oracle's own domains."""
     oracle = EntailmentOracle(toy_dl)
     live, rules = oracle._live, toy_dl.rules
     assert live.alive == (1 << len(rules)) - 1 == 0b1111
@@ -157,27 +157,27 @@ def test_dl_encoding_shape(toy_dl):
     dying = {}
     for j, rule in enumerate(rules):
         for l in rule.antecedent:
-            ev = _event((l.feature, l.value, l.negated))
-            dying[ev] = dying.get(ev, 0) | 1 << j
-    assert live.dying == dying == {("rm", 0, 3): 0b0001, ("rm", 2, 2): 0b0010,
-                                   ("rm", 1, 0): 0b1100, ("rm", 3, 0): 0b0100,
-                                   ("rm", 3, 1): 0b1000}
+            slit = (l.feature, l.value, l.negated)
+            dying[slit] = dying.get(slit, 0) | 1 << j
+    assert live.dying == dying == {(0, 3, False): 0b0001, (2, 2, False): 0b0010,
+                                   (1, 0, False): 0b1100, (3, 0, False): 0b0100,
+                                   (3, 1, False): 0b1000}
     assert live.default == toy_dl.default and live.dom is oracle.dom
     # on the full space both classes can be challenged
     assert all(oracle._possible(c) for c in range(2))
 
 
 def test_search_order_puts_tree_tested_features_first(toy_dl, toy_bt):
-    """The search decides the features whose events kill leaves first: for
-    an ensemble exactly the features its trees test. A list's rule events
-    leave its order at the feature order, whatever the rules test."""
+    """The search decides the features whose literals kill leaves first:
+    for an ensemble exactly the features its trees test. A list's rule
+    literals leave its order at the feature order, whatever the rules test."""
     rng = random.Random(157)
     for model in [toy_dl] + [random_dl(rng, random_space(rng)) for _ in range(10)]:
         dl = EntailmentOracle(model)
         assert dl._live.dying and dl._order == list(range(model.space.m))
     bt = EntailmentOracle(toy_bt)
     tested = tree_tested_features(toy_bt)
-    assert sorted({var for _, var, _ in bt._live.dying}) == tested
+    assert sorted({var for var, _, _ in bt._live.dying}) == tested
     assert bt._order == tested + sorted(set(range(toy_bt.space.m)) - set(tested))
 
 
@@ -319,8 +319,9 @@ def test_bt_bounds_are_sound(toy_bt):
     and reduced domains) and undos, read after one or several changes: equal
     to the reference, sound for completions of the domains, exact once every
     feature is fixed, and back to the full-domain bounds after undoing
-    everything. A fixing is one trail entry holding the previous mask, and
-    queues one removal per other value, then the fix."""
+    everything. Fixing f to v is one trail entry holding the previous mask,
+    and queues the literals it falsifies: `f = x` for each other value x,
+    then `f != v`."""
     rng = random.Random(11)
     models = [toy_bt] + [random_bt(rng, random_space(rng, max_domain=4),
                                    n_classes=rng.choice((2, 3)), depth=3)
@@ -348,7 +349,7 @@ def test_bt_bounds_are_sound(toy_bt):
                 assert oracle._force((f, v, False), queue)
                 assert oracle.dom[f] == 1 << v
                 assert oracle.trail[before:] == [previous]
-                assert list(queue) == [("rm", f, x) for x in others] + [("fix", f, v)]
+                assert list(queue) == [(f, x, False) for x in others] + [(f, v, True)]
                 marks.append(len(oracle.trail))
             elif oracle._force((f, v, True), deque()):
                 marks.append(len(oracle.trail))

@@ -9,9 +9,9 @@ from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
 from kxp.models import DecisionList, DLRule
 from kxp.oracle import EntailmentOracle, OracleError, Status, check_compatible
 
-from util import (_dl_cnf, _leaf_paths, assert_counterexample, dimacs_satisfiable,
-                  entails_bruteforce, mask_values, query_to_dimacs, random_bt,
-                  random_dl, random_instance, random_knowledge, random_model,
+from util import (_dl_cnf, assert_counterexample, assert_oracle_invariants,
+                  dimacs_satisfiable, entails_bruteforce, mask_values, query_to_dimacs,
+                  random_bt, random_dl, random_instance, random_knowledge, random_model,
                   random_single_score_bt, random_space, tree_tested_features)
 
 
@@ -362,6 +362,7 @@ def _ask_shared(shared, model, active, fixed, v, c, subset):
     hits = shared.store_hits
     got = shared.query(fixed, v, c, subset)
     stored = shared.store_hits > hits
+    assert_oracle_invariants(shared)
     fresh = EntailmentOracle(model, active).query(fixed, v, c)
     assert got.status is fresh.status \
         is entails_bruteforce(model, active, fixed, v, c).status
@@ -584,6 +585,7 @@ def test_kept_trail_matches_fresh_oracles(monkeypatch):
                             shared.query(fixed, v, c, subset)
                         except _Boom:
                             counts["raised"] += 1
+                    assert_oracle_invariants(shared)
                 got, stored = _ask_shared(shared, model, active, fixed, v, c, subset)
                 if not got.entails:  # counterexamples searched and stored
                     counts["stored" if stored else "searched"] += 1
@@ -638,6 +640,7 @@ def test_certificate_store_matches_fresh_oracles(monkeypatch):
                         if rng.random() < 0.2:  # a searched answer is kept, unless
                             before = shared.store_hits  # under a strict subset
                             assert shared.query(fixed, v, c, subset) == got
+                            assert_oracle_invariants(shared)
                             assert (shared.store_hits > before) \
                                 == (stored or len(active) in (0, len(kb)))
                         if got.entails != axp:
@@ -698,35 +701,61 @@ def test_certificate_store_rule(threshold_dl, bool3_space):
     assert kept(oracle) == (1, 1)  # the whole base's entailment only
 
 
+def test_certificate_store_matches_a_linear_scan(monkeypatch):
+    """One store kind serves entailments and witnesses. Random entries, some
+    assigning a few features (none, at times) and some every feature, are
+    added well past eviction into a store of five ids. After each add,
+    `within` and `agreeing` answer as a scan of the five live entries does,
+    reading every entry and only the plain ones."""
+    rng = random.Random(2323)
+    size = 5
+    monkeypatch.setattr(oracle_module, "_STORE_SIZE", size)
+    seen = Counter()
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        sizes = [rng.randint(1, 3) for _ in range(m)]
+        classes = rng.randint(2, 3)
+        store = oracle_module._Certificates(sizes, classes)
+        live = {}  # id -> (features, values, class, plain), as added
+        for n in range(4 * size):
+            features = tuple(range(m)) if rng.random() < 0.4 else \
+                tuple(rng.sample(range(m), rng.randint(0, m)))
+            entry = (features, tuple(rng.randrange(k) for k in sizes),
+                     rng.randrange(classes), rng.random() < 0.5)
+            store.add(*entry)
+            seen["evicted"] += n % size in live
+            live[n % size] = entry
+            for _ in range(6):
+                fixed = set(rng.sample(range(m), rng.randint(0, m)))
+                values = tuple(rng.randrange(k) for k in sizes)
+                c = rng.randrange(classes)
+                for every in (True, False):
+                    usable = [live[i] for i in sorted(live) if every or live[i][3]]
+                    within = any(cls == c and all(f in fixed and vals[f] == values[f]
+                                                  for f in feats)
+                                 for feats, vals, cls, _ in usable)
+                    agreeing = [vals for feats, vals, cls, _ in usable if cls != c
+                                and all(f in feats and vals[f] == values[f] for f in fixed)]
+                    assert store.within(fixed, values, c, every) is within
+                    assert store.agreeing(fixed, values, c, every) == \
+                        (agreeing[0] if agreeing else None)
+                    seen["within", every] += within
+                    seen["agreeing", every] += bool(agreeing)
+    assert len(seen) == 5 and min(seen.values()) >= 100, seen
+
+
 # ---------------------------------------------------------------------------
 # the trail is the oracle's only undo log
-
-def _live_bits(model, dom) -> int:
-    """`alive` recomputed from scratch: bit i is set when each literal on the
-    path of leaf i (trees in order, each tree's leaves by ascending weight),
-    or in the antecedent of rule i of a list, can still hold under the
-    domain masks."""
-    def can_hold(var, value, negated):
-        return dom[var] != 1 << value if negated else value in mask_values(dom[var])
-
-    if isinstance(model, DecisionList):
-        conjunctions = [[(l.feature, l.value, l.negated) for l in rule.antecedent]
-                        for rule in model.rules]
-    else:
-        conjunctions = [path for tree in (tree for group in model.trees for tree in group)
-                        for path, _ in sorted(_leaf_paths(tree), key=lambda leaf: leaf[1])]
-    return sum(1 << bit for bit, lits in enumerate(conjunctions)
-               if all(can_hold(*slit) for slit in lits))
-
 
 def test_trail_is_the_only_undo_log():
     """Random forcings of both polarities and random undos on 2- and 3-class
     ensembles and lists, with `!=` literals on their larger domains. After
     every step `alive` equals its recomputation over the domains; a change
     is one trail entry (the feature, its previous mask and the previous
-    `alive`) and queues `rm` for each removed value in ascending order, then
-    `fix` when one value is left; no change leaves the trail and the queue
-    alone; `_undo_to(m)` restores the domains and `alive` of trail length m."""
+    `alive`) and queues the literals it falsifies, `f = x` for each removed
+    value x in ascending order, then `f != v` when v is the one value left;
+    no change leaves the trail and the queue alone; `_undo_to(m)` restores
+    the domains and `alive` of trail length m."""
     rng = random.Random(1503)
     seen = dict.fromkeys(("fix", "multi_rm", "unchanged", "emptied", "undo",
                           "bt", "dl"), 0)
@@ -761,14 +790,14 @@ def test_trail_is_the_only_undo_log():
                     assert len(oracle.trail) == len(states) - 1 and not queue
                 else:
                     removed = [x for x in values if x not in kept]
-                    fix = [("fix", f, kept[0])] if len(kept) == 1 else []
+                    fix = [(f, kept[0], True)] if len(kept) == 1 else []
                     seen["fix"] += bool(fix)
                     seen["multi_rm"] += len(removed) > 1
                     assert oracle.dom[f] == sum(1 << x for x in kept)
                     assert oracle.trail[len(states) - 1:] == [previous]
-                    assert list(queue) == [("rm", f, x) for x in removed] + fix
+                    assert list(queue) == [(f, x, False) for x in removed] + fix
                     states.append((list(oracle.dom), oracle._live.alive))
-            assert oracle._live.alive == _live_bits(model, oracle.dom)
+            assert_oracle_invariants(oracle)
     assert min(seen.values()) > 0, seen
 
 

@@ -11,11 +11,14 @@ checked against, and `dl_possible_reference` the literal-by-literal decision
 list class test its live-rule bits are checked against. `query_to_dimacs`
 writes a query as CNF with its own encoding of a decision list, which
 `dimacs_satisfiable` decides; it shares only the oracle's input checks.
+`assert_oracle_invariants` recomputes the oracle's live set from its domains
+and its watch lists from its clauses' watched positions.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 from kxp import (Clause, Dataset, FeatureSpace, Instance, Kind, KnowledgeBase,
@@ -786,3 +789,39 @@ def query_to_dimacs(model, knowledge, fixed, instance, contested) -> str:
     for clause in clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the oracle's propagation state, recomputed from scratch
+
+def _live_bits(model, dom) -> int:
+    """`alive` recomputed from scratch: bit i is set when each literal on the
+    path of leaf i (trees in order, each tree's leaves by ascending weight),
+    or in the antecedent of rule i of a list, can still hold under the
+    domain masks."""
+    def can_hold(var, value, negated):
+        return dom[var] != 1 << value if negated else value in mask_values(dom[var])
+
+    if isinstance(model, DecisionList):
+        conjunctions = [[_slit(l) for l in rule.antecedent] for rule in model.rules]
+    else:
+        conjunctions = [path for tree in (tree for group in model.trees for tree in group)
+                        for path, _ in sorted(_leaf_paths(tree), key=lambda leaf: leaf[1])]
+    return sum(1 << bit for bit, lits in enumerate(conjunctions)
+               if all(can_hold(*slit) for slit in lits))
+
+
+def assert_oracle_invariants(oracle: EntailmentOracle) -> None:
+    """The two-watched-literal lists and the live set agree with the
+    oracle's clauses and domains: each clause of two or more literals is
+    listed once under each of its two watched literals and under no other,
+    a unit clause is listed nowhere, and `alive` equals its recomputation."""
+    listed = Counter((ci, slit) for slit, cis in oracle.watch.items() for ci in cis)
+    watched = Counter()
+    for ci, slits in enumerate(oracle.clauses):
+        if len(slits) > 1:
+            w0, w1 = oracle.cwatch[ci]
+            assert w0 != w1, (ci, oracle.cwatch[ci])
+            watched.update([(ci, slits[w0]), (ci, slits[w1])])
+    assert listed == watched, (listed, watched)
+    assert oracle._live.alive == _live_bits(oracle.model, oracle.dom)
