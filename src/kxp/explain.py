@@ -239,6 +239,8 @@ class _HittingSets:
     """
 
     def __init__(self, universe: int):
+        if type(universe) is not int:  # nor a bool
+            raise ExplainError("universe %r is not an integer" % (universe,))
         self.universe = universe
         self._sets: list[int] = []
         self._blocked: list[int] = []
@@ -282,8 +284,9 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
     Exact iterative-deepening branch and bound over range(universe). Among
     the answers of minimum size it returns the one whose sorted element list
     is lexicographically least. None when infeasible (an empty set to hit, an
-    empty blocked set, or every hitting set containing a blocked one); an
-    element outside range(universe) raises ExplainError. Adding sets to hit
+    empty blocked set, or every hitting set containing a blocked one); a
+    universe that is not an integer, or an element outside range(universe),
+    raises ExplainError. Adding sets to hit
     or to block only shrinks the feasible family, so the answer never
     decreases in (size, lex) order; `enumerate_smallest` relies on that to
     resume each search where the last one stopped.
@@ -305,8 +308,11 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     duals collected so far (skipping supersets of prior emissions); an oracle
     check either certifies it (emit and block) or yields a counterexample
     from which a new dual is extracted and recorded. One incremental
-    hitting-set solver serves the whole loop. n below 1 raises ExplainError.
+    hitting-set solver serves the whole loop. An n that is not an integer,
+    or below 1, raises ExplainError.
     """
+    if type(n) is not int:  # nor a bool
+        raise ExplainError("n %r is not an integer" % (n,))
     if n < 1:
         raise ExplainError("n must be at least 1, got %r" % (n,))
     kind = Kind(kind)
@@ -348,19 +354,32 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
 
     Returns the empty knowledge base when the AXp holds without knowledge;
     otherwise `_shrink` over clause indices, in the base's order, keeps each
-    clause only if entailment breaks without it. Attribution is at clause
-    granularity; provenance keeps all originating rule ids.
+    clause only if entailment breaks without it. A trial that holds the core
+    of the last entailment the oracle searched entails without a query.
+    Attribution is at clause granularity; provenance keeps all originating
+    rule ids.
     """
     q = _Questions(model, instance, knowledge, oracle)
     fset = _feature_set(axp_features, model.space.m)
     if not q.holds(Kind.AXP, fset)[0]:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(fset))
-    clauses = q.knowledge.clauses
+    clauses, oracle = q.knowledge.clauses, q.oracle
+    index = {clause: i for i, clause in enumerate(clauses)}
+    core: Optional[frozenset[int]] = None  # the last core the oracle left, as indices
 
-    def entails(ids: AbstractSet[int]) -> bool:
-        trial = KnowledgeBase(tuple(clauses[i] for i in ids))
-        return q.oracle.query(fset, instance, q.predicted, trial).entails
+    def entails(kept: AbstractSet[int]) -> bool:
+        nonlocal core
+        if core is not None and core <= kept:
+            return True
+        trial = KnowledgeBase(tuple(clauses[i] for i in kept))
+        if not oracle.query(fset, instance, q.predicted, trial).entails:
+            return False
+        # every later trial lies within this one, which lacks the old core
+        found = oracle._core_clauses()
+        if found is not None:
+            core = frozenset(index[clause] for clause in found)
+        return True
 
-    kept = () if entails(()) else _shrink(range(len(clauses)), entails)
+    kept = () if entails(frozenset()) else _shrink(range(len(clauses)), entails)
     return q.knowledge.subset(clauses[i] for i in sorted(kept))

@@ -40,6 +40,16 @@ Propagation reaches one fixpoint whatever is reused, and the search returns
 the first solution in its fixed order. The state confines an oracle to one
 task at a time.
 
+An entailment searched with every level propagated from the empty trail
+leaves a core (`_core`, a mask over the clause ids; `_core_clauses`): the
+active unit clauses and each clause that forced a literal or failed during
+the search. Any other clause changed no domain, so the search runs the same
+without it and fails the same way: every subset that holds the core entails
+that query. A query whose levels were kept, or that the store answered,
+leaves no core. Attribution's deletion trials all start from the empty
+trail, since each switches off a clause, and a trial that holds the last
+core needs no query.
+
 A witness is re-checked apart from the search: its fixed values and class
 directly, the active clauses by per (feature, value) masks of the clauses
 that value satisfies, filled in as each clause is entered; so is an
@@ -372,6 +382,7 @@ class EntailmentOracle:
         self.cwatch: list[list[int]] = []
         self.watch: dict[_SLit, list[int]] = {}
         self.units: list[tuple[int, _SLit]] = []
+        self._unit_ids = 0  # the unit clauses' ids, as a mask
         # the witness check's knowledge half: per (feature, value) the
         # clauses it satisfies, filled in by `_add_clause`
         self._satisfies = [[0] * size for size in self._sizes]
@@ -383,6 +394,10 @@ class EntailmentOracle:
         self._active = self._all  # the ids of the subset in force, as a mask
         args = (self._sizes, model.class_count())
         self._entailed, self._witnesses = _Certificates(*args), _Certificates(*args)
+        # the clauses that forced a literal or failed since `_solve` last
+        # started, and the last query's core (see `query`), as masks
+        self._used = 0
+        self._core: Optional[int] = None
 
     # -- clause database -----------------------------------------------------
 
@@ -394,6 +409,7 @@ class EntailmentOracle:
         self.cwatch.append([0, 1])
         if len(slits) == 1:
             self.units.append((ci, slits[0]))
+            self._unit_ids |= 1 << ci
         else:
             for slit in slits[:2]:
                 self.watch.setdefault(slit, []).append(ci)
@@ -424,6 +440,12 @@ class EntailmentOracle:
             self._undo_to(0)
             self._levels.clear()
             self._active = active
+
+    def _core_clauses(self) -> Optional[list[Clause]]:
+        """The clauses of the last query's core, or None if it left none."""
+        core, clauses = self._core, self.knowledge.clauses  # clause i has id i
+        return None if core is None else \
+            [clause for ci, clause in enumerate(clauses) if core >> ci & 1]
 
     def _satisfied(self, values: tuple[int, ...]) -> int:
         """The ids of the clauses a point satisfies, as a mask."""
@@ -506,6 +528,7 @@ class EntailmentOracle:
                         break
                 else:
                     keep.append(ci)
+                    self._used |= 1 << ci
                     # forcing a false literal fails without touching the domains
                     if not self._force(slits[other], queue):
                         keep.extend(lst[i + 1:])
@@ -554,8 +577,11 @@ class EntailmentOracle:
             self._undo_to(mark)
         return None
 
-    def _solve(self, assumptions: list[_SLit], contested: int) -> Optional[Instance]:
-        """A witness under the assumptions, or None; ends at their root level."""
+    def _solve(self, assumptions: list[_SLit],
+               contested: int) -> tuple[Optional[Instance], bool]:
+        """A witness under the assumptions, or None; ends at their root level.
+        Also whether every level was propagated anew, from the empty trail:
+        only then does `_used` cover the whole search."""
         levels = self._levels
         wanted = set(assumptions)
         kept = 0
@@ -566,19 +592,20 @@ class EntailmentOracle:
         del levels[kept:]
         # also drops what a query that raised partway left above its levels
         self._undo_to(levels[-1][1] if levels else 0)
+        fresh, self._used = not levels, 0
         held = {slit for slit, _ in levels}
         for slit in assumptions:
             if slit in held:
                 continue
             if not self._assume(slit):
-                return None
+                return None, fresh
             levels.append((slit, len(self.trail)))
         if not self._possible(contested):
-            return None
+            return None, fresh
         root = len(self.trail)
         witness = self._search(contested)
         self._undo_to(root)
-        return witness
+        return witness, fresh
 
     def _checked(self, fixed: Iterable[int], instance: Instance,
                  contested: int) -> set[int]:
@@ -612,6 +639,7 @@ class EntailmentOracle:
         fixed = self._checked(fixed, instance, contested)
         self._switch(knowledge)
         self.calls += 1
+        self._core = None
         active, whole = self._active, self._active == self._all
         values = instance.values
         if self._entailed.within(fixed, values, contested, whole):
@@ -623,9 +651,11 @@ class EntailmentOracle:
             return OracleResult(Status.COUNTEREXAMPLE, Instance(stored))
         assumptions = [slit for ci, slit in self.units if active >> ci & 1]
         assumptions += [(f, values[f], False) for f in sorted(fixed, reverse=True)]
-        witness = self._solve(assumptions, contested)
+        witness, fresh = self._solve(assumptions, contested)
         keep = whole or not active  # the whole base or no clause
         if witness is None:
+            if fresh:
+                self._core = self._used | self._unit_ids & active
             if keep:
                 self._entailed.add(tuple(fixed), values, contested, not active)
             return OracleResult(Status.ENTAILS)

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from kxp import Instance, Kind, KnowledgeBase, Rule
+from kxp import ExtractionLimit, Instance, Kind, KnowledgeBase, Rule, extract_all
 import kxp.explain as explain_module
 from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
                          attribute_rules, check_explanation, enumerate_smallest,
@@ -15,7 +15,8 @@ from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
 from kxp.oracle import EntailmentOracle, OracleError
 
 from util import (all_minimal_explanations, all_minimal_hitting_sets,
-                  assert_counterexample, minimum_hitting_set_bruteforce,
+                  assert_counterexample, entails_bruteforce,
+                  minimum_hitting_set_bruteforce,
                   random_bt, random_dl, random_instance, random_knowledge,
                   random_model, random_single_score_bt, random_space,
                   reference_attribution)
@@ -698,7 +699,7 @@ def test_enumerations_do_not_depend_on_the_rows_before(monkeypatch):
     assert differ >= 20, differ  # so stored witnesses did seed other duals
 
 
-QUESTION_PIN = (3759, "7ff8953f7c927068")
+QUESTION_PIN = (3748, "834764d399c27d10")
 
 
 def _asked(call, *args, **kwargs):
@@ -771,6 +772,16 @@ def test_enumeration_rejects_n_below_one(toy_dl, row1):
         with pytest.raises(ExplainError, match="n must be at least 1, got %d" % n):
             enumerate_smallest(Kind.AXP, toy_dl, row1, n=n, oracle=oracle)
     assert oracle.calls == 0
+
+
+def test_non_integer_counts_are_input_errors(toy_dl, row1):
+    oracle = EntailmentOracle(toy_dl, None)
+    for n in (1.5, True):
+        with pytest.raises(ExplainError, match="n %r is not an integer" % (n,)):
+            enumerate_smallest(Kind.AXP, toy_dl, row1, n=n, oracle=oracle)
+    assert oracle.calls == 0
+    with pytest.raises(ExplainError, match="universe 3.0 is not an integer"):
+        minimum_hitting_set([{1}], [], 3.0)
 
 
 def test_axps_and_cxps_hit_each_other():
@@ -883,3 +894,76 @@ def test_attribution_matches_reference_with_one_oracle(builds):
         cases += 1
         needed_knowledge += bool(got)
     assert needed_knowledge >= 10
+
+
+# per row of data/adult_toy.csv, the queries an attribution over the 65
+# clauses mined at antecedent size 1 asks, for the toy list and the toy
+# ensemble alike; the deletion loop alone asks |K| + 2 = 67
+ATTRIBUTION_QUERIES = [15, 12, 12, 12, 12, 12]
+
+
+def test_attribution_skips_the_trials_a_core_decides(toy_ds, toy_dl, toy_bt):
+    kb = extract_all(toy_ds, ExtractionLimit(max_size=1))
+    assert len(kb) == 65
+    for name, model in (("list", toy_dl), ("ensemble", toy_bt)):
+        asked = []
+        for i in range(len(toy_ds.rows)):
+            v = model.space.instance_from_labels(toy_ds.row_labels(i))
+            oracle = EntailmentOracle(model, kb)
+            axp = find_axp(model, v, knowledge=kb, oracle=oracle).features
+            calls = oracle.calls
+            attribute_rules(model, v, kb, axp, oracle=oracle)
+            asked.append(oracle.calls - calls)
+        assert asked == ATTRIBUTION_QUERIES, name
+        assert max(asked) < (len(kb) + 2) / 2
+
+
+def test_cores_entail_and_attributions_match_reference():
+    """Every core an entailment leaves lies within the subset in force and
+    entails the query by itself, on a fresh oracle over exactly its clauses
+    and by brute force. Attributions, which skip the deletion trials a core
+    decides, match the fresh-oracle reference on a warm shared oracle.
+    Decision lists, single-score and 3-class ensembles, K of up to 16
+    clauses, under the whole K and under strict subsets."""
+    rng = random.Random(2406)
+    makers = (lambda sp: random_dl(rng, sp, n_classes=3),
+              lambda sp: random_single_score_bt(rng, sp),
+              lambda sp: random_bt(rng, sp, n_classes=3, depth=3))
+    cores = smaller = forcing = attributions = 0
+    for case in range(45):
+        sp = random_space(rng, min_features=4, max_features=5)
+        v = random_instance(rng, sp)
+        model = makers[case % 3](sp)
+        kb = random_knowledge(rng, sp, v, max_clauses=16)
+        oracle = EntailmentOracle(model, kb)
+        strict = [kb.subset(rng.sample(kb.clauses, rng.randrange(len(kb))))
+                  for _ in range(2)] if kb else []
+        rows = [v] + [u for u in (random_instance(rng, sp) for _ in range(4))
+                      if kb.satisfied_by(u)]
+        for u in rows:
+            c = model.classify(u)
+            for knowledge in (None, *strict):
+                active = set((kb if knowledge is None else knowledge).clauses)
+                for _ in range(4):
+                    fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
+                    res = oracle.query(fixed, u, c, knowledge)
+                    found = oracle._core_clauses()
+                    if found is None:
+                        continue
+                    assert res.entails
+                    core = KnowledgeBase(tuple(found))
+                    assert set(core.clauses) <= active
+                    assert EntailmentOracle(model, core).query(fixed, u, c).entails
+                    assert entails_bruteforce(model, core, fixed, u, c).entails
+                    cores += 1
+                    smaller += len(core) < len(active)
+                    forcing += any(len(clause.literals) > 1 for clause in core.clauses)
+            for knowledge in (kb, *strict):
+                axp = find_axp(model, u, knowledge=knowledge, oracle=oracle).features
+                got = attribute_rules(model, u, knowledge, axp, oracle=oracle)
+                expected = reference_attribution(model, u, knowledge, axp, c)
+                assert got.clauses == expected.clauses
+                attributions += 1
+    # most cores leave some clause of the subset out, many hold one that forced
+    assert attributions > 150 and cores > 100, (attributions, cores)
+    assert smaller > 60 and forcing > 50, (smaller, forcing)
