@@ -84,7 +84,8 @@ class FeatureSpace:
         return Literal(feature=f, negated=negated, value=v)
 
     def has(self, lit: "Literal") -> bool:
-        return 0 <= lit.feature < self.m and 0 <= lit.value < len(self.domain(lit.feature))
+        f, v = lit.feature, lit.value  # integers, not bools
+        return type(f) is type(v) is int and 0 <= f < self.m and 0 <= v < len(self.domain(f))
 
     def equalities(self) -> list["Literal"]:
         """Every `feature = value` literal, in feature-then-value order."""

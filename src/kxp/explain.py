@@ -14,9 +14,9 @@ answer.
 
 Every entry point takes an optional oracle. A call that passes none reuses
 the oracle the thread's last such call built, when it is over the same model
-object and holds every clause of the asked knowledge, and otherwise builds
-one over that knowledge in its place. So rows explained in turn with and
-without one knowledge base share one build and one certificate store.
+object, and otherwise builds one over its knowledge in its place. An oracle
+enters a clause when a query first names it, so rows explained in turn with
+and without one knowledge base share one build and one certificate store.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import AbstractSet, Callable, Iterable, Optional
 
 from .core import Explanation, Instance, Kind, KnowledgeBase
 from .models import Model
-from .oracle import EntailmentOracle, OracleResult, check_compatible
+from .oracle import EntailmentOracle, OracleError, OracleResult
 
 
 class ExplainError(ValueError):
@@ -40,9 +40,8 @@ _slot = threading.local()
 
 class _Questions:
     """Questions about one instance's prediction under `knowledge` (None:
-    none), put to one oracle over the model and a base that holds every
-    clause of `knowledge`: the one supplied, or else the thread's (see the
-    module docstring)."""
+    none), put to one oracle over the model: the one supplied, or else the
+    thread's (see the module docstring)."""
 
     def __init__(self, model: Model, instance: Instance,
                  knowledge: Optional[KnowledgeBase],
@@ -50,15 +49,14 @@ class _Questions:
         kb = knowledge if knowledge is not None else KnowledgeBase()
         if oracle is None:
             oracle = getattr(_slot, "oracle", None)
-            if oracle is None or oracle.model is not model or not oracle.covers(kb):
+            if oracle is None or oracle.model is not model:
                 oracle = _slot.oracle = EntailmentOracle(model, kb)
         elif oracle.model != model:
             raise ExplainError("the supplied oracle was built over a different model")
-        elif not oracle.covers(kb):
-            raise ExplainError("the knowledge has clauses outside the supplied "
-                               "oracle's knowledge base")
         if not oracle.compatible(instance, kb):  # also the oracle's input check
-            check_compatible(instance, kb)  # raises, naming a broken clause
+            broken = next(c for c in kb.clauses if not c.satisfied_by(instance))
+            raise OracleError("instance is incompatible with the knowledge clause "
+                              + " OR ".join(map(model.space.render_literal, sorted(broken))))
         self.oracle, self.instance, self.knowledge = oracle, instance, kb
         self.predicted = model.classify(instance)  # only once the input is checked
 
@@ -85,6 +83,13 @@ def _shrink(seed: Iterable[int],
         if not holds(current):
             current.add(i)
     return frozenset(current)
+
+
+def _kind(kind: Kind) -> Kind:
+    try:
+        return Kind(kind)
+    except ValueError:
+        raise ExplainError("kind %r is not one of axp, cxp" % (kind,)) from None
 
 
 def _feature_set(features: Iterable[int], m: int) -> frozenset[int]:
@@ -136,15 +141,16 @@ def check_explanation(features: Iterable[int], kind: Kind, model: Model,
                       instance: Instance, knowledge: Optional[KnowledgeBase] = None,
                       oracle: Optional[EntailmentOracle] = None) -> bool:
     """Does the feature set satisfy the kind's defining condition? One oracle call."""
+    kind = _kind(kind)
     q = _Questions(model, instance, knowledge, oracle)
-    return q.holds(Kind(kind), _feature_set(features, model.space.m))[0]
+    return q.holds(kind, _feature_set(features, model.space.m))[0]
 
 
 def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
                        instance: Instance, knowledge: Optional[KnowledgeBase] = None,
                        oracle: Optional[EntailmentOracle] = None) -> Explanation:
     """Shrink a correct (possibly oversized) explanation to a subset-minimal one."""
-    return _find(Kind(kind), model, instance, knowledge, features, oracle)
+    return _find(_kind(kind), model, instance, knowledge, features, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +245,12 @@ class _HittingSets:
     """
 
     def __init__(self, universe: int):
-        if type(universe) is not int:  # nor a bool
-            raise ExplainError("universe %r is not an integer" % (universe,))
+        if type(universe) is not int or universe < 0:  # nor a bool
+            raise ExplainError("universe %r is not an integer >= 0" % (universe,))
         self.universe = universe
         self._sets: list[int] = []
         self._blocked: list[int] = []
-        self._last = 0      # the last answer (a mask) and its size
-        self._size = 0
+        self._last = self._size = 0  # the last answer (a mask) and its size
         self._empty = False  # no set is feasible, now or after later additions
 
     def hit(self, elements: Iterable[int]) -> None:
@@ -285,8 +290,8 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
     the answers of minimum size it returns the one whose sorted element list
     is lexicographically least. None when infeasible (an empty set to hit, an
     empty blocked set, or every hitting set containing a blocked one); a
-    universe that is not an integer, or an element outside range(universe),
-    raises ExplainError. Adding sets to hit
+    universe that is not an integer or is negative, or an element outside
+    range(universe), raises ExplainError. Adding sets to hit
     or to block only shrinks the feasible family, so the answer never
     decreases in (size, lex) order; `enumerate_smallest` relies on that to
     resume each search where the last one stopped.
@@ -309,13 +314,13 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     check either certifies it (emit and block) or yields a counterexample
     from which a new dual is extracted and recorded. One incremental
     hitting-set solver serves the whole loop. An n that is not an integer,
-    or below 1, raises ExplainError.
+    or below 1, or an unknown kind raises ExplainError.
     """
     if type(n) is not int:  # nor a bool
         raise ExplainError("n %r is not an integer" % (n,))
     if n < 1:
         raise ExplainError("n must be at least 1, got %r" % (n,))
-    kind = Kind(kind)
+    kind = _kind(kind)
     dual = Kind.CXP if kind is Kind.AXP else Kind.AXP
     q = _Questions(model, instance, knowledge, oracle)
     calls0 = q.oracle.calls

@@ -22,23 +22,23 @@ rules before it, for one that surely fires. Both tests are sound on partial
 domains and exact on a full assignment.
 
 The variables are the features and the clauses the knowledge, each entered
-once, by `_add_clause`. A knowledge subset is one mask over the clause ids,
-`_active` (by default every clause); propagation, the unit assumptions and
-the store read it, and an inactive clause stays watched and is skipped when
-it wakes. The mask is worked out again only when a query names another
-subset object than the last one.
+once and for good, by `_add_clauses`: the build's base at once, any other
+clause when a query first names it. A knowledge subset is one mask over the
+clause ids, `_active` (by default the build's base); propagation, the unit
+assumptions and the store read it, and an inactive clause stays watched and
+is skipped when it wakes. The mask is worked out again only when a query
+names another subset object.
 
 The propagated state is kept between queries. A query's assumptions, first
 the active unit clauses and then the fixed features in descending order, are
 levels on one trail, each propagated to fixpoint. The next query keeps the
 leading levels whose assumptions it also asserts, propagates the rest of its
 own above them, searches, and undoes back to its own root. Levels are kept
-only while the mask stays the same: an inactive clause's watches do not
-move, so the two-watched-literal invariant holds again only from the empty
-trail, where a query with another subset starts.
-Propagation reaches one fixpoint whatever is reused, and the search returns
-the first solution in its fixed order. The state confines an oracle to one
-task at a time.
+only while the mask stays the same: an inactive clause's watches do not move,
+so the two-watched-literal invariant holds again only from the empty trail,
+where a query with another subset starts. Propagation reaches one fixpoint
+whatever is reused, and the search returns the first solution in its fixed
+order. The state confines an oracle to one task at a time.
 
 An entailment searched with every level propagated from the empty trail
 leaves a core (`_core`, a mask over the clause ids; `_core_clauses`): the
@@ -56,23 +56,24 @@ that value satisfies, filled in as each clause is entered; so is an
 instance's compatibility with a subset (`compatible`).
 
 A searched answer is also kept as a certificate (`_Certificates`) when the
-query runs under the whole base or under no clause, the subsets rows are
-explained under with and without the knowledge; an attribution trial's
-answers are not kept. An entailment (its fixed values and contested class)
-answers a later query that fixes a superset of those values, for the same
-class; a counterexample (its witness and the class the re-check gave it),
-one whose fixed values it agrees with and whose contested class is not its
-class. Each store marks its `plain` entries: an entailment found with no
-clause active, a witness that breaks no clause of the base. Under the whole
-base every entailment may answer, under no clause every witness, and under
-any other subset only the plain entries: an entailment holds under every
-superset of the clauses it was found under, and a witness is a
-counterexample under every subset of the clauses it satisfies. A query asks
-the entailments, then the witnesses, then searches; a hit leaves the kept
-levels as they are. So a status never depends on the queries asked before,
-but a witness is some counterexample, perhaps an earlier query's: the same
-for the same sequence of questions to one oracle. `calls` counts every
-question and `store_hits` those the store answered.
+query runs under the whole base (every clause entered) or under no clause,
+the subsets rows are explained under with and without the knowledge; an
+attribution trial's answers are not kept. An entailment (its fixed values and
+contested class) answers a later query that fixes a superset of those values,
+for the same class; a counterexample (its witness and the class the re-check
+gave it), one whose fixed values it agrees with and whose contested class is
+not its class. Each store marks its `plain` entries: an entailment found with
+no clause active, a witness that breaks no clause of the base (a clause that
+enters may break it, so entering one clears these bits). Under the whole base
+every entailment may answer, under no clause every witness, and under any
+other subset only the plain entries: an entailment holds under every superset
+of the clauses it was found under, and a witness is a counterexample under
+every subset of the clauses it satisfies. A query asks the entailments, then
+the witnesses, then searches; a hit leaves the kept levels as they are. So a
+status never depends on the queries asked before, but a witness is some
+counterexample, perhaps an earlier query's: the same for the same sequence of
+questions to one oracle. `calls` counts every question and `store_hits` those
+the store answered.
 """
 
 from __future__ import annotations
@@ -110,14 +111,6 @@ class OracleResult:
     @property
     def entails(self) -> bool:
         return self.status is Status.ENTAILS
-
-
-def check_compatible(instance: Instance, knowledge: KnowledgeBase) -> None:
-    """Raise unless the instance satisfies every knowledge clause."""
-    for clause in knowledge.clauses:
-        if not clause.satisfied_by(instance):
-            raise OracleError("instance is incompatible with the knowledge clause %s"
-                              % sorted(clause.literals))
 
 
 def _lit_slit(lit: Literal) -> _SLit:
@@ -342,11 +335,11 @@ class _Certificates:
 
 
 class EntailmentOracle:
-    """Reusable oracle over one (model, knowledge) pair; queries vary Z, c and K's subset.
+    """Reusable oracle over one model; queries vary Z, c and the knowledge (by
+    default `knowledge`, the build's base), whose new clauses enter for good.
 
-    Owns mutable search state, kept from one query to the next and reset
-    when the mask of active clauses changes: confine an instance to one task
-    at a time.
+    Owns mutable search state, kept from one query to the next and reset when
+    the mask of active clauses changes: confine an instance to one task at a time.
     """
 
     def __init__(self, model: Model, knowledge: Optional[KnowledgeBase] = None):
@@ -384,16 +377,15 @@ class EntailmentOracle:
         self.units: list[tuple[int, _SLit]] = []
         self._unit_ids = 0  # the unit clauses' ids, as a mask
         # the witness check's knowledge half: per (feature, value) the
-        # clauses it satisfies, filled in by `_add_clause`
+        # clauses it satisfies, filled in by `_add_clauses`
         self._satisfies = [[0] * size for size in self._sizes]
-        self._subset: Optional[KnowledgeBase] = None  # the last subset switched to
-        self._kb_ids: dict[Clause, int] = {
-            clause: self._add_clause([_lit_slit(l) for l in clause.literals])
-            for clause in self.knowledge.clauses}
-        self._all = (1 << len(self.clauses)) - 1
-        self._active = self._all  # the ids of the subset in force, as a mask
+        self._kb_ids: dict[Clause, int] = {}  # every clause entered, in id order
+        self._all = 0  # the ids of every clause entered, as a mask
         args = (self._sizes, model.class_count())
         self._entailed, self._witnesses = _Certificates(*args), _Certificates(*args)
+        self._add_clauses(self.knowledge.clauses)
+        self._subset: Optional[KnowledgeBase] = None  # the last subset switched to
+        self._base = self._active = self._all  # id masks: the build's base, the subset in force
         # the clauses that forced a literal or failed since `_solve` last
         # started, and the last query's core (see `query`), as masks
         self._used = 0
@@ -401,40 +393,45 @@ class EntailmentOracle:
 
     # -- clause database -----------------------------------------------------
 
-    def _add_clause(self, slits: list[_SLit]) -> int:
-        """Enter a clause: watch its first two literals (a unit clause is an
-        assumption), and mark the values that satisfy it. Its id."""
-        ci = len(self.clauses)
-        self.clauses.append(slits)
-        self.cwatch.append([0, 1])
-        if len(slits) == 1:
-            self.units.append((ci, slits[0]))
-            self._unit_ids |= 1 << ci
-        else:
-            for slit in slits[:2]:
-                self.watch.setdefault(slit, []).append(ci)
-        for var, value, negated in slits:
-            row = self._satisfies[var]
-            for v in range(len(row)):
-                if (v == value) != negated:  # the literal holds at v
-                    row[v] |= 1 << ci
-        return ci
-
-    def covers(self, knowledge: KnowledgeBase) -> bool:
-        """Does the oracle's knowledge base hold every clause of `knowledge`?"""
-        return knowledge is self.knowledge or self._kb_ids.keys() >= set(knowledge.clauses)
+    def _add_clauses(self, clauses: tuple[Clause, ...]) -> None:
+        """Enter the clauses not entered yet, once all their literals are known
+        to lie in the model's space: watch each one's first two literals (a unit
+        clause is an assumption), mark the values that satisfy it, clear `plain`."""
+        new = [clause for clause in clauses if clause not in self._kb_ids]
+        for lit in (lit for clause in new for lit in clause.literals):
+            if not self.space.has(lit):
+                raise OracleError("knowledge literal outside the model's space: "
+                                  "feature %r, value index %r" % (lit.feature, lit.value))
+        for clause in new:
+            slits = [_lit_slit(l) for l in clause.literals]
+            ci = self._kb_ids[clause] = len(self.clauses)
+            self._all |= 1 << ci
+            self._witnesses.plain = 0
+            self.clauses.append(slits)
+            self.cwatch.append([0, 1])
+            if len(slits) == 1:
+                self.units.append((ci, slits[0]))
+                self._unit_ids |= 1 << ci
+            else:
+                for slit in slits[:2]:
+                    self.watch.setdefault(slit, []).append(ci)
+            for var, value, negated in slits:
+                row = self._satisfies[var]
+                for v in range(len(row)):
+                    if (v == value) != negated:  # the literal holds at v
+                        row[v] |= 1 << ci
 
     def _switch(self, knowledge: Optional[KnowledgeBase]) -> None:
-        """Make `knowledge` (None: the whole base) the subset in force; the
-        kept levels go only when the mask changes."""
+        """Make `knowledge` (None: the build's base) the subset in force,
+        entering the clauses not seen yet; the kept levels go when the mask changes."""
         if knowledge is self._subset:  # a KnowledgeBase is frozen
             return
         try:  # a base's clauses are distinct, so the sum is their OR
-            active = self._all if knowledge is None else \
+            active = self._base if knowledge is None else \
                 sum(1 << self._kb_ids[clause] for clause in knowledge.clauses)
-        except KeyError:
-            raise OracleError("the knowledge subset has a clause outside "
-                              "the oracle's knowledge base") from None
+        except KeyError:  # a clause not entered yet
+            self._add_clauses(knowledge.clauses)
+            return self._switch(knowledge)
         self._subset = knowledge
         if active != self._active:
             self._undo_to(0)
@@ -443,9 +440,8 @@ class EntailmentOracle:
 
     def _core_clauses(self) -> Optional[list[Clause]]:
         """The clauses of the last query's core, or None if it left none."""
-        core, clauses = self._core, self.knowledge.clauses  # clause i has id i
-        return None if core is None else \
-            [clause for ci, clause in enumerate(clauses) if core >> ci & 1]
+        core = self._core
+        return None if core is None else [c for c, ci in self._kb_ids.items() if core >> ci & 1]
 
     def _satisfied(self, values: tuple[int, ...]) -> int:
         """The ids of the clauses a point satisfies, as a mask."""
@@ -457,7 +453,7 @@ class EntailmentOracle:
     def compatible(self, instance: Instance,
                    knowledge: Optional[KnowledgeBase] = None) -> bool:
         """Does the instance satisfy every clause of the subset (default: the
-        whole base)? One OR per feature; the subset stays in force."""
+        build's base)? One OR per feature; the subset stays in force."""
         self._checked((), instance, 0)
         self._switch(knowledge)
         return not self._active & ~self._satisfied(instance.values)
@@ -556,14 +552,11 @@ class EntailmentOracle:
 
     # -- search --------------------------------------------------------------
 
-    def _witness(self) -> Instance:
-        return Instance(tuple(d.bit_length() - 1 for d in self.dom))
-
     def _search(self, contested: int) -> Optional[Instance]:
         dom = self.dom
         var = next((f for f in self._order if dom[f] & dom[f] - 1), None)
-        if var is None:
-            return self._witness()
+        if var is None:  # every domain is one value: a witness
+            return Instance(tuple(d.bit_length() - 1 for d in dom))
         d = dom[var]
         while d:  # values in ascending order
             low = d & -d
@@ -633,9 +626,9 @@ class EntailmentOracle:
 
     def query(self, fixed: Iterable[int], instance: Instance, contested: int,
               knowledge: Optional[KnowledgeBase] = None) -> OracleResult:
-        """Decide the query; Z, the contested class and the knowledge subset
-        (default: the oracle's whole knowledge base) are per-call. A
-        counterexample may carry an earlier query's witness."""
+        """Decide the query; Z, the contested class and the knowledge
+        (default: the build's base) are per-call. A counterexample may carry
+        an earlier query's witness."""
         fixed = self._checked(fixed, instance, contested)
         self._switch(knowledge)
         self.calls += 1

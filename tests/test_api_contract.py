@@ -35,7 +35,6 @@ PUBLIC = {
     ],
     "kxp.oracle": [
         "EntailmentOracle", "OracleError", "OracleResult", "Status",
-        "check_compatible",
     ],
 }
 
@@ -65,7 +64,6 @@ PARAMETERS = {
     "Rule": ["antecedent", "consequent", "id", "support", "consistency"],
     "attribute_rules": ["model", "instance", "knowledge", "axp_features",
                         "oracle"],
-    "check_compatible": ["instance", "knowledge"],
     "check_explanation": ["features", "kind", "model", "instance", "knowledge",
                           "oracle"],
     "eclat_mine": ["train", "limit"],
@@ -95,7 +93,6 @@ PARAMETERS = {
 # the oracle's public methods and their parameter names (after self)
 ORACLE_METHODS = {
     "compatible": ["instance", "knowledge"],
-    "covers": ["knowledge"],
     "query": ["fixed", "instance", "contested", "knowledge"],
 }
 

@@ -559,11 +559,10 @@ def test_assess_knowledge_can_only_help(tmp_path):
 
 
 def test_one_oracle_per_command(builds, tmp_path):
-    """Each command's rows share the thread's oracle. `explain --compare`
-    and `assess --knowledge` build two: the first K-free row builds over the
-    empty base, and the first row under K builds over K, which then answers
-    the rest. `attribute` builds one. The counts are the same for 3 rows
-    and for 6."""
+    """Each command's rows share the thread's oracle, so each command
+    builds one. Under `explain --compare` and `assess --knowledge` the first
+    K-free row builds it over the empty base, and K's clauses enter it at
+    the first row under K. The counts are the same for 3 rows and for 6."""
     rules = str(tmp_path / "rules.jsonl")
     assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0
     for rows in (3, 6):
@@ -577,14 +576,14 @@ def test_one_oracle_per_command(builds, tmp_path):
                      ",".join(map(str, range(rows))), "--knowledge", rules,
                      "--compare", "--enum", "3", "--out", str(out)]) == 0
         assert len([r for r in read_jsonl(out) if r.get("type") == "result"]) == 2 * rows
-        assert len(builds) == 2
+        assert len(builds) == 1
         builds.clear()
         out = tmp_path / "assess.json"
         assert main(["assess", DL, TOY, str(subsets), "--knowledge", rules,
                      "--out", str(out)]) == 0
         records = json.loads(out.read_text())["records"]
         assert len(records) == rows and all("reduced_size" in r for r in records)
-        assert len(builds) == 2
+        assert len(builds) == 1
         builds.clear()
         out = tmp_path / "attribute.json"
         assert main(["attribute", DL, TOY, "--instance", str(rows - 1), "--knowledge",

@@ -4,7 +4,7 @@ import pytest
 
 from kxp import (Clause, FeatureSpace, KnowledgeBase, Literal, Rule,
                  SpaceError, rule_to_clause, validate_rule)
-from kxp.core import rebind_knowledge, rebind_literal
+from kxp.core import rebind_knowledge, rebind_literal, space_from_obj
 
 from util import random_instance, random_knowledge, random_space
 
@@ -232,3 +232,23 @@ def test_instance_builders():
         sp.instance_from_labels({"x": "a"})
     assert sp.instance_from_labels({"x": "a", "y": "1"}).values == (0, 1)
     assert len(list(sp.points())) == 6
+
+
+def test_instances_labels_and_rules_outside_the_space():
+    """A value index outside its domain, or a domain label that is not a
+    string, raises `SpaceError`; a rule with no antecedent renders as TRUE."""
+    sp = FeatureSpace.make([("x", ["a", "b", "c"]), ("y", ["0", "1"])])
+    with pytest.raises(SpaceError, match="value index 2 out of range for feature 'y'"):
+        sp.instance([0, 2])
+    with pytest.raises(SpaceError, match=r"features\[1\]: field 'domain': expected "
+                       "a list of strings"):
+        space_from_obj([{"name": "x", "domain": ["a", "b"]},
+                        {"name": "y", "domain": ["0", 1]}])
+    assert Rule(frozenset(), sp.literal("y", "1")).render(sp) == "IF TRUE THEN y = 1"
+    # an index that is not an integer (a bool neither) lies outside the space
+    for lit in (Literal(1.0, False, 0), Literal("x", False, 0), Literal(0, False, 1.0),
+                Literal(True, False, 0)):
+        assert not sp.has(lit)
+        consequent = Literal(0 if lit.feature == 1 else 1, False, 1)
+        with pytest.raises(SpaceError, match="antecedent literal out of range"):
+            validate_rule(sp, Rule(frozenset({lit}), consequent))

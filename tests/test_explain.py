@@ -1,12 +1,14 @@
 import copy
 import hashlib
 import random
+import re
 import sys
 import threading
 
 import pytest
 
-from kxp import ExtractionLimit, Instance, Kind, KnowledgeBase, Rule, extract_all
+from kxp import (Clause, ExtractionLimit, Instance, Kind, KnowledgeBase, Literal,
+                 Rule, extract_all)
 import kxp.explain as explain_module
 from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
                          attribute_rules, check_explanation, enumerate_smallest,
@@ -208,10 +210,12 @@ def test_axp_call_budget(toy_dl, row1):
 
 def test_mismatched_oracle_rejected(small_dl, toy_dl, separated_male,
                                     marital_constraint):
+    # an oracle built without K takes K's clauses when a call names them
     plain_oracle = EntailmentOracle(small_dl)
-    with pytest.raises(ExplainError, match="outside the supplied oracle's knowledge"):
-        find_axp(small_dl, separated_male, knowledge=marital_constraint,
-                 oracle=plain_oracle)
+    assert find_axp(small_dl, separated_male, knowledge=marital_constraint,
+                    oracle=plain_oracle) \
+        == find_axp(small_dl, separated_male, knowledge=marital_constraint,
+                    oracle=EntailmentOracle(small_dl, marital_constraint))
     with pytest.raises(ExplainError, match="different model"):
         find_axp(small_dl, separated_male, oracle=EntailmentOracle(toy_dl))
     # an oracle over K answers without K: knowledge=None is the empty subset
@@ -302,6 +306,48 @@ def test_non_integer_values_and_indices_are_rejected_before_use(toy_dl, toy_bt, 
     for sets, blocked in (([{1.0}], []), ([{1}], [{0, 1.0}]), ([{True}], [])):
         with pytest.raises(ExplainError, match=r"element (1\.0|True) .*range\(3\)"):
             minimum_hitting_set(sets, blocked, 3)
+
+
+def test_knowledge_outside_the_space_is_rejected_before_use(toy_dl, toy_bt, row1):
+    """A clause with a literal on a feature the space lacks, or on a value
+    index outside its feature's domain, or with an index that is not an
+    integer, is an input error naming both at
+    every entry point, at the oracle's build and in its `query` and
+    `compatible`; a supplied oracle is asked nothing and enters no clause
+    of the base, not even its valid ones."""
+    sp = toy_dl.space
+    valid = Clause.of([sp.literal(0, row1.values[0])])
+    bad = {(20, 0): Clause.of([Literal(20, False, 0), Literal(1, False, 0)]),
+           (0, 9): Clause.of([Literal(0, False, 9)]),
+           (1.0, 0): Clause.of([Literal(1.0, False, 0)]),
+           (0, 1.0): Clause.of([Literal(0, True, 1.0), Literal(1, False, 0)])}
+    for model in (toy_dl, toy_bt):
+        for (feature, value), clause in bad.items():
+            kb = KnowledgeBase((valid, clause))
+            message = re.escape("knowledge literal outside the model's space: "
+                                "feature %r, value index %r" % (feature, value))
+            oracle = EntailmentOracle(model)
+            entry_points = [
+                lambda o: find_axp(model, row1, knowledge=kb, oracle=o),
+                lambda o: find_cxp(model, row1, knowledge=kb, oracle=o),
+                lambda o: check_explanation([0], Kind.AXP, model, row1, knowledge=kb,
+                                            oracle=o),
+                lambda o: reduce_explanation(range(sp.m), Kind.AXP, model, row1,
+                                             knowledge=kb, oracle=o),
+                lambda o: enumerate_smallest(Kind.CXP, model, row1, knowledge=kb,
+                                             oracle=o),
+                lambda o: attribute_rules(model, row1, kb, range(sp.m), oracle=o)]
+            for call in entry_points:
+                for o in (oracle, None):
+                    with pytest.raises(OracleError, match=message):
+                        call(o)
+            with pytest.raises(OracleError, match=message):
+                oracle.query({0}, row1, 0, kb)
+            with pytest.raises(OracleError, match=message):
+                oracle.compatible(row1, kb)
+            with pytest.raises(OracleError, match=message):
+                EntailmentOracle(model, kb)
+            assert oracle.calls == 0 and not oracle._kb_ids
 
 
 # ---------------------------------------------------------------------------
@@ -589,20 +635,20 @@ def test_calls_without_oracle_match_fresh_oracles(builds):
     assert calls == 4 * 60 * 6 and shared_builds < calls // 5, shared_builds
 
 
-def test_calls_without_oracle_build_per_model_and_base(builds):
-    """K-free, then K, then K-free or a subset of K on one model builds two
-    oracles; an equal model that is another object, or a base the kept
-    oracle lacks a clause of, builds again."""
+def test_calls_without_oracle_build_per_model(builds):
+    """Calls on one model object build one oracle whatever knowledge they
+    name: K-free, K, a subset, a disjoint base and a superset of K all ask
+    it. Only an equal model that is another object builds again."""
     rng = random.Random(77)
     sp = random_space(rng, min_features=4, max_features=5)
     model, bases, rows = _slot_cases(rng, sp)[2]
     k, v = bases["k"], rows[0]
     builds.clear()
-    steps = [(model, None, 1), (model, k, 2), (model, None, 2),
-             (model, bases["strict"], 2), (model, k, 2),
-             (copy.copy(model), k, 3), (model, k, 4),
-             (model, bases["disjoint"], 5), (model, bases["super"], 6),
-             (model, k, 6), (model, bases["disjoint"], 6), (model, None, 6)]
+    steps = [(model, None, 1), (model, k, 1), (model, None, 1),
+             (model, bases["strict"], 1), (model, k, 1),
+             (copy.copy(model), k, 2), (model, k, 3),
+             (model, bases["disjoint"], 3), (model, bases["super"], 3),
+             (model, k, 3), (model, bases["disjoint"], 3), (model, None, 3)]
     for other, knowledge, expected in steps:
         enumerate_smallest(Kind.AXP, other, v, knowledge=knowledge, n=3)
         find_cxp(other, v, knowledge=knowledge)
@@ -772,6 +818,23 @@ def test_enumeration_rejects_n_below_one(toy_dl, row1):
         with pytest.raises(ExplainError, match="n must be at least 1, got %d" % n):
             enumerate_smallest(Kind.AXP, toy_dl, row1, n=n, oracle=oracle)
     assert oracle.calls == 0
+
+
+def test_unknown_kinds_and_negative_universes_are_input_errors(toy_dl, row1):
+    oracle = EntailmentOracle(toy_dl)
+    calls = [lambda: enumerate_smallest("AXP", toy_dl, row1, oracle=oracle),
+             lambda: check_explanation([0], "AXP", toy_dl, row1, oracle=oracle),
+             lambda: reduce_explanation([0], 3, toy_dl, row1, oracle=oracle)]
+    for call, kind in zip(calls, ("'AXP'", "'AXP'", "3")):
+        with pytest.raises(ExplainError, match="kind %s is not one of axp, cxp" % kind):
+            call()
+    assert oracle.calls == 0
+    assert check_explanation(range(toy_dl.space.m), "axp", toy_dl, row1, oracle=oracle)
+    for universe in (-1, -5):
+        with pytest.raises(ExplainError, match="universe %d is not an integer >= 0"
+                           % universe):
+            minimum_hitting_set([], [], universe)
+    assert minimum_hitting_set([], [], 0) == frozenset()
 
 
 def test_non_integer_counts_are_input_errors(toy_dl, row1):

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from kxp import (IngestError, QuantizationSpec, fit_quantization, folds,
+from kxp import (Dataset, IngestError, QuantizationSpec, fit_quantization, folds,
                  load_csv, quantize, split)
 from kxp.core import write_json
 from kxp.ingest import ColumnBins
@@ -257,3 +259,56 @@ def test_write_csv_round_trips_raw_numeric_cells(tmp_path):
     again = load_csv(out)
     assert again == ds
     assert [row[0] for row in again.rows] == [1234567.891, -0.000123456789, 1e300]
+
+
+def test_dataset_invariants_are_checked():
+    """Each check of `Dataset.__post_init__` raises `IngestError` naming the
+    fault, and a numeric column has no row labels."""
+    two = (("a", "b"), ("x", "y"))
+    cases = [
+        (dict(names=("p",), domains=two, rows=()), "column names and domains disagree"),
+        (dict(names=("p", "q"), domains=two, rows=((0,),)), "row 0 has 1 cells, expected 2"),
+        (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 2))),
+         "row 1, column 'q': bad value index 2"),
+        (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
+              class_domain=("n", "y"), class_labels=(0,)),
+         "class labels do not cover all rows"),
+        (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
+              class_domain=("n", "y"), class_labels=(0, 2)),
+         "class label index out of range"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(IngestError, match=re.escape(message)):
+            Dataset(**fields)
+    raw = Dataset(("p", "x"), (("a", "b"), None), ((0, 1.5), (1, 2.5)))
+    with pytest.raises(IngestError, match="column 'x' is numeric; quantize first"):
+        raw.row_labels(0)
+
+
+def test_empty_file_and_empty_header_rejected(tmp_path):
+    path = write(tmp_path, "")
+    with pytest.raises(IngestError, match="empty file, expected a header row"):
+        load_csv(path)
+    path = write(tmp_path, "\n")
+    with pytest.raises(IngestError, match="header row is empty"):
+        load_csv(path)
+
+
+def test_bin_and_fold_counts_are_checked(toy_ds):
+    with pytest.raises(IngestError, match="expected 2 interval labels, got 1"):
+        ColumnBins((1.0,), ("low",))
+    with pytest.raises(IngestError, match="need at least 2 folds, got 1"):
+        folds(toy_ds, k=1)
+    empty = Dataset(("x",), (None,), ())
+    with pytest.raises(IngestError, match="column 'x' has no rows to fit on"):
+        fit_quantization(empty, 4)
+
+
+def test_quantize_rejects_a_categorical_column_the_spec_does_not_match():
+    ds = Dataset(("x",), (("a", "b"),), ((0,), (1,)))
+    spec = QuantizationSpec({"x": ColumnBins((1.0,), ("lo", "hi"))})
+    with pytest.raises(IngestError, match="column 'x' is categorical and does not "
+                       "match the spec's intervals"):
+        quantize(ds, spec)
+    labelled = Dataset(("x",), (("lo", "hi"),), ((0,), (1,)))
+    assert quantize(labelled, spec) == labelled

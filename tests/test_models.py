@@ -11,7 +11,8 @@ import pytest
 from kxp import models
 from kxp import (Dataset, Instance, load_model, save_model, train_boosted,
                  train_decision_list)
-from kxp.models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
+from kxp.core import Literal
+from kxp.models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError, Node,
                         model_from_obj, model_to_obj, _walk)
 from kxp.oracle import EntailmentOracle, _collect_paths
 
@@ -554,3 +555,43 @@ def test_train_decision_list_matches_reference():
         seen["multiclass"] += len(ds.class_domain) > 2
     assert min(seen[case] for case in ("no rules", "capped", "none left", "left decide",
                                        "multiclass")) >= 2, seen
+
+
+def test_model_invariants_are_checked(toy_dl, toy_bt):
+    """A rule class or an ensemble's `positive` out of range, and a rule
+    literal or a tree test outside the space, raise `ModelError`."""
+    sp = toy_dl.space
+    outside = Literal(0, False, len(sp.domain(0)))
+    assert not sp.has(outside)
+    inside = sp.literal(0, 0)
+    with pytest.raises(ModelError, match="rule 1: class index 2 out of range"):
+        DecisionList(sp, ("p", "q"), (DLRule(frozenset({inside}), 0),
+                                      DLRule(frozenset({inside}), 2)), default=0)
+    for bad in (outside, Literal(1.0, False, 0), Literal("Sex", False, 0),
+                Literal(0, False, True)):
+        with pytest.raises(ModelError, match="rule 0 references an invalid feature-value"):
+            DecisionList(sp, ("p", "q"), (DLRule(frozenset({bad}), 1),), default=0)
+    with pytest.raises(ModelError, match="positive class index 2 out of range"):
+        BoostedEnsemble(sp, ("p", "q"), 0, ((Leaf(1),),), positive=2)
+    with pytest.raises(ModelError, match="tree node references an invalid feature-value"):
+        BoostedEnsemble(sp, ("p", "q"), 0, ((Node(outside, Leaf(1), Leaf(-1)),),),
+                        positive=1)
+
+
+def test_trainers_need_a_class_column(toy_ds):
+    unlabelled = replace(toy_ds, class_name=None, class_domain=None, class_labels=None,
+                         class_position=None)
+    for train in (train_decision_list, lambda ds: train_boosted(ds, 2, 1)):
+        with pytest.raises(ModelError, match="dataset has no class column"):
+            train(unlabelled)
+
+
+def test_list_trainer_stops_a_rule_no_literal_can_extend():
+    """Rows equal on every feature but of two classes: the rule takes one
+    literal per feature and, with none left, stops short of purity."""
+    ds = Dataset(("a", "b"), (("0", "1"), ("0", "1")), ((0, 0), (0, 0), (0, 0), (1, 1)),
+                 "y", ("p", "q"), (0, 1, 0, 1))
+    model = train_decision_list(ds)
+    sp = ds.space
+    assert model.rules[0] == DLRule(frozenset({sp.literal("a", "0"), sp.literal("b", "0")}), 0)
+    assert model == reference_decision_list(ds)

@@ -6,11 +6,12 @@ import pytest
 
 import kxp.oracle as oracle_module
 from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
-from kxp.models import DecisionList, DLRule
-from kxp.oracle import EntailmentOracle, OracleError, Status, check_compatible
+from kxp.models import DecisionList, DLRule, ModelError
+from kxp.oracle import EntailmentOracle, OracleError, OracleResult, Status
 
 from util import (_dl_cnf, assert_counterexample, assert_oracle_invariants,
-                  dimacs_satisfiable, entails_bruteforce, mask_values, query_to_dimacs,
+                  check_compatible, dimacs_satisfiable, entails_bruteforce,
+                  mask_values, query_to_dimacs,
                   random_bt, random_dl, random_instance, random_knowledge, random_model,
                   random_single_score_bt, random_space, tree_tested_features)
 
@@ -79,8 +80,9 @@ def test_compatibility_read_from_clause_masks():
     on random models, knowledge, instances and subsets (none given, the
     base, a random subset, empty), each asked of one long-lived oracle
     between queries whose statuses stay those of brute force. An explain
-    call raises `check_compatible`'s message exactly when the instance is
-    incompatible."""
+    call raises `check_compatible`'s message, the first broken clause
+    rendered in feature names and value labels, exactly when the instance
+    is incompatible."""
     rng = random.Random(6060)
     seen = Counter()
     for _ in range(150):
@@ -95,7 +97,7 @@ def test_compatibility_read_from_clause_masks():
                 rng.sample(kb.clauses, rng.randint(0, len(kb))))))
             active = kb if subset is None else subset
             try:
-                check_compatible(u, active)
+                check_compatible(u, active, sp)
                 message = None
             except OracleError as exc:
                 message = str(exc)
@@ -106,7 +108,7 @@ def test_compatibility_read_from_clause_masks():
             else:
                 with pytest.raises(OracleError) as err:
                     find_axp(model, u, knowledge=active, oracle=oracle)
-                assert str(err.value) == message
+                assert str(err.value) == message and "Literal(" not in message
             fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
             c = rng.randrange(model.class_count())
             assert oracle.query(fixed, u, c, subset).status \
@@ -397,16 +399,80 @@ def test_knowledge_subsets_match_fresh_oracles():
     assert answers[True, Status.COUNTEREXAMPLE] >= 200, answers
 
 
-def test_knowledge_subset_outside_the_oracle_rejected(small_dl, separated_male,
-                                                      marital_constraint):
+def test_knowledge_subset_outside_the_oracle_enters(small_dl, separated_male,
+                                                    marital_constraint):
+    """A clause a query names that the oracle was not built with enters it
+    for good, and the query is answered as a fresh oracle over the named
+    knowledge answers it; `None` still asks the build's base."""
     oracle = EntailmentOracle(small_dl, marital_constraint)
     sp = small_dl.space
     foreign = Clause.of([sp.literal("Sex", "Male")])
     assert foreign not in marital_constraint.clauses
-    with pytest.raises(OracleError, match="outside"):
-        oracle.query(set(), separated_male, 0, KnowledgeBase((foreign,)))
-    with pytest.raises(OracleError, match="outside"):
-        EntailmentOracle(small_dl).query(set(), separated_male, 0, marital_constraint)
+    for knowledge in (KnowledgeBase((foreign,)), KnowledgeBase(),
+                      KnowledgeBase(marital_constraint.clauses + (foreign,)), None):
+        for fixed in (set(), {0, 2}, {sp.feature_index("Sex")}):
+            fresh = EntailmentOracle(small_dl, knowledge)
+            assert oracle.query(fixed, separated_male, 0, knowledge).status \
+                is fresh.query(fixed, separated_male, 0).status
+            assert_oracle_invariants(oracle)
+    assert list(oracle._kb_ids) == list(marital_constraint.clauses) + [foreign]
+    assert oracle.knowledge is marital_constraint
+    plain = EntailmentOracle(small_dl)
+    assert plain.query(set(), separated_male, 0, marital_constraint).status \
+        is EntailmentOracle(small_dl, marital_constraint).query(
+            set(), separated_male, 0).status
+    assert list(plain._kb_ids) == list(marital_constraint.clauses)
+
+
+def test_clauses_enter_mid_life():
+    """An oracle built over K1, then asked in turn under a base K2 with
+    clauses outside K1, subsets of K1 and K2 together, None (K1) and the
+    empty base, answers every status as a fresh oracle over the asked
+    knowledge and brute force do, and every witness passes direct
+    evaluation (`_ask_shared`); its clause bookkeeping matches the clauses
+    entered after every query. Some witness kept as plain under K1 breaks a
+    clause of K2, so an oracle that left it plain when that clause entered
+    would answer a query under K2 with it."""
+    rng = random.Random(2525)
+    queries = stale = 0
+    answers = Counter()
+    for _ in range(20):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+        v = random_instance(rng, sp)
+        models = [random_dl(rng, sp, n_classes=2), random_dl(rng, sp, n_classes=3),
+                  random_single_score_bt(rng, sp), random_bt(rng, sp, n_classes=3)]
+        for model in models:
+            k1 = _mixed_knowledge(rng, sp, v, rng.randint(1, 3))
+            k2 = _mixed_knowledge(rng, sp, v, rng.randint(2, 4))
+            while set(k2.clauses) <= set(k1.clauses):
+                k2 = _mixed_knowledge(rng, sp, v, rng.randint(2, 4))
+            union = list(dict.fromkeys(k1.clauses + k2.clauses))
+            oracle = EntailmentOracle(model, k1)
+            entered = list(k1.clauses)
+            # K1 and no clause first, so the store holds plain witnesses
+            steps = [None, KnowledgeBase(), None] + [rng.choice(
+                (k2, None, KnowledgeBase(), "subset")) for _ in range(8)]
+            for subset in steps:
+                if subset == "subset":
+                    subset = KnowledgeBase(tuple(rng.sample(union, rng.randint(1, len(union)))))
+                active = k1 if subset is None else subset
+                if subset is not None:
+                    new = [c for c in subset.clauses if c not in oracle._kb_ids]
+                    store = oracle._witnesses
+                    stale += any(store.plain >> i & 1 and not clause.satisfied_by(
+                        Instance(values)) for i, (_, values, _) in enumerate(store.entries)
+                        for clause in new)
+                    entered += new
+                fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m - 1)))
+                c = rng.choice((model.classify(v), rng.randrange(model.class_count())))
+                got, stored = _ask_shared(oracle, model, active, fixed, v, c, subset)
+                answers[stored, got.status] += 1
+                queries += 1
+                assert list(oracle._kb_ids) == entered
+    assert queries == 20 * 4 * 11
+    assert stale >= 20, stale
+    assert answers[True, Status.COUNTEREXAMPLE] >= 50, answers
+    assert answers[False, Status.ENTAILS] >= 50, answers
 
 
 def test_witness_fails_direct_evaluation(monkeypatch):
@@ -867,3 +933,17 @@ def test_oracle_answers_pinned():
     assert sum(line.startswith("counterexample") for line in lines) > len(lines) // 5
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == ANSWER_PIN
+
+
+def test_result_invariant_and_unsupported_models(toy_dl, row1):
+    with pytest.raises(OracleError, match="counterexamples carry a witness; "
+                       "entailments do not"):
+        OracleResult(Status.ENTAILS, row1)
+    with pytest.raises(OracleError, match="counterexamples carry a witness"):
+        OracleResult(Status.COUNTEREXAMPLE)
+
+    class Stump:
+        space = toy_dl.space
+
+    with pytest.raises(ModelError, match="unsupported model type 'Stump'"):
+        EntailmentOracle(Stump())

@@ -11,8 +11,10 @@ checked against, and `dl_possible_reference` the literal-by-literal decision
 list class test its live-rule bits are checked against. `query_to_dimacs`
 writes a query as CNF with its own encoding of a decision list, which
 `dimacs_satisfiable` decides; it shares only the oracle's input checks.
-`assert_oracle_invariants` recomputes the oracle's live set from its domains
-and its watch lists from its clauses' watched positions.
+`assert_oracle_invariants` recomputes the oracle's live set from its domains,
+its watch lists from its clauses' watched positions and its clause masks
+from the clauses it entered. `check_compatible` walks a base's clauses for
+the first one an instance breaks.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from itertools import combinations, product
 from kxp import (Clause, Dataset, FeatureSpace, Instance, Kind, KnowledgeBase,
                  Rule, rule_to_clause)
 from kxp.models import BoostedEnsemble, DecisionList, DLRule, Leaf, Node
-from kxp.oracle import (EntailmentOracle, OracleError, OracleResult, Status,
-                        check_compatible)
+from kxp.oracle import EntailmentOracle, OracleError, OracleResult, Status
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +431,17 @@ def entails_bruteforce(model, knowledge, fixed, instance, contested,
     return OracleResult(Status.ENTAILS)
 
 
+def check_compatible(instance: Instance, knowledge: KnowledgeBase,
+                     space: FeatureSpace) -> None:
+    """Raise the explain layer's `OracleError` unless the instance satisfies
+    every clause, naming the first broken one by its rendered literals."""
+    for clause in knowledge.clauses:
+        if not clause.satisfied_by(instance):
+            raise OracleError("instance is incompatible with the knowledge clause %s"
+                              % " OR ".join(space.render_literal(l)
+                                            for l in sorted(clause.literals)))
+
+
 def assert_counterexample(model, active, fixed, v, c, witness) -> None:
     """Direct evaluation of a witness to the query (fixed features of v,
     contested class c, knowledge `active`): a point of the model's space
@@ -723,7 +735,7 @@ def query_to_dimacs(model, knowledge, fixed, instance, contested) -> str:
     """
     oracle = EntailmentOracle(model, knowledge)
     fixed = oracle._checked(fixed, instance, contested)
-    check_compatible(instance, oracle.knowledge)
+    check_compatible(instance, oracle.knowledge, model.space)
     space = oracle.space
     offsets = []
     total = 0
@@ -815,7 +827,24 @@ def assert_oracle_invariants(oracle: EntailmentOracle) -> None:
     """The two-watched-literal lists and the live set agree with the
     oracle's clauses and domains: each clause of two or more literals is
     listed once under each of its two watched literals and under no other,
-    a unit clause is listed nowhere, and `alive` equals its recomputation."""
+    a unit clause is listed nowhere, and `alive` equals its recomputation.
+    The clauses entered agree with the bookkeeping: `_kb_ids` numbers them
+    0, 1, ... in order, each id's solver literals are its clause's, `_all`
+    masks every id, and the `_satisfies` row of each (feature, value) holds
+    exactly the ids of the clauses that value satisfies."""
+    entered = list(oracle._kb_ids)
+    assert list(oracle._kb_ids.values()) == list(range(len(entered)))
+    assert len(oracle.clauses) == len(entered)
+    assert oracle._all == (1 << len(entered)) - 1
+    assert oracle._kb_ids.keys() >= set(oracle.knowledge.clauses)
+    for ci, clause in enumerate(entered):
+        assert sorted(oracle.clauses[ci]) == sorted(_slit(l) for l in clause.literals)
+    for f, row in enumerate(oracle._satisfies):
+        assert len(row) == len(oracle.space.domain(f))
+        for value, mask in enumerate(row):
+            assert mask == sum(1 << ci for ci, clause in enumerate(entered)
+                               if any(l.feature == f and (l.value == value) != l.negated
+                                      for l in clause.literals)), (f, value)
     listed = Counter((ci, slit) for slit, cis in oracle.watch.items() for ci in cis)
     watched = Counter()
     for ci, slits in enumerate(oracle.clauses):
