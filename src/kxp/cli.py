@@ -226,17 +226,22 @@ def _init_worker(model_obj, kb_obj, kind, n):
     _WORKER.update(model=model_obj, kb=kb_obj, kind=kind, n=n)
 
 
-def _run_one(task):
-    index, values, use_kb = task
-    model, kb = _WORKER["model"], _WORKER["kb"]
-    inst = Instance(tuple(values))
-    res = enumerate_smallest(_WORKER["kind"], model, inst,
-                             knowledge=kb if use_kb else None, n=_WORKER["n"])
-    return {"type": "result", "index": index, "kind": _WORKER["kind"].value,
-            "knowledge": use_kb,
-            "explanations": [{"features": e.feature_names(model.space),
-                              "size": e.size} for e in res.explanations],
-            "n_found": len(res.explanations), "exhausted": res.exhausted}
+def _run_row(task):
+    """The records of one row, one per knowledge setting in the task's order
+    (K-free first): a row's enumerations run in one process, so they share
+    its oracle and certificate store."""
+    index, values, settings = task
+    model, kb, kind, n = _WORKER["model"], _WORKER["kb"], _WORKER["kind"], _WORKER["n"]
+    inst = Instance(values)
+    records = []
+    for use_kb in settings:
+        res = enumerate_smallest(kind, model, inst, knowledge=kb if use_kb else None, n=n)
+        records.append({"type": "result", "index": index, "kind": kind.value,
+                        "knowledge": use_kb,
+                        "explanations": [{"features": e.feature_names(model.space),
+                                          "size": e.size} for e in res.explanations],
+                        "n_found": len(res.explanations), "exhausted": res.exhausted})
+    return records
 
 
 def cmd_explain(args) -> int:
@@ -261,8 +266,9 @@ def cmd_explain(args) -> int:
                 raise IngestError("--instances: %r is not a row index"
                                   % token) from None
 
+    settings = (False,) if kb is None else (False, True) if args.compare else (True,)
     skipped = []
-    tasks = []
+    tasks = []  # one per row, with all its settings
     for i in indices:
         try:
             inst = _row_instance(model, ds, i, "--instances")
@@ -273,8 +279,7 @@ def cmd_explain(args) -> int:
             skipped.append({"type": "skipped", "index": i,
                             "reason": "instance violates the knowledge base"})
             continue
-        settings = [False] if kb is None else [False, True] if args.compare else [True]
-        tasks += [(i, tuple(inst.values), use_kb) for use_kb in settings]
+        tasks.append((i, inst.values, settings))
 
     manifest = _manifest("explain", args, inputs, seeds={"split_seed": args.split_seed},
                          limits={"kind": kind.value, "enum": args.enum,
@@ -283,12 +288,16 @@ def cmd_explain(args) -> int:
     t0 = time.perf_counter()
     workers = min(args.jobs, len(tasks))  # a pool may start every worker at once
     if workers > 1:
+        # rows go out in chunks, by multiprocessing.Pool.map's default rule:
+        # about four chunks per worker, not one round trip per row
+        chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(model, kb, kind, args.enum)) as pool:
-            records = list(pool.map(_run_one, tasks))
+            rows = list(pool.map(_run_row, tasks, chunksize=chunksize))
     else:
         _init_worker(model, kb, kind, args.enum)
-        records = [_run_one(t) for t in tasks]
+        rows = [_run_row(t) for t in tasks]
+    records = [rec for row in rows for rec in row]
     manifest["timings"]["wall"] = time.perf_counter() - t0
 
     with open(args.out, "w", encoding="utf-8") as fh:

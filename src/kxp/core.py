@@ -245,7 +245,8 @@ def validate_rule(space: FeatureSpace, rule: Rule) -> None:
     per_feature_neq: dict[int, set[int]] = {}
     for lit in rule.antecedent:
         if not space.has(lit):
-            raise SpaceError("antecedent literal out of range: %r" % (lit,))
+            raise SpaceError("antecedent literal out of range: feature %r, value index %r"
+                             % (lit.feature, lit.value))
         if lit.negated:
             per_feature_neq.setdefault(lit.feature, set()).add(lit.value)
         else:

@@ -43,10 +43,12 @@ class Dataset:
                 raise IngestError("row %d has %d cells, expected %d"
                                   % (r, len(row), len(self.names)))
             for c, (dom, cell) in enumerate(zip(self.domains, row)):
-                if dom is not None and not (isinstance(cell, int) and 0 <= cell < len(dom)):
+                if dom is not None and not (type(cell) is int and 0 <= cell < len(dom)):
                     raise IngestError("row %d, column %r: bad value index %r"
                                       % (r, self.names[c], cell))
         if self.class_labels is not None:
+            if self.class_domain is None:
+                raise IngestError("class labels have no class domain")
             if len(self.class_labels) != len(self.rows):
                 raise IngestError("class labels do not cover all rows")
             if any(not 0 <= c < len(self.class_domain) for c in self.class_labels):

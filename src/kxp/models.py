@@ -54,8 +54,10 @@ class DecisionList:
         for r, rule in enumerate(self.rules):
             if not 0 <= rule.cls < len(self.classes):
                 raise ModelError("rule %d: class index %d out of range" % (r, rule.cls))
-            if not all(map(self.space.has, rule.antecedent)):
-                raise ModelError("rule %d references an invalid feature-value" % r)
+            for lit in rule.antecedent:
+                if not self.space.has(lit):
+                    raise ModelError("rule %d references an invalid feature-value: "
+                                     "feature %r, value index %r" % (r, lit.feature, lit.value))
 
     def classify(self, inst: Instance) -> int:
         for rule in self.rules:
@@ -138,7 +140,8 @@ def _check_tree(space: FeatureSpace, tree: Tree) -> None:
             raise ModelError("leaf weight %r is not an integer" % (tree.weight,))
         return
     if not space.has(tree.test):
-        raise ModelError("tree node references an invalid feature-value: %r" % (tree.test,))
+        raise ModelError("tree node references an invalid feature-value: "
+                         "feature %r, value index %r" % (tree.test.feature, tree.test.value))
     _check_tree(space, tree.yes)
     _check_tree(space, tree.no)
 

@@ -364,15 +364,17 @@ def test_explain_jobs_parallel_matches_serial(tmp_path):
 
 
 def test_explain_jobs_start_no_more_workers_than_tasks(monkeypatch, tmp_path):
-    """A pool gets at most one worker per task, and one task runs serially;
-    the manifest keeps --jobs as given. The pool is a fake that runs the
-    tasks in this process, so no worker is started."""
+    """A task is one row with all its knowledge settings, so under --compare
+    a row's two records come from one call. A pool gets at most one worker
+    per row and takes the rows in chunks of ceil(rows / (4 * workers)); one
+    row runs serially; the manifest keeps --jobs as given. The pool is a
+    fake that runs the rows in this process, so no worker is started."""
     import kxp.cli as cli
-    pools = []
+    pools, calls = [], []
 
     class FakePool:
         def __init__(self, max_workers, initializer, initargs):
-            pools.append(max_workers)
+            self.workers = max_workers
             initializer(*initargs)
 
         def __enter__(self):
@@ -381,22 +383,73 @@ def test_explain_jobs_start_no_more_workers_than_tasks(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, tasks, chunksize=1):
+            pools.append((self.workers, chunksize))
+            for task in tasks:
+                calls.append(fn(task))
+                yield calls[-1]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    serial = str(tmp_path / "serial.jsonl")
-    assert main(["explain", DL, TOY, "--instances", "0,1", "--enum", "2",
-                 "--out", serial]) == 0
-    for instances, workers in (("0,1", [2]), ("0", [])):
-        out = str(tmp_path / ("jobs%s.jsonl" % instances))
+    rules = str(tmp_path / "rules.jsonl")
+    assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0
+    nine, seventeen = ",".join("012345012"), ",".join("01234501234501234")
+    for instances, jobs, pool in (("0,1", "64", [(2, 1)]), ("0", "64", []),
+                                  (nine, "2", [(2, 2)]), (seventeen, "2", [(2, 3)]),
+                                  (seventeen, "3", [(3, 2)])):
+        argv = ["explain", DL, TOY, "--instances", instances, "--enum", "2",
+                "--knowledge", rules, "--compare"]
+        serial, out = str(tmp_path / "serial.jsonl"), str(tmp_path / "jobs.jsonl")
+        assert main(argv + ["--out", serial]) == 0
         pools.clear()
-        assert main(["explain", DL, TOY, "--instances", instances, "--enum", "2",
-                     "--jobs", "64", "--out", out]) == 0
-        assert pools == workers
+        calls.clear()
+        assert main(argv + ["--jobs", jobs, "--out", out]) == 0
+        assert pools == pool
         records = read_jsonl(out)
-        assert records[0]["manifest"]["limits"]["jobs"] == 64
-        assert records[1:] == read_jsonl(serial)[1:1 + len(instances.split(","))]
+        assert records[0]["manifest"]["limits"]["jobs"] == int(jobs)
+        assert records[1:] == read_jsonl(serial)[1:]
+        rows = [int(i) for i in instances.split(",")]
+        assert len(records) == 1 + 2 * len(rows)
+        if pool:
+            assert [[(r["index"], r["knowledge"]) for r in call] for call in calls] \
+                == [[(i, False), (i, True)] for i in rows]
+
+
+def test_explain_jobs_2_writes_the_bytes_of_jobs_1(tmp_path):
+    """`kxp explain --compare` writes byte-equal records and summary with
+    --jobs 2 and --jobs 1 (only the manifest differs), over more rows than
+    two workers take in one chunk each, with a knowledge-incompatible row
+    among them reported as skipped."""
+    from kxp.models import save_model, train_boosted
+    ds = planted_dataset(random.Random(8), 200)
+    header = ",".join(ds.names + (ds.class_name,))
+    def line(row, y):
+        return ",".join([ds.domains[f][v] for f, v in enumerate(row)] + [ds.class_domain[y]])
+    table, model, rules = (str(tmp_path / name) for name in ("t.csv", "m.json", "k.jsonl"))
+    Path(table).write_text("\n".join([header] + list(map(line, ds.rows, ds.class_labels))) + "\n")
+    save_model(train_boosted(ds, rounds=6, depth=2), model)
+    assert main(["mine", table, "--max-size", "2", "--out", rules]) == 0
+    # row 7 breaks the planted dependency f0=v0 -> f1=v0, which is mined
+    rows = list(zip(ds.rows[:19], ds.class_labels))
+    rows[7] = ((0, 1) + ds.rows[7][2:], rows[7][1])
+    Path(table).write_text("\n".join([header] + [line(*r) for r in rows]) + "\n")
+    outputs = []
+    for jobs in ("1", "2"):
+        out, summary = str(tmp_path / "e.jsonl"), str(tmp_path / "s.json")
+        assert main(["explain", model, table, "--kind", "axp", "--knowledge", rules,
+                     "--compare", "--enum", "3", "--instances", "all", "--jobs", jobs,
+                     "--summary", summary, "--out", out]) == 0
+        lines = Path(out).read_text().splitlines()
+        assert json.loads(lines[0])["manifest"]["limits"]["jobs"] == int(jobs)
+        doc = json.loads(Path(summary).read_text())
+        del doc["manifest"]
+        outputs.append((lines[1:], json.dumps(doc, indent=2, sort_keys=True)))
+    assert outputs[0] == outputs[1]
+    lines = outputs[0][0]
+    assert json.loads(lines[0]) == {"type": "skipped", "index": 7,
+                                    "reason": "instance violates the knowledge base"}
+    assert [(r["index"], r["knowledge"]) for r in map(json.loads, lines[1:])] \
+        == [(i, k) for i in range(19) if i != 7 for k in (False, True)]
+    assert json.loads(outputs[0][1])["skipped"] == 1
 
 
 def test_explain_records_do_not_depend_on_jobs_or_row_order(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -246,9 +247,13 @@ def test_instances_labels_and_rules_outside_the_space():
                         {"name": "y", "domain": ["0", 1]}])
     assert Rule(frozenset(), sp.literal("y", "1")).render(sp) == "IF TRUE THEN y = 1"
     # an index that is not an integer (a bool neither) lies outside the space
-    for lit in (Literal(1.0, False, 0), Literal("x", False, 0), Literal(0, False, 1.0),
-                Literal(True, False, 0)):
+    for lit, named in ((Literal(1.0, False, 0), "feature 1.0, value index 0"),
+                       (Literal("x", False, 0), "feature 'x', value index 0"),
+                       (Literal(0, False, 1.0), "feature 0, value index 1.0"),
+                       (Literal(True, False, 0), "feature True, value index 0"),
+                       (Literal(1, False, 2), "feature 1, value index 2")):
         assert not sp.has(lit)
         consequent = Literal(0 if lit.feature == 1 else 1, False, 1)
-        with pytest.raises(SpaceError, match="antecedent literal out of range"):
+        with pytest.raises(SpaceError, match="^%s$" % re.escape(
+                "antecedent literal out of range: " + named)):
             validate_rule(sp, Rule(frozenset({lit}), consequent))

@@ -276,6 +276,11 @@ def test_dataset_invariants_are_checked():
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
               class_domain=("n", "y"), class_labels=(0, 2)),
          "class label index out of range"),
+        # a bool is not a value index, though it is an int
+        (dict(names=("p",), domains=(("a", "b"),), rows=((True,), (1,))),
+         "row 0, column 'p': bad value index True"),
+        (dict(names=("p",), domains=(("a", "b"),), rows=((0,), (1,)), class_labels=(0, 1)),
+         "class labels have no class domain"),
     ]
     for fields, message in cases:
         with pytest.raises(IngestError, match=re.escape(message)):

@@ -567,15 +567,19 @@ def test_model_invariants_are_checked(toy_dl, toy_bt):
     with pytest.raises(ModelError, match="rule 1: class index 2 out of range"):
         DecisionList(sp, ("p", "q"), (DLRule(frozenset({inside}), 0),
                                       DLRule(frozenset({inside}), 2)), default=0)
-    for bad in (outside, Literal(1.0, False, 0), Literal("Sex", False, 0),
-                Literal(0, False, True)):
-        with pytest.raises(ModelError, match="rule 0 references an invalid feature-value"):
+    for bad, named in ((outside, "feature 0, value index %d" % len(sp.domain(0))),
+                       (Literal(1.0, False, 0), "feature 1.0, value index 0"),
+                       (Literal("Sex", False, 0), "feature 'Sex', value index 0"),
+                       (Literal(0, False, True), "feature 0, value index True")):
+        with pytest.raises(ModelError, match="^%s$" % re.escape(
+                "rule 0 references an invalid feature-value: " + named)):
             DecisionList(sp, ("p", "q"), (DLRule(frozenset({bad}), 1),), default=0)
+        with pytest.raises(ModelError, match="^%s$" % re.escape(
+                "tree node references an invalid feature-value: " + named)):
+            BoostedEnsemble(sp, ("p", "q"), 0, ((Node(bad, Leaf(1), Leaf(-1)),),),
+                            positive=1)
     with pytest.raises(ModelError, match="positive class index 2 out of range"):
         BoostedEnsemble(sp, ("p", "q"), 0, ((Leaf(1),),), positive=2)
-    with pytest.raises(ModelError, match="tree node references an invalid feature-value"):
-        BoostedEnsemble(sp, ("p", "q"), 0, ((Node(outside, Leaf(1), Leaf(-1)),),),
-                        positive=1)
 
 
 def test_trainers_need_a_class_column(toy_ds):
