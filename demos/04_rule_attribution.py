@@ -32,9 +32,9 @@ print("knowledge-assisted why: {%s}" % ", ".join(assisted.feature_names(sp)))
 
 used = attribute_rules(dl, v, kb, assisted.features)
 print("of the %d rules, %d are responsible:" % (len(kb), len(used)))
-for clause, rule in zip(used.clauses, used.rules):
+for clause in used.clauses:  # each clause's first rule stands for it
     print("  [rule %s] %s" % (",".join(map(str, used.provenance[clause])),
-                              rule.render(sp)))
+                              used.sources[clause][0].render(sp)))
 print()
 
 plain = find_axp(dl, v)

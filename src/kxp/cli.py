@@ -28,8 +28,8 @@ from .core import (FeatureSpace, Instance, Kind, SpaceError, json_field,
 from .explain import (ExplainError, attribute_rules, check_explanation,
                       enumerate_smallest, find_axp, reduce_explanation)
 from .ingest import (Dataset, IngestError, check_interval_count,
-                     fit_quantization, fold_indices, load_csv, quantize,
-                     split_indices)
+                     check_split_fraction, fit_quantization, fold_indices,
+                     load_csv, quantize, split_indices)
 from .miner import (ExtractionLimit, MinerError, eclat_mine, extract_all,
                     load_knowledge, rule_accuracy, save_rules)
 from .models import ModelError, load_model
@@ -248,6 +248,7 @@ def cmd_explain(args) -> int:
     for flag, value in (("--enum", args.enum), ("--jobs", args.jobs)):
         if value < 1:
             raise ExplainError("%s must be at least 1, got %d" % (flag, value))
+    check_split_fraction(args.split_fraction)  # whatever --instances says
     model, ds, kb, inputs = _load_inputs(args)
     if args.compare and kb is None:
         raise ExplainError("--compare needs --knowledge")
@@ -261,10 +262,12 @@ def cmd_explain(args) -> int:
         indices = []
         for token in [t.strip() for t in args.instances.split(",") if t.strip()]:
             try:
-                indices.append(int(token))
+                index = int(token)
             except ValueError:
-                raise IngestError("--instances: %r is not a row index"
-                                  % token) from None
+                raise IngestError("--instances: %r is not a row index" % token) from None
+            if index in indices:
+                raise IngestError("--instances: row %d named more than once" % index)
+            indices.append(index)
 
     settings = (False,) if kb is None else (False, True) if args.compare else (True,)
     skipped = []
@@ -351,12 +354,11 @@ def _summarize_explanations(records, skipped, kind, compare) -> dict:
 def cmd_attribute(args) -> int:
     model, ds, kb, inputs = _load_inputs(args)
     inst = _row_instance(model, ds, args.instance, "--instance")
-    if not kb.satisfied_by(inst):  # a rules file's clauses each keep their rule
-        clause, rule = next((c, r) for c, r in zip(kb.clauses, kb.rules)
-                            if not c.satisfied_by(inst))
+    if not kb.satisfied_by(inst):  # a rules file's clauses each keep their rules
+        clause = next(c for c in kb.clauses if not c.satisfied_by(inst))
         raise ExplainError("--instance: row %d breaks rule [%s] of %s: %s"
                            % (args.instance, ",".join(map(str, kb.provenance[clause])),
-                              args.knowledge, rule.render(model.space)))
+                              args.knowledge, kb.sources[clause][0].render(model.space)))
     if args.axp == "auto":
         features = sorted(find_axp(model, inst, knowledge=kb).features)
     else:
@@ -367,8 +369,8 @@ def cmd_attribute(args) -> int:
     t0 = time.perf_counter()
     used = attribute_rules(model, inst, kb, features)
     manifest["timings"]["wall"] = time.perf_counter() - t0
-    rules_out = [{"ids": list(used.provenance.get(clause, ())), "rule": rule.render(model.space)}
-                 for clause, rule in zip(used.clauses, used.rules)]
+    rules_out = [{"ids": list(used.provenance[c]), "rule": used.sources[c][0].render(model.space)}
+                 for c in used.clauses]
     report = {"format": "kxp.attribution/1", "manifest": manifest,
               "instance": args.instance,
               "axp": [model.space.names[f] for f in features],

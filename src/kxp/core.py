@@ -7,6 +7,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -269,16 +270,15 @@ def rule_to_clause(space: FeatureSpace, rule: Rule) -> Clause:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """A conjunction of clauses over feature literals, with rule provenance.
+    """A conjunction of clauses over feature literals, with the rules behind them.
 
-    `provenance` maps each clause to the ids of the mined rules it came from;
-    `rules` keeps the emitted rule objects for reporting. `truncated` is set
-    when mining stopped on a count or time budget.
+    `sources` maps each clause built from rules to all of them, in order (a
+    clause given alone has no entry); `rules` and `provenance` are read-only
+    views of it. `truncated` is set when mining stopped on a count or time budget.
     """
 
     clauses: tuple[Clause, ...] = ()
-    provenance: Mapping[Clause, tuple[int, ...]] = field(default_factory=dict)
-    rules: tuple[Rule, ...] = ()
+    sources: Mapping[Clause, tuple[Rule, ...]] = field(default_factory=dict)
     truncated: bool = False
 
     def __post_init__(self):
@@ -288,41 +288,35 @@ class KnowledgeBase:
     @classmethod
     def from_rules(cls, space: FeatureSpace, rules: Iterable[Rule],
                    truncated: bool = False) -> "KnowledgeBase":
-        """Deduplicate rules clausally, merging provenance ids per clause."""
-        clauses: list[Clause] = []
-        prov: dict[Clause, list[int]] = {}
-        kept: list[Rule] = []
+        """Deduplicate rules clausally; each clause keeps every rule behind it."""
+        sources: dict[Clause, list[Rule]] = {}
         for rule in rules:
-            clause = rule_to_clause(space, rule)
-            if clause not in prov:
-                clauses.append(clause)
-                prov[clause] = []
-                kept.append(rule)
-            if rule.id is not None:
-                prov[clause].append(rule.id)
-        return cls(tuple(clauses),
-                   {c: tuple(ids) for c, ids in prov.items()},
-                   tuple(kept), truncated)
+            sources.setdefault(rule_to_clause(space, rule), []).append(rule)
+        return cls(tuple(sources), {c: tuple(rs) for c, rs in sources.items()}, truncated)
 
-    def __len__(self) -> int:
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """Every rule, clause by clause."""
+        return tuple(r for c in self.clauses for r in self.sources.get(c, ()))
+
+    @cached_property
+    def provenance(self) -> Mapping[Clause, tuple[int, ...]]:
+        """Each clause's rule ids (none for a clause given alone)."""
+        return {c: tuple(r.id for r in self.sources.get(c, ()) if r.id is not None)
+                for c in self.clauses}
+
+    def __len__(self) -> int:  # also its truth: a base without clauses is false
         return len(self.clauses)
-
-    def __bool__(self) -> bool:
-        return bool(self.clauses)
 
     def satisfied_by(self, inst: Instance) -> bool:
         """Conjunction semantics: true iff every clause is satisfied."""
         return all(clause.satisfied_by(inst) for clause in self.clauses)
 
     def subset(self, clauses: Iterable[Clause]) -> "KnowledgeBase":
-        """The chosen clauses in the given order, each with its provenance and,
-        if every one has a rule here, its rule."""
+        """The chosen clauses in the given order, each with its own rules."""
         chosen = tuple(clauses)
-        rule_of = dict(zip(self.clauses, self.rules)) \
-            if len(self.rules) == len(self.clauses) else {}
-        rules = tuple(rule_of.get(c) for c in chosen)
-        return KnowledgeBase(chosen, {c: self.provenance.get(c, ()) for c in chosen},
-                             () if None in rules else rules, self.truncated)
+        sources = {c: self.sources[c] for c in chosen if c in self.sources}
+        return KnowledgeBase(chosen, sources, self.truncated)
 
 
 def space_to_obj(space: FeatureSpace) -> list:
@@ -342,6 +336,9 @@ def space_from_obj(obj: list) -> FeatureSpace:
 
 def rebind_literal(lit: Literal, old: FeatureSpace, new: FeatureSpace) -> Literal:
     """Re-express a literal in another space by feature name and value label."""
+    if not old.has(lit):
+        raise SpaceError("literal outside the space it is rebound from: "
+                         "feature %r, value index %r" % (lit.feature, lit.value))
     name, dom = old.features[lit.feature]
     return new.literal(name, dom[lit.value], negated=lit.negated)
 
@@ -358,18 +355,18 @@ def rebind_knowledge(kb: "KnowledgeBase", old: FeatureSpace,
 
     Every feature name and value label must exist in the target space; target
     domains may be larger (models sometimes know values the data never took).
-    Clauses keep their provenance. One built from rules is rebuilt from the
-    rebound rules (a binary antecedent `=` whose domain grows negates to `!=`);
-    one built from clauses alone (no `rules`) is rebound literal by literal.
+    A clause is rebuilt from each of its rules, rebound (two readings of one
+    binary clause split once a domain grows); one given alone, literal by literal.
     """
-    rules = tuple(rebind_rule(r, old, new) for r in kb.rules)
-    if rules:
-        clauses = [rule_to_clause(new, r) for r in rules]
-    else:
-        clauses = [Clause.of(rebind_literal(l, old, new) for l in c) for c in kb.clauses]
-    return KnowledgeBase(tuple(clauses), {c: kb.provenance.get(old_c, ())
-                                          for old_c, c in zip(kb.clauses, clauses)},
-                         rules, kb.truncated)
+    sources: dict[Clause, list[Rule]] = {}
+    for clause in kb.clauses:
+        rules = [rebind_rule(r, old, new) for r in kb.sources.get(clause, ())]
+        if not rules:
+            sources.setdefault(Clause.of(rebind_literal(l, old, new) for l in clause), [])
+        for rule in rules:
+            sources.setdefault(rule_to_clause(new, rule), []).append(rule)
+    return KnowledgeBase(tuple(sources), {c: tuple(rs) for c, rs in sources.items() if rs},
+                         kb.truncated)
 
 
 NUMBER = (int, float)

@@ -361,8 +361,7 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     otherwise `_shrink` over clause indices, in the base's order, keeps each
     clause only if entailment breaks without it. A trial that holds the core
     of the last entailment the oracle searched entails without a query.
-    Attribution is at clause granularity; provenance keeps all originating
-    rule ids.
+    Attribution is at clause granularity; each clause keeps all its rules.
     """
     q = _Questions(model, instance, knowledge, oracle)
     fset = _feature_set(axp_features, model.space.m)

@@ -337,10 +337,15 @@ def quantize(ds: Dataset, spec: QuantizationSpec) -> Dataset:
     return replace(ds, domains=tuple(domains), rows=tuple(rows))
 
 
-def split_indices(n: int, fraction: float = 0.8,
-                  seed: int = 0) -> tuple[list[int], list[int]]:
+def check_split_fraction(fraction: float) -> None:
+    """Raise unless `fraction` is in (0, 1)."""
     if not 0.0 < fraction < 1.0:
         raise IngestError("split fraction must be in (0, 1), got %g" % fraction)
+
+
+def split_indices(n: int, fraction: float = 0.8,
+                  seed: int = 0) -> tuple[list[int], list[int]]:
+    check_split_fraction(fraction)
     order = list(range(n))
     random.Random(seed).shuffle(order)
     n_train = min(max(int(round(n * fraction)), 1), n - 1)

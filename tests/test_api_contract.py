@@ -1,12 +1,14 @@
 """The library's public names pinned: what `kxp` exports and what `kxp.models`
 and `kxp.oracle` define, and the parameter names of each public function and
-class `kxp` and `kxp.oracle` expose, and the oracle's public methods. Adding
+class `kxp` and `kxp.oracle` expose, the oracle's public methods, and the
+knowledge base's public methods and views (the benchmark reads them). Adding
 or removing a name or an option changes one of these lists, so it must be
 deliberate.
 """
 
 import ast
 import enum
+import functools
 import inspect
 
 import kxp
@@ -55,7 +57,7 @@ PARAMETERS = {
     "ExtractionLimit": ["max_size", "max_rules", "time_budget", "min_support"],
     "FeatureSpace": ["features"],
     "Instance": ["values"],
-    "KnowledgeBase": ["clauses", "provenance", "rules", "truncated"],
+    "KnowledgeBase": ["clauses", "sources", "truncated"],
     "Leaf": ["weight"],
     "Literal": ["feature", "negated", "value"],
     "Node": ["test", "yes", "no"],
@@ -95,6 +97,16 @@ ORACLE_METHODS = {
     "compatible": ["instance", "knowledge"],
     "query": ["fixed", "instance", "contested", "knowledge"],
 }
+
+
+# the knowledge base's public methods and their parameter names (after self
+# or cls), and its read-only views of `sources`
+KNOWLEDGE_METHODS = {
+    "from_rules": ["space", "rules", "truncated"],
+    "satisfied_by": ["inst"],
+    "subset": ["clauses"],
+}
+KNOWLEDGE_VIEWS = ["provenance", "rules"]
 
 
 def public_names(module) -> list[str]:
@@ -141,3 +153,13 @@ def test_oracle_methods_are_pinned():
                                                   inspect.isfunction)
            if not name.startswith("_")}
     assert got == ORACLE_METHODS
+
+
+def test_knowledge_base_read_surface_is_pinned():
+    members = [(name, member) for name, member in inspect.getmembers(kxp.KnowledgeBase)
+               if not name.startswith("_")]
+    got = {name: [p for p in inspect.signature(member).parameters if p != "self"]
+           for name, member in members if callable(member)}
+    assert got == KNOWLEDGE_METHODS
+    assert [name for name, member in members
+            if isinstance(member, functools.cached_property)] == KNOWLEDGE_VIEWS

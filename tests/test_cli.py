@@ -392,11 +392,15 @@ def test_explain_jobs_start_no_more_workers_than_tasks(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     rules = str(tmp_path / "rules.jsonl")
     assert main(["mine", TOY, "--max-size", "2", "--out", rules]) == 0
-    nine, seventeen = ",".join("012345012"), ",".join("01234501234501234")
+    # the toy's six rows repeated, so that 17 distinct row indices exist
+    table = str(tmp_path / "toy17.csv")
+    header, *body = Path(TOY).read_text().splitlines()
+    Path(table).write_text("\n".join([header] + [body[i % 6] for i in range(17)]) + "\n")
+    nine, seventeen = (",".join(map(str, range(n))) for n in (9, 17))
     for instances, jobs, pool in (("0,1", "64", [(2, 1)]), ("0", "64", []),
                                   (nine, "2", [(2, 2)]), (seventeen, "2", [(2, 3)]),
                                   (seventeen, "3", [(3, 2)])):
-        argv = ["explain", DL, TOY, "--instances", instances, "--enum", "2",
+        argv = ["explain", DL, table, "--instances", instances, "--enum", "2",
                 "--knowledge", rules, "--compare"]
         serial, out = str(tmp_path / "serial.jsonl"), str(tmp_path / "jobs.jsonl")
         assert main(argv + ["--out", serial]) == 0
@@ -688,18 +692,25 @@ def test_row_indices_outside_the_dataset_exit_2(tmp_path, capsys):
 
 def test_explain_non_integer_instances_exit_2(tmp_path, capsys):
     out = tmp_path / "expl.jsonl"
-    assert main(["explain", DL, TOY, "--instances", "0,abc", "--out", str(out)]) == 2
-    assert "'abc' is not a row index" in capsys.readouterr().err
-    assert not out.exists()
+    for instances, message in (("0,abc", "'abc' is not a row index"),
+                               ("0,1, 0", "--instances: row 0 named more than once")):
+        assert main(["explain", DL, TOY, "--instances", instances, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_explain_rejects_enum_and_jobs_below_one(tmp_path, capsys):
     out = tmp_path / "expl.jsonl"
-    for flag, value in (("--enum", "0"), ("--enum", "-1"), ("--jobs", "0"),
-                        ("--jobs", "-3")):
+    for flag, value, message in (
+            ("--enum", "0", "--enum must be at least 1, got 0"),
+            ("--enum", "-1", "--enum must be at least 1, got -1"),
+            ("--jobs", "0", "--jobs must be at least 1, got 0"),
+            ("--jobs", "-3", "--jobs must be at least 1, got -3"),
+            # checked although --instances names rows, not the test split
+            ("--split-fraction", "7", "split fraction must be in (0, 1), got 7")):
         assert main(["explain", DL, TOY, "--instances", "0", flag, value,
                      "--out", str(out)]) == 2
-        assert "%s must be at least 1, got %s" % (flag, value) in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 from kxp import (Clause, FeatureSpace, KnowledgeBase, Literal, Rule,
                  SpaceError, rule_to_clause, validate_rule)
 from kxp.core import rebind_knowledge, rebind_literal, space_from_obj
+from kxp.miner import load_knowledge, save_rules
 
 from util import random_instance, random_knowledge, random_space
 
@@ -171,11 +172,11 @@ def test_knowledge_subset_keeps_each_clauses_rule():
     assert sub.rules == (rules[2], rules[0])
     assert sub.provenance == {c2: (2,), c0: (0,)}
     assert sub.truncated
-    # a clause from outside the knowledge base has no rule, so none are kept
+    # a clause from outside the knowledge base has no rule; the others keep theirs
     outside = Clause.of([sp.literal("c", "0")])
     sub = kb.subset([c0, outside])
     assert sub.clauses == (c0, outside)
-    assert sub.rules == ()
+    assert sub.rules == (rules[0],)
     assert sub.provenance == {c0: (0,), outside: ()}
     assert KnowledgeBase((c0, c1)).subset([c1]).rules == ()
 
@@ -194,24 +195,41 @@ def test_rebind_onto_larger_space(toy_ds, toy_dl):
     with pytest.raises(SpaceError):
         rebind_knowledge(kb, sp_csv,
                          FeatureSpace.make([("Other", ["x", "y"])]))
+    # a literal outside the space it is rebound from is named, not an IndexError
+    sp = FeatureSpace.make([("a", ["0", "1"]), ("b", ["0", "1"])])
+    big = FeatureSpace.make([("b", ["1", "0"]), ("a", ["0", "1", "2"])])
+    kb = KnowledgeBase.from_rules(sp, [
+        Rule(frozenset({sp.literal("a", "1")}), sp.literal("b", "1"), id=0),
+        Rule(frozenset({sp.literal("b", "0")}), sp.literal("a", "0"), id=1)])
+    with pytest.raises(SpaceError, match=re.escape(
+            "literal outside the space it is rebound from: feature 1, value index 1")):
+        rebind_knowledge(kb, FeatureSpace.make([("a", ["0", "1"])]), big)
 
 
-def test_rebind_keeps_provenance_and_clauses():
+def test_rebind_keeps_provenance_and_clauses(tmp_path):
     sp = FeatureSpace.make([("a", ["0", "1"]), ("b", ["0", "1"])])
     # the target space orders the features differently and grows a's domain
     big = FeatureSpace.make([("b", ["1", "0"]), ("a", ["0", "1", "2"])])
     r1 = Rule(frozenset({sp.literal("a", "1")}), sp.literal("b", "1"), id=0)
     r2 = Rule(frozenset({sp.literal("b", "0")}), sp.literal("a", "0"), id=1)
-    moved = rebind_knowledge(KnowledgeBase.from_rules(sp, [r1, r2], truncated=True),
-                             sp, big)
-    # both readings' ids survive; the clause is rebuilt from the kept reading,
-    # so `a = 1` negates to `a != 1` in the ternary domain
+    kb = KnowledgeBase.from_rules(sp, [r1, r2], truncated=True)
+    assert len(kb) == 1 and kb.rules == (r1, r2)
+    moved = rebind_knowledge(kb, sp, big)
+    # the two readings of one binary clause differ once a's domain grows:
+    # `a = 1` negates to `a != 1` in the ternary domain, and each keeps its id
     assert moved.clauses == (Clause.of([big.literal("a", "1", negated=True),
-                                        big.literal("b", "1")]),)
-    assert moved.provenance[moved.clauses[0]] == (0, 1)
-    assert moved.rules[0].render(big) == "IF a = 1 THEN b = 1"
+                                        big.literal("b", "1")]),
+                             Clause.of([big.literal("b", "1"), big.literal("a", "0")]))
+    assert moved.provenance == {moved.clauses[0]: (0,), moved.clauses[1]: (1,)}
+    assert [r.render(big) for r in moved.rules] == ["IF a = 1 THEN b = 1",
+                                                    "IF b = 0 THEN a = 0"]
     assert moved.truncated
-    assert moved.satisfied_by(big.instance(["0", "2"]))
+    assert not moved.satisfied_by(big.instance(["0", "2"]))  # breaks b = 0 -> a = 0
+    # a rules file loads onto the same clauses
+    path = tmp_path / "rules.jsonl"
+    save_rules(path, sp, [r1, r2])
+    loaded = load_knowledge(path, big)
+    assert loaded.clauses == moved.clauses and loaded.provenance == moved.provenance
     # a knowledge base built from clauses keeps them, literal by literal
     clauses = (Clause.of([sp.literal("a", "0"), sp.literal("b", "1")]),
                Clause.of([sp.literal("b", "0")]))

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from kxp import (Dataset, ExtractionLimit, FeatureSpace, Instance, MinerError, Rule,
-                 eclat_mine, enumerate_min_rules, extract_all, rule_accuracy,
-                 rule_to_clause)
+from kxp import (Dataset, ExtractionLimit, FeatureSpace, Instance, KnowledgeBase,
+                 MinerError, Rule, eclat_mine, enumerate_min_rules, extract_all,
+                 rule_accuracy, rule_to_clause)
 from kxp import miner
-from kxp.core import rebind_rule
+from kxp.core import rebind_knowledge, rebind_rule
 from kxp.miner import load_knowledge, load_rules, save_rules
 
 from util import (brute_force_extract_all, brute_force_min_rules, planted_dataset,
@@ -390,3 +390,36 @@ def test_load_knowledge_enforces_every_rule_of_the_file(tmp_path):
                 for r in moved)
         assert sorted(i for ids in kb.provenance.values() for i in ids) \
             == sorted(r.id for r in rules)
+
+
+def test_rebind_knowledge_enforces_every_rule():
+    """Rebound onto a space whose domains grow and whose features reorder, a
+    lattice or eclat knowledge base holds on exactly the points where every
+    one of its rules, rebound, holds, and cites every rule id. Some eclat
+    clauses hold two readings of one binary clause, which split in two."""
+    rng = random.Random(31)
+    seen = {"lattice": 0, "eclat": 0, "split": 0}
+    for trial in range(60):
+        sp = random_space(rng, max_features=4, max_domain=3)
+        ds = tiny_dataset(rng, sp, rng.randint(3, 20))
+        engine = ("lattice", "eclat")[trial % 2]
+        if engine == "lattice":
+            kb = extract_all(ds, ExtractionLimit(max_size=2))
+            mined = kb.rules
+        else:
+            mined = eclat_mine(ds, ExtractionLimit(max_size=2))
+            kb = KnowledgeBase.from_rules(sp, mined)
+        features = [(name, list(dom) + ["extra"] * (rng.random() < 0.5))
+                    for name, dom in sp.features]
+        rng.shuffle(features)
+        target = FeatureSpace.make(features)
+        moved = rebind_knowledge(kb, sp, target)
+        rules = [rebind_rule(r, sp, target) for r in mined]
+        for values in itertools.product(*(range(len(d)) for _, d in features)):
+            inst = Instance(values)
+            assert moved.satisfied_by(inst) == all(not r.violated_by(inst) for r in rules)
+        assert sorted(i for ids in moved.provenance.values() for i in ids) \
+            == sorted(r.id for r in mined)
+        seen[engine] += bool(kb)
+        seen["split"] += len(moved) > len(kb)
+    assert all(seen.values()), seen

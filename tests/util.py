@@ -632,7 +632,7 @@ def random_knowledge(rng: random.Random, space: FeatureSpace, v: Instance,
         clause = Clause.of(lits)
         if clause not in clauses:
             clauses.append(clause)
-    return KnowledgeBase(tuple(clauses), {c: () for c in clauses}, ())
+    return KnowledgeBase(tuple(clauses))
 
 
 # ---------------------------------------------------------------------------
