@@ -17,13 +17,17 @@ the oracle the thread's last such call built, when it is over the same model
 object, and otherwise builds one over its knowledge in its place. An oracle
 enters a clause when a query first names it, so rows explained in turn with
 and without one knowledge base share one build and one certificate store.
+
+A set of features or clauses is one integer bit mask, from the hitting-set
+solver through `_shrink` to the oracle's questions; a frozenset is built only
+for an emitted explanation and for the public `minimum_hitting_set`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import Explanation, Instance, Kind, KnowledgeBase
 from .models import Model
@@ -59,30 +63,36 @@ class _Questions:
                               + " OR ".join(map(model.space.render_literal, sorted(broken))))
         self.oracle, self.instance, self.knowledge = oracle, instance, kb
         self.predicted = model.classify(instance)  # only once the input is checked
+        self.full = (1 << model.space.m) - 1
 
-    def holds(self, kind: Kind, features: AbstractSet[int]) -> tuple[bool, OracleResult]:
-        """Does the set meet the kind's defining condition? One oracle call.
+    def holds(self, kind: Kind, features: int) -> tuple[bool, OracleResult]:
+        """Does the feature mask meet the kind's defining condition? One oracle call.
 
         An AXp fixes its features and entails the prediction; a CXp frees its
         features, so fixing the rest does not entail it.
         """
         axp = kind is Kind.AXP
-        fixed = features if axp else frozenset(range(self.oracle.space.m)) - features
+        fixed = features if axp else self.full ^ features
         res = self.oracle.query(fixed, self.instance, self.predicted, self.knowledge)
         return res.entails == axp, res
 
 
-def _shrink(seed: Iterable[int],
-            holds: Callable[[AbstractSet[int]], bool]) -> frozenset[int]:
-    """A subset-minimal set inside `seed` (which must hold) satisfying the
+def _shrink(seed: int, holds: Callable[[int], bool]) -> int:
+    """A subset-minimal mask inside `seed` (which must hold) satisfying the
     monotone `holds`: deletion-based linear search, ascending, one call per
-    index. Explanations shrink over features, attributions over clauses."""
-    current = set(seed)
-    for i in sorted(current):
-        current.discard(i)
-        if not holds(current):
-            current.add(i)
-    return frozenset(current)
+    bit. Explanations shrink over features, attributions over clauses."""
+    current, left = seed, seed
+    while left:
+        low = left & -left
+        left ^= low
+        if holds(current ^ low):
+            current ^= low
+    return current
+
+
+def _elements(mask: int) -> frozenset[int]:
+    """The indices of the mask's set bits."""
+    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
 def _kind(kind: Kind) -> Kind:
@@ -92,14 +102,14 @@ def _kind(kind: Kind) -> Kind:
         raise ExplainError("kind %r is not one of axp, cxp" % (kind,)) from None
 
 
-def _feature_set(features: Iterable[int], m: int) -> frozenset[int]:
+def _feature_mask(features: Iterable[int], m: int) -> int:
     fset = frozenset(features)
     for f in fset:
         if type(f) is not int:  # nor a bool
             raise ExplainError("feature index %r is not an integer" % (f,))
     if any(not 0 <= f < m for f in fset):
         raise ExplainError("feature index out of range in %s" % sorted(fset))
-    return fset
+    return sum(1 << f for f in fset)
 
 
 _SEED_FAILS = {Kind.AXP: "seed %s does not entail the prediction",
@@ -110,11 +120,10 @@ def _find(kind: Kind, model: Model, instance: Instance,
           knowledge: Optional[KnowledgeBase], seed: Optional[Iterable[int]],
           oracle: Optional[EntailmentOracle]) -> Explanation:
     q = _Questions(model, instance, knowledge, oracle)
-    m = model.space.m
-    seed_set = _feature_set(seed, m) if seed is not None else frozenset(range(m))
-    if not q.holds(kind, seed_set)[0]:
-        raise ExplainError(_SEED_FAILS[kind] % sorted(seed_set))
-    return Explanation(kind, _shrink(seed_set, lambda s: q.holds(kind, s)[0]),
+    seed_mask = _feature_mask(seed, model.space.m) if seed is not None else q.full
+    if not q.holds(kind, seed_mask)[0]:
+        raise ExplainError(_SEED_FAILS[kind] % sorted(_elements(seed_mask)))
+    return Explanation(kind, _elements(_shrink(seed_mask, lambda s: q.holds(kind, s)[0])),
                        bool(q.knowledge))
 
 
@@ -143,7 +152,7 @@ def check_explanation(features: Iterable[int], kind: Kind, model: Model,
     """Does the feature set satisfy the kind's defining condition? One oracle call."""
     kind = _kind(kind)
     q = _Questions(model, instance, knowledge, oracle)
-    return q.holds(kind, _feature_set(features, model.space.m))[0]
+    return q.holds(kind, _feature_mask(features, model.space.m))[0]
 
 
 def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
@@ -253,20 +262,18 @@ class _HittingSets:
         self._last = self._size = 0  # the last answer (a mask) and its size
         self._empty = False  # no set is feasible, now or after later additions
 
-    def hit(self, elements: Iterable[int]) -> None:
-        """Every later answer must intersect `elements`."""
-        mask = _mask(elements, self.universe)
+    def hit(self, mask: int) -> None:
+        """Every later answer must intersect the mask, a subset of the universe."""
         self._empty = self._empty or not mask
         self._sets.append(mask)
 
-    def block(self, elements: Iterable[int]) -> None:
-        """No later answer may contain `elements`."""
-        mask = _mask(elements, self.universe)
+    def block(self, mask: int) -> None:
+        """No later answer may contain the mask, a subset of the universe."""
         self._empty = self._empty or not mask
         self._blocked.append(mask)
 
-    def minimum(self) -> Optional[frozenset[int]]:
-        """The current least answer, or None when there is none."""
+    def minimum(self) -> Optional[int]:
+        """The current least answer as a mask, or None when there is none."""
         if self._empty:
             return None
         for k in range(self._size, self.universe + 1):
@@ -276,7 +283,7 @@ class _HittingSets:
                 break  # nothing cut by size: no larger bound can succeed
             if found >= 0:
                 self._last, self._size = found, k
-                return frozenset(e for e in range(self.universe) if found >> e & 1)
+                return found
         self._empty = True
         return None
 
@@ -298,10 +305,11 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
     """
     hs = _HittingSets(universe)
     for s in sets:
-        hs.hit(s)
+        hs.hit(_mask(s, universe))
     for b in blocked:
-        hs.block(b)
-    return hs.minimum()
+        hs.block(_mask(b, universe))
+    found = hs.minimum()
+    return None if found is None else _elements(found)
 
 
 def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
@@ -324,10 +332,9 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     dual = Kind.CXP if kind is Kind.AXP else Kind.AXP
     q = _Questions(model, instance, knowledge, oracle)
     calls0 = q.oracle.calls
-    m = model.space.m
     out: list[Explanation] = []
     exhausted = False
-    hs = _HittingSets(m)
+    hs = _HittingSets(model.space.m)
     while len(out) < n:
         cand = hs.minimum()
         if cand is None:
@@ -335,16 +342,16 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
             break
         ok, res = q.holds(kind, cand)
         if ok:
-            out.append(Explanation(kind, cand, bool(q.knowledge)))
+            out.append(Explanation(kind, _elements(cand), bool(q.knowledge)))
             hs.block(cand)  # no later candidate may contain an emission
             continue
         # a failed AXp candidate's witness frees a CXp; a failed CXp
         # candidate's complement fixes an AXp
         if kind is Kind.AXP:
-            seed = frozenset(f for f in range(m)
-                             if res.witness.values[f] != instance.values[f])
+            seed = sum(1 << f for f, (w, v) in
+                       enumerate(zip(res.witness.values, instance.values)) if w != v)
         else:
-            seed = frozenset(range(m)) - cand
+            seed = q.full ^ cand
         hs.hit(_shrink(seed, lambda s: q.holds(dual, s)[0]))
     return EnumerationResult(out, exhausted, q.oracle.calls - calls0)
 
@@ -364,26 +371,26 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     Attribution is at clause granularity; each clause keeps all its rules.
     """
     q = _Questions(model, instance, knowledge, oracle)
-    fset = _feature_set(axp_features, model.space.m)
-    if not q.holds(Kind.AXP, fset)[0]:
+    fixed = _feature_mask(axp_features, model.space.m)
+    if not q.holds(Kind.AXP, fixed)[0]:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
-                           % sorted(fset))
+                           % sorted(_elements(fixed)))
     clauses, oracle = q.knowledge.clauses, q.oracle
     index = {clause: i for i, clause in enumerate(clauses)}
-    core: Optional[frozenset[int]] = None  # the last core the oracle left, as indices
+    core: Optional[int] = None  # the last core the oracle left, as a mask over indices
 
-    def entails(kept: AbstractSet[int]) -> bool:
+    def entails(kept: int) -> bool:
         nonlocal core
-        if core is not None and core <= kept:
+        if core is not None and not core & ~kept:
             return True
-        trial = KnowledgeBase(tuple(clauses[i] for i in kept))
-        if not oracle.query(fset, instance, q.predicted, trial).entails:
+        trial = KnowledgeBase(tuple(c for i, c in enumerate(clauses) if kept >> i & 1))
+        if not oracle.query(fixed, instance, q.predicted, trial).entails:
             return False
         # every later trial lies within this one, which lacks the old core
         found = oracle._core_clauses()
         if found is not None:
-            core = frozenset(index[clause] for clause in found)
+            core = sum(1 << index[clause] for clause in found)
         return True
 
-    kept = () if entails(frozenset()) else _shrink(range(len(clauses)), entails)
-    return q.knowledge.subset(clauses[i] for i in sorted(kept))
+    kept = 0 if entails(0) else _shrink((1 << len(clauses)) - 1, entails)
+    return q.knowledge.subset(c for i, c in enumerate(clauses) if kept >> i & 1)

@@ -51,8 +51,10 @@ class Dataset:
                 raise IngestError("class labels have no class domain")
             if len(self.class_labels) != len(self.rows):
                 raise IngestError("class labels do not cover all rows")
-            if any(not 0 <= c < len(self.class_domain) for c in self.class_labels):
-                raise IngestError("class label index out of range")
+            for r, c in enumerate(self.class_labels):
+                if not (type(c) is int and 0 <= c < len(self.class_domain)):  # nor a bool
+                    raise IngestError("row %d: class label index %s: %r" % (
+                        r, "out of range" if type(c) is int else "not an integer", c))
 
     @property
     def n_rows(self) -> int:
@@ -70,8 +72,8 @@ class Dataset:
         return FeatureSpace.make(zip(self.names, self.domains))
 
     def instances(self) -> list[Instance]:
-        space = self.space  # validates
-        return [space.instance(row) for row in self.rows]
+        self.space  # raises while a column is numeric; `__post_init__` checked the cells
+        return [Instance(tuple(row)) for row in self.rows]
 
     def row_labels(self, r: int) -> dict[str, str]:
         """Feature name -> value label for one row (quantized datasets only)."""

@@ -60,8 +60,12 @@ class DecisionList:
                                      "feature %r, value index %r" % (r, lit.feature, lit.value))
 
     def classify(self, inst: Instance) -> int:
+        values = inst.values
         for rule in self.rules:
-            if rule.matches(inst):
+            for lit in rule.antecedent:  # `DLRule.matches`, inline
+                if (values[lit.feature] == lit.value) == lit.negated:
+                    break
+            else:
                 return rule.cls
         return self.default
 

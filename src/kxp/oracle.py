@@ -74,6 +74,11 @@ status never depends on the queries asked before, but a witness is some
 counterexample, perhaps an earlier query's: the same for the same sequence of
 questions to one oracle. `calls` counts every question and `store_hits` those
 the store answered.
+
+A query's fixed features, given as indices or as one integer mask (bit f:
+feature f is fixed), are a mask from the input check to the store, the
+assumptions and the witness re-check. An instance's values are checked once
+per instance object: the last one that passed is kept if its values are a tuple.
 """
 
 from __future__ import annotations
@@ -267,7 +272,7 @@ _STORE_SIZE = 1024
 
 class _Certificates:
     """Earlier answers of one kind, each a partial assignment (`values[f]`
-    for each f of `features`) and a class, under ids 0.._STORE_SIZE-1 that
+    for each bit f of the mask `features`) and a class, under ids 0.._STORE_SIZE-1 that
     are reused oldest first: entailments, each fixing some features, or
     witnesses, each assigning every feature.
 
@@ -281,13 +286,13 @@ class _Certificates:
         self.fixes = [0] * len(sizes)
         self.has = [[0] * size for size in sizes]
         self.of_class = [0] * classes
-        self.entries: list[tuple[Iterable[int], tuple[int, ...], int]] = []  # per id
+        self.entries: list[tuple[int, tuple[int, ...], int]] = []  # per id
         self.plain = 0
         self._next = 0
 
-    def add(self, features: Iterable[int], values: tuple[int, ...], cls: int,
+    def add(self, features: int, values: tuple[int, ...], cls: int,
             plain: bool) -> None:
-        """Keep an entry, in place of the oldest when the store is full."""
+        """Keep an entry (its features a mask), in place of the oldest when full."""
         i = self._next
         self._next = (i + 1) % _STORE_SIZE
         bit = 1 << i
@@ -295,20 +300,22 @@ class _Certificates:
         entry = (features, values, cls)
         if i < len(self.entries):
             old_features, old_values, old_cls = self.entries[i]
-            for f in old_features:
-                fixes[f] ^= bit
-                has[f][old_values[f]] ^= bit
+            for f, row in enumerate(has):
+                if old_features >> f & 1:
+                    fixes[f] ^= bit
+                    row[old_values[f]] ^= bit
             self.of_class[old_cls] ^= bit
             self.entries[i] = entry
         else:
             self.entries.append(entry)
-        for f in features:
-            fixes[f] |= bit
-            has[f][values[f]] |= bit
+        for f, row in enumerate(has):
+            if features >> f & 1:
+                fixes[f] |= bit
+                row[values[f]] |= bit
         self.of_class[cls] |= bit
         self.plain = self.plain | bit if plain else self.plain & ~bit
 
-    def within(self, fixed: set[int], values: tuple[int, ...], cls: int,
+    def within(self, fixed: int, values: tuple[int, ...], cls: int,
                every: bool) -> bool:
         """Is an entry of class cls assigned only values the query fixes?"""
         ids = self.of_class[cls] if every else self.plain & self.of_class[cls]
@@ -316,20 +323,21 @@ class _Certificates:
         for f, fx in enumerate(self.fixes):
             if not ids:
                 return False
-            if f in fixed:
+            if fixed >> f & 1:
                 fx ^= has[f][values[f]]  # the ids assigning f another value
             ids &= ~fx
         return bool(ids)
 
-    def agreeing(self, fixed: set[int], values: tuple[int, ...], cls: int,
+    def agreeing(self, fixed: int, values: tuple[int, ...], cls: int,
                  every: bool) -> Optional[tuple[int, ...]]:
         """The values of an entry of a class other than cls that agrees
         with the query on every fixed feature, or None."""
         ids = ((1 << len(self.entries)) - 1 if every else self.plain) & ~self.of_class[cls]
         has = self.has
-        for f in fixed:
-            if not ids:
-                return None
+        while fixed and ids:
+            low = fixed & -fixed
+            fixed ^= low
+            f = low.bit_length() - 1
             ids &= has[f][values[f]]
         return self.entries[(ids & -ids).bit_length() - 1][1] if ids else None
 
@@ -351,7 +359,8 @@ class EntailmentOracle:
 
         m = self.space.m
         self._sizes = [len(self.space.domain(f)) for f in range(m)]
-        self._features = range(m)  # every feature, as each witness assigns them
+        self._full = (1 << m) - 1  # every feature, as each witness assigns them
+        self._valid: Optional[Instance] = None  # the last instance `_checked` passed
         self.dom: list[int] = [(1 << s) - 1 for s in self._sizes]  # bit v: v possible
         # one entry per domain change: (feature, previous domain, previous alive)
         self.trail: list[tuple[int, int, int]] = []
@@ -454,7 +463,7 @@ class EntailmentOracle:
                    knowledge: Optional[KnowledgeBase] = None) -> bool:
         """Does the instance satisfy every clause of the subset (default: the
         build's base)? One OR per feature; the subset stays in force."""
-        self._checked((), instance, 0)
+        self._checked(0, instance, 0)
         self._switch(knowledge)
         return not self._active & ~self._satisfied(instance.values)
 
@@ -600,33 +609,45 @@ class EntailmentOracle:
         self._undo_to(root)
         return witness, fresh
 
-    def _checked(self, fixed: Iterable[int], instance: Instance,
-                 contested: int) -> set[int]:
-        """The fixed features as a set, once the query's indices and values
-        are known to be integers in the model's space and classes."""
-        sizes, values = self._sizes, instance.values
-        m = len(sizes)
-        if len(values) != m:
-            raise OracleError("instance has %d values, space has %d features"
-                              % (len(values), m))
-        for f in self._features:
-            v = values[f]
-            if type(v) is not int or not 0 <= v < sizes[f]:  # nor a bool
-                raise OracleError("instance value %r %s for feature %d" % (
-                    v, "out of range" if type(v) is int else "is not an integer", f))
-        fixed = set(fixed)
-        for f in fixed:
-            if type(f) is not int or not 0 <= f < m:
-                raise OracleError("fixed feature index %r %s" % (
-                    f, "out of range" if type(f) is int else "is not an integer"))
+    def _checked(self, fixed: Iterable[int] | int, instance: Instance,
+                 contested: int) -> int:
+        """The fixed features as a mask (bit f: feature f is fixed), once the
+        query's indices and values are known to be integers in the model's
+        space and classes. An instance's values are checked once: the last
+        instance that passed is remembered if its values are a tuple."""
+        sizes, m = self._sizes, len(self._sizes)
+        if instance is not self._valid:
+            values = instance.values
+            if len(values) != m:
+                raise OracleError("instance has %d values, space has %d features"
+                                  % (len(values), m))
+            for f, v in enumerate(values):
+                if type(v) is not int or not 0 <= v < sizes[f]:  # nor a bool
+                    raise OracleError("instance value %r %s for feature %d" % (
+                        v, "out of range" if type(v) is int else "is not an integer", f))
+            if type(values) is tuple:
+                self._valid = instance
+        if isinstance(fixed, int):
+            if type(fixed) is not int or not 0 <= fixed < 1 << m:  # nor a bool
+                raise OracleError("fixed mask %r %s" % (
+                    fixed, "out of range" if type(fixed) is int else "is not an integer"))
+            mask = fixed
+        else:
+            mask = 0
+            for f in fixed:
+                if type(f) is not int or not 0 <= f < m:
+                    raise OracleError("fixed feature index %r %s" % (
+                        f, "out of range" if type(f) is int else "is not an integer"))
+                mask |= 1 << f
         if type(contested) is not int or not 0 <= contested < self.model.class_count():
             raise OracleError("contested class %r %s" % (
                 contested, "out of range" if type(contested) is int else "is not an integer"))
-        return fixed
+        return mask
 
-    def query(self, fixed: Iterable[int], instance: Instance, contested: int,
+    def query(self, fixed: Iterable[int] | int, instance: Instance, contested: int,
               knowledge: Optional[KnowledgeBase] = None) -> OracleResult:
-        """Decide the query; Z, the contested class and the knowledge
+        """Decide the query; Z (feature indices, or a mask with bit f set
+        when feature f is fixed), the contested class and the knowledge
         (default: the build's base) are per-call. A counterexample may carry
         an earlier query's witness."""
         fixed = self._checked(fixed, instance, contested)
@@ -643,21 +664,23 @@ class EntailmentOracle:
             self.store_hits += 1
             return OracleResult(Status.COUNTEREXAMPLE, Instance(stored))
         assumptions = [slit for ci, slit in self.units if active >> ci & 1]
-        assumptions += [(f, values[f], False) for f in sorted(fixed, reverse=True)]
+        assumptions += [(f, values[f], False)
+                        for f in range(fixed.bit_length() - 1, -1, -1) if fixed >> f & 1]
         witness, fresh = self._solve(assumptions, contested)
         keep = whole or not active  # the whole base or no clause
         if witness is None:
             if fresh:
                 self._core = self._used | self._unit_ids & active
             if keep:
-                self._entailed.add(tuple(fixed), values, contested, not active)
+                self._entailed.add(fixed, values, contested, not active)
             return OracleResult(Status.ENTAILS)
         satisfied = self._satisfied(witness.values)
         cls = self.model.classify(witness)
-        if not (all(witness.values[f] == values[f] for f in fixed)
+        found = witness.values
+        if not (all(found[f] == values[f] for f in range(len(found)) if fixed >> f & 1)
                 and not active & ~satisfied and cls != contested):
             raise AssertionError("witness fails direct evaluation")
         if keep:
-            self._witnesses.add(self._features, witness.values, cls,
+            self._witnesses.add(self._full, witness.values, cls,
                                 satisfied == self._all)
         return OracleResult(Status.COUNTEREXAMPLE, witness)

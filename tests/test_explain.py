@@ -409,25 +409,31 @@ def _grow_step(rng, m, last):
 
 
 def test_incremental_hitting_sets_match_bruteforce():
-    """Grown one set at a time, the incremental solver, the one-shot
-    `minimum_hitting_set` and the brute-force reference agree after every
-    step, through the empty answer and infeasibility."""
+    """Grown one set at a time, the incremental solver (which takes and
+    gives masks), the one-shot `minimum_hitting_set` and the brute-force
+    reference agree after every step, through the empty answer and
+    infeasibility."""
     rng = random.Random(4096)
     outcomes = {"empty": 0, "none": 0, "same size": 0, "larger": 0}
+
+    def elements(mask):
+        return None if mask is None else frozenset(e for e in range(m) if mask >> e & 1)
+
     for _ in range(400):
         m = rng.randint(1, 8)
         hs, sets, blocked = _HittingSets(m), [], []
-        last = hs.minimum()
+        last = elements(hs.minimum())
         assert last == frozenset()
         for _ in range(rng.randint(1, 14)):
-            to_hit, elements = _grow_step(rng, m, last)
+            to_hit, chosen = _grow_step(rng, m, last)
+            mask = sum(1 << e for e in chosen)
             if to_hit:
-                sets.append(elements)
-                hs.hit(elements)
+                sets.append(chosen)
+                hs.hit(mask)
             else:
-                blocked.append(elements)
-                hs.block(elements)
-            got = hs.minimum()
+                blocked.append(chosen)
+                hs.block(mask)
+            got = elements(hs.minimum())
             assert got == minimum_hitting_set(sets, blocked, m)
             assert got == minimum_hitting_set_bruteforce(sets, blocked, m)
             if got is None:
@@ -719,7 +725,7 @@ def test_enumerations_do_not_depend_on_the_rows_before(monkeypatch):
                 query = oracle.query
 
                 def recorded(fixed, u, c, knowledge=None, query=query, answers=answers):
-                    fixed = frozenset(fixed)
+                    fixed = frozenset(f for f in range(sp.m) if fixed >> f & 1)
                     answers.append((fixed, u, c, knowledge, query(fixed, u, c, knowledge)))
                     return answers[-1][-1]
 
@@ -778,8 +784,8 @@ def test_question_sequence_pinned(monkeypatch):
             query = oracle.query
 
             def recorded(fixed, u, c, knowledge=None, query=query, ids=ids):
-                fixed = sorted(fixed)
                 res = query(fixed, u, c, knowledge)
+                fixed = [f for f in range(sp.m) if fixed >> f & 1]
                 active = range(len(ids)) if knowledge is None \
                     else sorted(ids[clause] for clause in knowledge.clauses)
                 questions.append("%s %d %s %s %s" % (

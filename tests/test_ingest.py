@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -6,6 +7,8 @@ from kxp import (Dataset, IngestError, QuantizationSpec, fit_quantization, folds
                  load_csv, quantize, split)
 from kxp.core import write_json
 from kxp.ingest import ColumnBins
+
+from util import random_table
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -276,6 +279,16 @@ def test_dataset_invariants_are_checked():
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
               class_domain=("n", "y"), class_labels=(0, 2)),
          "class label index out of range"),
+        # a label is a value index too: not a string, a bool or a float
+        (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
+              class_domain=("n", "y"), class_labels=(0, "y")),
+         "row 1: class label index not an integer: 'y'"),
+        (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
+              class_domain=("n", "y"), class_labels=(True, 0)),
+         "row 0: class label index not an integer: True"),
+        (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
+              class_domain=("n", "y"), class_labels=(0, 0.0)),
+         "row 1: class label index not an integer: 0.0"),
         # a bool is not a value index, though it is an int
         (dict(names=("p",), domains=(("a", "b"),), rows=((True,), (1,))),
          "row 0, column 'p': bad value index True"),
@@ -288,6 +301,21 @@ def test_dataset_invariants_are_checked():
     raw = Dataset(("p", "x"), (("a", "b"), None), ((0, 1.5), (1, 2.5)))
     with pytest.raises(IngestError, match="column 'x' is numeric; quantize first"):
         raw.row_labels(0)
+
+
+def test_instances_equal_the_space_built_ones():
+    """`Dataset.instances` builds each row's instance directly, as
+    `FeatureSpace.instance` would, on random tables of every shape."""
+    rng = random.Random(2828)
+    for _ in range(60):
+        ds = random_table(rng, rng.randint(0, 30), n_classes=rng.choice((2, 3)),
+                          duplicate=rng.random() < 0.3, constant=rng.random() < 0.3,
+                          binary=rng.random() < 0.3)
+        space = ds.space
+        assert ds.instances() == [space.instance(row) for row in ds.rows]
+    raw = Dataset(("p", "x"), (("a", "b"), None), ((0, 1.5), (1, 2.5)))
+    with pytest.raises(IngestError, match="numeric; quantize first"):
+        raw.instances()
 
 
 def test_empty_file_and_empty_header_rejected(tmp_path):

@@ -52,6 +52,34 @@ def test_dl_rule_order_matters(toy_dl, toy_ds):
     assert cls_of(swapped, dropout_husband) == ">=50k"
 
 
+def test_dl_classify_returns_the_first_matching_rule():
+    """`DecisionList.classify` reads each rule's literals inline. On random
+    lists with `!=` literals and empty antecedents, and on constant lists
+    (no rule), it returns the class of the first rule whose `matches` holds,
+    or the default when none does."""
+    rng = random.Random(4343)
+    seen = Counter()
+    for _ in range(200):
+        sp = random_space(rng, min_features=2, max_features=5, max_domain=4)
+        classes = tuple("c%d" % i for i in range(rng.choice((2, 3))))
+        rules = []
+        for _ in range(rng.randint(0, 6)):
+            feats = rng.sample(range(sp.m), rng.randint(0, min(3, sp.m)))
+            ante = frozenset(sp.literal(f, rng.randrange(len(sp.domain(f))),
+                                        rng.random() < 0.5) for f in feats)
+            rules.append(DLRule(ante, rng.randrange(len(classes))))
+        model = DecisionList(sp, classes, tuple(rules), rng.randrange(len(classes)))
+        for _ in range(10):
+            v = random_instance(rng, sp)
+            first = next((rule for rule in model.rules if rule.matches(v)), None)
+            assert model.classify(v) == (model.default if first is None else first.cls)
+            seen["constant" if not rules else "default" if first is None
+                 else "empty" if not first.antecedent
+                 else "negated" if any(lit.negated for lit in first.antecedent)
+                 else "equal"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 150, seen
+
+
 def test_bt_worked_scores(toy_bt, row1):
     assert toy_bt.group_score(0, row1) == 1642
     assert cls_of(toy_bt, row1) == ">=50k"

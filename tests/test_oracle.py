@@ -5,7 +5,8 @@ from collections import Counter, deque
 import pytest
 
 import kxp.oracle as oracle_module
-from kxp import Clause, FeatureSpace, Instance, KnowledgeBase, find_axp
+from kxp import (Clause, FeatureSpace, Instance, Kind, KnowledgeBase, attribute_rules,
+                 check_explanation, enumerate_smallest, find_axp)
 from kxp.models import DecisionList, DLRule, ModelError
 from kxp.oracle import EntailmentOracle, OracleError, OracleResult, Status
 
@@ -130,6 +131,9 @@ def test_malformed_queries_rejected(small_dl, separated_male, marital_constraint
          "instance has %d values, space has %d features" % (last, sp.m)),
         (set(), Instance(values[:-1] + (len(sp.domain(last)),)), 0,
          "value %d out of range for feature %d" % (len(sp.domain(last)), last)),
+        (-1, separated_male, 0, "fixed mask -1 out of range"),
+        (1 << sp.m, separated_male, 0, "fixed mask %d out of range" % (1 << sp.m)),
+        (True, separated_male, 0, "fixed mask True is not an integer"),
     ]
     oracle = EntailmentOracle(small_dl, marital_constraint)
     for fixed, inst, c, message in cases:
@@ -137,6 +141,77 @@ def test_malformed_queries_rejected(small_dl, separated_male, marital_constraint
             oracle.query(fixed, inst, c)
         with pytest.raises(OracleError, match=message):
             query_to_dimacs(small_dl, marital_constraint, fixed, inst, c)
+
+
+def test_an_instance_is_checked_once_and_no_check_is_lost(small_dl, separated_male,
+                                                          marital_constraint):
+    """The oracle skips the value check for the instance object that last
+    passed it, if its values are a tuple. Still, a malformed instance asked
+    after a valid one raises; an instance whose values are a list, mutated
+    between two queries, raises on the second; and each explain entry point
+    rejects a malformed instance before its first question."""
+    sp = small_dl.space
+    values = separated_male.values
+    oracle = EntailmentOracle(small_dl, marital_constraint)
+    out = len(sp.domain(0))
+    bad = Instance((out,) + values[1:])
+    message = "value %d out of range for feature 0" % out
+    for inst, error in ((bad, message),
+                        (Instance(values[:-1]), "instance has %d values" % (sp.m - 1))):
+        oracle.query(0, separated_male, 0)
+        with pytest.raises(OracleError, match=error):
+            oracle.query(0, inst, 0)
+    expected = oracle.query(1, separated_male, 0)
+    listed = Instance(list(values))
+    assert oracle.query({0}, listed, 0) == expected
+    listed.values[0] = out
+    with pytest.raises(OracleError, match=message):
+        oracle.query({0}, listed, 0)
+    calls = oracle.calls
+    entries = (lambda: enumerate_smallest(Kind.AXP, small_dl, bad, oracle=oracle),
+               lambda: find_axp(small_dl, bad, oracle=oracle),
+               lambda: check_explanation([0], Kind.CXP, small_dl, bad, oracle=oracle),
+               lambda: attribute_rules(small_dl, bad, marital_constraint, [0],
+                                       oracle=oracle))
+    for entry in entries:
+        oracle.query(0, separated_male, 0)
+        calls += 1
+        with pytest.raises(OracleError, match=message):
+            entry()
+        assert oracle.calls == calls
+
+
+def test_mask_and_index_queries_agree():
+    """`query` takes the fixed features as indices or as a mask. On random
+    lists, single-score and 3-class ensembles, with and without K and under
+    random subsets of it, two fresh oracles, one asked by masks and one by
+    the same index sets in several iterable forms, give the same status and
+    witness to every question; the status is the brute-force one and every
+    witness passes direct evaluation."""
+    rng = random.Random(2929)
+    seen = Counter()
+    for _ in range(12):
+        sp = random_space(rng, min_features=3, max_features=5, max_domain=3)
+        v = random_instance(rng, sp)
+        for model in (random_dl(rng, sp, n_classes=rng.choice((2, 3))),
+                      random_single_score_bt(rng, sp), random_bt(rng, sp, n_classes=3)):
+            kb = random_knowledge(rng, sp, v, max_clauses=5)
+            by_mask, by_index = EntailmentOracle(model, kb), EntailmentOracle(model, kb)
+            for _ in range(40):
+                u = v if rng.random() < 0.5 else random_instance(rng, sp)
+                knowledge = rng.choice((None, KnowledgeBase(), kb.subset(
+                    rng.sample(kb.clauses, rng.randint(0, len(kb))))))
+                fixed = rng.sample(range(sp.m), rng.randint(0, sp.m))
+                c = rng.randrange(model.class_count())
+                form = rng.choice((set, frozenset, list, tuple, iter))
+                res = by_mask.query(sum(1 << f for f in fixed), u, c, knowledge)
+                assert res == by_index.query(form(fixed), u, c, knowledge)
+                active = kb if knowledge is None else knowledge
+                assert res.status is entails_bruteforce(model, active, fixed, u, c).status
+                if res.witness is not None:
+                    assert_counterexample(model, active, fixed, u, c, res.witness)
+                seen[res.status, knowledge is None] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 150, seen
 
 
 def test_all_fixed_entails(toy_dl, row1):
@@ -772,8 +847,13 @@ def test_certificate_store_matches_a_linear_scan(monkeypatch):
     assigning a few features (none, at times) and some every feature, are
     added well past eviction into a store of five ids. After each add,
     `within` and `agreeing` answer as a scan of the five live entries does,
-    reading every entry and only the plain ones."""
+    reading every entry and only the plain ones. The store takes feature
+    sets as masks."""
     rng = random.Random(2323)
+
+    def mask(features):
+        return sum(1 << f for f in features)
+
     size = 5
     monkeypatch.setattr(oracle_module, "_STORE_SIZE", size)
     seen = Counter()
@@ -788,7 +868,7 @@ def test_certificate_store_matches_a_linear_scan(monkeypatch):
                 tuple(rng.sample(range(m), rng.randint(0, m)))
             entry = (features, tuple(rng.randrange(k) for k in sizes),
                      rng.randrange(classes), rng.random() < 0.5)
-            store.add(*entry)
+            store.add(mask(features), *entry[1:])
             seen["evicted"] += n % size in live
             live[n % size] = entry
             for _ in range(6):
@@ -802,8 +882,8 @@ def test_certificate_store_matches_a_linear_scan(monkeypatch):
                                  for feats, vals, cls, _ in usable)
                     agreeing = [vals for feats, vals, cls, _ in usable if cls != c
                                 and all(f in feats and vals[f] == values[f] for f in fixed)]
-                    assert store.within(fixed, values, c, every) is within
-                    assert store.agreeing(fixed, values, c, every) == \
+                    assert store.within(mask(fixed), values, c, every) is within
+                    assert store.agreeing(mask(fixed), values, c, every) == \
                         (agreeing[0] if agreeing else None)
                     seen["within", every] += within
                     seen["agreeing", every] += bool(agreeing)

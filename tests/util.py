@@ -734,7 +734,8 @@ def query_to_dimacs(model, knowledge, fixed, instance, contested) -> str:
     line says so). The query is validated as the oracle validates it.
     """
     oracle = EntailmentOracle(model, knowledge)
-    fixed = oracle._checked(fixed, instance, contested)
+    mask = oracle._checked(fixed, instance, contested)
+    fixed = [f for f in range(model.space.m) if mask >> f & 1]
     check_compatible(instance, oracle.knowledge, model.space)
     space = oracle.space
     offsets = []
