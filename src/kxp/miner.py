@@ -33,7 +33,9 @@ class MinerError(ValueError):
 
 @dataclass(frozen=True)
 class ExtractionLimit:
-    """Truncation knobs: antecedent size applies per rule, count/time globally."""
+    """Truncation knobs: antecedent size applies per rule, count/time globally.
+    A count that is not an int >= 1 (a bool is none), or a time budget that is
+    not an int or float >= 0, raises MinerError."""
 
     max_size: int = 5
     max_rules: Optional[int] = None
@@ -41,15 +43,15 @@ class ExtractionLimit:
     min_support: int = 1
 
     def __post_init__(self):
-        if self.max_size < 1:
-            raise MinerError("max antecedent size must be >= 1")
-        if self.min_support < 1:
-            raise MinerError("min support must be >= 1")
-        if self.max_rules is not None and self.max_rules < 1:
-            raise MinerError("max rules must be >= 1")
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise MinerError("time budget must be >= 0 seconds, got %r"
-                             % (self.time_budget,))
+        for name, value in (("max antecedent size", self.max_size),
+                            ("min support", self.min_support),
+                            ("max rules", 1 if self.max_rules is None else self.max_rules)):
+            if type(value) is not int or value < 1:  # a bool is no count
+                raise MinerError("%s must be an integer >= 1, got %r" % (name, value))
+        budget = self.time_budget
+        if budget is not None and (type(budget) not in (int, float)  # nor a bool
+                                   or not budget >= 0):
+            raise MinerError("time budget must be >= 0 seconds, got %r" % (budget,))
 
 
 # The level loop reads the clock once per this many candidate nodes, so a

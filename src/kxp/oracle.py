@@ -2,53 +2,54 @@
 
 UNSAT answers certify abductive explanations; SAT answers return a witness
 point that seeds contrastive explanations. The search is a complete
-backtracking procedure with watched-literal unit propagation over feature
-domains, each one integer with bit v set while value v is possible. After
-every propagation a class test asks whether a point within the domains can
-be classified other than the contested class. Each model family has its
-own, bound once when the oracle is built, over one live set (`_Live`): every
-leaf of every tree, or every rule of a decision list, is one bit of one
-integer, `alive`. The trail is the only undo log: `_force` is the one write
-to the domains, and each domain change appends one entry (the feature, its
-previous domain and the previous `alive`), queues the literals it falsifies
-(`f = v` for each value v it removes, then `f != v` once v is the last value
-left) and clears the leaves or rules that hold them with one AND; undo
-restores both. The queued literals wake the clauses that watch them. An
-ensemble's test reads per-class score bounds: the per-tree [lo, hi] and
-their per-class sums are brought up to date when the test reads them, for
-the trees whose leaves changed since. A list's test takes the first live
-rule of another class and reads literal by literal only the live contested
-rules before it, for one that surely fires. Both tests are sound on partial
-domains and exact on a full assignment.
+backtracking procedure with unit propagation over feature domains, each one
+integer with bit v set while value v is possible. After every propagation a
+class test asks whether a point within the domains can be classified other
+than the contested class. Each model family has its own, bound once when the
+oracle is built, over one live set (`_Live`): every leaf of every tree, or
+every rule of a decision list, is one bit of one integer, `alive`. The trail
+is the only undo log: `_force` is the one write to the domains, and each
+domain change appends one entry (the feature, its previous domain and the
+previous `alive`), queues the literals it falsifies (`f = v` for each value
+v it removes, then `f != v` once v is the last value left) and clears the
+leaves or rules that hold them with one AND; undo restores both. Each queued
+literal wakes the active clauses that hold it (`occurs`: per literal, a mask
+of clause ids) in ascending id order, so which clause forces a literal
+depends only on the trail. An ensemble's test reads per-class score bounds:
+the per-tree [lo, hi] and their per-class sums are brought up to date when
+the test reads them, for the trees whose leaves changed since. A list's test
+takes the first live rule of another class and reads literal by literal only
+the live contested rules before it, for one that surely fires. Both tests
+are sound on partial domains and exact on a full assignment.
 
 The variables are the features and the clauses the knowledge, each entered
 once and for good, by `_add_clauses`: the build's base at once, any other
 clause when a query first names it. A knowledge subset is one mask over the
 clause ids, `_active` (by default the build's base); propagation, the unit
-assumptions and the store read it, and an inactive clause stays watched and
-is skipped when it wakes. The mask is worked out again only when a query
-names another subset object.
+assumptions and the store read it. The mask is worked out again only when
+a query names another subset object.
 
 The propagated state is kept between queries. A query's assumptions, first
 the active unit clauses and then the fixed features in descending order, are
 levels on one trail, each propagated to fixpoint. The next query keeps the
 leading levels whose assumptions it also asserts, propagates the rest of its
 own above them, searches, and undoes back to its own root. Levels are kept
-only while the mask stays the same: an inactive clause's watches do not move,
-so the two-watched-literal invariant holds again only from the empty trail,
-where a query with another subset starts. Propagation reaches one fixpoint
-whatever is reused, and the search returns the first solution in its fixed
-order. The state confines an oracle to one task at a time.
+only while the mask stays the same: they hold the consequences of the subset
+they were propagated under, so a query under another subset starts from the
+empty trail. Propagation reaches one fixpoint whatever is reused, and the
+search returns the first solution in its fixed order. The state confines an
+oracle to one task at a time.
 
 An entailment searched with every level propagated from the empty trail
 leaves a core (`_core`, a mask over the clause ids; `_core_clauses`): the
 active unit clauses and each clause that forced a literal or failed during
 the search. Any other clause changed no domain, so the search runs the same
 without it and fails the same way: every subset that holds the core entails
-that query. A query whose levels were kept, or that the store answered,
-leaves no core. Attribution's deletion trials all start from the empty
-trail, since each switches off a clause, and a trial that holds the last
-core needs no query.
+that query. The core depends only on the query and the subset, not on the
+questions asked before. A query whose levels were kept, or that the store
+answered, leaves no core. Attribution's deletion trials all start from the
+empty trail, since each switches off a clause, and a trial that holds the
+last core needs no query.
 
 A witness is re-checked apart from the search: its fixed values and class
 directly, the active clauses by per (feature, value) masks of the clauses
@@ -381,8 +382,8 @@ class EntailmentOracle:
         self._order = sorted(tested) + sorted(set(range(m)) - tested)
 
         self.clauses: list[list[_SLit]] = []
-        self.cwatch: list[list[int]] = []
-        self.watch: dict[_SLit, list[int]] = {}
+        # per solver literal, the ids of the clauses of two or more literals holding it
+        self.occurs: dict[_SLit, int] = {}
         self.units: list[tuple[int, _SLit]] = []
         self._unit_ids = 0  # the unit clauses' ids, as a mask
         # the witness check's knowledge half: per (feature, value) the
@@ -404,8 +405,9 @@ class EntailmentOracle:
 
     def _add_clauses(self, clauses: tuple[Clause, ...]) -> None:
         """Enter the clauses not entered yet, once all their literals are known
-        to lie in the model's space: watch each one's first two literals (a unit
-        clause is an assumption), mark the values that satisfy it, clear `plain`."""
+        to lie in the model's space: list each one under its literals in `occurs`
+        (a unit clause is an assumption instead), mark the values that satisfy
+        it, clear `plain`."""
         new = [clause for clause in clauses if clause not in self._kb_ids]
         for lit in (lit for clause in new for lit in clause.literals):
             if not self.space.has(lit):
@@ -417,13 +419,12 @@ class EntailmentOracle:
             self._all |= 1 << ci
             self._witnesses.plain = 0
             self.clauses.append(slits)
-            self.cwatch.append([0, 1])
             if len(slits) == 1:
                 self.units.append((ci, slits[0]))
                 self._unit_ids |= 1 << ci
             else:
-                for slit in slits[:2]:
-                    self.watch.setdefault(slit, []).append(ci)
+                for slit in slits:
+                    self.occurs[slit] = self.occurs.get(slit, 0) | 1 << ci
             for var, value, negated in slits:
                 row = self._satisfies[var]
                 for v in range(len(row)):
@@ -499,47 +500,33 @@ class EntailmentOracle:
         return True
 
     def _propagate(self, queue: deque) -> bool:
-        active, dom, watch = self._active, self.dom, self.watch
-        clauses, cwatch = self.clauses, self.cwatch
+        """Wake the active clauses that hold each falsified literal, in
+        ascending id order. A clause with no true literal and one that is
+        not false forces it; with none that is not false, it fails."""
+        active, dom, clauses, occurs = self._active, self.dom, self.clauses, self.occurs
         while queue:
-            lit = queue.popleft()
-            lst = watch.get(lit)
-            if not lst:
-                continue
-            keep: list[int] = []
-            for i, ci in enumerate(lst):
-                if not active >> ci & 1:
-                    keep.append(ci)
-                    continue
-                # this propagation falsified the watched literal for good:
-                # domains only shrink until the propagation ends; a clause is
-                # listed only under its two watched literals
-                slits = clauses[ci]
-                w = cwatch[ci]
-                w0, w1 = w
-                which, other = (0, w1) if slits[w0] == lit else (1, w0)
-                var, value, negated = slits[other]
-                d = dom[var]
-                if (not d >> value & 1) if negated else (d == 1 << value):
-                    keep.append(ci)  # the other watch is true
-                    continue
-                for pos, (var, value, negated) in enumerate(slits):
-                    if pos == w0 or pos == w1:
-                        continue
+            woken = occurs.get(queue.popleft(), 0) & active
+            while woken:
+                low = woken & -woken
+                woken ^= low
+                unit = None  # the one literal not false so far
+                for slit in clauses[low.bit_length() - 1]:
+                    var, value, negated = slit
                     d = dom[var]
-                    if (d != 1 << value) if negated else (d >> value & 1):
-                        w[which] = pos  # watch a literal that is not false
-                        watch.setdefault(slits[pos], []).append(ci)
-                        break
+                    if d >> value & 1:
+                        if d != 1 << value:  # neither true nor false
+                            if unit is not None:
+                                break
+                            unit = slit
+                        elif not negated:
+                            break  # true
+                    elif negated:
+                        break  # true
                 else:
-                    keep.append(ci)
-                    self._used |= 1 << ci
-                    # forcing a false literal fails without touching the domains
-                    if not self._force(slits[other], queue):
-                        keep.extend(lst[i + 1:])
-                        watch[lit] = keep
+                    self._used |= low
+                    if unit is None:  # every literal false
                         return False
-            watch[lit] = keep
+                    self._force(unit, queue)
         return True
 
     def _undo_to(self, mark: int) -> None:

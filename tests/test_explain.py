@@ -988,9 +988,11 @@ def test_attribution_skips_the_trials_a_core_decides(toy_ds, toy_dl, toy_bt):
 
 
 def test_cores_entail_and_attributions_match_reference():
-    """Every core an entailment leaves lies within the subset in force and
+    """Every core an entailment leaves lies within the subset in force,
     entails the query by itself, on a fresh oracle over exactly its clauses
-    and by brute force. Attributions, which skip the deletion trials a core
+    and by brute force, and equals the core a fresh oracle over the whole K
+    leaves for the same query: it does not depend on the questions the warm
+    oracle was asked before. Attributions, which skip the deletion trials a core
     decides, match the fresh-oracle reference on a warm shared oracle.
     Decision lists, single-score and 3-class ensembles, K of up to 16
     clauses, under the whole K and under strict subsets."""
@@ -1011,22 +1013,25 @@ def test_cores_entail_and_attributions_match_reference():
                       if kb.satisfied_by(u)]
         for u in rows:
             c = model.classify(u)
-            for knowledge in (None, *strict):
+            for _ in range(24):  # the subset switches often, and each switch
+                knowledge = rng.choice((None, *strict))  # starts from the empty trail
                 active = set((kb if knowledge is None else knowledge).clauses)
-                for _ in range(4):
-                    fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
-                    res = oracle.query(fixed, u, c, knowledge)
-                    found = oracle._core_clauses()
-                    if found is None:
-                        continue
-                    assert res.entails
-                    core = KnowledgeBase(tuple(found))
-                    assert set(core.clauses) <= active
-                    assert EntailmentOracle(model, core).query(fixed, u, c).entails
-                    assert entails_bruteforce(model, core, fixed, u, c).entails
-                    cores += 1
-                    smaller += len(core) < len(active)
-                    forcing += any(len(clause.literals) > 1 for clause in core.clauses)
+                fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
+                res = oracle.query(fixed, u, c, knowledge)
+                found = oracle._core_clauses()
+                if found is None:
+                    continue
+                assert res.entails
+                fresh = EntailmentOracle(model, kb)  # an empty store and trail
+                fresh.query(fixed, u, c, knowledge)
+                assert fresh._core_clauses() == found, (fixed, u, c)
+                core = KnowledgeBase(tuple(found))
+                assert set(core.clauses) <= active
+                assert EntailmentOracle(model, core).query(fixed, u, c).entails
+                assert entails_bruteforce(model, core, fixed, u, c).entails
+                cores += 1
+                smaller += len(core) < len(active)
+                forcing += any(len(clause.literals) > 1 for clause in core.clauses)
             for knowledge in (kb, *strict):
                 axp = find_axp(model, u, knowledge=knowledge, oracle=oracle).features
                 got = attribute_rules(model, u, knowledge, axp, oracle=oracle)

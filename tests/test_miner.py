@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -231,18 +232,19 @@ def test_one_target_time_budget_truncates(toy_ds):
 
 
 def test_limit_validation():
-    with pytest.raises(MinerError):
-        ExtractionLimit(max_size=0)
-    with pytest.raises(MinerError):
-        ExtractionLimit(min_support=0)
-    for bad in (0, -1):
-        with pytest.raises(MinerError, match="max rules"):
-            ExtractionLimit(max_rules=bad)
-    for bad, shown in ((float("nan"), "nan"), (-1.0, "-1.0"), (-1e-9, "-1e-09")):
+    # a count that is not an int, or is a bool, is no count
+    for field, name in (("max_size", "max antecedent size"),
+                        ("min_support", "min support"), ("max_rules", "max rules")):
+        for bad in (0, -1, 2.5, 1.5, 2.0, True, "2"):
+            with pytest.raises(MinerError, match="%s must be an integer >= 1, got %s"
+                               % (name, re.escape(repr(bad)))):
+                ExtractionLimit(**{field: bad})
+    for bad, shown in ((float("nan"), "nan"), (-1.0, "-1.0"), (-1e-9, "-1e-09"),
+                       (True, "True"), ("1", "'1'")):
         with pytest.raises(MinerError, match="time budget must be >= 0 seconds, got %s"
                            % shown):
             ExtractionLimit(time_budget=bad)
-    for fine in (0.0, 0.5, float("inf")):
+    for fine in (0, 2, 0.0, 0.5, float("inf")):
         assert ExtractionLimit(time_budget=fine).time_budget == fine
 
 

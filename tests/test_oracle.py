@@ -12,7 +12,7 @@ from kxp.oracle import EntailmentOracle, OracleError, OracleResult, Status
 
 from util import (_dl_cnf, assert_counterexample, assert_oracle_invariants,
                   check_compatible, dimacs_satisfiable, entails_bruteforce,
-                  mask_values, query_to_dimacs,
+                  mask_values, propagation_fixpoint, query_to_dimacs,
                   random_bt, random_dl, random_instance, random_knowledge, random_model,
                   random_single_score_bt, random_space, tree_tested_features)
 
@@ -945,6 +945,51 @@ def test_trail_is_the_only_undo_log():
                     states.append((list(oracle.dom), oracle._live.alive))
             assert_oracle_invariants(oracle)
     assert min(seen.values()) > 0, seen
+
+
+def test_propagation_matches_a_sweep_to_fixpoint():
+    """Random sequences of assumptions, both polarities, under random
+    knowledge subsets of clauses of 2-4 literals, with `!=` literals on the
+    larger domains: after each `_assume` the domains equal those of sweeping
+    every active clause to a fixpoint from the domains before it, and a
+    conflict is reported exactly when the assumed literal is false or the
+    sweep finds one, with the domains left as they were."""
+    rng = random.Random(2907)
+    seen = dict.fromkeys(("forced", "conflict", "subsets"), 0)
+    for _ in range(60):
+        sp = random_space(rng, min_features=4, max_features=6, max_domain=4)
+        clauses = set()
+        for _ in range(rng.randint(2, 14)):
+            lits = set()
+            for _ in range(rng.randint(2, 4)):
+                f = rng.randrange(sp.m)
+                negated = rng.random() < 0.3 and len(sp.domain(f)) >= 3
+                lits.add(sp.literal(f, rng.randrange(len(sp.domain(f))), negated))
+            if len(lits) >= 2 and len({(l.feature, l.value) for l in lits}) == len(lits):
+                clauses.add(Clause.of(lits))  # two or more literals, no tautology
+        kb = KnowledgeBase(tuple(sorted(clauses, key=lambda cl: sorted(cl.literals))))
+        oracle = EntailmentOracle(random_dl(rng, sp), kb)
+        for _ in range(6):
+            subset = None if rng.random() < 0.3 else kb.subset(
+                rng.sample(kb.clauses, rng.randint(0, len(kb))))
+            seen["subsets"] += subset is not None
+            oracle._switch(subset)
+            oracle._undo_to(0)
+            for _ in range(rng.randint(1, 8)):
+                f = rng.randrange(sp.m)
+                slit = (f, rng.randrange(len(sp.domain(f))), rng.random() < 0.4)
+                before = list(oracle.dom)
+                var, value, negated = slit
+                forced = list(before)
+                forced[var] &= ~(1 << value) if negated else 1 << value
+                expected = propagation_fixpoint(oracle.clauses, oracle._active, forced) \
+                    if forced[var] else None
+                assert oracle._assume(slit) == (expected is not None), slit
+                assert oracle.dom == (before if expected is None else expected), slit
+                seen["conflict"] += expected is None and bool(forced[var])
+                seen["forced"] += expected is not None and expected != forced
+                assert_oracle_invariants(oracle)
+    assert min(seen.values()) > 20, seen
 
 
 # sha256 over `_answer_pin_lines`, recorded when a stored witness came to

@@ -11,16 +11,17 @@ checked against, and `dl_possible_reference` the literal-by-literal decision
 list class test its live-rule bits are checked against. `query_to_dimacs`
 writes a query as CNF with its own encoding of a decision list, which
 `dimacs_satisfiable` decides; it shares only the oracle's input checks.
+`propagation_fixpoint` sweeps every active clause until none changes a
+domain, the reference for the oracle's unit propagation.
 `assert_oracle_invariants` recomputes the oracle's live set from its domains,
-its watch lists from its clauses' watched positions and its clause masks
-from the clauses it entered. `check_compatible` walks a base's clauses for
-the first one an instance breaks.
+and its occurrence masks and clause masks from the clauses it entered.
+`check_compatible` walks a base's clauses for the first one an instance
+breaks.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import combinations, product
 
 from kxp import (Clause, Dataset, FeatureSpace, Instance, Kind, KnowledgeBase,
@@ -824,15 +825,45 @@ def _live_bits(model, dom) -> int:
                if all(can_hold(*slit) for slit in lits))
 
 
+def propagation_fixpoint(clauses, active: int, dom: list[int]):
+    """Unit propagation of the active clauses of two or more solver literals
+    over the domain masks, by sweeping every such clause until a sweep
+    changes nothing: a clause with no true literal and one that can hold
+    makes it hold. The domains at the fixpoint, or None once a clause has
+    every literal false."""
+    dom = [set(mask_values(d)) for d in dom]
+
+    def can_hold(var, value, negated):
+        return dom[var] != {value} if negated else value in dom[var]
+
+    def true(var, value, negated):
+        return value not in dom[var] if negated else dom[var] == {value}
+
+    changed = True
+    while changed:
+        changed = False
+        for ci, lits in enumerate(clauses):
+            if not active >> ci & 1 or len(lits) < 2 or any(true(*l) for l in lits):
+                continue
+            open_lits = [l for l in lits if can_hold(*l)]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                var, value, negated = open_lits[0]
+                dom[var] = dom[var] - {value} if negated else {value}
+                changed = True
+    return [sum(1 << v for v in d) for d in dom]
+
+
 def assert_oracle_invariants(oracle: EntailmentOracle) -> None:
-    """The two-watched-literal lists and the live set agree with the
-    oracle's clauses and domains: each clause of two or more literals is
-    listed once under each of its two watched literals and under no other,
-    a unit clause is listed nowhere, and `alive` equals its recomputation.
-    The clauses entered agree with the bookkeeping: `_kb_ids` numbers them
-    0, 1, ... in order, each id's solver literals are its clause's, `_all`
-    masks every id, and the `_satisfies` row of each (feature, value) holds
-    exactly the ids of the clauses that value satisfies."""
+    """The occurrence masks and the live set agree with the oracle's clauses
+    and domains: `occurs` maps each solver literal to exactly the ids of the
+    clauses of two or more literals that hold it, a unit clause is listed
+    nowhere, and `alive` equals its recomputation. The clauses entered agree
+    with the bookkeeping: `_kb_ids` numbers them 0, 1, ... in order, each
+    id's solver literals are its clause's, `_all` masks every id, and the
+    `_satisfies` row of each (feature, value) holds exactly the ids of the
+    clauses that value satisfies."""
     entered = list(oracle._kb_ids)
     assert list(oracle._kb_ids.values()) == list(range(len(entered)))
     assert len(oracle.clauses) == len(entered)
@@ -846,12 +877,10 @@ def assert_oracle_invariants(oracle: EntailmentOracle) -> None:
             assert mask == sum(1 << ci for ci, clause in enumerate(entered)
                                if any(l.feature == f and (l.value == value) != l.negated
                                       for l in clause.literals)), (f, value)
-    listed = Counter((ci, slit) for slit, cis in oracle.watch.items() for ci in cis)
-    watched = Counter()
+    occurs = {}
     for ci, slits in enumerate(oracle.clauses):
         if len(slits) > 1:
-            w0, w1 = oracle.cwatch[ci]
-            assert w0 != w1, (ci, oracle.cwatch[ci])
-            watched.update([(ci, slits[w0]), (ci, slits[w1])])
-    assert listed == watched, (listed, watched)
+            for slit in slits:
+                occurs[slit] = occurs.get(slit, 0) | 1 << ci
+    assert oracle.occurs == occurs, (oracle.occurs, occurs)
     assert oracle._live.alive == _live_bits(oracle.model, oracle.dom)
