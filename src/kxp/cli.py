@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import (FeatureSpace, Instance, Kind, SpaceError, json_field,
+from .core import (FeatureSpace, Instance, Kind, SpaceError, integer, json_field,
                    read_json, write_json)
 from .explain import (ExplainError, attribute_rules, check_explanation,
                       enumerate_smallest, find_axp, reduce_explanation)
@@ -80,9 +80,7 @@ def _load_categorical(path, args) -> Dataset:
 def _row_instance(model, ds: Dataset, index, source: str) -> Instance:
     """Row `index` of the dataset in the model's space; `source` names where
     the index came from (a flag or a file) for the error message."""
-    if type(index) is not int or not 0 <= index < ds.n_rows:
-        raise IngestError("%s: row index %r is not in [0, %d)"
-                          % (source, index, ds.n_rows))
+    integer(index, "%s: row index" % source, IngestError, 0, ds.n_rows)
     return model.space.instance_from_labels(ds.row_labels(index))
 
 
@@ -246,8 +244,7 @@ def _run_row(task):
 
 def cmd_explain(args) -> int:
     for flag, value in (("--enum", args.enum), ("--jobs", args.jobs)):
-        if value < 1:
-            raise ExplainError("%s must be at least 1, got %d" % (flag, value))
+        integer(value, flag, ExplainError, 1)
     check_split_fraction(args.split_fraction)  # whatever --instances says
     model, ds, kb, inputs = _load_inputs(args)
     if args.compare and kb is None:

@@ -1,4 +1,8 @@
-"""Shared vocabulary: feature spaces, instances, literals, clauses, rules, knowledge."""
+"""Shared vocabulary: feature spaces, instances, literals, clauses, rules, knowledge.
+
+Also `integer`, the one rule for every index and count: an int that is not a
+bool, within its bounds, or else the caller's error class.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +18,21 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 class SpaceError(ValueError):
     """Raised when a feature space, literal, rule or clause is malformed."""
+
+
+def integer(value, what: str, error: type[Exception], lo: Optional[int] = 0,
+            hi: Optional[int] = None) -> int:
+    """`value`, if it is an int (a bool is none) in [lo, hi), where a bound
+    of None is open. Otherwise raise the caller's `error` naming `what`,
+    the value and the bounds: `n 1.5 is not an integer`, `fixed mask -1
+    out of range [0, 64)`, `--jobs 0 out of range [1, inf)`. Every index
+    and count check in kxp goes through here."""
+    if type(value) is not int:
+        raise error("%s %s is not an integer" % (what, reprlib.repr(value)))
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        raise error("%s %d out of range %s, %s)" % (
+            what, value, "(-inf" if lo is None else "[%d" % lo, "inf" if hi is None else hi))
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,17 +91,19 @@ class FeatureSpace:
     def literal(self, feature: int | str, value: int | str,
                 negated: bool = False) -> "Literal":
         """Build a literal, normalizing != on binary domains to the complementary =."""
-        f = feature if isinstance(feature, int) else self.feature_index(feature)
-        if not 0 <= f < self.m:
-            raise SpaceError("feature index %d out of range" % f)
-        v = value if isinstance(value, int) else self.value_index(f, value)
-        dom = self.domain(f)
-        if not 0 <= v < len(dom):
-            raise SpaceError("value index %d out of range for feature %r"
-                             % (v, self.features[f][0]))
-        if negated and len(dom) == 2:
+        f = self.feature_index(feature) if isinstance(feature, str) \
+            else integer(feature, "feature index", SpaceError, 0, self.m)
+        v = self._value_index(f, value)
+        if negated and len(self.domain(f)) == 2:
             return Literal(feature=f, negated=False, value=1 - v)
         return Literal(feature=f, negated=negated, value=v)
+
+    def _value_index(self, feature: int, value: int | str) -> int:
+        """The index of a value of the feature given as a label or an index."""
+        if isinstance(value, str):
+            return self.value_index(feature, value)
+        name, dom = self.features[feature]
+        return integer(value, "feature %r value index" % name, SpaceError, 0, len(dom))
 
     def has(self, lit: "Literal") -> bool:
         f, v = lit.feature, lit.value  # integers, not bools
@@ -99,14 +120,7 @@ class FeatureSpace:
         """Build an instance from value indices or labels, validating lengths and ranges."""
         if len(values) != self.m:
             raise SpaceError("expected %d values, got %d" % (self.m, len(values)))
-        out = []
-        for f, v in enumerate(values):
-            idx = v if isinstance(v, int) else self.value_index(f, v)
-            if not 0 <= idx < len(self.domain(f)):
-                raise SpaceError("value index %d out of range for feature %r"
-                                 % (idx, self.features[f][0]))
-            out.append(idx)
-        return Instance(tuple(out))
+        return Instance(tuple(self._value_index(f, v) for f, v in enumerate(values)))
 
     def instance_from_labels(self, mapping: Mapping[str, str]) -> "Instance":
         """Build an instance from a {feature name: value label} mapping."""

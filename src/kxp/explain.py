@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import Explanation, Instance, Kind, KnowledgeBase
+from .core import Explanation, Instance, Kind, KnowledgeBase, integer
 from .models import Model
 from .oracle import EntailmentOracle, OracleError, OracleResult
 
@@ -90,6 +90,14 @@ def _shrink(seed: int, holds: Callable[[int], bool]) -> int:
     return current
 
 
+def _mask(elements: Iterable[int], universe: int, what: str = "element") -> int:
+    """The elements as a bit mask, each an int in range(universe)."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << integer(e, what, ExplainError, 0, universe)
+    return mask
+
+
 def _elements(mask: int) -> frozenset[int]:
     """The indices of the mask's set bits."""
     return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
@@ -102,16 +110,6 @@ def _kind(kind: Kind) -> Kind:
         raise ExplainError("kind %r is not one of axp, cxp" % (kind,)) from None
 
 
-def _feature_mask(features: Iterable[int], m: int) -> int:
-    fset = frozenset(features)
-    for f in fset:
-        if type(f) is not int:  # nor a bool
-            raise ExplainError("feature index %r is not an integer" % (f,))
-    if any(not 0 <= f < m for f in fset):
-        raise ExplainError("feature index out of range in %s" % sorted(fset))
-    return sum(1 << f for f in fset)
-
-
 _SEED_FAILS = {Kind.AXP: "seed %s does not entail the prediction",
                Kind.CXP: "freeing seed %s admits no counterexample"}
 
@@ -120,7 +118,7 @@ def _find(kind: Kind, model: Model, instance: Instance,
           knowledge: Optional[KnowledgeBase], seed: Optional[Iterable[int]],
           oracle: Optional[EntailmentOracle]) -> Explanation:
     q = _Questions(model, instance, knowledge, oracle)
-    seed_mask = _feature_mask(seed, model.space.m) if seed is not None else q.full
+    seed_mask = _mask(seed, model.space.m, "feature index") if seed is not None else q.full
     if not q.holds(kind, seed_mask)[0]:
         raise ExplainError(_SEED_FAILS[kind] % sorted(_elements(seed_mask)))
     return Explanation(kind, _elements(_shrink(seed_mask, lambda s: q.holds(kind, s)[0])),
@@ -129,21 +127,17 @@ def _find(kind: Kind, model: Model, instance: Instance,
 
 def find_axp(model: Model, instance: Instance,
              knowledge: Optional[KnowledgeBase] = None,
-             seed: Optional[Iterable[int]] = None,
              oracle: Optional[EntailmentOracle] = None) -> Explanation:
-    """Subset-minimal AXp inside `seed` (default: all features).
-
-    One oracle call per seed feature, plus one validating the seed.
-    """
-    return _find(Kind.AXP, model, instance, knowledge, seed, oracle)
+    """Subset-minimal AXp, shrunk from all features (`reduce_explanation`
+    shrinks another seed). One oracle call per feature, plus one for all."""
+    return _find(Kind.AXP, model, instance, knowledge, None, oracle)
 
 
 def find_cxp(model: Model, instance: Instance,
              knowledge: Optional[KnowledgeBase] = None,
-             seed: Optional[Iterable[int]] = None,
              oracle: Optional[EntailmentOracle] = None) -> Explanation:
-    """Subset-minimal CXp inside `seed` (default: all features); calls as find_axp."""
-    return _find(Kind.CXP, model, instance, knowledge, seed, oracle)
+    """Subset-minimal CXp, shrunk from all features; calls as find_axp."""
+    return _find(Kind.CXP, model, instance, knowledge, None, oracle)
 
 
 def check_explanation(features: Iterable[int], kind: Kind, model: Model,
@@ -152,7 +146,7 @@ def check_explanation(features: Iterable[int], kind: Kind, model: Model,
     """Does the feature set satisfy the kind's defining condition? One oracle call."""
     kind = _kind(kind)
     q = _Questions(model, instance, knowledge, oracle)
-    return q.holds(kind, _feature_mask(features, model.space.m))[0]
+    return q.holds(kind, _mask(features, model.space.m, "feature index"))[0]
 
 
 def reduce_explanation(features: Iterable[int], kind: Kind, model: Model,
@@ -174,16 +168,6 @@ class EnumerationResult:
     @property
     def feature_sets(self) -> list[frozenset[int]]:
         return [e.features for e in self.explanations]
-
-
-def _mask(elements: Iterable[int], universe: int) -> int:
-    mask = 0
-    for e in elements:
-        if type(e) is not int or not 0 <= e < universe:  # nor a bool
-            raise ExplainError("element %r lies outside the universe range(%d)"
-                               % (e, universe))
-        mask |= 1 << e
-    return mask
 
 
 _CUT = -1  # no answer within the size bound; a larger bound may find one
@@ -254,9 +238,7 @@ class _HittingSets:
     """
 
     def __init__(self, universe: int):
-        if type(universe) is not int or universe < 0:  # nor a bool
-            raise ExplainError("universe %r is not an integer >= 0" % (universe,))
-        self.universe = universe
+        self.universe = integer(universe, "universe", ExplainError)
         self._sets: list[int] = []
         self._blocked: list[int] = []
         self._last = self._size = 0  # the last answer (a mask) and its size
@@ -297,8 +279,8 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
     the answers of minimum size it returns the one whose sorted element list
     is lexicographically least. None when infeasible (an empty set to hit, an
     empty blocked set, or every hitting set containing a blocked one); a
-    universe that is not an integer or is negative, or an element outside
-    range(universe), raises ExplainError. Adding sets to hit
+    universe or an element that breaks `integer` (elements lie in
+    range(universe)) raises ExplainError. Adding sets to hit
     or to block only shrinks the feasible family, so the answer never
     decreases in (size, lex) order; `enumerate_smallest` relies on that to
     resume each search where the last one stopped.
@@ -321,13 +303,10 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     duals collected so far (skipping supersets of prior emissions); an oracle
     check either certifies it (emit and block) or yields a counterexample
     from which a new dual is extracted and recorded. One incremental
-    hitting-set solver serves the whole loop. An n that is not an integer,
-    or below 1, or an unknown kind raises ExplainError.
+    hitting-set solver serves the whole loop. An n that breaks `integer`
+    (n >= 1) or an unknown kind raises ExplainError.
     """
-    if type(n) is not int:  # nor a bool
-        raise ExplainError("n %r is not an integer" % (n,))
-    if n < 1:
-        raise ExplainError("n must be at least 1, got %r" % (n,))
+    integer(n, "n", ExplainError, 1)
     kind = _kind(kind)
     dual = Kind.CXP if kind is Kind.AXP else Kind.AXP
     q = _Questions(model, instance, knowledge, oracle)
@@ -371,7 +350,7 @@ def attribute_rules(model: Model, instance: Instance, knowledge: KnowledgeBase,
     Attribution is at clause granularity; each clause keeps all its rules.
     """
     q = _Questions(model, instance, knowledge, oracle)
-    fixed = _feature_mask(axp_features, model.space.m)
+    fixed = _mask(axp_features, model.space.m, "feature index")
     if not q.holds(Kind.AXP, fixed)[0]:
         raise ExplainError("feature set %s is not an AXp under the knowledge"
                            % sorted(_elements(fixed)))

@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import math
 import random
+import reprlib
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .core import FeatureSpace, Instance, SpaceError, json_field, read_json
+from .core import (NUMBER, FeatureSpace, Instance, SpaceError, integer, json_field,
+                   read_json)
 
 ALLOWED_INTERVALS = (4, 5, 6)
 
@@ -44,17 +46,17 @@ class Dataset:
                                   % (r, len(row), len(self.names)))
             for c, (dom, cell) in enumerate(zip(self.domains, row)):
                 if dom is not None and not (type(cell) is int and 0 <= cell < len(dom)):
-                    raise IngestError("row %d, column %r: bad value index %r"
-                                      % (r, self.names[c], cell))
+                    integer(cell, "row %d, column %r: value index" % (r, self.names[c]),
+                            IngestError, 0, len(dom))  # raises
         if self.class_labels is not None:
             if self.class_domain is None:
                 raise IngestError("class labels have no class domain")
             if len(self.class_labels) != len(self.rows):
                 raise IngestError("class labels do not cover all rows")
             for r, c in enumerate(self.class_labels):
-                if not (type(c) is int and 0 <= c < len(self.class_domain)):  # nor a bool
-                    raise IngestError("row %d: class label index %s: %r" % (
-                        r, "out of range" if type(c) is int else "not an integer", c))
+                if not (type(c) is int and 0 <= c < len(self.class_domain)):
+                    integer(c, "row %d: class label index" % r, IngestError, 0,
+                            len(self.class_domain))  # raises
 
     @property
     def n_rows(self) -> int:
@@ -78,13 +80,17 @@ class Dataset:
     def row_labels(self, r: int) -> dict[str, str]:
         """Feature name -> value label for one row (quantized datasets only)."""
         out = {}
-        for name, dom, cell in zip(self.names, self.domains, self.rows[r]):
+        row = self.rows[integer(r, "row index", IngestError, 0, len(self.rows))]
+        for name, dom, cell in zip(self.names, self.domains, row):
             if dom is None:
                 raise IngestError("column %r is numeric; quantize first" % name)
             out[name] = dom[cell]
         return out
 
     def take(self, indices: Sequence[int]) -> "Dataset":
+        """The rows at the indices, in their order; each index is checked by `integer`."""
+        n = len(self.rows)
+        indices = [integer(i, "row index", IngestError, 0, n) for i in indices]
         rows = tuple(self.rows[i] for i in indices)
         labels = tuple(self.class_labels[i] for i in indices) \
             if self.class_labels is not None else None
@@ -277,12 +283,10 @@ class QuantizationSpec:
 
 
 def check_interval_count(q: int, force: bool = False) -> None:
-    """Raise unless `q` is in {4, 5, 6} or, with force=True, at least 2."""
-    if q not in ALLOWED_INTERVALS and not force:
+    """Raise unless `q` is an integer in {4, 5, 6} or, with force=True, at least 2."""
+    if integer(q, "interval count", IngestError, 2) not in ALLOWED_INTERVALS and not force:
         raise IngestError("interval count %d not in %s (use force to override)"
                           % (q, list(ALLOWED_INTERVALS)))
-    if q < 2:
-        raise IngestError("interval count %d is below 2" % q)
 
 
 def fit_quantization(ds: Dataset, q: int = 5, force: bool = False) -> QuantizationSpec:
@@ -340,9 +344,9 @@ def quantize(ds: Dataset, spec: QuantizationSpec) -> Dataset:
 
 
 def check_split_fraction(fraction: float) -> None:
-    """Raise unless `fraction` is in (0, 1)."""
-    if not 0.0 < fraction < 1.0:
-        raise IngestError("split fraction must be in (0, 1), got %g" % fraction)
+    """Raise unless `fraction` is a number (a bool is none) in (0, 1)."""
+    if type(fraction) not in NUMBER or not 0.0 < fraction < 1.0:
+        raise IngestError("split fraction must be in (0, 1), got %s" % reprlib.repr(fraction))
 
 
 def split_indices(n: int, fraction: float = 0.8,
@@ -361,9 +365,7 @@ def split(ds: Dataset, fraction: float = 0.8, seed: int = 0) -> tuple[Dataset, D
 
 
 def fold_indices(n: int, k: int = 5, seed: int = 0) -> list[tuple[list[int], list[int]]]:
-    if k < 2:
-        raise IngestError("need at least 2 folds, got %d" % k)
-    if k > n:
+    if integer(k, "fold count", IngestError, 2) > n:
         raise IngestError("cannot make %d folds from %d rows" % (k, n))
     order = list(range(n))
     random.Random(seed).shuffle(order)

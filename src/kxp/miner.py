@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (NUMBER, Clause, FeatureSpace, Instance, KnowledgeBase, Literal,
-                   Rule, SpaceError, json_field, rebind_knowledge, rule_to_clause,
-                   space_from_obj, space_to_obj, validate_rule)
+                   Rule, SpaceError, integer, json_field, rebind_knowledge,
+                   rule_to_clause, space_from_obj, space_to_obj, validate_rule)
 from .ingest import Dataset, row_bitsets
 
 RULES_FORMAT = "kxp.rules/1"
@@ -34,7 +34,7 @@ class MinerError(ValueError):
 @dataclass(frozen=True)
 class ExtractionLimit:
     """Truncation knobs: antecedent size applies per rule, count/time globally.
-    A count that is not an int >= 1 (a bool is none), or a time budget that is
+    A count that breaks `integer` (counts are >= 1), or a time budget that is
     not an int or float >= 0, raises MinerError."""
 
     max_size: int = 5
@@ -46,8 +46,7 @@ class ExtractionLimit:
         for name, value in (("max antecedent size", self.max_size),
                             ("min support", self.min_support),
                             ("max rules", 1 if self.max_rules is None else self.max_rules)):
-            if type(value) is not int or value < 1:  # a bool is no count
-                raise MinerError("%s must be an integer >= 1, got %r" % (name, value))
+            integer(value, name, MinerError, 1)
         budget = self.time_budget
         if budget is not None and (type(budget) not in (int, float)  # nor a bool
                                    or not budget >= 0):
@@ -208,6 +207,9 @@ def enumerate_min_rules(train: Dataset, target: Literal,
     """
     if target.negated:
         raise MinerError("targets must be = literals")
+    if not train.space.has(target):
+        raise MinerError("target outside the space: feature %r, value index %r"
+                         % (target.feature, target.value))
     return _knowledge(train, [target], set(blocked), limit)
 
 

@@ -7,7 +7,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Mapping, Optional, Union
 
-from .core import (FeatureSpace, Instance, Literal, SpaceError, json_field,
+from .core import (FeatureSpace, Instance, Literal, SpaceError, integer, json_field,
                    read_json, space_from_obj, space_to_obj, write_json)
 from .ingest import Dataset, row_bitsets
 
@@ -49,11 +49,9 @@ class DecisionList:
 
     def __post_init__(self):
         _check_classes(self.classes)
-        if not 0 <= self.default < len(self.classes):
-            raise ModelError("default class index %d out of range" % self.default)
+        integer(self.default, "default class index", ModelError, 0, len(self.classes))
         for r, rule in enumerate(self.rules):
-            if not 0 <= rule.cls < len(self.classes):
-                raise ModelError("rule %d: class index %d out of range" % (r, rule.cls))
+            integer(rule.cls, "rule %d: class index" % r, ModelError, 0, len(self.classes))
             for lit in rule.antecedent:
                 if not self.space.has(lit):
                     raise ModelError("rule %d references an invalid feature-value: "
@@ -106,11 +104,11 @@ class BoostedEnsemble:
 
     def __post_init__(self):
         _check_classes(self.classes)
+        integer(self.scale, "scale", ModelError)
         if self.positive is not None:
             if len(self.classes) != 2 or len(self.trees) != 1:
                 raise ModelError("single-score mode needs 2 classes and 1 tree group")
-            if self.positive not in (0, 1):
-                raise ModelError("positive class index %d out of range" % self.positive)
+            integer(self.positive, "positive class index", ModelError, 0, 2)
         elif len(self.trees) != len(self.classes):
             raise ModelError("expected %d tree groups, got %d"
                              % (len(self.classes), len(self.trees)))
@@ -140,8 +138,7 @@ class BoostedEnsemble:
 
 def _check_tree(space: FeatureSpace, tree: Tree) -> None:
     if isinstance(tree, Leaf):
-        if type(tree.weight) is not int:  # nor a bool
-            raise ModelError("leaf weight %r is not an integer" % (tree.weight,))
+        integer(tree.weight, "leaf weight", ModelError, None)
         return
     if not space.has(tree.test):
         raise ModelError("tree node references an invalid feature-value: "
@@ -370,10 +367,9 @@ def _fit_tree(rows: list[int], residual: list[float], tests, depth: int) -> tupl
 
 def train_boosted(ds: Dataset, rounds: int = 12, depth: int = 2) -> BoostedEnsemble:
     """Least-squares stump boosting at fixed-point scale; one-vs-rest when multiclass.
-    `rounds` below 1 or `depth` below 0, or either not an int, raises ModelError."""
-    for name, value, least in (("rounds", rounds, 1), ("depth", depth, 0)):
-        if type(value) is not int or value < least:  # a bool is no count
-            raise ModelError("%s must be an integer >= %d, got %r" % (name, least, value))
+    `rounds` (>= 1) or `depth` (>= 0) that breaks `integer` raises ModelError."""
+    integer(rounds, "rounds", ModelError, 1)
+    integer(depth, "depth", ModelError)
     space, insts, labels = _class_instances(ds)
     classes = ds.class_domain
     rows = list(range(len(insts)))

@@ -89,7 +89,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .core import Clause, FeatureSpace, Instance, KnowledgeBase, Literal
+from .core import Clause, FeatureSpace, Instance, KnowledgeBase, Literal, integer
 from .models import BoostedEnsemble, DecisionList, Leaf, Model, ModelError, Tree
 
 # solver literal: (variable, value, negated) over the features 0..m-1
@@ -609,26 +609,16 @@ class EntailmentOracle:
                 raise OracleError("instance has %d values, space has %d features"
                                   % (len(values), m))
             for f, v in enumerate(values):
-                if type(v) is not int or not 0 <= v < sizes[f]:  # nor a bool
-                    raise OracleError("instance value %r %s for feature %d" % (
-                        v, "out of range" if type(v) is int else "is not an integer", f))
+                integer(v, "feature %d value" % f, OracleError, 0, sizes[f])
             if type(values) is tuple:
                 self._valid = instance
         if isinstance(fixed, int):
-            if type(fixed) is not int or not 0 <= fixed < 1 << m:  # nor a bool
-                raise OracleError("fixed mask %r %s" % (
-                    fixed, "out of range" if type(fixed) is int else "is not an integer"))
-            mask = fixed
+            mask = integer(fixed, "fixed mask", OracleError, 0, 1 << m)
         else:
             mask = 0
             for f in fixed:
-                if type(f) is not int or not 0 <= f < m:
-                    raise OracleError("fixed feature index %r %s" % (
-                        f, "out of range" if type(f) is int else "is not an integer"))
-                mask |= 1 << f
-        if type(contested) is not int or not 0 <= contested < self.model.class_count():
-            raise OracleError("contested class %r %s" % (
-                contested, "out of range" if type(contested) is int else "is not an integer"))
+                mask |= 1 << integer(f, "fixed feature index", OracleError, 0, m)
+        integer(contested, "contested class", OracleError, 0, self.model.class_count())
         return mask
 
     def query(self, fixed: Iterable[int] | int, instance: Instance, contested: int,

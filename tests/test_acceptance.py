@@ -126,7 +126,7 @@ def test_c1d_remark_constructions(threshold_dl, parity_dl, bool3_space):
     ab = KnowledgeBase.from_rules(sp, [
         Rule(frozenset({sp.literal("a", "1")}), sp.literal("b", "1"), id=0),
         Rule(frozenset({sp.literal("b", "1")}), sp.literal("a", "1"), id=1)])
-    assert find_cxp(parity_dl, v3, seed={0}).features == F(sp, "a")
+    assert reduce_explanation({0}, Kind.CXP, parity_dl, v3).features == F(sp, "a")
     assisted = enumerate_smallest(Kind.CXP, parity_dl, v3, knowledge=ab, n=20)
     assert assisted.exhausted and assisted.feature_sets == [F(sp, "c")]
     report("C1d", "threshold and parity constructions: {c} vs {a,b}; {c} the "

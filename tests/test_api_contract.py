@@ -72,8 +72,8 @@ PARAMETERS = {
     "enumerate_min_rules": ["train", "target", "blocked", "limit"],
     "enumerate_smallest": ["kind", "model", "instance", "knowledge", "n", "oracle"],
     "extract_all": ["train", "limit"],
-    "find_axp": ["model", "instance", "knowledge", "seed", "oracle"],
-    "find_cxp": ["model", "instance", "knowledge", "seed", "oracle"],
+    "find_axp": ["model", "instance", "knowledge", "oracle"],
+    "find_cxp": ["model", "instance", "knowledge", "oracle"],
     "fit_quantization": ["ds", "q", "force"],
     "folds": ["ds", "k", "seed"],
     "load_csv": ["path", "class_column"],

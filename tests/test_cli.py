@@ -106,7 +106,7 @@ def test_quantize_checks_interval_count_without_numeric_columns(tmp_path, capsys
     assert "interval count 3 not in [4, 5, 6]" in capsys.readouterr().err
     assert main(["quantize", TOY, "--q", "1", "--force",
                  "--out-prefix", str(prefix)]) == 2
-    assert "interval count 1 is below 2" in capsys.readouterr().err
+    assert "interval count 1 out of range [2, inf)" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -116,7 +116,7 @@ def test_xval_rules_checks_interval_count_without_numeric_columns(tmp_path, caps
     assert main(common + ["--q", "3"]) == 2
     assert "interval count 3 not in [4, 5, 6]" in capsys.readouterr().err
     assert main(common + ["--q", "1", "--force"]) == 2
-    assert "interval count 1 is below 2" in capsys.readouterr().err
+    assert "interval count 1 out of range [2, inf)" in capsys.readouterr().err
     assert not out.exists()
     assert main(common + ["--q", "3", "--force"]) == 0
     assert json.loads(out.read_text())["manifest"]["limits"]["q"] == 3
@@ -702,10 +702,10 @@ def test_explain_non_integer_instances_exit_2(tmp_path, capsys):
 def test_explain_rejects_enum_and_jobs_below_one(tmp_path, capsys):
     out = tmp_path / "expl.jsonl"
     for flag, value, message in (
-            ("--enum", "0", "--enum must be at least 1, got 0"),
-            ("--enum", "-1", "--enum must be at least 1, got -1"),
-            ("--jobs", "0", "--jobs must be at least 1, got 0"),
-            ("--jobs", "-3", "--jobs must be at least 1, got -3"),
+            ("--enum", "0", "--enum 0 out of range [1, inf)"),
+            ("--enum", "-1", "--enum -1 out of range [1, inf)"),
+            ("--jobs", "0", "--jobs 0 out of range [1, inf)"),
+            ("--jobs", "-3", "--jobs -3 out of range [1, inf)"),
             # checked although --instances names rows, not the test split
             ("--split-fraction", "7", "split fraction must be in (0, 1), got 7")):
         assert main(["explain", DL, TOY, "--instances", "0", flag, value,

@@ -250,6 +250,19 @@ def test_instance_builders():
     with pytest.raises(SpaceError):
         sp.instance_from_labels({"x": "a"})
     assert sp.instance_from_labels({"x": "a", "y": "1"}).values == (0, 1)
+    # an index is an int, not a bool or a float, for instances and literals
+    for bad in (True, 1.0):
+        with pytest.raises(SpaceError, match=re.escape(
+                "feature 'x' value index %r is not an integer" % bad)):
+            sp.instance([bad, 0])
+        with pytest.raises(SpaceError, match=re.escape(
+                "feature 'y' value index %r is not an integer" % bad)):
+            sp.literal(1, bad)
+        with pytest.raises(SpaceError, match=re.escape(
+                "feature index %r is not an integer" % bad)):
+            sp.literal(bad, 0)
+    with pytest.raises(SpaceError, match=re.escape("feature index 2 out of range [0, 2)")):
+        sp.literal(2, 0)
     assert len(list(sp.points())) == 6
 
 
@@ -257,7 +270,8 @@ def test_instances_labels_and_rules_outside_the_space():
     """A value index outside its domain, or a domain label that is not a
     string, raises `SpaceError`; a rule with no antecedent renders as TRUE."""
     sp = FeatureSpace.make([("x", ["a", "b", "c"]), ("y", ["0", "1"])])
-    with pytest.raises(SpaceError, match="value index 2 out of range for feature 'y'"):
+    with pytest.raises(SpaceError, match=re.escape("feature 'y' value index 2 out of range "
+                                                   "[0, 2)")):
         sp.instance([0, 2])
     with pytest.raises(SpaceError, match=r"features\[1\]: field 'domain': expected "
                        "a list of strings"):

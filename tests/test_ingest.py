@@ -6,7 +6,7 @@ import pytest
 from kxp import (Dataset, IngestError, QuantizationSpec, fit_quantization, folds,
                  load_csv, quantize, split)
 from kxp.core import write_json
-from kxp.ingest import ColumnBins
+from kxp.ingest import ColumnBins, check_split_fraction, split_indices
 
 from util import random_table
 
@@ -142,7 +142,7 @@ def test_interval_count_checked_without_numeric_columns(toy_ds):
     assert not toy_ds.numeric_columns
     with pytest.raises(IngestError, match="interval count 3 not in"):
         fit_quantization(toy_ds, 3)
-    with pytest.raises(IngestError, match="interval count 1 is below 2"):
+    with pytest.raises(IngestError, match=re.escape("interval count 1 out of range [2, inf)")):
         fit_quantization(toy_ds, 1, force=True)
     assert fit_quantization(toy_ds, 3, force=True).columns == {}
 
@@ -223,6 +223,13 @@ def test_split_basics(toy_ds):
         split(toy_ds, 1.0)
     with pytest.raises(IngestError):
         split(toy_ds, 0.0)
+    # a fraction that is not a number, a bool included, is named
+    for bad, shown in (("0.5", "'0.5'"), (True, "True"), (None, "None")):
+        for call in (lambda: check_split_fraction(bad), lambda: split(toy_ds, bad),
+                     lambda: split_indices(6, bad)):
+            with pytest.raises(IngestError, match=re.escape(
+                    "split fraction must be in (0, 1), got " + shown)):
+                call()
 
 
 def test_split_eight_two(tmp_path):
@@ -272,26 +279,26 @@ def test_dataset_invariants_are_checked():
         (dict(names=("p",), domains=two, rows=()), "column names and domains disagree"),
         (dict(names=("p", "q"), domains=two, rows=((0,),)), "row 0 has 1 cells, expected 2"),
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 2))),
-         "row 1, column 'q': bad value index 2"),
+         "row 1, column 'q': value index 2 out of range [0, 2)"),
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
               class_domain=("n", "y"), class_labels=(0,)),
          "class labels do not cover all rows"),
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
               class_domain=("n", "y"), class_labels=(0, 2)),
-         "class label index out of range"),
+         "row 1: class label index 2 out of range [0, 2)"),
         # a label is a value index too: not a string, a bool or a float
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
               class_domain=("n", "y"), class_labels=(0, "y")),
-         "row 1: class label index not an integer: 'y'"),
+         "row 1: class label index 'y' is not an integer"),
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
               class_domain=("n", "y"), class_labels=(True, 0)),
-         "row 0: class label index not an integer: True"),
+         "row 0: class label index True is not an integer"),
         (dict(names=("p", "q"), domains=two, rows=((0, 1), (1, 0)), class_name="c",
               class_domain=("n", "y"), class_labels=(0, 0.0)),
-         "row 1: class label index not an integer: 0.0"),
+         "row 1: class label index 0.0 is not an integer"),
         # a bool is not a value index, though it is an int
         (dict(names=("p",), domains=(("a", "b"),), rows=((True,), (1,))),
-         "row 0, column 'p': bad value index True"),
+         "row 0, column 'p': value index True is not an integer"),
         (dict(names=("p",), domains=(("a", "b"),), rows=((0,), (1,)), class_labels=(0, 1)),
          "class labels have no class domain"),
     ]
@@ -301,6 +308,14 @@ def test_dataset_invariants_are_checked():
     raw = Dataset(("p", "x"), (("a", "b"), None), ((0, 1.5), (1, 2.5)))
     with pytest.raises(IngestError, match="column 'x' is numeric; quantize first"):
         raw.row_labels(0)
+    # a row index is an integer in [0, n_rows): no negative one, bool or float
+    for bad, verdict in ((-1, "out of range [0, 2)"), (2, "out of range [0, 2)"),
+                         (True, "is not an integer"), (1.0, "is not an integer")):
+        message = re.escape("row index %r %s" % (bad, verdict))
+        with pytest.raises(IngestError, match=message):
+            raw.take([0, bad])
+        with pytest.raises(IngestError, match=message):
+            raw.row_labels(bad)
 
 
 def test_instances_equal_the_space_built_ones():
@@ -330,8 +345,17 @@ def test_empty_file_and_empty_header_rejected(tmp_path):
 def test_bin_and_fold_counts_are_checked(toy_ds):
     with pytest.raises(IngestError, match="expected 2 interval labels, got 1"):
         ColumnBins((1.0,), ("low",))
-    with pytest.raises(IngestError, match="need at least 2 folds, got 1"):
+    with pytest.raises(IngestError, match=re.escape("fold count 1 out of range [2, inf)")):
         folds(toy_ds, k=1)
+    # a count that is not an integer, a bool included, is an input error
+    for bad in (2.0, True, "2"):
+        with pytest.raises(IngestError, match=re.escape("fold count %r is not an integer"
+                                                        % (bad,))):
+            folds(toy_ds, k=bad)
+    for bad, force in ((5.0, False), (4.0, True), (True, True)):
+        with pytest.raises(IngestError, match=re.escape("interval count %r is not an integer"
+                                                        % (bad,))):
+            fit_quantization(toy_ds, bad, force=force)
     empty = Dataset(("x",), (None,), ())
     with pytest.raises(IngestError, match="column 'x' has no rows to fit on"):
         fit_quantization(empty, 4)

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from kxp import (Dataset, ExtractionLimit, FeatureSpace, Instance, KnowledgeBase,
-                 MinerError, Rule, eclat_mine, enumerate_min_rules, extract_all,
+                 Literal, MinerError, Rule, eclat_mine, enumerate_min_rules, extract_all,
                  rule_accuracy, rule_to_clause)
 from kxp import miner
 from kxp.core import rebind_knowledge, rebind_rule
@@ -199,9 +199,16 @@ def test_time_budget_stops_within_one_node_batch(monkeypatch):
 
 
 def test_target_must_be_equality(toy_ds):
+    """A target is an = literal in the data's space; one outside it names its
+    feature and value index."""
     sp = toy_ds.space
     with pytest.raises(MinerError):
         enumerate_min_rules(toy_ds, sp.literal("Status", "Married", negated=True))
+    for target in (Literal(99, False, 0), Literal(0, False, 99)):
+        with pytest.raises(MinerError, match=re.escape(
+                "target outside the space: feature %d, value index %d"
+                % (target.feature, target.value))):
+            enumerate_min_rules(toy_ds, target)
 
 
 def test_empty_dataset_gives_empty_kb(toy_ds):
@@ -236,8 +243,8 @@ def test_limit_validation():
     for field, name in (("max_size", "max antecedent size"),
                         ("min_support", "min support"), ("max_rules", "max rules")):
         for bad in (0, -1, 2.5, 1.5, 2.0, True, "2"):
-            with pytest.raises(MinerError, match="%s must be an integer >= 1, got %s"
-                               % (name, re.escape(repr(bad)))):
+            verdict = "out of range [1, inf)" if type(bad) is int else "is not an integer"
+            with pytest.raises(MinerError, match=re.escape("%s %r %s" % (name, bad, verdict))):
                 ExtractionLimit(**{field: bad})
     for bad, shown in ((float("nan"), "nan"), (-1.0, "-1.0"), (-1e-9, "-1e-09"),
                        (True, "True"), ("1", "'1'")):

@@ -463,8 +463,8 @@ def test_train_boosted_matches_reference_fit():
 def test_train_boosted_rejects_bad_counts(toy_ds, args):
     [(name, value)] = args.items()
     least = {"rounds": 1, "depth": 0}[name]
-    with pytest.raises(ModelError, match="%s must be an integer >= %d, got %s"
-                       % (name, least, re.escape(repr(value)))):
+    verdict = "out of range [%d, inf)" % least if type(value) is int else "is not an integer"
+    with pytest.raises(ModelError, match=re.escape("%s %r %s" % (name, value, verdict))):
         train_boosted(toy_ds, **args)
 
 
@@ -608,6 +608,22 @@ def test_model_invariants_are_checked(toy_dl, toy_bt):
                             positive=1)
     with pytest.raises(ModelError, match="positive class index 2 out of range"):
         BoostedEnsemble(sp, ("p", "q"), 0, ((Leaf(1),),), positive=2)
+    # a class index or a scale that is a bool or a float, or a negative
+    # scale, is no integer in range either
+    for bad in (True, 1.0):
+        with pytest.raises(ModelError, match=re.escape(
+                "default class index %r is not an integer" % bad)):
+            DecisionList(sp, ("p", "q"), (DLRule(frozenset(), 1),), bad)
+        with pytest.raises(ModelError, match=re.escape(
+                "rule 0: class index %r is not an integer" % bad)):
+            DecisionList(sp, ("p", "q"), (DLRule(frozenset(), bad),), 0)
+        with pytest.raises(ModelError, match=re.escape(
+                "positive class index %r is not an integer" % bad)):
+            BoostedEnsemble(sp, ("p", "q"), 0, ((Leaf(1),),), positive=bad)
+        with pytest.raises(ModelError, match=re.escape("scale %r is not an integer" % bad)):
+            BoostedEnsemble(sp, ("p", "q"), bad, ((Leaf(1),),), positive=1)
+    with pytest.raises(ModelError, match=re.escape("scale -1 out of range [0, inf)")):
+        BoostedEnsemble(sp, ("p", "q"), -1, ((Leaf(1),),), positive=1)
 
 
 def test_trainers_need_a_class_column(toy_ds):

@@ -115,7 +115,7 @@ def test_compatibility_read_from_clause_masks():
             assert oracle.query(fixed, u, c, subset).status \
                 is entails_bruteforce(model, active, fixed, u, c).status
     assert min(seen.values()) >= 250, seen
-    with pytest.raises(OracleError, match="value 4 out of range for feature 0"):
+    with pytest.raises(OracleError, match="feature 0 value 4 out of range"):
         EntailmentOracle(model, kb).compatible(Instance((4,) + v.values[1:]))
 
 
@@ -124,15 +124,19 @@ def test_malformed_queries_rejected(small_dl, separated_male, marital_constraint
     last = sp.m - 1
     values = separated_male.values
     cases = [
-        ({sp.m}, separated_male, 0, "fixed feature index %d out of range" % sp.m),
-        ({-1}, separated_male, 0, "fixed feature index -1 out of range"),
-        (set(), separated_male, 2, "contested class 2 out of range"),
+        ({sp.m}, separated_male, 0,
+         r"fixed feature index %d out of range \[0, %d\)" % (sp.m, sp.m)),
+        ({-1}, separated_male, 0, r"fixed feature index -1 out of range \[0, %d\)" % sp.m),
+        (set(), separated_male, 2, r"contested class 2 out of range \[0, 2\)"),
         (set(), Instance(values[:-1]), 0,
          "instance has %d values, space has %d features" % (last, sp.m)),
         (set(), Instance(values[:-1] + (len(sp.domain(last)),)), 0,
-         "value %d out of range for feature %d" % (len(sp.domain(last)), last)),
-        (-1, separated_male, 0, "fixed mask -1 out of range"),
-        (1 << sp.m, separated_male, 0, "fixed mask %d out of range" % (1 << sp.m)),
+         "feature %d value %d out of range" % (last, len(sp.domain(last)))),
+        # a bool is no value index
+        (set(), Instance((True,) + values[1:]), 0, "feature 0 value True is not an integer"),
+        (-1, separated_male, 0, r"fixed mask -1 out of range \[0, %d\)" % (1 << sp.m)),
+        (1 << sp.m, separated_male, 0,
+         r"fixed mask %d out of range \[0, %d\)" % (1 << sp.m, 1 << sp.m)),
         (True, separated_male, 0, "fixed mask True is not an integer"),
     ]
     oracle = EntailmentOracle(small_dl, marital_constraint)
@@ -155,7 +159,7 @@ def test_an_instance_is_checked_once_and_no_check_is_lost(small_dl, separated_ma
     oracle = EntailmentOracle(small_dl, marital_constraint)
     out = len(sp.domain(0))
     bad = Instance((out,) + values[1:])
-    message = "value %d out of range for feature 0" % out
+    message = "feature 0 value %d out of range" % out
     for inst, error in ((bad, message),
                         (Instance(values[:-1]), "instance has %d values" % (sp.m - 1))):
         oracle.query(0, separated_male, 0)

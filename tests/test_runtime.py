@@ -87,3 +87,21 @@ def test_src_has_no_unreferenced_private_code():
               if not any(read == name and (at != module or not first <= line <= last)
                          for at, read, line in reads)]
     assert unread == []
+
+
+def test_only_the_integer_helper_states_the_integer_rule():
+    """No string constant in `src/kxp` says `not an integer`, docstrings
+    included, except within `core.integer`: every index and count check
+    goes through that one helper, so its message has one form."""
+    stated = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = range(0)
+        if path.name == "core.py":
+            [node] = [n for n in tree.body
+                      if isinstance(n, ast.FunctionDef) and n.name == "integer"]
+            helper = range(node.lineno, node.end_lineno + 1)
+        stated += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "not an integer" in node.value and node.lineno not in helper]
+    assert stated == []
