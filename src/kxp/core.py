@@ -35,6 +35,12 @@ def integer(value, what: str, error: type[Exception], lo: Optional[int] = 0,
     return value
 
 
+def number(value) -> bool:
+    """Is `value` an int or a float (a bool is neither)? Every number check
+    in kxp asks here, and raises its own message."""
+    return type(value) in (int, float)
+
+
 @dataclass(frozen=True)
 class FeatureSpace:
     """Finite categorical feature space: an ordered list of (name, domain) pairs.
@@ -383,25 +389,25 @@ def rebind_knowledge(kb: "KnowledgeBase", old: FeatureSpace,
                          kb.truncated)
 
 
-NUMBER = (int, float)
 _JSON_TYPES = {list: "a list", str: "a string", int: "an integer", dict: "an object",
-               bool: "a boolean", NUMBER: "a number"}
+               bool: "a boolean", number: "a number"}
 
 
-def json_field(obj, key: str, kind: type = object, where: str = ""):
-    """`obj[key]`, checked to be a `kind` (a boolean is no number); a fault raises
-    SpaceError naming the field and `where` (its parent's path), for file
-    loaders' messages."""
+def json_field(obj, key: str, kind=object, where: str = ""):
+    """`obj[key]`, checked to be a `kind`: a type, or `number` (a boolean is
+    no int and no number); a fault raises SpaceError naming the field and
+    `where` (its parent's path), for file loaders' messages."""
     at = where + ": " if where else ""
     if not isinstance(obj, dict):
         raise SpaceError("%sexpected an object, got %s" % (at, reprlib.repr(obj)))
     if key not in obj:
         raise SpaceError("%smissing field %r" % (at, key))
-    if not isinstance(obj[key], kind) or (kind in (int, NUMBER)
-                                          and isinstance(obj[key], bool)):
+    value = obj[key]
+    if not (number(value) if kind is number
+            else isinstance(value, kind) and not (kind is int and type(value) is bool)):
         raise SpaceError("%sfield %r: expected %s, got %s"
-                         % (at, key, _JSON_TYPES[kind], reprlib.repr(obj[key])))
-    return obj[key]
+                         % (at, key, _JSON_TYPES[kind], reprlib.repr(value)))
+    return value
 
 
 def read_json(path, error: type[Exception]):

@@ -10,7 +10,10 @@ loop both kinds and attributions over clauses. The two families are
 minimal-hitting-set duals, which drives the smallest-first enumerator. Its
 hitting-set side is incremental: one solver per enumeration takes each new
 dual and each emission as it comes and resumes its search from the last
-answer.
+answer. A failed AXp candidate's counterexample is moved back toward the
+instance before its differences seed a dual, one feature at a time while it
+stays a counterexample, by direct evaluation: a smaller seed, the same
+hitting sets, fewer shrink questions.
 
 Every entry point takes an optional oracle. A call that passes none reuses
 the oracle the thread's last such call built, when it is over the same model
@@ -303,8 +306,13 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
     duals collected so far (skipping supersets of prior emissions); an oracle
     check either certifies it (emit and block) or yields a counterexample
     from which a new dual is extracted and recorded. One incremental
-    hitting-set solver serves the whole loop. An n that breaks `integer`
-    (n >= 1) or an unknown kind raises ExplainError.
+    hitting-set solver serves the whole loop. A failed AXp's witness first
+    moves back toward the instance, feature by feature in ascending order,
+    while it stays a counterexample (direct evaluation, no question). It
+    still agrees with the instance on the candidate, so where it differs
+    seeds a dual the candidate misses and every AXp hits: the same answers
+    from fewer shrink questions. An n that breaks `integer` (n >= 1) or an
+    unknown kind raises ExplainError.
     """
     integer(n, "n", ExplainError, 1)
     kind = _kind(kind)
@@ -324,11 +332,16 @@ def enumerate_smallest(kind: Kind, model: Model, instance: Instance,
             out.append(Explanation(kind, _elements(cand), bool(q.knowledge)))
             hs.block(cand)  # no later candidate may contain an emission
             continue
-        # a failed AXp candidate's witness frees a CXp; a failed CXp
-        # candidate's complement fixes an AXp
+        # a failed AXp candidate's witness, moved back toward the instance,
+        # frees a CXp; a failed CXp candidate's complement fixes an AXp
         if kind is Kind.AXP:
-            seed = sum(1 << f for f, (w, v) in
-                       enumerate(zip(res.witness.values, instance.values)) if w != v)
+            point, seed = list(res.witness.values), 0
+            for f, v in enumerate(instance.values):
+                if point[f] != v:
+                    point[f], w = v, point[f]
+                    if not q.oracle._counterexample(tuple(point), q.predicted):
+                        point[f] = w
+                        seed |= 1 << f
         else:
             seed = q.full ^ cand
         hs.hit(_shrink(seed, lambda s: q.holds(dual, s)[0]))

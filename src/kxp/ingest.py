@@ -10,7 +10,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .core import (NUMBER, FeatureSpace, Instance, SpaceError, integer, json_field,
+from .core import (FeatureSpace, Instance, SpaceError, integer, json_field, number,
                    read_json)
 
 ALLOWED_INTERVALS = (4, 5, 6)
@@ -262,7 +262,7 @@ class QuantizationSpec:
             where = "columns[%r]" % name
             cuts = json_field(spec, "cuts", list, where)
             labels = json_field(spec, "labels", list, where)
-            if not (all(type(x) in (int, float) and math.isfinite(x) for x in cuts)
+            if not (all(number(x) and math.isfinite(x) for x in cuts)
                     and all(isinstance(label, str) for label in labels)):
                 raise IngestError("%s: expected finite numbers as cuts and "
                                   "strings as labels" % where)
@@ -345,7 +345,7 @@ def quantize(ds: Dataset, spec: QuantizationSpec) -> Dataset:
 
 def check_split_fraction(fraction: float) -> None:
     """Raise unless `fraction` is a number (a bool is none) in (0, 1)."""
-    if type(fraction) not in NUMBER or not 0.0 < fraction < 1.0:
+    if not number(fraction) or not 0.0 < fraction < 1.0:
         raise IngestError("split fraction must be in (0, 1), got %s" % reprlib.repr(fraction))
 
 

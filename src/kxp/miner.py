@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (NUMBER, Clause, FeatureSpace, Instance, KnowledgeBase, Literal,
-                   Rule, SpaceError, integer, json_field, rebind_knowledge,
+from .core import (Clause, FeatureSpace, Instance, KnowledgeBase, Literal, Rule,
+                   SpaceError, integer, json_field, number, rebind_knowledge,
                    rule_to_clause, space_from_obj, space_to_obj, validate_rule)
 from .ingest import Dataset, row_bitsets
 
@@ -35,7 +35,7 @@ class MinerError(ValueError):
 class ExtractionLimit:
     """Truncation knobs: antecedent size applies per rule, count/time globally.
     A count that breaks `integer` (counts are >= 1), or a time budget that is
-    not an int or float >= 0, raises MinerError."""
+    not a `number` >= 0, raises MinerError."""
 
     max_size: int = 5
     max_rules: Optional[int] = None
@@ -48,8 +48,7 @@ class ExtractionLimit:
                             ("max rules", 1 if self.max_rules is None else self.max_rules)):
             integer(value, name, MinerError, 1)
         budget = self.time_budget
-        if budget is not None and (type(budget) not in (int, float)  # nor a bool
-                                   or not budget >= 0):
+        if budget is not None and not (number(budget) and budget >= 0):
             raise MinerError("time budget must be >= 0 seconds, got %r" % (budget,))
 
 
@@ -340,7 +339,7 @@ def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
             rule_id, size, *stats = [
                 None if obj.get(key) is None else json_field(obj, key, kind)
                 for key, kind in (("id", int), ("size", int), ("support", int),
-                                  ("consistency", NUMBER))]
+                                  ("consistency", number))]
             rule = Rule(frozenset(Literal.from_obj(space, l, "if[%d]" % i)
                                   for i, l in enumerate(ante)),
                         Literal.from_obj(space, json_field(obj, "then"), "then"),

@@ -53,8 +53,9 @@ last core needs no query.
 
 A witness is re-checked apart from the search: its fixed values and class
 directly, the active clauses by per (feature, value) masks of the clauses
-that value satisfies, filled in as each clause is entered; so is an
-instance's compatibility with a subset (`compatible`).
+that value satisfies, filled in as each clause is entered; so are an
+instance's compatibility with a subset (`compatible`) and a point the
+enumerator moves back toward its instance (`_counterexample`).
 
 A searched answer is also kept as a certificate (`_Certificates`) when the
 query runs under the whole base (every clause entered) or under no clause,
@@ -459,6 +460,13 @@ class EntailmentOracle:
         for row, v in zip(self._satisfies, values):
             satisfied |= row[v]
         return satisfied
+
+    def _counterexample(self, values: tuple[int, ...], contested: int) -> bool:
+        """Does the point satisfy every clause of the subset in force and
+        get a class other than contested? Direct evaluation, no question."""
+        active = self._active
+        return not (active and active & ~self._satisfied(values)) \
+            and self.model.classify(Instance(values)) != contested
 
     def compatible(self, instance: Instance,
                    knowledge: Optional[KnowledgeBase] = None) -> bool:

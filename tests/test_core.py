@@ -5,7 +5,7 @@ import pytest
 
 from kxp import (Clause, FeatureSpace, KnowledgeBase, Literal, Rule,
                  SpaceError, rule_to_clause, validate_rule)
-from kxp.core import rebind_knowledge, rebind_literal, space_from_obj
+from kxp.core import json_field, number, rebind_knowledge, rebind_literal, space_from_obj
 from kxp.miner import load_knowledge, save_rules
 
 from util import random_instance, random_knowledge, random_space
@@ -21,6 +21,19 @@ def test_space_invariants():
     sp = FeatureSpace.make([("x", ["a", "b", "c"]), ("y", ["0", "1"])])
     assert sp.size() == 6
     assert sp.m == 2
+
+
+def test_number_is_an_int_or_a_float_and_never_a_bool():
+    for value in (0, -3, 2 ** 70, 0.5, float("inf")):
+        assert number(value) and json_field({"x": value}, "x", number) == value
+    for value, shown in ((True, "True"), (False, "False"), ("1", "'1'"),
+                         (None, "None"), ([1], "[1]")):
+        assert not number(value)
+        with pytest.raises(SpaceError, match=re.escape(
+                "f: field 'x': expected a number, got " + shown)):
+            json_field({"x": value}, "x", number, "f")
+    with pytest.raises(SpaceError, match="field 'x': expected an integer, got True"):
+        json_field({"x": True}, "x", int)
 
 
 def test_space_size_is_exact_big_integer():

@@ -89,19 +89,34 @@ def test_src_has_no_unreferenced_private_code():
     assert unread == []
 
 
+def _stated_outside(helper: str, states) -> list[str]:
+    """`file:line` of each syntax node in `src/kxp` that `states`, outside
+    the function `core.<helper>`."""
+    stated = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = range(0)
+        if path.name == "core.py":
+            [node] = [n for n in tree.body
+                      if isinstance(n, ast.FunctionDef) and n.name == helper]
+            lines = range(node.lineno, node.end_lineno + 1)
+        stated += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                   if states(node) and node.lineno not in lines]
+    return stated
+
+
 def test_only_the_integer_helper_states_the_integer_rule():
     """No string constant in `src/kxp` says `not an integer`, docstrings
     included, except within `core.integer`: every index and count check
     goes through that one helper, so its message has one form."""
-    stated = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        helper = range(0)
-        if path.name == "core.py":
-            [node] = [n for n in tree.body
-                      if isinstance(n, ast.FunctionDef) and n.name == "integer"]
-            helper = range(node.lineno, node.end_lineno + 1)
-        stated += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
-                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                   and "not an integer" in node.value and node.lineno not in helper]
-    assert stated == []
+    assert _stated_outside("integer", lambda node: isinstance(node, ast.Constant)
+                           and isinstance(node.value, str)
+                           and "not an integer" in node.value) == []
+
+
+def test_only_the_number_helper_states_the_number_rule():
+    """No `(int, float)` tuple appears in `src/kxp` outside `core.number`:
+    every check that a value is a number, a bool being none, asks it."""
+    assert _stated_outside("number", lambda node: isinstance(node, ast.Tuple)
+                           and sorted(getattr(e, "id", "") for e in node.elts)
+                           == ["float", "int"]) == []
