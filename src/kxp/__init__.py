@@ -7,8 +7,8 @@ from .core import (Clause, Explanation, FeatureSpace, Instance, Kind,
                    validate_rule)
 from .ingest import (ColumnBins, Dataset, IngestError, QuantizationSpec,
                      fit_quantization, folds, load_csv, quantize, split)
-from .miner import (ExtractionLimit, MinerError, eclat_mine,
-                    enumerate_min_rules, extract_all, rule_accuracy)
+from .miner import (ExtractionLimit, MinerError, enumerate_min_rules,
+                    extract_all, rule_accuracy)
 from .models import (BoostedEnsemble, DecisionList, DLRule, Leaf, ModelError,
                      Node, load_model, save_model, train_boosted,
                      train_decision_list)

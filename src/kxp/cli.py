@@ -30,8 +30,8 @@ from .explain import (ExplainError, attribute_rules, check_explanation,
 from .ingest import (Dataset, IngestError, check_interval_count,
                      check_split_fraction, fit_quantization, fold_indices,
                      load_csv, quantize, split_indices)
-from .miner import (ExtractionLimit, MinerError, eclat_mine, extract_all,
-                    load_knowledge, rule_accuracy, save_rules)
+from .miner import (ExtractionLimit, MinerError, extract_all, load_knowledge,
+                    rule_accuracy, save_rules)
 from .models import ModelError, load_model
 from .oracle import OracleError
 
@@ -140,27 +140,19 @@ def cmd_quantize(args) -> int:
 def cmd_mine(args) -> int:
     ds = _load_categorical(args.dataset, args)
     limit, record = _mining_limits(args)
-    manifest = _manifest("mine", args, [args.dataset],
-                         limits={"engine": args.engine, **record})
+    manifest = _manifest("mine", args, [args.dataset], limits=record)
     t0 = time.perf_counter()
     if ds.n_rows == 0:
         manifest["timings"]["wall"] = time.perf_counter() - t0
-        save_rules(args.out, FeatureSpace(()), [], truncated=False,
-                   engine=args.engine, manifest=manifest)
+        save_rules(args.out, FeatureSpace(()), [], truncated=False, manifest=manifest)
         print("empty dataset: wrote 0 rules -> %s" % args.out)
         return EXIT_OK
-    if args.engine == "lattice":
-        kb = extract_all(ds, limit)
-        rules, truncated = kb.rules, kb.truncated
-    else:
-        rules = eclat_mine(ds, limit)
-        truncated = len(rules) == limit.max_rules
+    kb = extract_all(ds, limit)
     manifest["timings"]["wall"] = time.perf_counter() - t0
-    manifest["truncated"] = truncated
-    save_rules(args.out, ds.space, rules, truncated=truncated,
-               engine=args.engine, manifest=manifest)
-    print("mined %d rules (%s)%s -> %s"
-          % (len(rules), args.engine, " [truncated]" if truncated else "", args.out))
+    manifest["truncated"] = kb.truncated
+    save_rules(args.out, ds.space, kb.rules, truncated=kb.truncated, manifest=manifest)
+    print("mined %d rules%s -> %s"
+          % (len(kb.rules), " [truncated]" if kb.truncated else "", args.out))
     return EXIT_OK
 
 
@@ -258,8 +250,10 @@ def cmd_explain(args) -> int:
     else:
         indices = []
         for token in [t.strip() for t in args.instances.split(",") if t.strip()]:
-            try:
+            try:  # only the plain decimal spelling: not 01, +1, 1_0 or other digits
                 index = int(token)
+                if str(index) != token:
+                    raise ValueError
             except ValueError:
                 raise IngestError("--instances: %r is not a row index" % token) from None
             if index in indices:
@@ -473,7 +467,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mine", parents=[mining],
                        help="extract 100%%-consistent rules from a dataset")
     p.add_argument("dataset")
-    p.add_argument("--engine", choices=("lattice", "eclat"), default="lattice")
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("xval-rules", parents=[mining],

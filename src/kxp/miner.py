@@ -8,8 +8,7 @@ CL 2000; Zaki, KDD 2000). So the pass keeps only free, supported nodes, built
 from column bitsets computed once, and tests each node against the values of
 one covered row. The rules are then replayed per target feature-value in
 size-then-lexicographic order and blocked in clausal form, so that no clause
-is ever emitted twice across targets. An Eclat-style vertical miner
-(equality literals only, confidence 1.0) serves as the baseline.
+is ever emitted twice across targets.
 """
 
 from __future__ import annotations
@@ -224,65 +223,6 @@ def extract_all(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> K
     return _knowledge(train, train.space.equalities(), set(), limit)
 
 
-# ---------------------------------------------------------------------------
-# Eclat baseline: vertical tid-list mining of confidence-1.0 equality rules
-
-def eclat_mine(train: Dataset, limit: ExtractionLimit = ExtractionLimit()) -> list[Rule]:
-    """Frequent-itemset rules with = literals only and confidence 1.0.
-
-    A rule per (itemset, consequent item) pair whose antecedent support equals
-    the itemset support. Negated feature-value literals are out of this
-    miner's language, so e.g. one != rule of the lattice miner corresponds to
-    several = rules here. Of the limit, `max_size`, `min_support` and
-    `max_rules` apply; a set `time_budget` raises MinerError, as this miner
-    cannot honour it.
-    """
-    if limit.time_budget is not None:
-        raise MinerError("the eclat engine does not support time_budget")
-    min_support = limit.min_support
-    space = train.space
-    insts = train.instances()
-    n = len(insts)
-    items = space.equalities()
-    cols = row_bitsets(space, insts)
-    tids = [cols[lit.feature][lit.value] for lit in items]
-    order = [i for i in range(len(items)) if tids[i].bit_count() >= min_support]
-
-    supports: dict[frozenset[Literal], int] = {frozenset(): n}
-    found: list[tuple[frozenset[Literal], int]] = []
-
-    def grow(prefix: list[int], candidates: list[tuple[int, int]]) -> None:
-        for pos, (i, itids) in enumerate(candidates):
-            itemset = frozenset(items[k] for k in prefix + [i])
-            supports[itemset] = itids.bit_count()
-            found.append((itemset, itids.bit_count()))
-            if len(prefix) + 1 > limit.max_size:
-                continue
-            exts = []
-            for k, ktids in candidates[pos + 1:]:
-                if items[k].feature == items[i].feature:
-                    continue
-                t = itids & ktids
-                if t.bit_count() >= min_support:
-                    exts.append((k, t))
-            if exts:
-                grow(prefix + [i], exts)
-
-    grow([], [(i, tids[i]) for i in order])
-
-    rules: list[Rule] = []
-    for itemset, supp in found:
-        for consequent in sorted(itemset):
-            antecedent = itemset - {consequent}
-            if supports.get(antecedent, 0 if antecedent else n) != supp:
-                continue
-            rules.append(Rule(antecedent, consequent, id=len(rules),
-                              support=supp, consistency=1.0))
-            if len(rules) == limit.max_rules:
-                return rules
-    return rules
-
-
 def rule_accuracy(rule: Rule, test: Dataset) -> float:
     """1 - (fraction of test rows that falsify the rule's clausal form)."""
     insts = test.instances()
@@ -297,10 +237,10 @@ def rule_accuracy(rule: Rule, test: Dataset) -> float:
 # one JSON rule per line; the blocked-clause set is reconstructible from it
 
 def save_rules(path, space: FeatureSpace, rules: Iterable[Rule],
-               truncated: bool = False, engine: str = "lattice",
-               manifest: Optional[dict] = None) -> None:
+               truncated: bool = False, manifest: Optional[dict] = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"format": RULES_FORMAT, "engine": engine, "truncated": truncated,
+        # "engine" is a constant of the format, which `load_rules` never reads
+        header = {"format": RULES_FORMAT, "engine": "lattice", "truncated": truncated,
                   "features": space_to_obj(space)}
         if manifest is not None:
             header["manifest"] = manifest

@@ -23,8 +23,8 @@ PUBLIC = {
         "IngestError", "Instance", "Kind", "KnowledgeBase", "Leaf", "Literal",
         "MinerError", "ModelError", "Node", "OracleError", "OracleResult",
         "QuantizationSpec", "Rule", "SpaceError", "Status", "attribute_rules",
-        "check_explanation", "eclat_mine", "enumerate_min_rules",
-        "enumerate_smallest", "extract_all", "find_axp", "find_cxp",
+        "check_explanation", "enumerate_min_rules", "enumerate_smallest",
+        "extract_all", "find_axp", "find_cxp",
         "fit_quantization", "folds", "load_csv", "load_model",
         "minimum_hitting_set", "quantize", "reduce_explanation",
         "rule_accuracy", "rule_to_clause", "save_model", "split",
@@ -68,7 +68,6 @@ PARAMETERS = {
                         "oracle"],
     "check_explanation": ["features", "kind", "model", "instance", "knowledge",
                           "oracle"],
-    "eclat_mine": ["train", "limit"],
     "enumerate_min_rules": ["train", "target", "blocked", "limit"],
     "enumerate_smallest": ["kind", "model", "instance", "knowledge", "n", "oracle"],
     "extract_all": ["train", "limit"],

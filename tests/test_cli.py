@@ -146,30 +146,17 @@ def test_quantize_categorical_identity(tmp_path):
     assert Path(prefix + ".csv").read_text() == Path(TOY).read_text()
 
 
-def test_mine_lattice_and_eclat(tmp_path):
+def test_mine_writes_lattice_rules(tmp_path):
     out = str(tmp_path / "rules.jsonl")
     assert main(["mine", TOY, "--max-size", "2", "--out", out]) == 0
     lines = read_jsonl(out)
     assert lines[0]["format"] == "kxp.rules/1"
+    assert lines[0]["engine"] == "lattice"
     husband = [l for l in lines[1:]
                if l["then"] == {"feature": "Status", "op": "==", "value": "Married"}
                and l["if"] == [{"feature": "Relationship", "op": "==",
                                 "value": "Husband"}]]
     assert husband
-    out2 = str(tmp_path / "eclat.jsonl")
-    assert main(["mine", TOY, "--engine", "eclat", "--max-size", "2",
-                 "--out", out2]) == 0
-    for line in read_jsonl(out2)[1:]:
-        assert all(l["op"] == "==" for l in line["if"])
-        assert line["then"]["op"] == "=="
-
-
-def test_mine_eclat_rejects_time_budget(tmp_path, capsys):
-    out = tmp_path / "eclat.jsonl"
-    assert main(["mine", TOY, "--engine", "eclat", "--time-budget", "0.05",
-                 "--out", str(out)]) == 2
-    assert "does not support time_budget" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_non_utf8_csv_names_the_file(tmp_path, capsys):
@@ -693,7 +680,13 @@ def test_row_indices_outside_the_dataset_exit_2(tmp_path, capsys):
 def test_explain_non_integer_instances_exit_2(tmp_path, capsys):
     out = tmp_path / "expl.jsonl"
     for instances, message in (("0,abc", "'abc' is not a row index"),
-                               ("0,1, 0", "--instances: row 0 named more than once")):
+                               ("0,1, 0", "--instances: row 0 named more than once"),
+                               # only the plain decimal spelling of an index
+                               ("1_0", "'1_0' is not a row index"),
+                               ("01", "'01' is not a row index"),
+                               ("+1", "'+1' is not a row index"),
+                               ("\u0663", "'\u0663' is not a row index"),
+                               ("-1", "--instances: row index -1 out of range [0, 6)")):
         assert main(["explain", DL, TOY, "--instances", instances, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -26,7 +26,6 @@ FLAGS = {
     },
     'mine': {
         'positionals': ['dataset'],
-        'engine': [['--engine'], 'lattice', False, ['lattice', 'eclat'], None],
         'max_size': [['--max-size'], 5, False, None, 'int'],
         'min_support': [['--min-support'], 1, False, None, 'int'],
         'max_rules': [['--max-rules'], None, False, None, 'int'],
@@ -99,13 +98,6 @@ MANIFESTS = {
                                    'jobs': 1,
                                    'kind': 'axp'},
                         'seeds': {'split_seed': 3}},
-    'eclat.jsonl': {'command': 'mine',
-                    'limits': {'engine': 'eclat',
-                               'max_rules': 30,
-                               'max_size': 2,
-                               'min_support': 2,
-                               'time_budget': None},
-                    'seeds': {}},
     'expl.jsonl': {'command': 'explain',
                    'limits': {'compare': True,
                               'enum': 3,
@@ -124,8 +116,7 @@ MANIFESTS = {
                          'limits': {'force': False, 'q': 4},
                          'seeds': {}},
     'rules.jsonl': {'command': 'mine',
-                    'limits': {'engine': 'lattice',
-                               'max_rules': None,
+                    'limits': {'max_rules': None,
                                'max_size': 2,
                                'min_support': 1,
                                'time_budget': None},
@@ -158,12 +149,11 @@ DIGESTS = {
     'attr.json': 'f4300e0a68c0c0b9ea96a33f38d4eacfc5838b8be242b65fe9b50749190b0589',
     'bt.jsonl': 'e86db5d4e432ef580476dd43eae08197b19f6a78fd68ccfe444766f8d070bacf',
     'bt_summary.json': '1219f6244e39bde2595d263a13461e81008eba49e88936e0381c4912d44cebf5',
-    'eclat.jsonl': 'f6d12a168a6f4629f4ec2ca36ddfeb76aec897b40e6c664aa3af182f123abbf2',
     'expl.jsonl': 'a867a38fd92cee95e2b0d96c1dcac284e6db6ee4d55c2afbb717a4a2c0cdd593',
     'expl.jsonl.summary.json': '8c18db94fb6cf2b0830e9345ae04692885ca7f0d19d2b0f380111db34ee9a547',
     'quant.csv': '22602f09921a4c6ad671b8ff58cab3ee9568eb2ba4ebe8f168fe30da655e474a',
     'quant.qspec.json': '3e9ca4acd248c9cfa9ae44b6af2a87c7b06508e89a870e1b7bf1ceb5a1cc891b',
-    'rules.jsonl': '9fcd8cd938956b01e6b094fc765652299e105d98eb96882b59f0b89855f47869',
+    'rules.jsonl': 'f85886fcb0aab6025e351370650d1c56e5d63b8d1bf95366d482b144659bfc6e',
     'xval.json': 'f17a861415b19dc69d72258af052369eca60fb5404488082f713d6375d2d3cb0',
     'xval_num.json': '7675879c2ad8d1e6465221a8f4549f1d51b5071fac09a59276bd16ab8676f071',
 }
@@ -215,8 +205,6 @@ def run_outputs(workdir: Path) -> dict:
     runs = [
         ["quantize", "numeric.csv", "--q", "4", "--out-prefix", "quant"],
         ["mine", "adult_toy.csv", "--max-size", "2", "--out", "rules.jsonl"],
-        ["mine", "adult_toy.csv", "--engine", "eclat", "--max-size", "2",
-         "--min-support", "2", "--max-rules", "30", "--out", "eclat.jsonl"],
         ["xval-rules", "adult_toy.csv", "--k", "3", "--max-size", "2",
          "--out", "xval.json"],
         ["xval-rules", "numeric.csv", "--k", "2", "--q", "4", "--seed", "5",
@@ -249,7 +237,7 @@ def run_outputs(workdir: Path) -> dict:
                  "expl.jsonl.summary.json", "bt_summary.json", "attr.json",
                  "assess.json", "assess_cxp.json"):
         outputs[name] = [json.loads((workdir / name).read_text())]
-    for name in ("rules.jsonl", "eclat.jsonl", "expl.jsonl", "bt.jsonl"):
+    for name in ("rules.jsonl", "expl.jsonl", "bt.jsonl"):
         outputs[name] = [json.loads(line) for line in
                          (workdir / name).read_text().splitlines()]
     return outputs

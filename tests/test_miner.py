@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -5,7 +6,7 @@ import re
 import pytest
 
 from kxp import (Dataset, ExtractionLimit, FeatureSpace, Instance, KnowledgeBase,
-                 Literal, MinerError, Rule, eclat_mine, enumerate_min_rules, extract_all,
+                 Literal, MinerError, Rule, enumerate_min_rules, extract_all,
                  rule_accuracy, rule_to_clause)
 from kxp import miner
 from kxp.core import rebind_knowledge, rebind_rule
@@ -25,6 +26,14 @@ def tiny_dataset(rng, space, n_rows):
 
 def texts(space, rules):
     return {r.render(space) for r in rules}
+
+
+def unblocked_rules(ds, limit):
+    """Every target's rules, with no clause blocked across targets (so both
+    readings of a binary clause can occur), their ids renumbered."""
+    rules = [r for target in ds.space.equalities()
+             for r in enumerate_min_rules(ds, target, limit=limit).rules]
+    return [dataclasses.replace(r, id=i) for i, r in enumerate(rules)]
 
 
 def test_status_married_rules(toy_ds):
@@ -266,48 +275,62 @@ def test_one_target_rule_budget(toy_ds):
 
 
 # ---------------------------------------------------------------------------
-# eclat
+# the rule language and what the knowledge implies
 
-def test_eclat_cannot_express_negations():
+def test_one_negated_rule_implies_the_equality_rules():
     sp = FeatureSpace.make([("x1", ["0", "1", "2"]), ("x2", ["0", "1", "2"])])
     # both rows with x1 != 0 have x2 = 1
     ds = Dataset(sp.names, tuple(d for _, d in sp.features),
                  ((0, 0), (1, 1), (2, 1)))
-    lattice = texts(sp, enumerate_min_rules(ds, sp.literal("x2", "1"),
-                                            limit=ExtractionLimit(max_size=1)).rules)
-    assert "IF x1 != 0 THEN x2 = 1" in lattice
-    eclat = texts(sp, eclat_mine(ds))
-    assert "IF x1 != 0 THEN x2 = 1" not in eclat
-    assert "IF x1 = 1 THEN x2 = 1" in eclat
-    assert "IF x1 = 2 THEN x2 = 1" in eclat
+    lattice = enumerate_min_rules(ds, sp.literal("x2", "1"),
+                                  limit=ExtractionLimit(max_size=1)).rules
+    negated, = [r for r in lattice if r.render(sp) == "IF x1 != 0 THEN x2 = 1"]
+    # on every point of the space, the != rule implies both = rules
+    for value in ("1", "2"):
+        rule = Rule(frozenset({sp.literal("x1", value)}), sp.literal("x2", "1"))
+        assert not any(rule.violated_by(p) for p in sp.points()
+                       if not negated.violated_by(p))
 
 
-def test_eclat_includes_husband_rule(toy_ds):
-    sp = toy_ds.space
-    rules = eclat_mine(toy_ds, ExtractionLimit(max_size=2))
-    assert "IF Relationship = Husband THEN Status = Married" in texts(sp, rules)
+def test_mined_knowledge_implies_every_exact_rule_within_the_limits():
+    """No point the knowledge of `extract_all` admits violates an exact rule
+    within its limits: an antecedent of up to `max_size` = and != literals
+    that covers at least `min_support` rows, and an = consequent on another
+    feature that holds on every row the antecedent covers."""
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(600):
+        sp = random_space(rng, max_features=4, max_domain=4)
+        ds = tiny_dataset(rng, sp, rng.randint(2, 12))
+        max_size, min_support = rng.randint(1, 3), rng.randint(1, 2)
+        kb = extract_all(ds, ExtractionLimit(max_size=max_size, min_support=min_support))
+        assert not kb.truncated
+        targets = sp.equalities()
+        # a binary feature's != literal normalizes to the other = literal
+        lits = sorted(set(targets) | {sp.negate(l) for l in targets})
 
+        def holds_on(objs):  # per literal, the objects it holds on as a bit mask
+            return {l: sum(1 << i for i, o in enumerate(objs) if l.holds(o))
+                    for l in lits}
 
-def test_eclat_confidence_contract(toy_ds):
-    insts = toy_ds.instances()
-    for rule in eclat_mine(toy_ds, ExtractionLimit(max_size=2)):
-        assert not any(rule.violated_by(i) for i in insts)
-        assert rule.support >= 1
-        assert all(not l.negated for l in rule.antecedent)
-        assert not rule.consequent.negated
-
-
-def test_eclat_respects_min_support(toy_ds):
-    # the limit's min_support is the only support setting
-    assert min(r.support for r in eclat_mine(toy_ds)) == 1
-    rules = eclat_mine(toy_ds, ExtractionLimit(min_support=3))
-    assert rules and all(rule.support >= 3 for rule in rules)
-    assert len(rules) == 7
-
-
-def test_eclat_rejects_limits_it_cannot_honour(toy_ds):
-    with pytest.raises(MinerError, match="time_budget"):
-        eclat_mine(toy_ds, ExtractionLimit(time_budget=0.05))
+        points = [p for p in sp.points() if kb.satisfied_by(p)]
+        rows, admitted = holds_on(ds.instances()), holds_on(points)
+        for size in range(max_size + 1):
+            for ante in itertools.combinations(lits, size):
+                covered, where = (1 << ds.n_rows) - 1, (1 << len(points)) - 1
+                for l in ante:
+                    covered &= rows[l]
+                    where &= admitted[l]
+                if covered.bit_count() < min_support:
+                    continue
+                for target in targets:
+                    if covered & ~rows[target] or any(
+                            l.feature == target.feature for l in ante):
+                        continue
+                    checked += 1
+                    assert not where & ~admitted[target], \
+                        Rule(frozenset(ante), target).render(sp)
+    assert checked > 80000, checked
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +377,19 @@ def test_load_knowledge_rebinds(tmp_path, toy_ds, toy_dl):
 
 
 def test_load_knowledge_keeps_both_readings_when_a_domain_grows(tmp_path):
-    # a = 1 always implies b = 1, so eclat writes both readings of one binary
-    # clause; in a space where a is ternary they are two different clauses
+    # a = 1 always implies b = 1, so the unblocked rules hold both readings of
+    # one binary clause; in a space where a is ternary they are two clauses.
+    # Files written by the older equality-only miner say "engine": "eclat";
+    # loading never reads the field.
     sp = FeatureSpace.make([("a", ["0", "1"]), ("b", ["0", "1"])])
     ds = Dataset(sp.names, tuple(d for _, d in sp.features), ((0, 0), (0, 1), (1, 1)))
-    rules = eclat_mine(ds, ExtractionLimit(max_size=1))
-    assert texts(sp, rules) == {"IF a = 1 THEN b = 1", "IF b = 0 THEN a = 0"}
+    rules = unblocked_rules(ds, ExtractionLimit(max_size=1))
+    assert [r.render(sp) for r in rules] == ["IF b = 0 THEN a = 0", "IF a = 1 THEN b = 1"]
     path = tmp_path / "rules.jsonl"
-    save_rules(path, sp, rules, engine="eclat")
+    save_rules(path, sp, rules)
+    header, *lines = path.read_text().splitlines(True)
+    assert '"engine": "lattice"' in header
+    path.write_text(header.replace('"engine": "lattice"', '"engine": "eclat"') + "".join(lines))
     kb = load_knowledge(path)
     assert len(kb) == 1 and kb.provenance[kb.clauses[0]] == (0, 1)
     big = FeatureSpace.make([("b", ["1", "0"]), ("a", ["0", "1", "2"])])
@@ -382,10 +410,9 @@ def test_load_knowledge_enforces_every_rule_of_the_file(tmp_path):
     for trial in range(40):
         sp = random_space(rng, max_features=4, max_domain=3)
         ds = tiny_dataset(rng, sp, rng.randint(3, 20))
-        engine = ("lattice", "eclat")[trial % 2]
-        rules = extract_all(ds, ExtractionLimit(max_size=2)).rules \
-            if engine == "lattice" else eclat_mine(ds, ExtractionLimit(max_size=2))
-        save_rules(path, sp, rules, engine=engine)
+        rules = unblocked_rules(ds, ExtractionLimit(max_size=2)) if trial % 2 \
+            else extract_all(ds, ExtractionLimit(max_size=2)).rules
+        save_rules(path, sp, rules)
         features = [(name, list(dom) + ["extra"] * (rng.random() < 0.5))
                     for name, dom in sp.features]
         rng.shuffle(features)
@@ -403,20 +430,21 @@ def test_load_knowledge_enforces_every_rule_of_the_file(tmp_path):
 
 def test_rebind_knowledge_enforces_every_rule():
     """Rebound onto a space whose domains grow and whose features reorder, a
-    lattice or eclat knowledge base holds on exactly the points where every
-    one of its rules, rebound, holds, and cites every rule id. Some eclat
-    clauses hold two readings of one binary clause, which split in two."""
+    mined or an unblocked knowledge base holds on exactly the points where
+    every one of its rules, rebound, holds, and cites every rule id. Some
+    unblocked clauses hold two readings of one binary clause, which split in
+    two."""
     rng = random.Random(31)
-    seen = {"lattice": 0, "eclat": 0, "split": 0}
+    seen = {"mined": 0, "unblocked": 0, "split": 0}
     for trial in range(60):
         sp = random_space(rng, max_features=4, max_domain=3)
         ds = tiny_dataset(rng, sp, rng.randint(3, 20))
-        engine = ("lattice", "eclat")[trial % 2]
-        if engine == "lattice":
+        source = ("mined", "unblocked")[trial % 2]
+        if source == "mined":
             kb = extract_all(ds, ExtractionLimit(max_size=2))
             mined = kb.rules
         else:
-            mined = eclat_mine(ds, ExtractionLimit(max_size=2))
+            mined = unblocked_rules(ds, ExtractionLimit(max_size=2))
             kb = KnowledgeBase.from_rules(sp, mined)
         features = [(name, list(dom) + ["extra"] * (rng.random() < 0.5))
                     for name, dom in sp.features]
@@ -429,6 +457,6 @@ def test_rebind_knowledge_enforces_every_rule():
             assert moved.satisfied_by(inst) == all(not r.violated_by(inst) for r in rules)
         assert sorted(i for ids in moved.provenance.values() for i in ids) \
             == sorted(r.id for r in mined)
-        seen[engine] += bool(kb)
+        seen[source] += bool(kb)
         seen["split"] += len(moved) > len(kb)
     assert all(seen.values()), seen
