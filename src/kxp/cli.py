@@ -259,6 +259,8 @@ def cmd_explain(args) -> int:
             if index in indices:
                 raise IngestError("--instances: row %d named more than once" % index)
             indices.append(index)
+        if not indices:
+            raise IngestError("--instances: %r names no row" % args.instances)
 
     settings = (False,) if kb is None else (False, True) if args.compare else (True,)
     skipped = []

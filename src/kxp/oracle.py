@@ -33,12 +33,16 @@ The propagated state is kept between queries. A query's assumptions, first
 the active unit clauses and then the fixed features in descending order, are
 levels on one trail, each propagated to fixpoint. The next query keeps the
 leading levels whose assumptions it also asserts, propagates the rest of its
-own above them, searches, and undoes back to its own root. Levels are kept
-only while the mask stays the same: they hold the consequences of the subset
-they were propagated under, so a query under another subset starts from the
-empty trail. Propagation reaches one fixpoint whatever is reused, and the
-search returns the first solution in its fixed order. The state confines an
-oracle to one task at a time.
+own above them, searches, and undoes back to its own root. The search is one
+loop over an explicit stack of open nodes, each [variable, untried values,
+trail mark]: the first feature in `_order` with two values left takes them in
+ascending order, one assumption and one class test each, and `nodes` counts
+the values tried; its depth is not bound by Python's recursion limit. Levels
+are kept only while the mask stays the same: they hold the consequences of
+the subset they were propagated under, so a query under another subset starts
+from the empty trail. Propagation reaches one fixpoint whatever is reused,
+and the search returns the first solution in its fixed order. The state
+confines an oracle to one task at a time.
 
 An entailment searched with every level propagated from the empty trail
 leaves a core (`_core`, a mask over the clause ids; `_core_clauses`): the
@@ -74,8 +78,7 @@ every subset of the clauses it satisfies. A query asks the entailments, then
 the witnesses, then searches; a hit leaves the kept levels as they are. So a
 status never depends on the queries asked before, but a witness is some
 counterexample, perhaps an earlier query's: the same for the same sequence of
-questions to one oracle. `calls` counts every question and `store_hits` those
-the store answered.
+questions to one oracle.
 
 A query's fixed features, given as indices or as one integer mask (bit f:
 feature f is fixed), are a mask from the input check to the store, the
@@ -350,6 +353,8 @@ class EntailmentOracle:
 
     Owns mutable search state, kept from one query to the next and reset when
     the mask of active clauses changes: confine an instance to one task at a time.
+    Counters: `calls` (every question), `store_hits` (those the store answered)
+    and `nodes` (values the search tried).
     """
 
     def __init__(self, model: Model, knowledge: Optional[KnowledgeBase] = None):
@@ -358,6 +363,7 @@ class EntailmentOracle:
         self.knowledge = knowledge if knowledge is not None else KnowledgeBase()
         self.calls = 0
         self.store_hits = 0  # of `calls`, those answered from the store
+        self.nodes = 0  # values the search tried, over every query
 
         m = self.space.m
         self._sizes = [len(self.space.domain(f)) for f in range(m)]
@@ -557,22 +563,31 @@ class EntailmentOracle:
     # -- search --------------------------------------------------------------
 
     def _search(self, contested: int) -> Optional[Instance]:
-        dom = self.dom
-        var = next((f for f in self._order if dom[f] & dom[f] - 1), None)
-        if var is None:  # every domain is one value: a witness
-            return Instance(tuple(d.bit_length() - 1 for d in dom))
-        d = dom[var]
-        while d:  # values in ascending order
-            low = d & -d
-            d ^= low
-            value = low.bit_length() - 1
-            mark = len(self.trail)
-            if self._assume((var, value, False)) and self._possible(contested):
-                found = self._search(contested)
-                if found is not None:
-                    return found
-            self._undo_to(mark)
-        return None
+        """The first witness in the search order, or None; the trail ends as it began."""
+        dom, trail, order = self.dom, self.trail, self._order
+        assume, possible, undo_to = self._assume, self._possible, self._undo_to
+        root, nodes, witness = len(trail), 0, None
+        stack: list[list[int]] = []  # open nodes: [variable, untried values, trail mark]
+        while True:
+            var = next((f for f in order if dom[f] & dom[f] - 1), None)
+            if var is None:  # every domain is one value: a witness
+                witness = Instance(tuple(d.bit_length() - 1 for d in dom))
+                break
+            stack.append([var, dom[var], len(trail)])
+            while stack:  # the deepest open node tries its lowest untried value
+                var, d, mark = node = stack[-1]
+                undo_to(mark)
+                node[1] = d & d - 1
+                if not node[1]:  # its last value: the node closes
+                    stack.pop()
+                nodes += 1
+                if assume((var, (d & -d).bit_length() - 1, False)) and possible(contested):
+                    break
+            else:
+                break
+        self.nodes += nodes
+        undo_to(root)
+        return witness
 
     def _solve(self, assumptions: list[_SLit],
                contested: int) -> tuple[Optional[Instance], bool]:
@@ -599,10 +614,7 @@ class EntailmentOracle:
             levels.append((slit, len(self.trail)))
         if not self._possible(contested):
             return None, fresh
-        root = len(self.trail)
-        witness = self._search(contested)
-        self._undo_to(root)
-        return witness, fresh
+        return self._search(contested), fresh
 
     def _checked(self, fixed: Iterable[int] | int, instance: Instance,
                  contested: int) -> int:

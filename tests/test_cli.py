@@ -7,7 +7,7 @@ import pytest
 
 from kxp.cli import main
 
-from util import planted_dataset
+from util import planted_dataset, wide_decision_list
 
 DATA = Path(__file__).parent.parent / "data"
 TOY = str(DATA / "adult_toy.csv")
@@ -686,10 +686,27 @@ def test_explain_non_integer_instances_exit_2(tmp_path, capsys):
                                ("01", "'01' is not a row index"),
                                ("+1", "'+1' is not a row index"),
                                ("\u0663", "'\u0663' is not a row index"),
-                               ("-1", "--instances: row index -1 out of range [0, 6)")):
+                               ("-1", "--instances: row index -1 out of range [0, 6)"),
+                               # a selection that names no row at all
+                               ("", "--instances: '' names no row"),
+                               (",", "--instances: ',' names no row"),
+                               (" , ", "--instances: ' , ' names no row")):
         assert main(["explain", DL, TOY, "--instances", instances, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_explain_a_model_deeper_than_the_recursion_limit(tmp_path):
+    """A one-rule list over 1,200 binary features: explaining its rows
+    searches 1,200 levels deep, past Python's default recursion limit."""
+    from kxp.models import save_model
+    model, table, out = (str(tmp_path / name) for name in ("m.json", "t.csv", "e.jsonl"))
+    save_model(wide_decision_list(1200), model)
+    header = ["f%d" % f for f in range(1200)] + ["label"]
+    Path(table).write_text("\n".join(",".join(row) for row in
+                                     (header, ["n"] * 1201, ["y"] * 1201)) + "\n")
+    assert main(["explain", model, table, "--enum", "1", "--out", out]) == 0
+    assert [r["index"] for r in read_jsonl(out)[1:]] == [0, 1]
 
 
 def test_explain_rejects_enum_and_jobs_below_one(tmp_path, capsys):

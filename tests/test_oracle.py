@@ -12,9 +12,10 @@ from kxp.oracle import EntailmentOracle, OracleError, OracleResult, Status
 
 from util import (_dl_cnf, assert_counterexample, assert_oracle_invariants,
                   check_compatible, dimacs_satisfiable, entails_bruteforce,
-                  mask_values, propagation_fixpoint, query_to_dimacs,
-                  random_bt, random_dl, random_instance, random_knowledge, random_model,
-                  random_single_score_bt, random_space, tree_tested_features)
+                  mask_values, propagation_fixpoint, query_to_dimacs, random_bt,
+                  random_dl, random_instance, random_knowledge, random_model,
+                  random_single_score_bt, random_space, recursive_search,
+                  tree_tested_features, wide_decision_list)
 
 
 def Q(model, inst, fixed, contested=None, kb=None):
@@ -949,6 +950,54 @@ def test_trail_is_the_only_undo_log():
                     states.append((list(oracle.dom), oracle._live.alive))
             assert_oracle_invariants(oracle)
     assert min(seen.values()) > 0, seen
+
+
+def test_search_loop_matches_the_recursion(monkeypatch):
+    """Long-lived oracles over random lists, single-score and 3-class
+    ensembles, with and without knowledge, answer the same random queries
+    as twins whose search is `recursive_search`. Every status and witness
+    is equal, and so is each query's increase in `nodes`: the loop tries
+    the same values in the same order as the recursion."""
+    rng = random.Random(1919)
+    searched, nodes, deepest = 0, 0, 0
+    for _ in range(40):
+        sp = random_space(rng, min_features=4, max_features=7, max_domain=4)
+        v = random_instance(rng, sp)
+        for model in (random_dl(rng, sp, n_classes=rng.choice((2, 3))),
+                      random_single_score_bt(rng, sp),
+                      random_bt(rng, sp, n_classes=3, depth=3)):
+            for kb in (KnowledgeBase(), random_knowledge(rng, sp, v, max_clauses=5)):
+                loop, recursion = EntailmentOracle(model, kb), EntailmentOracle(model, kb)
+                monkeypatch.setattr(recursion, "_search",
+                                    lambda c, oracle=recursion: recursive_search(oracle, c))
+                for _ in range(30):
+                    u = v if rng.random() < 0.5 else random_instance(rng, sp)
+                    fixed = frozenset(rng.sample(range(sp.m), rng.randint(0, sp.m)))
+                    c = rng.randrange(model.class_count())
+                    before = loop.nodes, recursion.nodes
+                    got, want = loop.query(fixed, u, c), recursion.query(fixed, u, c)
+                    assert (got.status, got.witness) == (want.status, want.witness)
+                    grown = loop.nodes - before[0]
+                    assert grown == recursion.nodes - before[1]
+                    assert loop.trail == recursion.trail
+                    searched += grown > 0
+                    nodes += grown
+                    deepest = max(deepest, grown)
+    assert searched >= 2000 and nodes >= 8000 and deepest >= 100, (searched, nodes, deepest)
+
+
+def test_the_search_is_not_bound_by_the_recursion_limit():
+    """Refuting class a from the all-n point of a 1,200-feature list decides
+    every feature, deeper than Python's default recursion limit: the oracle
+    finds the witness, `find_axp` the one feature its rule reads, and the
+    smallest CXp is that feature."""
+    model = wide_decision_list(1200)
+    v = Instance((0,) * 1200)
+    got = EntailmentOracle(model).query(0, v, 0)
+    assert_counterexample(model, KnowledgeBase(), (), v, 0, got.witness)
+    assert find_axp(model, v).features == {1199}
+    assert [e.features for e in enumerate_smallest(Kind.CXP, model, v, n=1).explanations] \
+        == [{1199}]
 
 
 def test_propagation_matches_a_sweep_to_fixpoint():

@@ -16,7 +16,8 @@ domain, the reference for the oracle's unit propagation.
 `assert_oracle_invariants` recomputes the oracle's live set from its domains,
 and its occurrence masks and clause masks from the clauses it entered.
 `check_compatible` walks a base's clauses for the first one an instance
-breaks.
+breaks. `recursive_search` is the oracle's search written as a recursion, the
+reference its explicit-stack loop and node count are checked against.
 """
 
 from __future__ import annotations
@@ -611,6 +612,15 @@ def random_single_score_bt(rng: random.Random, space: FeatureSpace,
             return model
 
 
+def wide_decision_list(m: int) -> DecisionList:
+    """A list over m binary features (values n, y) whose one rule reads the
+    last: f{m-1} = y -> b, else a. Refuting class a from the all-n point
+    decides every feature, so the search is m levels deep."""
+    space = FeatureSpace.make([("f%d" % f, ["n", "y"]) for f in range(m)])
+    rule = DLRule(frozenset({space.literal(m - 1, 1)}), 1)
+    return DecisionList(space, ("a", "b"), (rule,), 0)
+
+
 def random_model(rng: random.Random, space: FeatureSpace, n_classes=2):
     if rng.random() < 0.5:
         return random_dl(rng, space, n_classes)
@@ -853,6 +863,39 @@ def propagation_fixpoint(clauses, active: int, dom: list[int]):
                 dom[var] = dom[var] - {value} if negated else {value}
                 changed = True
     return [sum(1 << v for v in d) for d in dom]
+
+
+def recursive_search(oracle: EntailmentOracle, contested: int):
+    """The search the oracle's loop replaced, the reference it is checked
+    against: one Python frame per decided feature, holding its untried values
+    and trail mark. It decides the first feature in `_order` with two values
+    left, tries them in ascending order, adds one to `oracle.nodes` per value
+    tried, and returns the first witness or None with the trail undone to
+    where it began."""
+    root = len(oracle.trail)
+
+    def search():
+        dom = oracle.dom
+        var = next((f for f in oracle._order if dom[f] & dom[f] - 1), None)
+        if var is None:  # every domain is one value: a witness
+            return Instance(tuple(d.bit_length() - 1 for d in dom))
+        d = dom[var]
+        while d:
+            low = d & -d
+            d ^= low
+            mark = len(oracle.trail)
+            oracle.nodes += 1
+            if oracle._assume((var, low.bit_length() - 1, False)) \
+                    and oracle._possible(contested):
+                found = search()
+                if found is not None:
+                    return found
+            oracle._undo_to(mark)
+        return None
+
+    witness = search()
+    oracle._undo_to(root)
+    return witness
 
 
 def assert_oracle_invariants(oracle: EntailmentOracle) -> None:
