@@ -411,11 +411,12 @@ def json_field(obj, key: str, kind=object, where: str = ""):
 
 
 def read_json(path, error: type[Exception]):
-    """Parse a JSON file; bad syntax or encoding raises `error` naming the file."""
+    """Parse a JSON file; bad syntax, encoding or nesting deeper than the
+    recursion limit raises `error` naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise error("%s: invalid JSON: %s" % (path, exc)) from None
 
 

@@ -10,10 +10,11 @@ loop both kinds and attributions over clauses. The two families are
 minimal-hitting-set duals, which drives the smallest-first enumerator. Its
 hitting-set side is incremental: one solver per enumeration takes each new
 dual and each emission as it comes and resumes its search from the last
-answer. A failed AXp candidate's counterexample is moved back toward the
-instance before its differences seed a dual, one feature at a time while it
-stays a counterexample, by direct evaluation: a smaller seed, the same
-hitting sets, fewer shrink questions.
+answer, in one stack loop that no recursion limit bounds. A failed AXp
+candidate's counterexample is moved back toward the instance before its
+differences seed a dual, one feature at a time while it stays a
+counterexample, by direct evaluation: a smaller seed, the same hitting sets,
+fewer shrink questions.
 
 Every entry point takes an optional oracle. A call that passes none reuses
 the oracle the thread's last such call built, when it is over the same model
@@ -173,61 +174,59 @@ class EnumerationResult:
         return [e.features for e in self.explanations]
 
 
-_CUT = -1  # no answer within the size bound; a larger bound may find one
-
-
-def _search(i: int, chosen: int, left: int, unhit: list[int],
-            blocked: list[int], floor: Optional[int]) -> Optional[int]:
-    """Lex-first extension of `chosen` by at most `left` elements from i up.
-
-    `unhit` holds the sets `chosen` misses, `blocked` the blocked sets minus
-    `chosen` that may still end up inside the answer. While `floor` is not
-    None, `chosen` equals the previous answer below i and `floor` is that
-    answer's elements from i up; branches leading lexicographically below it
-    are pruned. Returns the extension as a mask, `_CUT` when the size bound
-    or the floor pruned a branch, and None when no extension exists at any
-    size.
-    """
-    if not unhit:
-        return chosen
-    if not left:
-        return _CUT
-    future = -1 << i
-    union = covered = disjoint = 0
-    for s in unhit:
-        s &= future
-        if not s:
-            return None
-        union |= s
-        if not s & covered:  # greedy disjoint sets: a lower bound on the picks
-            disjoint += 1
-            covered |= s
-    if disjoint > left:
-        return _CUT
-    bit = union & -union
-    j = bit.bit_length() - 1
-    if floor is not None:
-        if bit < floor & -floor:  # picking j would sort below the floor
-            found = _search(j + 1, chosen, left, unhit, blocked, floor)
-            return _CUT if found is None else found
-        pick_floor = floor ^ bit if bit == floor & -floor else None
-    else:
-        pick_floor = None
-    found, kept = None, []
-    for b in blocked:
-        if b & bit:
-            b ^= bit
-            if not b:
-                break  # picking j completes a blocked set
-        if not b & (bit - 1):  # else it keeps an element passed over
-            kept.append(b)
-    else:
-        found = _search(j + 1, chosen | bit, left - 1,
-                        [s for s in unhit if not s & bit], kept, pick_floor)
-        if found is not None and found >= 0:
-            return found
-    other = _search(j + 1, chosen, left, unhit, blocked, None)
-    return found if other is None else other
+def _search(left: int, unhit: list[int], blocked: list[int],
+            floor: Optional[int]) -> tuple[Optional[int], bool]:
+    """The lex-first set of at most `left` elements that hits every `unhit`
+    set, holds no `blocked` set and sorts no lower than `floor` (if given), or
+    None; and whether the size bound or the floor cut a branch. A branch adds
+    elements of `future` to `chosen`, with `unhit`, `blocked` and `floor` what
+    is left of each; while it picks an element, the branch passing it over
+    waits on the stack as [future, chosen, left, unhit, blocked, floor]."""
+    if not unhit or not left:  # settled as a pick is, below
+        return (None, True) if unhit else (0, False)
+    cut, stack, future, chosen = False, [], -1, 0
+    while True:
+        union = covered = disjoint = 0
+        for s in unhit:
+            s &= future
+            if not s:
+                break  # nothing left in `future` hits s: a dead branch
+            union |= s
+            if not s & covered:  # greedy disjoint sets: a lower bound on the picks
+                disjoint += 1
+                covered |= s
+        if not s or disjoint > left:
+            cut = cut or s != 0  # cut by the size bound, unless dead
+            if not stack:
+                return None, cut
+            future, chosen, left, unhit, blocked, floor = stack.pop()
+            continue
+        bit = union & -union  # picked, or else passed over, by this branch
+        future = -bit << 1
+        if floor is not None:
+            low = floor & -floor
+            if bit < low:  # picking the bit would sort below the floor
+                cut = True
+                continue
+            floor = floor ^ bit if bit == low else None  # the pick's floor
+        kept = []
+        for b in blocked:
+            if b & bit:
+                b ^= bit
+                if not b:
+                    break  # picking the bit completes a blocked set
+            if not b & (bit - 1):  # else it keeps an element passed over
+                kept.append(b)
+        else:
+            picked = [s for s in unhit if not s & bit]
+            if not picked:
+                return chosen | bit, False
+            if left > 1:
+                stack.append([future, chosen, left, unhit, blocked, None])
+                chosen, left, unhit, blocked = chosen | bit, left - 1, picked, kept
+                continue
+            cut = True
+        floor = None  # no pick: this branch passes the bit over, above the floor
 
 
 class _HittingSets:
@@ -237,7 +236,8 @@ class _HittingSets:
     Each answer is the smallest set hitting every set and containing no
     blocked set, with ties broken lexicographically. Added sets only shrink
     the feasible family, so its least member never decreases: each search
-    resumes at the last answer's size, above the last answer.
+    resumes at the last answer's size, above the last answer. A search loops
+    over an explicit stack, so no recursion limit bounds its depth.
     """
 
     def __init__(self, universe: int):
@@ -263,12 +263,12 @@ class _HittingSets:
             return None
         for k in range(self._size, self.universe + 1):
             floor = self._last if k == self._size else None
-            found = _search(0, 0, k, self._sets, self._blocked, floor)
-            if found is None:
-                break  # nothing cut by size: no larger bound can succeed
-            if found >= 0:
+            found, cut = _search(k, self._sets, self._blocked, floor)
+            if found is not None:
                 self._last, self._size = found, k
                 return found
+            if not cut:
+                break  # nothing cut: no larger bound can succeed
         self._empty = True
         return None
 
@@ -283,10 +283,10 @@ def minimum_hitting_set(sets: Iterable[frozenset[int]],
     is lexicographically least. None when infeasible (an empty set to hit, an
     empty blocked set, or every hitting set containing a blocked one); a
     universe or an element that breaks `integer` (elements lie in
-    range(universe)) raises ExplainError. Adding sets to hit
-    or to block only shrinks the feasible family, so the answer never
-    decreases in (size, lex) order; `enumerate_smallest` relies on that to
-    resume each search where the last one stopped.
+    range(universe)) raises ExplainError. Adding sets to hit or to block only
+    shrinks the feasible family, so the answer never decreases in (size, lex)
+    order; `enumerate_smallest` relies on that to resume each search where the
+    last one stopped.
     """
     hs = _HittingSets(universe)
     for s in sets:

@@ -140,7 +140,7 @@ def load_csv(path, class_column: Optional[str] = "last") -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell too long
             raise IngestError("%s: %s" % (path, exc)) from None
     if not rows:
         raise IngestError("%s: empty file, expected a header row" % path)

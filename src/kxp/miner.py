@@ -294,7 +294,7 @@ def load_rules(path) -> tuple[FeatureSpace, list[Rule], dict]:
                 ids.add(rule_id)
             validate_rule(space, rule)
             rules.append(rule)
-    except ValueError as exc:  # encoding, JSON syntax, SpaceError, MinerError
+    except (ValueError, RecursionError) as exc:  # encoding, JSON, SpaceError, MinerError
         raise MinerError("%s:%d: %s" % (path, n, exc)) from None
     return space, rules, header
 

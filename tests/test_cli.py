@@ -167,6 +167,14 @@ def test_non_utf8_csv_names_the_file(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_csv_cell_over_the_field_limit_names_the_file(tmp_path, capsys):
+    csv = tmp_path / "long.csv"
+    csv.write_text("a,b,Y\nx,%s,y\n" % ("p" * 131073))
+    assert main(["mine", str(csv), "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert "error: %s: field larger than field limit (131072)" % csv \
+        in capsys.readouterr().err
+
+
 def test_mine_csv_headers_with_bom_or_repeated_name(tmp_path, capsys):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbfa,b,Y\nx,p,yes\ny,q,no\n")
@@ -740,11 +748,13 @@ def test_assess_rejects_malformed_subsets_files(tmp_path, capsys):
         ({"format": "kxp.subsets/1", "records": {}},
          "field 'records': expected a list, got {}"),
         ([{"index": 0, "features": []}], "unrecognized subsets format None"),
+        # written as text: json.dumps would itself recurse
+        ("[" * 100000 + "]" * 100000, "invalid JSON: maximum recursion depth exceeded"),
     ]
     out = tmp_path / "assess.json"
     for doc, message in cases:
         subsets = tmp_path / "subsets.json"
-        subsets.write_text(json.dumps(doc))
+        subsets.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main(["assess", DL, TOY, str(subsets), "--out", str(out)]) == 2
         assert "error: %s: %s" % (subsets, message) in capsys.readouterr().err
     subsets.write_text("{not json")
@@ -789,10 +799,14 @@ def test_malformed_model_names_file_and_field(tmp_path, capsys):
         ({**bt, "classes": [1, [2]]}, "classes[0]: label 1 is not a string"),
         ({**bt, "classes": [">=50k", ["<50k"]]},
          "classes[1]: label ['<50k'] is not a string"),
+        # a tree 100,000 levels deep, written as text: json.dumps would recurse
+        (json.dumps({**bt, "trees": [["TREE"]]}).replace(
+            '"TREE"', '{"test": {}, "yes": ' * 100000 + '{"leaf": 1}' + "}" * 100000),
+         "invalid JSON: maximum recursion depth exceeded"),
     ]
     model = tmp_path / "model.json"
     for obj, message in cases:
-        model.write_text(json.dumps(obj))
+        model.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         assert main(["explain", str(model), TOY, "--out",
                      str(tmp_path / "o.jsonl")]) == 2
         assert "error: %s: %s" % (model, message) in capsys.readouterr().err
@@ -833,6 +847,8 @@ def test_malformed_rules_file_names_line(tmp_path, capsys):
          ":3: field 'id': %d repeats an earlier rule's id" % json.loads(first)["id"]),
         ([header, json.dumps({**json.loads(first), "size": 2})],
          ":2: field 'size': 2 is not the antecedent's size 1"),
+        ([header, first, "[" * 100000 + "]" * 100000],
+         ":3: maximum recursion depth exceeded"),
     ]
     # mining stats may be null, else typed: the ids become provenance
     for key, value, kind in [("id", {"a": 1}, "an integer"), ("id", "x", "an integer"),

@@ -10,15 +10,15 @@ import pytest
 from kxp import (Clause, ExtractionLimit, Instance, Kind, KnowledgeBase, Literal,
                  Rule, extract_all)
 import kxp.explain as explain_module
-from kxp.explain import (EnumerationResult, ExplainError, _HittingSets,
+from kxp.explain import (EnumerationResult, ExplainError, _HittingSets, _search,
                          attribute_rules, check_explanation, enumerate_smallest,
                          find_axp, find_cxp, minimum_hitting_set,
                          reduce_explanation)
 from kxp.oracle import EntailmentOracle, OracleError
 
-from util import (all_minimal_explanations, all_minimal_hitting_sets,
+from util import (CUT, all_minimal_explanations, all_minimal_hitting_sets,
                   assert_counterexample, entails_bruteforce,
-                  minimum_hitting_set_bruteforce,
+                  minimum_hitting_set_bruteforce, recursive_hitting_search,
                   random_bt, random_dl, random_instance, random_knowledge,
                   random_model, random_single_score_bt, random_space,
                   reference_attribution)
@@ -445,6 +445,44 @@ def test_incremental_hitting_sets_match_bruteforce():
                 break  # infeasible twice: later steps stay infeasible
             last = got
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_hitting_set_search_is_not_bound_by_the_recursion_limit():
+    """Passing over 1,199 blocked elements, and picking 1,200, each took one
+    frame per element in the recursion, which failed at its limit."""
+    assert minimum_hitting_set([set(range(1200))], [{i} for i in range(1199)],
+                               1200) == frozenset({1199})
+    assert minimum_hitting_set([{i} for i in range(1200)], [], 1200) \
+        == frozenset(range(1200))
+
+
+def test_search_loop_matches_the_recursion():
+    """On families grown as the enumerator grows them, at every size bound
+    from the last answer's size up, with and without the last answer as the
+    floor, the loop returns the recursion's answer, and reports a cut branch
+    exactly where the recursion returned CUT."""
+    rng = random.Random(1207)
+    outcomes = {"answer": 0, "neither": 0, "cut": 0, "cut with a floor": 0}
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        hs, last = _HittingSets(m), frozenset()
+        for _ in range(rng.randint(1, 14)):
+            to_hit, chosen = _grow_step(rng, m, last)
+            (hs.hit if to_hit else hs.block)(sum(1 << e for e in chosen))
+            for k in range(len(last), m + 1):
+                for floor in (sum(1 << e for e in last), None):
+                    want = recursive_hitting_search(0, 0, k, list(hs._sets),
+                                                    list(hs._blocked), floor)
+                    want = (None, True) if want == CUT else (want, False)
+                    assert _search(k, list(hs._sets), list(hs._blocked), floor) == want
+                    outcomes["answer" if want[0] is not None else
+                             "neither" if not want[1] else
+                             "cut" if floor is None else "cut with a floor"] += 1
+            found = hs.minimum()
+            if found is None:
+                break
+            last = frozenset(e for e in range(m) if found >> e & 1)
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 # ---------------------------------------------------------------------------

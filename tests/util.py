@@ -17,7 +17,8 @@ domain, the reference for the oracle's unit propagation.
 and its occurrence masks and clause masks from the clauses it entered.
 `check_compatible` walks a base's clauses for the first one an instance
 breaks. `recursive_search` is the oracle's search written as a recursion, the
-reference its explicit-stack loop and node count are checked against.
+reference its explicit-stack loop and node count are checked against, and
+`recursive_hitting_search` the same for the hitting-set solver's search.
 """
 
 from __future__ import annotations
@@ -546,6 +547,60 @@ def minimum_hitting_set_bruteforce(sets, blocked, m):
                 return cand
     return None
 
+
+CUT = -1  # `recursive_hitting_search`: no answer within the size bound
+
+
+def recursive_hitting_search(i, chosen, left, unhit, blocked, floor):
+    """The hitting-set branch and bound the solver's loop replaced, the
+    reference it is checked against: one frame per element picked or passed
+    over. The lex-first extension of `chosen` by at most `left` elements from
+    i up, where `unhit` holds the sets `chosen` misses, `blocked` the blocked
+    sets minus `chosen` that may still end up inside the answer and `floor`
+    (while not None) the floor's elements from i up. Returns the extension
+    as a mask, CUT when the size bound or the floor pruned a branch, and
+    None when no extension exists at any size."""
+    if not unhit:
+        return chosen
+    if not left:
+        return CUT
+    future = -1 << i
+    union = covered = disjoint = 0
+    for s in unhit:
+        s &= future
+        if not s:
+            return None
+        union |= s
+        if not s & covered:  # greedy disjoint sets: a lower bound on the picks
+            disjoint += 1
+            covered |= s
+    if disjoint > left:
+        return CUT
+    bit = union & -union
+    j = bit.bit_length() - 1
+    if floor is not None:
+        if bit < floor & -floor:  # picking j would sort below the floor
+            found = recursive_hitting_search(j + 1, chosen, left, unhit, blocked, floor)
+            return CUT if found is None else found
+        pick_floor = floor ^ bit if bit == floor & -floor else None
+    else:
+        pick_floor = None
+    found, kept = None, []
+    for b in blocked:
+        if b & bit:
+            b ^= bit
+            if not b:
+                break  # picking j completes a blocked set
+        if not b & (bit - 1):  # else it keeps an element passed over
+            kept.append(b)
+    else:
+        found = recursive_hitting_search(j + 1, chosen | bit, left - 1,
+                                         [s for s in unhit if not s & bit], kept,
+                                         pick_floor)
+        if found is not None and found >= 0:
+            return found
+    other = recursive_hitting_search(j + 1, chosen, left, unhit, blocked, None)
+    return found if other is None else other
 
 # ---------------------------------------------------------------------------
 # random instance generators (seeded by the caller)
